@@ -9,11 +9,10 @@ search over seed shifts.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .srvf import Srvf, _check_same_grid, _interp_columns, _require_uniform
 from .shapeops import apply_seed
@@ -22,6 +21,8 @@ from .warpmap import PLWarp, uniform_grid
 __all__ = ["DpConfig", "dp_align", "dp_align_closed", "dp_warp_energy"]
 
 _DEFAULT_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+# memory budget for the per-seed arrays of one block of the seed search
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -66,32 +67,88 @@ def _fine_values(q: Srvf, refine: int) -> np.ndarray:
     return _interp_columns(q.grid, q.values, fine)
 
 
-def _segment_costs(q1v: np.ndarray, q2f: np.ndarray, m: int, refine: int,
-                   step: tuple[int, int], dt: float) -> np.ndarray:
-    """Cost of one (a,b) move from every start node (i,j).
+def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
+                step: tuple[int, int], dt: float, ncols: int) -> np.ndarray:
+    """Cost of one (a,b) move from every start node (i,j), j < ncols.
 
     The segment integrand |q1(t) - q2(j + (b/a)(t - i)) sqrt(b/a)|^2 is
     integrated by the trapezoid rule on the a+1 grid nodes the move
     spans, with q2 read off a refine-times finer precomputed grid.
+    ``q2f`` may carry leading batch axes; the result has shape
+    ``q2f.shape[:-2] + (len(q1v) - a, ncols)``.
     """
     a, b = step
     sq = math.sqrt(b / a)
     weights = np.full(a + 1, dt)
     weights[0] = weights[-1] = dt / 2.0
     stride = refine * b // a
-    imax, jmax = m - a, m - b
-    cost = np.full((m, m), np.inf)
-    acc = np.zeros((imax, jmax))
-    j_fine = np.arange(jmax) * refine
+    imax = q1v.shape[0] - a
+    acc = np.zeros(q2f.shape[:-2] + (imax, ncols))
+    j_fine = np.arange(ncols) * refine
     for k in range(a + 1):
         lhs = q1v[k:k + imax]
-        rhs = sq * q2f[j_fine + k * stride]
+        rhs = sq * q2f[..., j_fine + k * stride, :]
         sq_l = np.sum(lhs ** 2, axis=1)
-        sq_r = np.sum(rhs ** 2, axis=1)
-        cross = lhs @ rhs.T
-        acc += weights[k] * (sq_l[:, None] + sq_r[None, :] - 2.0 * cross)
-    cost[:imax, :jmax] = acc
+        sq_r = np.sum(rhs ** 2, axis=-1)
+        cross = lhs @ np.swapaxes(rhs, -1, -2)
+        acc += weights[k] * (sq_l[:, None] + sq_r[..., None, :] - 2.0 * cross)
+    return acc
+
+
+def _segment_costs(q1v: np.ndarray, q2f: np.ndarray, m: int, refine: int,
+                   step: tuple[int, int], dt: float) -> np.ndarray:
+    """(m, m) step costs, infinite where the move would leave the lattice."""
+    a, b = step
+    cost = np.full((m, m), np.inf)
+    cost[:m - a, :m - b] = _step_costs(q1v, q2f, refine, step, dt, m - b)
     return cost
+
+
+def _solve(costs, steps, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest monotone paths from (0,0) to (m-1,m-1), one per seed.
+
+    ``costs[si][i]`` is an (S, m-b) array, usually a strided view, holding
+    the cost of step ``steps[si] = (a, b)`` from node (i, j) for every seed
+    and every j < m-b.  Only the last max(a)+1 rows of the distance table
+    are kept.  Ties go to the earlier step.  Returns the end-node
+    energies (S,) and the step choices (m, S, m), -1 where none applies.
+    """
+    n_seeds = costs[0].shape[1]
+    span = max(a for a, _ in steps) + 1
+    ring = np.full((span, n_seeds, m), np.inf)
+    ring[0, :, 0] = 0.0
+    choice = np.full((m, n_seeds, m), -1, dtype=np.min_scalar_type(-len(steps)))
+    cand = np.empty((n_seeds, m))
+    better = np.empty((n_seeds, m), dtype=bool)
+    for i in range(1, m):
+        best = ring[i % span]
+        best.fill(np.inf)
+        for si, (a, b) in enumerate(steps):
+            if i < a:
+                continue
+            w = m - b
+            src = np.add(ring[(i - a) % span, :, :w], costs[si][i - a], out=cand[:, :w])
+            mask = np.less(src, best[:, b:], out=better[:, :w])
+            np.copyto(best[:, b:], src, where=mask)
+            np.copyto(choice[i, :, b:], si, where=mask)
+    return ring[(m - 1) % span, :, m - 1].copy(), choice
+
+
+def _backtrack(choice: np.ndarray, energy: float, steps, grid: np.ndarray) -> PLWarp:
+    """Warp through the lattice nodes visited by one seed's best path."""
+    if not np.isfinite(energy):
+        raise ValueError("end node unreachable with the configured neighborhood")
+    m = grid.size
+    nodes = [(m - 1, m - 1)]
+    i, j = m - 1, m - 1
+    while (i, j) != (0, 0):
+        a, b = steps[choice[i, j]]
+        i, j = i - a, j - b
+        nodes.append((i, j))
+    nodes.reverse()
+    xs = np.array([grid[i] for i, _ in nodes])
+    ys = np.array([grid[j] for _, j in nodes])
+    return PLWarp(xs, ys)
 
 
 def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, float]:
@@ -111,41 +168,9 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
     refine = _refinement(steps)
     dt = 1.0 / (m - 1)
     q2f = _fine_values(q2, refine)
-    costs = [_segment_costs(q1.values, q2f, m, refine, s, dt) for s in steps]
-
-    dist = np.full((m, m), np.inf)
-    dist[0, 0] = 0.0
-    choice = np.full((m, m), -1, dtype=np.int16)
-    for i in range(1, m):
-        best = np.full(m, np.inf)
-        arg = np.full(m, -1, dtype=np.int16)
-        for si, (a, b) in enumerate(steps):
-            if i - a < 0:
-                continue
-            cand = np.full(m, np.inf)
-            src = dist[i - a, :m - b] + costs[si][i - a, :m - b]
-            cand[b:] = src[:m - b]
-            better = cand < best
-            best[better] = cand[better]
-            arg[better] = si
-        dist[i] = best
-        choice[i] = arg
-
-    energy = dist[m - 1, m - 1]
-    if not np.isfinite(energy):
-        raise ValueError("end node unreachable with the configured neighborhood")
-    # backtrack the visited lattice nodes
-    nodes = [(m - 1, m - 1)]
-    i, j = m - 1, m - 1
-    while (i, j) != (0, 0):
-        a, b = steps[choice[i, j]]
-        i, j = i - a, j - b
-        nodes.append((i, j))
-    nodes.reverse()
-    grid = q1.grid
-    xs = np.array([grid[i] for i, _ in nodes])
-    ys = np.array([grid[j] for _, j in nodes])
-    return PLWarp(xs, ys), float(energy)
+    costs = [_step_costs(q1.values, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
+    energies, choice = _solve(costs, steps, m)
+    return _backtrack(choice[:, 0], energies[0], steps, q1.grid), float(energies[0])
 
 
 def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig()) -> float:
@@ -174,11 +199,38 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     return float(total)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("WARPALIGN_THREADS", "1")))
-    except ValueError:
-        return 1
+def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
+    """Yield (first seed position, per-step cost views) in seed blocks.
+
+    On the DP lattice a seed shift by k nodes is a column offset, so each
+    step's costs are computed once against two periods of q2 and every
+    seed reads a zero-copy window of them.  Off the lattice each seed is
+    shifted on the input grid and regridded.  Blocks are sized so that
+    the per-seed arrays (step choices, and regridded costs off the
+    lattice) stay within ``_BLOCK_BYTES``.
+    """
+    m = cfg.grid_size
+    steps = cfg.neighborhood
+    refine = _refinement(steps)
+    dt = 1.0 / (m - 1)
+    n = q1.grid.size - 1
+    if n + 1 == m:
+        fine = _fine_values(apply_seed(q2, 0.0), refine)
+        unrolled = np.concatenate((fine[:-1], fine))
+        windows = [sliding_window_view(
+            _step_costs(q1.values, unrolled, refine, (a, b), dt, n + m - b - 1),
+            m - b, axis=1)[:, :n:cfg.seed_stride] for a, b in steps]
+        block = max(1, _BLOCK_BYTES // (m * m))
+        for first in range(0, len(seeds), block):
+            yield first, [w[:, first:first + block] for w in windows]
+        return
+    q1v = _regrid(q1, m).values
+    block = max(1, _BLOCK_BYTES // ((1 + 8 * len(steps)) * m * m))
+    for first in range(0, len(seeds), block):
+        fine = np.stack([_fine_values(_regrid(apply_seed(q2, k / n), m), refine)
+                         for k in seeds[first:first + block]])
+        yield first, [np.moveaxis(_step_costs(q1v, fine, refine, s, dt, m - s[1]), 0, 1)
+                      for s in steps]
 
 
 def dp_align_closed(q1: Srvf, q2: Srvf,
@@ -186,23 +238,21 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     """Best (seed, warp, energy) over cyclic seed shifts of q2.
 
     Seeds run over every ``seed_stride``-th grid point; the reported seed
-    is the shift applied to q2 before the interval alignment.
+    is the shift applied to q2 before the interval alignment.  All seeds
+    share one row recurrence; ties go to the first seed.
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
     _check_same_grid(q1, q2)
-    n_distinct = q1.grid.size - 1
-    seeds = [k / n_distinct for k in range(0, n_distinct, cfg.seed_stride)]
-
-    def solve(s: float) -> tuple[PLWarp, float]:
-        return dp_align(q1, apply_seed(q2, s), cfg)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, seeds))
-    else:
-        results = [solve(s) for s in seeds]
-    best = int(np.argmin([e for _, e in results]))
-    warp, energy = results[best]
-    return seeds[best], warp, energy
+    _require_uniform(q1.grid)
+    n = q1.grid.size - 1
+    seeds = range(0, n, cfg.seed_stride)
+    best = None
+    for first, costs in _closed_costs(q1, q2, cfg, seeds):
+        energies, choice = _solve(costs, cfg.neighborhood, cfg.grid_size)
+        k = int(np.argmin(energies))
+        if best is None or energies[k] < best[1]:
+            best = (first + k, energies[k], choice[:, k].copy())
+    pos, energy, path = best
+    grid = q1.grid if n + 1 == cfg.grid_size else uniform_grid(cfg.grid_size)
+    return seeds[pos] / n, _backtrack(path, energy, cfg.neighborhood, grid), float(energy)

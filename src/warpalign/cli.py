@@ -4,8 +4,7 @@ Subcommands: sample-warps, degeneracy, distance, geodesic, align-dp,
 align-sa, align-bayes.  Every command takes ``--seed`` and produces
 byte-identical outputs for identical invocations; each run writes a
 ``manifest.json`` with the configuration, library versions and SHA-256
-digests of the produced files.  ``WARPALIGN_THREADS`` caps worker
-threads (used by the closed-curve seed search).
+digests of the produced files.
 
 Exit codes: 0 success, 2 usage error, 3 data error.
 """
@@ -18,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .align_bayes import BayesConfig, posterior_summary, sir_posterior
+from .align_bayes import BayesConfig, PosteriorSample, posterior_summary, sir_posterior
 from .align_dp import DpConfig, dp_align, dp_align_closed
 from .align_sa import SaConfig, align as sa_dispatch
 from .io import (
@@ -394,17 +393,13 @@ def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample_size, poin
         res = constrained_align(c1, c2, lm, "bayes", cfg, rng)
         if len(lm):
             summary_grid = np.union1d(summary_grid, lm.a)
-        vals = np.stack([w(summary_grid) for w in res.posterior_warps])
-        mean = np.maximum.accumulate(vals.mean(axis=0))
-        mean[0], mean[-1] = 0.0, 1.0
-        mean_warp = PLWarp.from_increments(summary_grid, np.diff(mean))
-        lower = np.percentile(vals, 2.5, axis=0)
-        upper = np.percentile(vals, 97.5, axis=0)
+        count = len(res.posterior_warps)
+        post = PosteriorSample(res.posterior_warps, np.full(count, 1.0 / count),
+                               float(count))
     else:
-        q1, q2 = to_srvf(c1), to_srvf(c2)
-        post = sir_posterior(q1, q2, cfg, rng)
-        mean_warp, lower, upper = posterior_summary(post, summary_grid)
-        mean = mean_warp(summary_grid)
+        post = sir_posterior(to_srvf(c1), to_srvf(c2), cfg, rng)
+    mean_warp, lower, upper = posterior_summary(post, summary_grid)
+    mean = mean_warp(summary_grid)
 
     warp_path = write_warp(mean_warp, out / "mean_warp.json")
     band_path = write_band(out / "band.csv", summary_grid, lower, mean, upper)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .align_bayes import BayesConfig, PosteriorSample, sir_posterior
+from .align_bayes import BayesConfig, PosteriorSample, posterior_summary, sir_posterior
 from .align_sa import AlignmentResult, SaConfig, sa_align
 from .srvf import Curve, resample, to_srvf, warp_curve
 from .warpdist import WarpPrior
@@ -211,7 +211,5 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
 
 
 def _posterior_mean(post: PosteriorSample, grid: np.ndarray) -> PLWarp:
-    from .align_bayes import posterior_summary
-
     mean_warp, _, _ = posterior_summary(post, grid)
     return mean_warp

@@ -43,6 +43,8 @@ def _as_points(points) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
         raise ValueError("points must be an (m, d) array with d in {1,2,3}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN or inf)")
     return pts
 
 

@@ -18,6 +18,7 @@ from warpalign import (
     uniform_grid,
     warp_action,
 )
+from warpalign import align_dp
 from warpalign.align_dp import _refinement, _fine_values, _segment_costs
 from warpalign.fixtures import bean_curve, two_bump_pair
 
@@ -175,6 +176,63 @@ class TestDpAlignClosed:
         cfg = DpConfig(grid_size=21, seed_stride=4)
         seed, _, _ = dp_align_closed(q1, q2, cfg)
         assert (round(seed * 20)) % 4 == 0
+
+
+class TestBatchedSeedSearch:
+    """The batched seed search returns what a per-seed loop of dp_align returns."""
+
+    @staticmethod
+    def per_seed_reference(q1, q2, cfg):
+        n = q1.grid.size - 1
+        seeds = [k / n for k in range(0, n, cfg.seed_stride)]
+        results = [dp_align(q1, apply_seed(q2, s), cfg) for s in seeds]
+        best = int(np.argmin([e for _, e in results]))
+        return seeds[best], results[best][0], results[best][1]
+
+    def assert_matches_loop(self, q1, q2, cfg):
+        seed, warp, energy = dp_align_closed(q1, q2, cfg)
+        ref_seed, ref_warp, ref_energy = self.per_seed_reference(q1, q2, cfg)
+        assert seed == ref_seed
+        assert np.array_equal(warp.x, ref_warp.x)
+        assert np.array_equal(warp.y, ref_warp.y)
+        assert abs(energy - ref_energy) <= 1e-12
+        return seed
+
+    def bean(self, m=41):
+        return unit_normalize(to_srvf(normalize_length(bean_curve(m))))
+
+    def test_matching_grid(self):
+        q1 = self.bean()
+        self.assert_matches_loop(q1, apply_seed(q1, 0.3), DpConfig(grid_size=41))
+
+    def test_seed_stride(self):
+        q1 = self.bean()
+        self.assert_matches_loop(q1, apply_seed(q1, 0.3),
+                                 DpConfig(grid_size=41, seed_stride=4))
+
+    def test_input_grid_differs_from_lattice(self):
+        q1 = self.bean()
+        self.assert_matches_loop(q1, apply_seed(q1, 0.3), DpConfig(grid_size=30))
+
+    def test_identical_curves_pick_seed_zero(self):
+        q = self.bean()
+        assert self.assert_matches_loop(q, q, DpConfig(grid_size=41)) == 0.0
+
+    def test_one_seed_per_block(self, monkeypatch):
+        monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
+        q1 = self.bean()
+        q2 = apply_seed(q1, 0.3)
+        self.assert_matches_loop(q1, q2, DpConfig(grid_size=41, seed_stride=3))
+        self.assert_matches_loop(q1, q2, DpConfig(grid_size=30, seed_stride=3))
+        assert self.assert_matches_loop(q1, q1, DpConfig(grid_size=30)) == 0.0
+
+    def test_unrelated_curves(self):
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=(41, 2))
+        vals[-1] = vals[0]
+        q2 = Srvf(uniform_grid(41), vals, "closed")
+        self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=41))
+        self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=25, seed_stride=3))
 
 
 class TestDpConfig:

@@ -141,6 +141,19 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", ["align-dp", "distance"])
+    def test_nan_row_is_3(self, bump_files, tmp_path, capsys, command):
+        a, b = bump_files
+        lines = Path(a).read_text().splitlines()
+        t = lines[10].split(",")[0]
+        lines[10] = f"{t},nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main([command, str(bad), str(b), "--points", "60",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
 
 class TestDistance:
     def test_identical_files_print_zero(self, bump_files, capsys):
@@ -323,20 +336,3 @@ class TestSchemasAndManifests:
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert actual == digest
-
-
-class TestThreadCap:
-    def test_threaded_seed_search_matches_serial(self, monkeypatch):
-        from warpalign import DpConfig, apply_seed, dp_align_closed, normalize_length
-        from warpalign import to_srvf, unit_normalize
-
-        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(31))))
-        q2 = apply_seed(q1, 0.2)
-        cfg = DpConfig(grid_size=31)
-        monkeypatch.delenv("WARPALIGN_THREADS", raising=False)
-        serial = dp_align_closed(q1, q2, cfg)
-        monkeypatch.setenv("WARPALIGN_THREADS", "4")
-        threaded = dp_align_closed(q1, q2, cfg)
-        assert serial[0] == threaded[0]
-        assert serial[2] == threaded[2]
-        assert np.array_equal(serial[1].y, threaded[1].y)

@@ -45,6 +45,20 @@ class TestCurve:
         with pytest.raises(ValueError):
             Curve(uniform_grid(3), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((5, 2))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Curve(uniform_grid(5), pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_srvf_values_rejected(self, bad):
+        vals = np.ones((5, 1))
+        vals[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Srvf(uniform_grid(5), vals)
+
 
 class TestResample:
     def test_same_grid_identity(self):
