@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .srvf import Srvf, _check_same_grid, _interp_columns
+from .srvf import Srvf, _check_same_grid, _warp_values
 from .warpdist import WarpPrior, sample_batch
 from .warpmap import PLWarp, batch_eval, check_grid, identity
 
@@ -47,8 +47,8 @@ class BayesConfig:
     resample_size: int = 2000
 
     def __post_init__(self):
-        if self.a0 <= 0.0 or self.b0 <= 0.0:
-            raise ValueError("Gamma hyperparameters must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.a0, self.b0)):
+            raise ValueError("Gamma hyperparameters must be positive and finite")
         if not self.prior_draws >= self.resample_size >= 1:
             raise ValueError("need prior_draws >= resample_size >= 1")
 
@@ -62,13 +62,6 @@ class PosteriorSample:
     ess: float
 
 
-def _sse(q1: Srvf, q2: Srvf, warp: PLWarp) -> float:
-    wt = warp(q1.grid)
-    slope = warp.derivative(q1.grid)
-    warped = _interp_columns(q1.grid, q2.values, wt) * np.sqrt(slope)[:, None]
-    return float(np.sum((q1.values - warped) ** 2))
-
-
 def marginal_loglik(q1: Srvf, q2: Srvf, warp: PLWarp, a0: float = 0.01,
                     b0: float = 0.01) -> float:
     """Precision-marginalized Gaussian log likelihood, up to a constant.
@@ -79,7 +72,8 @@ def marginal_loglik(q1: Srvf, q2: Srvf, warp: PLWarp, a0: float = 0.01,
     ratios matter for SIR.
     """
     _check_same_grid(q1, q2)
-    sse = _sse(q1, q2, warp)
+    warped = _warp_values(q1.grid, q2.values, warp.x, warp.y)
+    sse = float(np.sum((q1.values - warped) ** 2))
     n_resid = q1.values.size
     return -(a0 + 0.5 * n_resid) * math.log(b0 + 0.5 * sse)
 

@@ -1,10 +1,13 @@
 """Simulated-annealing alignment of functions, open curves and closed curves.
 
-Each iteration proposes a warp from the warp-map distribution centred at
-the current warp, blends it toward the identity, and accepts by the
-Metropolis rule under a geometrically cooled temperature.  Shape modes
-refresh the Procrustes rotation after every accepted move; closed curves
-additionally propose the unwrapping seed from a von Mises step.
+One Metropolis chain serves all three modes.  Each iteration proposes a
+warp from the warp-map distribution centred at the current warp, blends
+it toward the identity, and accepts by the Metropolis rule under a
+geometrically cooled temperature.  Shape modes refresh the Procrustes
+rotation after every accepted move; closed curves additionally propose
+the unwrapping seed from a von Mises step.  The chain works on raw knot
+and value arrays: inputs are validated at entry, and ``PLWarp`` and
+``Rotation`` objects are built for the returned result only.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapeops import Rotation, apply_seed, optimal_rotation
-from .srvf import Srvf, _check_same_grid, _interp_columns, _require_uniform
-from .warpdist import WarpPrior, sample
-from .warpmap import PLWarp, identity
+from .shapeops import Rotation, _procrustes, _roll_seed, optimal_rotation
+from .srvf import Srvf, _check_same_grid, _require_uniform, _trapezoid_weights, _warp_values
+from .warpdist import _draw
+from .warpmap import PLWarp
 
 __all__ = [
     "SaConfig",
@@ -40,8 +43,9 @@ class SaConfig:
     concentration around the current warp), ``blend`` weights the sampled
     warp against the identity, ``t0``/``cooling`` set the temperature
     schedule T_k = t0 / cooling**k, and ``von_mises_kappa`` concentrates
-    seed proposals in closed mode.  With ``early_stop`` the chain halts
-    once it is cold (T < 1e-3) and 500 proposals in a row were rejected.
+    seed proposals in closed mode.  The chain runs ``max_iters``
+    iterations, or halts earlier once it is cold (T < 1e-3) and 500
+    proposals in a row were rejected.
     """
 
     n: int = 20
@@ -52,11 +56,13 @@ class SaConfig:
     max_iters: int = 20000
     mode: str = "function"
     von_mises_kappa: float = 50.0
-    early_stop: bool = True
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if not all(map(math.isfinite, (self.theta, self.t0, self.cooling,
+                                       self.von_mises_kappa))):
+            raise ValueError("theta, t0, cooling and kappa must be finite")
         if self.theta <= 0 or self.t0 <= 0 or self.von_mises_kappa < 0:
             raise ValueError("theta, t0 must be positive and kappa nonnegative")
         if self.cooling <= 1.0:
@@ -94,62 +100,94 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
     return u < math.exp((e_current - e_proposed) / temperature)
 
 
-def _energy(q1v: np.ndarray, grid: np.ndarray, q2v: np.ndarray, w: PLWarp) -> float:
-    """Alignment energy on raw arrays; matches srvf.warp_energy."""
-    wt = np.interp(grid, w.x, w.y)
-    idx = np.searchsorted(w.x, grid, side="right") - 1
-    np.clip(idx, 0, w.x.size - 2, out=idx)
-    slope = (w.y[idx + 1] - w.y[idx]) / (w.x[idx + 1] - w.x[idx])
-    warped = _interp_columns(grid, q2v, wt) * np.sqrt(slope)[:, None]
-    resid = q1v - warped
+def _energy(q1v: np.ndarray, grid: np.ndarray, q2v: np.ndarray, x: np.ndarray,
+            y: np.ndarray) -> float:
+    """Alignment energy on raw arrays and warp knots; matches srvf.warp_energy."""
+    resid = q1v - _warp_values(grid, q2v, x, y)
     return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
 
 
-def _propose_warp(current: PLWarp, cfg: SaConfig, rng: np.random.Generator) -> PLWarp:
-    drawn = sample(WarpPrior(current, cfg.n, cfg.theta), rng)
-    if cfg.blend == 1.0:
-        return drawn
+def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Knots of a draw centred at the warp ``(x, y)``, blended toward the identity."""
+    knots, values = _draw(x, y, cfg.n, cfg.theta, 1, rng)
+    px = knots[0]
     # blending against the identity needs no knot union: id(x) = x
-    y = cfg.blend * drawn.y + (1.0 - cfg.blend) * drawn.x
-    y[0], y[-1] = 0.0, 1.0
-    return PLWarp(drawn.x, y)
+    py = cfg.blend * values[0] + (1.0 - cfg.blend) * px
+    py[0], py[-1] = 0.0, 1.0
+    return px, py
+
+
+def _propose_seed(k: int, kappa: float, n_distinct: int, rng: np.random.Generator) -> int:
+    """Von Mises step around the seed at grid offset k, snapped to the grid."""
+    raw = (k / n_distinct + rng.vonmises(0.0, kappa) / _TWO_PI) % 1.0
+    return int(np.round(raw * n_distinct)) % n_distinct
 
 
 def _temperature(cfg: SaConfig, iteration: int) -> float:
     return cfg.t0 / cfg.cooling ** iteration
 
 
-def sa_align(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(),
-             rng: np.random.Generator | None = None) -> AlignmentResult:
-    """Annealed warp alignment of two functions on a common uniform grid."""
+def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
+            shape: bool, closed: bool = False) -> AlignmentResult:
+    """The annealing loop shared by every mode, on validated inputs.
+
+    ``shape`` refreshes the Procrustes rotation after every accepted move
+    and recomputes the energy with it applied, so reported energies
+    always pair the warp with its optimal rotation.  ``closed`` also
+    proposes a seed, a cyclic shift of q2 by k of its m-1 distinct grid
+    points, jointly with each warp.
+    """
     if rng is None:
         rng = np.random.default_rng()
-    _check_same_grid(q1, q2)
-    _require_uniform(q1.grid)
     grid, q1v, q2v = q1.grid, q1.values, q2.values
+    weights = _trapezoid_weights(grid)
+    n_seeds = grid.size - 1
 
-    current = identity()
-    e_cur = _energy(q1v, grid, q2v, current)
-    best_w, best_e = current, e_cur
-    trace = [e_cur]
+    x, y, k = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0
+    rot = optimal_rotation(q1, q2).matrix if shape else None
+    q2k = q2v  # q2 shifted to the current seed
+    q2r = q2v @ rot.T if shape else q2v  # ... and rotated
+    e = _energy(q1v, grid, q2r, x, y)
+    best = (x, y, k, rot, e)
+    trace = [e]
     stale = 0
     for it in range(cfg.max_iters):
         temp = _temperature(cfg, it)
-        prop = _propose_warp(current, cfg, rng)
-        e_prop = _energy(q1v, grid, q2v, prop)
-        u = rng.random()
-        if metropolis_accept(e_cur, e_prop, temp, u):
-            current, e_cur = prop, e_prop
+        k_prop, q2k_prop, q2r_prop = k, q2k, q2r
+        if closed:
+            k_prop = _propose_seed(k, cfg.von_mises_kappa, n_seeds, rng)
+            if k_prop != k:
+                q2k_prop = _roll_seed(q2v, k_prop)
+                q2r_prop = q2k_prop @ rot.T
+        px, py = _propose_warp(x, y, cfg, rng)
+        e_prop = _energy(q1v, grid, q2r_prop, px, py)
+        if metropolis_accept(e, e_prop, temp, rng.random()):
+            x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
+            if shape:
+                rot = _procrustes(q1v, _warp_values(grid, q2k, x, y), weights)
+                q2r = q2k @ rot.T
+                e = _energy(q1v, grid, q2r, x, y)
             stale = 0
-            if e_cur < best_e:
-                best_w, best_e = current, e_cur
+            if e < best[4]:
+                best = (x, y, k, rot, e)
         else:
             stale += 1
-        trace.append(e_cur)
-        if cfg.early_stop and temp < 1e-3 and stale >= 500:
+        trace.append(e)
+        if temp < 1e-3 and stale >= 500:
             break
-    trace.append(best_e)
-    return AlignmentResult(best_w, None, None, np.asarray(trace), trace[0], best_e)
+    x, y, k, rot, e = best
+    trace.append(e)
+    return AlignmentResult(PLWarp(x, y), Rotation(rot) if shape else None,
+                           k / n_seeds if closed else None, np.asarray(trace), trace[0], e)
+
+
+def sa_align(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(),
+             rng: np.random.Generator | None = None) -> AlignmentResult:
+    """Annealed warp alignment of two functions on a common uniform grid."""
+    _check_same_grid(q1, q2)
+    _require_uniform(q1.grid)
+    return _anneal(q1, q2, cfg, rng, shape=False)
 
 
 def sa_align_open_shape(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(mode="open_shape"),
@@ -160,60 +198,13 @@ def sa_align_open_shape(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(mode="open_
     accepted move and the energy recomputed with it applied, so reported
     energies always pair the warp with its optimal rotation.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if not (q1.is_shape and q2.is_shape):
         raise ValueError("shape alignment needs unit-norm SRVFs")
     if q1.dim < 2:
         raise ValueError("open_shape mode needs curves in dimension 2 or 3")
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
-    grid, q1v = q1.grid, q1.values
-
-    current = identity()
-    rot = optimal_rotation(q1, q2)
-    q2rot = rot.apply(q2.values)
-    e_cur = _energy(q1v, grid, q2rot, current)
-    best = (current, rot, e_cur)
-    trace = [e_cur]
-    stale = 0
-    for it in range(cfg.max_iters):
-        temp = _temperature(cfg, it)
-        prop = _propose_warp(current, cfg, rng)
-        e_prop = _energy(q1v, grid, q2rot, prop)
-        u = rng.random()
-        if metropolis_accept(e_cur, e_prop, temp, u):
-            current = prop
-            warped = Srvf(grid, _warp_values(grid, q2.values, current), q1.topology)
-            rot = optimal_rotation(q1, warped)
-            q2rot = rot.apply(q2.values)
-            e_cur = _energy(q1v, grid, q2rot, current)
-            stale = 0
-            if e_cur < best[2]:
-                best = (current, rot, e_cur)
-        else:
-            stale += 1
-        trace.append(e_cur)
-        if cfg.early_stop and temp < 1e-3 and stale >= 500:
-            break
-    trace.append(best[2])
-    return AlignmentResult(best[0], best[1], None, np.asarray(trace), trace[0], best[2])
-
-
-def _warp_values(grid: np.ndarray, values: np.ndarray, w: PLWarp) -> np.ndarray:
-    wt = np.interp(grid, w.x, w.y)
-    idx = np.searchsorted(w.x, grid, side="right") - 1
-    np.clip(idx, 0, w.x.size - 2, out=idx)
-    slope = (w.y[idx + 1] - w.y[idx]) / (w.x[idx + 1] - w.x[idx])
-    return _interp_columns(grid, values, wt) * np.sqrt(slope)[:, None]
-
-
-def _propose_seed(current: float, kappa: float, n_distinct: int,
-                  rng: np.random.Generator) -> float:
-    """Von Mises step around the current seed, snapped to the grid."""
-    raw = (current + rng.vonmises(0.0, kappa) / _TWO_PI) % 1.0
-    k = int(np.round(raw * n_distinct)) % n_distinct
-    return k / n_distinct
+    return _anneal(q1, q2, cfg, rng, shape=True)
 
 
 def sa_align_closed(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(mode="closed_shape"),
@@ -225,49 +216,13 @@ def sa_align_closed(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(mode="closed_sh
     decides on the combined move, and accepted moves refresh the
     Procrustes rotation.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if not (q1.is_shape and q2.is_shape):
         raise ValueError("shape alignment needs unit-norm SRVFs")
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed_shape mode needs closed-curve SRVFs")
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
-    grid, q1v = q1.grid, q1.values
-    n_distinct = grid.size - 1
-
-    current = identity()
-    seed = 0.0
-    q2seed = q2
-    rot = optimal_rotation(q1, q2seed)
-    q2work = rot.apply(q2seed.values)
-    e_cur = _energy(q1v, grid, q2work, current)
-    best = (current, seed, rot, e_cur)
-    trace = [e_cur]
-    stale = 0
-    for it in range(cfg.max_iters):
-        temp = _temperature(cfg, it)
-        seed_prop = _propose_seed(seed, cfg.von_mises_kappa, n_distinct, rng)
-        q2seed_prop = q2seed if seed_prop == seed else apply_seed(q2, seed_prop)
-        prop = _propose_warp(current, cfg, rng)
-        e_prop = _energy(q1v, grid, rot.apply(q2seed_prop.values), prop)
-        u = rng.random()
-        if metropolis_accept(e_cur, e_prop, temp, u):
-            current, seed, q2seed = prop, seed_prop, q2seed_prop
-            warped = Srvf(grid, _warp_values(grid, q2seed.values, current), "closed")
-            rot = optimal_rotation(q1, warped)
-            e_cur = _energy(q1v, grid, rot.apply(q2seed.values), current)
-            stale = 0
-            if e_cur < best[3]:
-                best = (current, seed, rot, e_cur)
-        else:
-            stale += 1
-        trace.append(e_cur)
-        if cfg.early_stop and temp < 1e-3 and stale >= 500:
-            break
-    trace.append(best[3])
-    return AlignmentResult(best[0], best[2], best[1], np.asarray(trace),
-                           trace[0], best[3])
+    return _anneal(q1, q2, cfg, rng, shape=True, closed=True)
 
 
 def align(q1: Srvf, q2: Srvf, cfg: SaConfig,

@@ -71,14 +71,18 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:
         raise ValueError("SRVFs live on different grids; resample first")
     if q1.dim != q2.dim:
         raise ValueError("SRVFs have different dimensions")
-    if q1.dim == 1:
-        return Rotation.identity(1)
-    w = _trapezoid_weights(q1.grid)
-    a = (q1.values * w[:, None]).T @ q2.values
+    return Rotation(_procrustes(q1.values, q2.values, _trapezoid_weights(q1.grid)))
+
+
+def _procrustes(v1: np.ndarray, v2: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``optimal_rotation`` on raw (m, d) value arrays and trapezoid weights."""
+    if v1.shape[1] == 1:
+        return np.eye(1)
+    a = (v1 * weights[:, None]).T @ v2
     u, _, vt = np.linalg.svd(a)
     if np.linalg.det(u @ vt) < 0.0:
         u[:, -1] *= -1.0
-    return Rotation(u @ vt)
+    return u @ vt
 
 
 def rotate(q: Srvf, rot: Rotation) -> Srvf:
@@ -101,7 +105,10 @@ def apply_seed(q: Srvf, s: float) -> Srvf:
         raise ValueError("seed must lie in [0, 1)")
     n_distinct = q.grid.size - 1
     k = int(np.round(s * n_distinct)) % n_distinct
-    base = q.values[:-1]
-    shifted = np.roll(base, -k, axis=0)
-    vals = np.vstack((shifted, shifted[:1]))
-    return Srvf(q.grid, vals, "closed", q.is_shape)
+    return Srvf(q.grid, _roll_seed(q.values, k), "closed", q.is_shape)
+
+
+def _roll_seed(values: np.ndarray, k: int) -> np.ndarray:
+    """``apply_seed`` on raw closed-curve values, by a whole grid offset k."""
+    shifted = np.roll(values[:-1], -k, axis=0)
+    return np.vstack((shifted, shifted[:1]))

@@ -218,6 +218,17 @@ def _interp_columns(grid: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.
     ])
 
 
+def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """``(q o w) * sqrt(w')`` on raw arrays: SRVF values sampled on a grid
+    under the PL warp with knots ``(x, y)``, which must be a valid warp."""
+    wt = np.interp(grid, x, y)
+    idx = np.searchsorted(x, grid, side="right") - 1
+    np.clip(idx, 0, x.size - 2, out=idx)
+    slope = (y[idx + 1] - y[idx]) / (x[idx + 1] - x[idx])
+    return _interp_columns(grid, values, wt) * np.sqrt(slope)[:, None]
+
+
 def warp_action(q: Srvf, w: PLWarp) -> Srvf:
     """The warped SRVF ``(q o w) * sqrt(w')`` on q's grid.
 
@@ -226,9 +237,7 @@ def warp_action(q: Srvf, w: PLWarp) -> Srvf:
     is preserved up to discretization error, so the result is not
     flagged as an exact unit-norm shape.
     """
-    wt = w(q.grid)
-    slope = w.derivative(q.grid)
-    vals = _interp_columns(q.grid, q.values, wt) * np.sqrt(slope)[:, None]
+    vals = _warp_values(q.grid, q.values, w.x, w.y)
     return Srvf(q.grid, vals, q.topology, is_shape=False)
 
 

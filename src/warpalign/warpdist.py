@@ -14,13 +14,15 @@ which ``degeneracy_report`` measures empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
-from .warpmap import MIN_INCREMENT, PLWarp, CircularWarp, check_grid, make_circular, sup_dist
+from .warpmap import (PLWarp, CircularWarp, _clamp_increments, _increment_values, check_grid,
+                      make_circular, sup_dist)
 
 __all__ = [
     "WarpPrior",
@@ -51,8 +53,8 @@ class WarpPrior:
     def __post_init__(self):
         if self.partition_size < 2:
             raise ValueError("partition size must be at least 2")
-        if not self.concentration > 0.0:
-            raise ValueError("concentration must be positive")
+        if not (math.isfinite(self.concentration) and self.concentration > 0.0):
+            raise ValueError("concentration must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,12 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("params must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
         raise ValueError("Dirichlet parameters must be positive")
-    g = np.maximum(gamma_variates(params, rng), 1e-300)
-    p = g / g.sum()
-    p = np.maximum(p, MIN_INCREMENT)
-    return p / p.sum()
+    return _clamp_increments(_normalized_gammas(params, rng))
+
+
+def _normalized_gammas(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    g = np.maximum(gamma_variates(shapes, rng), 1e-300)
+    return g / g.sum(axis=-1, keepdims=True)
 
 
 def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
@@ -145,17 +149,26 @@ def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
 
 def _random_partitions(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of sorted interior uniforms padded with the endpoints."""
-    u = np.sort(rng.random((size, n - 1)), axis=1) if n > 1 else np.empty((size, 0))
-    if n > 1:
-        while True:
-            inner_ok = np.all(np.diff(u, axis=1) > 0, axis=1) if n > 2 else np.ones(size, bool)
-            ok = inner_ok & (u[:, 0] > 0.0) & (u[:, -1] < 1.0)
-            if ok.all():
-                break
-            bad = ~ok
-            u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
-    ends = np.zeros((size, 1)), np.ones((size, 1))
-    return np.concatenate((ends[0], u, ends[1]), axis=1)
+    u = np.sort(rng.random((size, n - 1)), axis=1)
+    while True:
+        ok = (np.diff(u, axis=1) > 0).all(axis=1) & (u[:, 0] > 0.0) & (u[:, -1] < 1.0)
+        if ok.all():
+            break
+        bad = ~ok
+        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+    knots = np.empty((size, n + 1))
+    knots[:, 0], knots[:, 1:-1], knots[:, -1] = 0.0, u, 1.0
+    return knots
+
+
+def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float, size: int,
+          rng: np.random.Generator, knots=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler core on raw mean knots; see ``sample_batch``."""
+    if knots is None:
+        knots = _random_partitions(size, n, rng)
+    h = np.interp(knots, mean_x, mean_y)
+    a = np.maximum(theta * np.diff(h, axis=1), 1e-12)
+    return knots, _increment_values(_normalized_gammas(a, rng))
 
 
 def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
@@ -168,46 +181,15 @@ def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
     """
     if size < 1:
         raise ValueError("size must be positive")
-    n = prior.partition_size
-    if partition is not None:
-        part = check_grid(partition)
-        knots = np.tile(part, (size, 1))
-    else:
-        knots = _random_partitions(size, n, rng)
-    h = np.interp(knots.ravel(), prior.mean_warp.x, prior.mean_warp.y)
-    h = h.reshape(knots.shape)
-    a = np.maximum(prior.concentration * np.diff(h, axis=1), 1e-12)
-    g = np.maximum(gamma_variates(a, rng), 1e-300)
-    p = g / g.sum(axis=1, keepdims=True)
-    p = np.maximum(p, MIN_INCREMENT)
-    p /= p.sum(axis=1, keepdims=True)
-    values = np.concatenate((np.zeros((size, 1)), np.cumsum(p, axis=1)), axis=1)
-    values[:, -1] = 1.0
-    return knots, values
+    knots = None if partition is None else np.tile(check_grid(partition), (size, 1))
+    return _draw(prior.mean_warp.x, prior.mean_warp.y, prior.partition_size,
+                 prior.concentration, size, rng, knots)
 
 
 def sample(prior: WarpPrior, rng: np.random.Generator, partition=None) -> PLWarp:
-    """One warp from the prior; see ``sample_batch`` for the construction."""
-    # scalar fast path (the annealer draws one warp per iteration)
-    if partition is None:
-        n = prior.partition_size
-        while True:
-            s = np.sort(rng.random(n - 1))
-            if s.size == 0 or (s[0] > 0.0 and s[-1] < 1.0
-                               and np.all(np.diff(s) > 0.0)):
-                break
-        knots = np.concatenate(([0.0], s, [1.0]))
-    else:
-        knots = check_grid(partition)
-    h = np.interp(knots, prior.mean_warp.x, prior.mean_warp.y)
-    a = np.maximum(prior.concentration * np.diff(h), 1e-12)
-    g = np.maximum(gamma_variates(a, rng), 1e-300)
-    p = g / g.sum()
-    p = np.maximum(p, MIN_INCREMENT)
-    p /= p.sum()
-    values = np.concatenate(([0.0], np.cumsum(p)))
-    values[-1] = 1.0
-    return PLWarp(knots, values)
+    """One warp from the prior: row 0 of ``sample_batch(prior, 1, ...)``."""
+    knots, values = sample_batch(prior, 1, rng, partition)
+    return PLWarp(knots[0], values[0])
 
 
 def sample_circular(prior: WarpPrior, seed_dist: SeedDistribution,

@@ -35,6 +35,24 @@ __all__ = [
 MIN_INCREMENT = 1e-10
 
 
+def _clamp_increments(p) -> np.ndarray:
+    """Increments clamped to ``MIN_INCREMENT`` and renormalised to sum to one
+    along the last axis."""
+    p = np.maximum(p, MIN_INCREMENT)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _increment_values(p) -> np.ndarray:
+    """Knot values 0, cumsum(_clamp_increments(p)) along the last axis, with
+    the last value set to exactly 1."""
+    p = _clamp_increments(p)
+    values = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
+    np.cumsum(p, axis=-1, out=values[..., 1:])
+    values[..., -1] = 1.0
+    return values
+
+
 def check_grid(values) -> np.ndarray:
     """Validate a discretization grid: strictly increasing from 0 to 1."""
     g = np.atleast_1d(np.asarray(values, dtype=float))
@@ -99,11 +117,7 @@ class PLWarp:
         renormalized, so degenerate (underflowed) simplex draws still yield
         a strictly increasing warp.
         """
-        p = np.maximum(np.asarray(increments, dtype=float), MIN_INCREMENT)
-        p = p / p.sum()
-        y = np.concatenate(([0.0], np.cumsum(p)))
-        y[-1] = 1.0
-        return cls(x, y)
+        return cls(x, _increment_values(np.asarray(increments, dtype=float)))
 
     @property
     def knots(self) -> np.ndarray:

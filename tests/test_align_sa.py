@@ -8,15 +8,18 @@ from warpalign import (
     PLWarp,
     SaConfig,
     Srvf,
+    WarpPrior,
     apply_seed,
     convex_blend,
     identity,
     metropolis_accept,
     normalize_length,
+    optimal_rotation,
     rotate,
     sa_align,
     sa_align_closed,
     sa_align_open_shape,
+    sample,
     shape_dist,
     sup_dist,
     to_srvf,
@@ -25,7 +28,7 @@ from warpalign import (
     warp_action,
     warp_energy,
 )
-from warpalign.align_sa import _energy, _propose_seed, _propose_warp, _temperature
+from warpalign.align_sa import align, _energy, _propose_seed, _propose_warp, _temperature
 from warpalign.fixtures import bean_curve, spiral_pair, two_bump_pair
 
 
@@ -71,11 +74,9 @@ class TestProposals:
         rng = np.random.default_rng(0)
         cfg = SaConfig(blend=0.9)
         current = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0])
-        prop = _propose_warp(current, cfg, rng)
-        drawn = None
+        prop = PLWarp(*_propose_warp(current.x, current.y, cfg, rng))
         # reproduce the draw to compare against the reference blend
         rng2 = np.random.default_rng(0)
-        from warpalign import WarpPrior, sample
         drawn = sample(WarpPrior(current, cfg.n, cfg.theta), rng2)
         ref = convex_blend(drawn, identity(), 0.9)
         assert sup_dist(prop, ref) < 1e-12
@@ -83,18 +84,17 @@ class TestProposals:
     def test_proposals_are_valid_warps(self):
         rng = np.random.default_rng(1)
         cfg = SaConfig()
-        current = identity()
+        x, y = identity().x, identity().y
         for _ in range(100):
-            prop = _propose_warp(current, cfg, rng)
-            assert prop.x[0] == 0.0 and prop.x[-1] == 1.0
-            assert np.all(np.diff(prop.x) > 0) and np.all(np.diff(prop.y) > 0)
-            assert prop.y[0] == 0.0 and prop.y[-1] == 1.0
-            current = prop
+            x, y = _propose_warp(x, y, cfg, rng)
+            assert x[0] == 0.0 and x[-1] == 1.0
+            assert np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)
+            assert y[0] == 0.0 and y[-1] == 1.0
 
     def test_energy_helper_matches_public_energy(self):
         q1, q2 = bump_srvfs()
         w = PLWarp([0.0, 0.3, 1.0], [0.0, 0.42, 1.0])
-        fast = _energy(q1.values, q1.grid, q2.values, w)
+        fast = _energy(q1.values, q1.grid, q2.values, w.x, w.y)
         assert fast == pytest.approx(warp_energy(q1, q2, w), abs=1e-12)
 
 
@@ -208,8 +208,8 @@ class TestClosedAlignment:
         n_distinct = 100
         moved = 0
         for _ in range(1000):
-            prop = _propose_seed(0.42, 1e6, n_distinct, rng)
-            if abs(prop - 0.42) > 1.0 / n_distinct + 1e-12:
+            prop = _propose_seed(42, 1e6, n_distinct, rng)
+            if abs(prop - 42) > 1:
                 moved += 1
         assert moved <= 10  # seed stays within one grid step >= 99% of the time
 
@@ -227,6 +227,107 @@ class TestClosedAlignment:
         b = sa_align_closed(q1, q2, cfg, np.random.default_rng(9))
         assert a.seed == b.seed and a.final_energy == b.final_energy
         assert np.array_equal(a.warp.y, b.warp.y)
+
+
+def reference_anneal(q1, q2, cfg, rng):
+    """The annealer written with the public objects: a PLWarp per proposal,
+    ``sample``, ``warp_action``, ``optimal_rotation`` and ``apply_seed``.
+
+    Returns (warp, seed, rotation, energy trace) in the shape of
+    AlignmentResult; seed is None outside closed mode and rotation None
+    in function mode.
+    """
+    grid = q1.grid
+    shape = cfg.mode != "function"
+    closed = cfg.mode == "closed_shape"
+    n_distinct = grid.size - 1
+
+    def energy(q2s, rot, w):
+        q2r = q2s if rot is None else Srvf(grid, rot.apply(q2s.values), q2s.topology)
+        resid = q1.values - warp_action(q2r, w).values
+        return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
+
+    w, seed, q2s = identity(), 0.0, q2
+    rot = optimal_rotation(q1, q2) if shape else None
+    e = energy(q2s, rot, w)
+    best = (w, seed, rot, e)
+    trace, stale = [e], 0
+    for it in range(cfg.max_iters):
+        temp = cfg.t0 / cfg.cooling ** it
+        seed_prop, q2s_prop = seed, q2s
+        if closed:
+            raw = (seed + rng.vonmises(0.0, cfg.von_mises_kappa) / (2.0 * math.pi)) % 1.0
+            seed_prop = (int(np.round(raw * n_distinct)) % n_distinct) / n_distinct
+            if seed_prop != seed:
+                q2s_prop = apply_seed(q2, seed_prop)
+        drawn = sample(WarpPrior(w, cfg.n, cfg.theta), rng)
+        y = cfg.blend * drawn.y + (1.0 - cfg.blend) * drawn.x
+        y[0], y[-1] = 0.0, 1.0
+        prop = PLWarp(drawn.x, y)
+        e_prop = energy(q2s_prop, rot, prop)
+        if metropolis_accept(e, e_prop, temp, rng.random()):
+            w, seed, q2s, e = prop, seed_prop, q2s_prop, e_prop
+            if shape:
+                rot = optimal_rotation(q1, warp_action(q2s, w))
+                e = energy(q2s, rot, w)
+            stale = 0
+            if e < best[3]:
+                best = (w, seed, rot, e)
+        else:
+            stale += 1
+        trace.append(e)
+        if temp < 1e-3 and stale >= 500:
+            break
+    trace.append(best[3])
+    return best[0], best[1] if closed else None, best[2], np.asarray(trace)
+
+
+class TestReferenceAnnealer:
+    """``sa_align*`` against ``reference_anneal``: every output bit for bit."""
+
+    PAPER = {}
+    COLD = {"blend": 1.0, "t0": 1.0, "cooling": 1.0005}
+
+    @staticmethod
+    def pair(mode):
+        if mode == "function":
+            return bump_srvfs(50)
+        if mode == "open_shape":
+            c1, c2 = spiral_pair(50)
+            return shapeify(c1), shapeify(c2)
+        q1 = shapeify(bean_curve(41))
+        return q1, apply_seed(q1, 0.3)
+
+    @pytest.mark.parametrize("settings", [PAPER, COLD], ids=["paper", "cold"])
+    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference(self, mode, settings, seed):
+        q1, q2 = self.pair(mode)
+        cfg = SaConfig(mode=mode, max_iters=250, **settings)
+        self.check(q1, q2, cfg, seed)
+
+    def test_stop_rule_matches_reference(self):
+        # cold from the start: the chain stops after 500 rejections in a row
+        q1, q2 = self.pair("function")
+        cfg = SaConfig(t0=1e-4, cooling=1.01, max_iters=5000)
+        res = self.check(q1, q2, cfg, 3)
+        assert res.energy_trace.size < cfg.max_iters + 2
+
+    @staticmethod
+    def check(q1, q2, cfg, seed):
+        res = align(q1, q2, cfg, np.random.default_rng(seed))
+        warp, ref_seed, rot, trace = reference_anneal(q1, q2, cfg,
+                                                      np.random.default_rng(seed))
+        assert np.array_equal(res.warp.x, warp.x)
+        assert np.array_equal(res.warp.y, warp.y)
+        assert np.array_equal(res.energy_trace, trace)
+        assert res.initial_energy == trace[0] and res.final_energy == trace[-1]
+        assert res.seed == ref_seed
+        if rot is None:
+            assert res.rotation is None
+        else:
+            assert np.array_equal(res.rotation.matrix, rot.matrix)
+        return res
 
 
 class TestConfigValidation:

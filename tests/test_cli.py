@@ -141,6 +141,25 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("align-sa", "--cooling", "inf"), ("align-sa", "--cooling", "nan"),
+        ("align-sa", "--t0", "nan"), ("align-sa", "--t0", "inf"),
+        ("align-sa", "--kappa", "nan"), ("align-sa", "--theta", "inf"),
+        ("align-bayes", "--a0", "nan"), ("align-bayes", "--a0", "inf"),
+        ("align-bayes", "--b0", "nan"), ("align-bayes", "--b0", "inf"),
+        ("sample-warps", "--theta", "inf"),
+    ])
+    def test_non_finite_setting_is_2(self, bump_files, tmp_path, capsys, command,
+                                     flag, value):
+        inputs = [] if command == "sample-warps" else [*map(str, bump_files),
+                                                      "--points", "60"]
+        code = main([command, *inputs, flag, value, "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "finite" in errors[0]
+
     @pytest.mark.parametrize("command", ["align-dp", "distance"])
     def test_nan_row_is_3(self, bump_files, tmp_path, capsys, command):
         a, b = bump_files

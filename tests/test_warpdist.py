@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.integrate import dblquad
 
 from warpalign import (
+    PLWarp,
     SeedDistribution,
     WarpPrior,
     beta_cdf_warp,
@@ -86,6 +87,21 @@ class TestSample:
         a = sample(id_prior(), np.random.default_rng(42))
         b = sample(id_prior(), np.random.default_rng(42))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("theta", [100.0, 10.0, 0.5])
+    @pytest.mark.parametrize("partition", [None, [0.0, 0.1, 0.35, 0.4, 0.8, 1.0]])
+    def test_matches_first_row_of_sample_batch(self, theta, partition):
+        # theta = 0.5 puts every Dirichlet shape below one: the boosted path
+        mean = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0])
+        prior = WarpPrior(mean, 20, theta)
+        for seed in range(3):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                w = sample(prior, rng_a, partition)
+                knots, values = sample_batch(prior, 1, rng_b, partition)
+                assert np.array_equal(w.x, knots[0])
+                assert np.array_equal(w.y, values[0])
+            assert rng_a.random() == rng_b.random()
 
     def test_valid_warps(self):
         rng = np.random.default_rng(1)
