@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Per-iteration time of the simulated-annealing loop in each mode.
+
+Aligns the bundled fixtures with default ``SaConfig`` settings apart from
+the iteration count: two-bump functions at m=100 (function mode), 3-d
+spirals at m=100 (open_shape) and planar closed blobs at m=101
+(closed_shape).  Each mode runs ``--runs`` times, seeded 0, 1, ..., and
+the median wall time per iteration is printed in microseconds.
+"""
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from warpalign import SaConfig, normalize_length, to_srvf, unit_normalize
+from warpalign.align_sa import align
+from warpalign.fixtures import closed_shape_pair, spiral_pair, two_bump_pair
+
+
+def _shapes(pair):
+    return tuple(unit_normalize(to_srvf(normalize_length(c))) for c in pair)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--iters", type=int, default=1000)
+    ap.add_argument("--runs", type=int, default=5)
+    args = ap.parse_args()
+    if args.iters < 1 or args.runs < 1:
+        ap.error("--iters and --runs must be positive")
+
+    pairs = {
+        "function": tuple(to_srvf(c) for c in two_bump_pair(100)),
+        "open_shape": _shapes(spiral_pair(100)),
+        "closed_shape": _shapes(closed_shape_pair(101)),
+    }
+    for mode, (q1, q2) in pairs.items():
+        cfg = SaConfig(mode=mode, max_iters=args.iters)
+        per_iter = []
+        for run in range(args.runs):
+            start = time.perf_counter()
+            res = align(q1, q2, cfg, np.random.default_rng(run))
+            elapsed = time.perf_counter() - start
+            per_iter.append(elapsed / (res.energy_trace.size - 2))
+        print(f"{mode:13s} {1e6 * statistics.median(per_iter):8.1f} us/iter "
+              f"(median of {args.runs} runs x {args.iters} iterations)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapeops import Rotation, _procrustes, _roll_seed, optimal_rotation
-from .srvf import Srvf, _check_same_grid, _require_uniform, _trapezoid_weights, _warp_values
+from .shapeops import Rotation, _procrustes, optimal_rotation
+from .srvf import (Srvf, _check_same_grid, _require_uniform, _trapezoid, _trapezoid_weights,
+                   _warp_values)
 from .warpdist import _draw
 from .warpmap import PLWarp
 
@@ -101,10 +102,15 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
 
 
 def _energy(q1v: np.ndarray, grid: np.ndarray, q2v: np.ndarray, x: np.ndarray,
-            y: np.ndarray) -> float:
-    """Alignment energy on raw arrays and warp knots; matches srvf.warp_energy."""
+            y: np.ndarray, dt: np.ndarray) -> float:
+    """Alignment energy on raw arrays and warp knots; matches srvf.warp_energy.
+
+    ``dt`` is ``grid[1:] - grid[:-1]``, computed once per run.  The result
+    reproduces ``np.trapezoid(np.sum(resid ** 2, axis=1), grid)`` exactly:
+    the same products, sums and halving in the same order.
+    """
     resid = q1v - _warp_values(grid, q2v, x, y)
-    return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
+    return _trapezoid((resid * resid).sum(axis=1), dt)
 
 
 def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
@@ -121,7 +127,7 @@ def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
 def _propose_seed(k: int, kappa: float, n_distinct: int, rng: np.random.Generator) -> int:
     """Von Mises step around the seed at grid offset k, snapped to the grid."""
     raw = (k / n_distinct + rng.vonmises(0.0, kappa) / _TWO_PI) % 1.0
-    return int(np.round(raw * n_distinct)) % n_distinct
+    return round(raw * n_distinct) % n_distinct
 
 
 def _temperature(cfg: SaConfig, iteration: int) -> float:
@@ -141,14 +147,17 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
     if rng is None:
         rng = np.random.default_rng()
     grid, q1v, q2v = q1.grid, q1.values, q2.values
-    weights = _trapezoid_weights(grid)
+    dt, weights = grid[1:] - grid[:-1], _trapezoid_weights(grid)
     n_seeds = grid.size - 1
+    # q2's distinct closed-curve values twice over: the window at k is q2
+    # shifted by seed k, its duplicated endpoint included, without a copy
+    twice = np.concatenate((q2v[:-1], q2v[:-1])) if closed else None
 
     x, y, k = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0
     rot = optimal_rotation(q1, q2).matrix if shape else None
     q2k = q2v  # q2 shifted to the current seed
     q2r = q2v @ rot.T if shape else q2v  # ... and rotated
-    e = _energy(q1v, grid, q2r, x, y)
+    e = _energy(q1v, grid, q2r, x, y, dt)
     best = (x, y, k, rot, e)
     trace = [e]
     stale = 0
@@ -158,16 +167,16 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
         if closed:
             k_prop = _propose_seed(k, cfg.von_mises_kappa, n_seeds, rng)
             if k_prop != k:
-                q2k_prop = _roll_seed(q2v, k_prop)
+                q2k_prop = twice[k_prop:k_prop + grid.size]
                 q2r_prop = q2k_prop @ rot.T
         px, py = _propose_warp(x, y, cfg, rng)
-        e_prop = _energy(q1v, grid, q2r_prop, px, py)
+        e_prop = _energy(q1v, grid, q2r_prop, px, py, dt)
         if metropolis_accept(e, e_prop, temp, rng.random()):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
             if shape:
                 rot = _procrustes(q1v, _warp_values(grid, q2k, x, y), weights)
                 q2r = q2k @ rot.T
-                e = _energy(q1v, grid, q2r, x, y)
+                e = _energy(q1v, grid, q2r, x, y, dt)
             stale = 0
             if e < best[4]:
                 best = (x, y, k, rot, e)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .srvf import Curve, Srvf, arc_length, _trapezoid_weights, _require_uniform
+from .srvf import Curve, Srvf, arc_length, _check_same_grid, _trapezoid_weights, _require_uniform
 
 __all__ = [
     "Rotation",
@@ -67,10 +67,7 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:
     of U flipped if the determinant comes out negative.  In dimension
     one the identity is returned.
     """
-    if q1.grid.size != q2.grid.size or not np.array_equal(q1.grid, q2.grid):
-        raise ValueError("SRVFs live on different grids; resample first")
-    if q1.dim != q2.dim:
-        raise ValueError("SRVFs have different dimensions")
+    _check_same_grid(q1, q2)
     return Rotation(_procrustes(q1.values, q2.values, _trapezoid_weights(q1.grid)))
 
 
@@ -110,5 +107,4 @@ def apply_seed(q: Srvf, s: float) -> Srvf:
 
 def _roll_seed(values: np.ndarray, k: int) -> np.ndarray:
     """``apply_seed`` on raw closed-curve values, by a whole grid offset k."""
-    shifted = np.roll(values[:-1], -k, axis=0)
-    return np.vstack((shifted, shifted[:1]))
+    return np.concatenate((values[k:-1], values[:k + 1]))

@@ -195,13 +195,21 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _trapezoid(y: np.ndarray, dt: np.ndarray) -> float:
+    """``np.trapezoid(y, grid)`` for ``dt = grid[1:] - grid[:-1]``, with
+    numpy's own arithmetic, so the result is the same to the last bit."""
+    return float((dt * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def l2_norm(q: Srvf) -> float:
-    return float(np.sqrt(np.trapezoid(np.sum(q.values ** 2, axis=1), q.grid)))
+    v, g = q.values, q.grid
+    return float(np.sqrt(_trapezoid((v * v).sum(axis=1), g[1:] - g[:-1])))
 
 
 def inner_product(q1: Srvf, q2: Srvf) -> float:
     _check_same_grid(q1, q2)
-    return float(np.trapezoid(np.sum(q1.values * q2.values, axis=1), q1.grid))
+    g = q1.grid
+    return _trapezoid((q1.values * q2.values).sum(axis=1), g[1:] - g[:-1])
 
 
 def unit_normalize(q: Srvf) -> Srvf:
@@ -213,20 +221,27 @@ def unit_normalize(q: Srvf) -> Srvf:
 
 
 def _interp_columns(grid: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    return np.column_stack([
-        np.interp(at, grid, values[:, j]) for j in range(values.shape[1])
-    ])
+    out = np.empty((at.size, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.interp(at, grid, values[:, j])
+    return out
 
 
 def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """``(q o w) * sqrt(w')`` on raw arrays: SRVF values sampled on a grid
-    under the PL warp with knots ``(x, y)``, which must be a valid warp."""
-    wt = np.interp(grid, x, y)
-    idx = np.searchsorted(x, grid, side="right") - 1
-    np.clip(idx, 0, x.size - 2, out=idx)
-    slope = (y[idx + 1] - y[idx]) / (x[idx + 1] - x[idx])
-    return _interp_columns(grid, values, wt) * np.sqrt(slope)[:, None]
+    under the PL warp with knots ``(x, y)``, which must be a valid warp.
+
+    A grid point takes the slope of the segment that starts at or before
+    it (right-continuous), and points at or past the last interior knot
+    take the last segment's: counting interior knots at or below t gives
+    that segment's index directly.
+    """
+    root_slope = np.sqrt((y[1:] - y[:-1]) / (x[1:] - x[:-1]))
+    seg = x[1:-1].searchsorted(grid, side="right")
+    warped = _interp_columns(grid, values, np.interp(grid, x, y))
+    warped *= root_slope[seg][:, None]
+    return warped
 
 
 def warp_action(q: Srvf, w: PLWarp) -> Srvf:
@@ -242,15 +257,18 @@ def warp_action(q: Srvf, w: PLWarp) -> Srvf:
 
 
 def _check_same_grid(q1: Srvf, q2: Srvf):
+    """Two SRVFs are comparable: the same grid and the same dimension."""
     if q1.grid.size != q2.grid.size or not np.array_equal(q1.grid, q2.grid):
         raise ValueError("SRVFs live on different grids; resample first")
+    if q1.dim != q2.dim:
+        raise ValueError("SRVFs have different dimensions")
 
 
 def l2_dist(q1: Srvf, q2: Srvf) -> float:
     """Trapezoidal L2 distance between two SRVFs on a common grid."""
     _check_same_grid(q1, q2)
-    diff = q1.values - q2.values
-    return float(np.sqrt(np.trapezoid(np.sum(diff ** 2, axis=1), q1.grid)))
+    diff, g = q1.values - q2.values, q1.grid
+    return float(np.sqrt(_trapezoid((diff * diff).sum(axis=1), g[1:] - g[:-1])))
 
 
 def warp_energy(q1: Srvf, q2: Srvf, w: PLWarp) -> float:

@@ -98,17 +98,20 @@ def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
 
     Shapes below one use the boosting identity
     ``G(a) = G(a+1) * U^(1/a)``, which behaves better than direct
-    sampling when a is tiny.
+    sampling when a is tiny.  The random stream is fixed: one
+    ``standard_gamma`` call draws the shapes of at least one, then the
+    boosted shapes below one, each group in array order; the boosting
+    uniforms follow.
     """
     shapes = np.asarray(shapes, dtype=float)
-    out = np.empty_like(shapes)
     small = shapes < 1.0
     large = ~small
-    if np.any(large):
-        out[large] = rng.standard_gamma(shapes[large])
-    if np.any(small):
-        a = shapes[small]
-        out[small] = rng.standard_gamma(a + 1.0) * rng.random(a.shape) ** (1.0 / a)
+    a = shapes[small]
+    g = rng.standard_gamma(np.concatenate((shapes[large], a + 1.0)))
+    n_large = g.size - a.size
+    out = np.empty_like(shapes)
+    out[large] = g[:n_large]
+    out[small] = g[n_large:] * rng.random(a.size) ** (1.0 / a)
     return out
 
 
@@ -128,8 +131,10 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
 
 
 def _normalized_gammas(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    g = np.maximum(gamma_variates(shapes, rng), 1e-300)
-    return g / g.sum(axis=-1, keepdims=True)
+    g = gamma_variates(shapes, rng)
+    np.maximum(g, 1e-300, out=g)
+    g /= g.sum(axis=-1, keepdims=True)
+    return g
 
 
 def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
@@ -148,16 +153,17 @@ def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
 
 
 def _random_partitions(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of sorted interior uniforms padded with the endpoints."""
-    u = np.sort(rng.random((size, n - 1)), axis=1)
-    while True:
-        ok = (np.diff(u, axis=1) > 0).all(axis=1) & (u[:, 0] > 0.0) & (u[:, -1] < 1.0)
-        if ok.all():
-            break
-        bad = ~ok
-        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+    """Rows of sorted interior uniforms padded with the endpoints; a row
+    that is not strictly increasing (a repeated uniform, or a zero) is
+    redrawn."""
     knots = np.empty((size, n + 1))
-    knots[:, 0], knots[:, 1:-1], knots[:, -1] = 0.0, u, 1.0
+    knots[:, 0], knots[:, -1] = 0.0, 1.0
+    u = knots[:, 1:-1]
+    u[...] = rng.random((size, n - 1))
+    u.sort(axis=1)
+    while not (knots[:, 1:] > knots[:, :-1]).all():
+        bad = ~(knots[:, 1:] > knots[:, :-1]).all(axis=1)
+        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
     return knots
 
 
@@ -167,7 +173,8 @@ def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float, size: in
     if knots is None:
         knots = _random_partitions(size, n, rng)
     h = np.interp(knots, mean_x, mean_y)
-    a = np.maximum(theta * np.diff(h, axis=1), 1e-12)
+    a = theta * (h[:, 1:] - h[:, :-1])
+    np.maximum(a, 1e-12, out=a)
     return knots, _increment_values(_normalized_gammas(a, rng))
 
 

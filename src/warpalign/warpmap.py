@@ -48,7 +48,7 @@ def _increment_values(p) -> np.ndarray:
     the last value set to exactly 1."""
     p = _clamp_increments(p)
     values = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
-    np.cumsum(p, axis=-1, out=values[..., 1:])
+    np.add.accumulate(p, axis=-1, out=values[..., 1:])
     values[..., -1] = 1.0
     return values
 

@@ -59,6 +59,15 @@ class TestMarginalLoglik:
         with pytest.raises(ValueError):
             marginal_loglik(q1, q2, identity())
 
+    def test_dimension_mismatch(self):
+        g = uniform_grid(10)
+        q1, q2 = Srvf(g, np.ones((10, 1))), Srvf(g, np.ones((10, 2)))
+        with pytest.raises(ValueError, match="different dimensions"):
+            marginal_loglik(q1, q2, identity())
+        cfg = BayesConfig(prior_draws=50, resample_size=10)
+        with pytest.raises(ValueError, match="different dimensions"):
+            sir_posterior(q1, q2, cfg, np.random.default_rng(0))
+
 
 class TestSirPosterior:
     def test_weights_normalized(self):

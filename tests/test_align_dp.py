@@ -130,6 +130,12 @@ class TestDpAlign:
         with pytest.raises(ValueError):
             dp_align(q1, q2, DpConfig(grid_size=10))
 
+    def test_dimension_mismatch_rejected(self):
+        g = uniform_grid(10)
+        q1, q2 = Srvf(g, np.ones((10, 1))), Srvf(g, np.ones((10, 2)))
+        with pytest.raises(ValueError, match="different dimensions"):
+            dp_align(q1, q2, DpConfig(grid_size=10))
+
     def test_unreachable_neighborhood_rejected(self):
         q = Srvf(uniform_grid(6), np.ones((6, 1)))
         cfg = DpConfig(grid_size=6, neighborhood=((2, 2),))

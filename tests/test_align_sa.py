@@ -94,7 +94,8 @@ class TestProposals:
     def test_energy_helper_matches_public_energy(self):
         q1, q2 = bump_srvfs()
         w = PLWarp([0.0, 0.3, 1.0], [0.0, 0.42, 1.0])
-        fast = _energy(q1.values, q1.grid, q2.values, w.x, w.y)
+        g = q1.grid
+        fast = _energy(q1.values, g, q2.values, w.x, w.y, g[1:] - g[:-1])
         assert fast == pytest.approx(warp_energy(q1, q2, w), abs=1e-12)
 
 
@@ -139,6 +140,12 @@ class TestFunctionAlignment:
         q1 = Srvf(uniform_grid(30), np.ones((30, 1)))
         q2 = Srvf(uniform_grid(40), np.ones((40, 1)))
         with pytest.raises(ValueError):
+            sa_align(q1, q2, SaConfig(max_iters=10), np.random.default_rng(0))
+
+    def test_dimension_mismatch_rejected(self):
+        g = uniform_grid(30)
+        q1, q2 = Srvf(g, np.ones((30, 1))), Srvf(g, np.ones((30, 2)))
+        with pytest.raises(ValueError, match="different dimensions"):
             sa_align(q1, q2, SaConfig(max_iters=10), np.random.default_rng(0))
 
     def test_config_robustness(self):
@@ -229,11 +236,65 @@ class TestClosedAlignment:
         assert np.array_equal(a.warp.y, b.warp.y)
 
 
-def reference_anneal(q1, q2, cfg, rng):
-    """The annealer written with the public objects: a PLWarp per proposal,
-    ``sample``, ``warp_action``, ``optimal_rotation`` and ``apply_seed``.
+def reference_partition(n, rng):
+    """Sorted interior uniforms, redrawn until strictly inside (0, 1) and
+    strictly increasing, padded with the endpoints."""
+    while True:
+        u = np.sort(rng.random(n - 1))
+        if np.all(np.diff(u) > 0) and u[0] > 0.0 and u[-1] < 1.0:
+            return np.concatenate(([0.0], u, [1.0]))
 
-    Returns (warp, seed, rotation, energy trace) in the shape of
+
+def reference_gammas(a, rng):
+    """Gamma(a) draws in the package's stream order: the gammas of shapes
+    >= 1, then those of shapes < 1 boosted as Gamma(a+1) * U^(1/a), then
+    the boosting uniforms."""
+    g = np.empty_like(a)
+    small = a < 1.0
+    if np.any(~small):
+        g[~small] = rng.standard_gamma(a[~small])
+    if np.any(small):
+        g[small] = (rng.standard_gamma(a[small] + 1.0)
+                    * rng.random(int(small.sum())) ** (1.0 / a[small]))
+    return g
+
+
+def reference_proposal(x, y, cfg, rng):
+    """Knots of a warp drawn centred at ``(x, y)`` and blended toward the
+    identity, written out in plain numpy."""
+    px = reference_partition(cfg.n, rng)
+    a = np.maximum(cfg.theta * np.diff(np.interp(px, x, y)), 1e-12)
+    g = np.maximum(reference_gammas(a, rng), 1e-300)
+    p = np.maximum(g / g.sum(), 1e-10)  # clamp at MIN_INCREMENT and renormalise
+    p = p / p.sum()
+    values = np.concatenate(([0.0], np.cumsum(p)))
+    values[-1] = 1.0
+    py = cfg.blend * values + (1.0 - cfg.blend) * px
+    py[0], py[-1] = 0.0, 1.0
+    return px, py
+
+
+def reference_warp_values(grid, values, x, y):
+    """``(q o w) * sqrt(w')`` with right-continuous slopes (left at t=1)."""
+    idx = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
+    slope = (y[idx + 1] - y[idx]) / (x[idx + 1] - x[idx])
+    wt = np.interp(grid, x, y)
+    cols = [np.interp(wt, grid, values[:, j]) for j in range(values.shape[1])]
+    return np.column_stack(cols) * np.sqrt(slope)[:, None]
+
+
+def reference_roll(values, k):
+    """Closed-curve values shifted by k distinct grid points."""
+    shifted = np.roll(values[:-1], -k, axis=0)
+    return np.vstack((shifted, shifted[:1]))
+
+
+def reference_anneal(q1, q2, cfg, rng):
+    """The annealer written in plain numpy, independent of the package's
+    sampler and warp-action kernels; only the Procrustes step goes through
+    the public ``optimal_rotation``.
+
+    Returns (warp knots, seed, rotation, energy trace) in the shape of
     AlignmentResult; seed is None outside closed mode and rotation None
     in function mode.
     """
@@ -242,44 +303,43 @@ def reference_anneal(q1, q2, cfg, rng):
     closed = cfg.mode == "closed_shape"
     n_distinct = grid.size - 1
 
-    def energy(q2s, rot, w):
-        q2r = q2s if rot is None else Srvf(grid, rot.apply(q2s.values), q2s.topology)
-        resid = q1.values - warp_action(q2r, w).values
+    def energy(q2v, rot, x, y):
+        q2r = q2v if rot is None else q2v @ rot.matrix.T
+        resid = q1.values - reference_warp_values(grid, q2r, x, y)
         return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
 
-    w, seed, q2s = identity(), 0.0, q2
+    x, y, seed, q2v = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, q2.values
     rot = optimal_rotation(q1, q2) if shape else None
-    e = energy(q2s, rot, w)
-    best = (w, seed, rot, e)
+    e = energy(q2v, rot, x, y)
+    best = (x, y, seed, rot, e)
     trace, stale = [e], 0
     for it in range(cfg.max_iters):
         temp = cfg.t0 / cfg.cooling ** it
-        seed_prop, q2s_prop = seed, q2s
+        seed_prop, q2v_prop = seed, q2v
         if closed:
             raw = (seed + rng.vonmises(0.0, cfg.von_mises_kappa) / (2.0 * math.pi)) % 1.0
-            seed_prop = (int(np.round(raw * n_distinct)) % n_distinct) / n_distinct
+            k = int(np.round(raw * n_distinct)) % n_distinct
+            seed_prop = k / n_distinct
             if seed_prop != seed:
-                q2s_prop = apply_seed(q2, seed_prop)
-        drawn = sample(WarpPrior(w, cfg.n, cfg.theta), rng)
-        y = cfg.blend * drawn.y + (1.0 - cfg.blend) * drawn.x
-        y[0], y[-1] = 0.0, 1.0
-        prop = PLWarp(drawn.x, y)
-        e_prop = energy(q2s_prop, rot, prop)
+                q2v_prop = reference_roll(q2.values, k)
+        px, py = reference_proposal(x, y, cfg, rng)
+        e_prop = energy(q2v_prop, rot, px, py)
         if metropolis_accept(e, e_prop, temp, rng.random()):
-            w, seed, q2s, e = prop, seed_prop, q2s_prop, e_prop
+            x, y, seed, q2v, e = px, py, seed_prop, q2v_prop, e_prop
             if shape:
-                rot = optimal_rotation(q1, warp_action(q2s, w))
-                e = energy(q2s, rot, w)
+                warped = reference_warp_values(grid, q2v, x, y)
+                rot = optimal_rotation(q1, Srvf(grid, warped, q2.topology))
+                e = energy(q2v, rot, x, y)
             stale = 0
-            if e < best[3]:
-                best = (w, seed, rot, e)
+            if e < best[4]:
+                best = (x, y, seed, rot, e)
         else:
             stale += 1
         trace.append(e)
         if temp < 1e-3 and stale >= 500:
             break
-    trace.append(best[3])
-    return best[0], best[1] if closed else None, best[2], np.asarray(trace)
+    trace.append(best[4])
+    return best[0], best[1], best[2] if closed else None, best[3], np.asarray(trace)
 
 
 class TestReferenceAnnealer:
@@ -287,6 +347,12 @@ class TestReferenceAnnealer:
 
     PAPER = {}
     COLD = {"blend": 1.0, "t0": 1.0, "cooling": 1.0005}
+    # Dirichlet shapes mostly >= 1: most draws take the plain gamma branch
+    # alone, about one in twenty also boosts a shape below 1 (a spacing
+    # under 1e-4), which pins the order of the two branches' variates
+    STIFF = {"theta": 1e4}
+    # every Dirichlet shape < 1, so only the boosted branch runs
+    LOOSE = {"theta": 0.5}
 
     @staticmethod
     def pair(mode):
@@ -306,6 +372,13 @@ class TestReferenceAnnealer:
         cfg = SaConfig(mode=mode, max_iters=250, **settings)
         self.check(q1, q2, cfg, seed)
 
+    @pytest.mark.parametrize("settings", [STIFF, LOOSE], ids=["stiff", "loose"])
+    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    def test_gamma_branches_match_reference(self, mode, settings):
+        q1, q2 = self.pair(mode)
+        cfg = SaConfig(mode=mode, max_iters=250, **settings)
+        self.check(q1, q2, cfg, 4)
+
     def test_stop_rule_matches_reference(self):
         # cold from the start: the chain stops after 500 rejections in a row
         q1, q2 = self.pair("function")
@@ -316,10 +389,10 @@ class TestReferenceAnnealer:
     @staticmethod
     def check(q1, q2, cfg, seed):
         res = align(q1, q2, cfg, np.random.default_rng(seed))
-        warp, ref_seed, rot, trace = reference_anneal(q1, q2, cfg,
+        x, y, ref_seed, rot, trace = reference_anneal(q1, q2, cfg,
                                                       np.random.default_rng(seed))
-        assert np.array_equal(res.warp.x, warp.x)
-        assert np.array_equal(res.warp.y, warp.y)
+        assert np.array_equal(res.warp.x, x)
+        assert np.array_equal(res.warp.y, y)
         assert np.array_equal(res.energy_trace, trace)
         assert res.initial_energy == trace[0] and res.final_energy == trace[-1]
         assert res.seed == ref_seed

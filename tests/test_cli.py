@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from warpalign import CircularWarp, PLWarp, make_circular
+from warpalign import CircularWarp, Curve, PLWarp, make_circular
 from warpalign.cli import main
 from warpalign.fixtures import (
     bean_curve,
@@ -172,6 +172,17 @@ class TestExitCodes:
                      "--outdir", str(tmp_path / "out")])
         assert code == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["distance", "align-sa", "align-bayes", "align-dp"])
+    def test_dimension_mismatch_is_3(self, bump_files, tmp_path, capsys, command):
+        t = np.linspace(0.0, 1.0, 60)
+        planar = write_curve(Curve(t, np.column_stack((t, t ** 2))), tmp_path / "p.csv")
+        code = main([command, str(bump_files[0]), str(planar), "--points", "60",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "SRVFs have different dimensions" in err
 
 
 class TestDistance:

@@ -29,3 +29,13 @@ def test_degeneracy_script_runs(tmp_path):
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "degeneracy_uniform.csv").exists()
     assert (tmp_path / "degeneracy_beta_2_1.csv").exists()
+
+
+def test_sa_iter_timing_script_runs():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "sa_iter_timing.py"), "--iters", "5", "--runs", "1"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["function", "open_shape", "closed_shape"]
+    assert all(float(line.split()[1]) > 0.0 and "us/iter" in line for line in lines)

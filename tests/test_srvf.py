@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import fourier_values, pl_warps, smooth_curves
 from warpalign import (
@@ -21,6 +23,7 @@ from warpalign import (
     warp_curve,
     warp_energy,
 )
+from warpalign.srvf import _trapezoid
 
 
 def line_curve(m=100, dim=1):
@@ -182,6 +185,46 @@ class TestWarpAction:
             l2_dist(q1, warp_action(q2, w)) ** 2, abs=1e-12)
 
 
+@st.composite
+def warps_with_grid_knots(draw, grid):
+    """Valid PL warps whose interior knots include some grid points exactly."""
+    on_grid = draw(st.lists(st.integers(1, grid.size - 2), max_size=4))
+    # off-grid knots stay clear of the ends, where a subnormal knot
+    # spacing would overflow the slope
+    off_grid = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=4))
+    x = np.unique(np.concatenate(([0.0, 1.0], grid[on_grid], off_grid)))
+    dy = draw(st.lists(st.floats(0.05, 1.0), min_size=x.size - 1, max_size=x.size - 1))
+    y = np.concatenate(([0.0], np.cumsum(dy)))
+    y /= y[-1]
+    y[-1] = 1.0
+    return PLWarp(x, y)
+
+
+class TestWarpActionOracle:
+    """``warp_action`` against interpolation times the root of
+    ``PLWarp.derivative``, whose own segment lookup is the oracle for
+    knots on grid points and for t=1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_interp_times_root_slope(self, data):
+        m = data.draw(st.integers(3, 40))
+        d = data.draw(st.integers(1, 3))
+        grid = uniform_grid(m)
+        vals = data.draw(arrays(np.float64, (m, d), elements=st.floats(-10.0, 10.0)))
+        w = data.draw(warps_with_grid_knots(grid))
+        expected = np.column_stack([np.interp(w(grid), grid, vals[:, j]) for j in range(d)])
+        expected *= np.sqrt(w.derivative(grid))[:, None]
+        assert np.array_equal(warp_action(Srvf(grid, vals), w).values, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=60), st.data())
+    def test_trapezoid_matches_numpy(self, steps, data):
+        grid = np.concatenate(([0.0], np.cumsum(steps)))
+        y = data.draw(arrays(np.float64, grid.size, elements=st.floats(-1e3, 1e3)))
+        assert _trapezoid(y, grid[1:] - grid[:-1]) == np.trapezoid(y, grid)
+
+
 class TestDistances:
     def test_zero_distance(self):
         q = to_srvf(line_curve(50))
@@ -204,6 +247,14 @@ class TestDistances:
         q2 = Srvf(uniform_grid(60), np.ones((60, 1)))
         with pytest.raises(ValueError):
             l2_dist(q1, q2)
+
+    def test_dimension_mismatch(self):
+        g = uniform_grid(30)
+        q1, q2 = Srvf(g, np.ones((30, 1))), Srvf(g, np.ones((30, 2)))
+        with pytest.raises(ValueError, match="different dimensions"):
+            l2_dist(q1, q2)
+        with pytest.raises(ValueError, match="different dimensions"):
+            warp_energy(q1, q2, identity())
 
     def test_shape_dist_zero(self):
         # arccos amplifies float rounding near 1, hence the tiny tolerance
