@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .srvf import Srvf, _check_same_grid, _warp_values
+from .srvf import Srvf, _check_same_grid, _warp_values, _warp_values_batch
 from .warpdist import WarpPrior, sample_batch
-from .warpmap import PLWarp, batch_eval, check_grid, identity
+from .warpmap import PLWarp, check_grid, identity
 
 __all__ = [
     "BayesConfig",
@@ -26,6 +26,10 @@ __all__ = [
     "sir_posterior",
     "posterior_summary",
 ]
+
+
+# memory budget for the warped SRVF values of one block of prior draws
+_BLOCK_BYTES = 1 << 20
 
 
 class LikelihoodCollapseError(RuntimeError):
@@ -84,7 +88,9 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
 
     The importance function is the prior itself: draw ``prior_draws``
     warps, weight by the marginal likelihood (stabilized by a max shift),
-    and resample ``resample_size`` warps with replacement.
+    and resample ``resample_size`` warps with replacement.  The draws are
+    weighted in row blocks of ``_BLOCK_BYTES`` of warped values each, and
+    a draw resampled more than once appears as one shared ``PLWarp``.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -93,13 +99,17 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     n_draws = cfg.prior_draws
 
     knots, values = sample_batch(cfg.prior, n_draws, rng)
-    evals, slopes = batch_eval(knots, values, grid, with_slope=True)
+    q1v, q2v = q1.values, q2.values
+    block = max(1, _BLOCK_BYTES // (8 * q1v.size))
     sse = np.zeros(n_draws)
     with np.errstate(over="ignore"):
-        for j in range(q2.dim):
-            warped = np.interp(evals, grid, q2.values[:, j]) * np.sqrt(slopes)
-            sse += np.sum((q1.values[:, j][None, :] - warped) ** 2, axis=1)
-        loglik = -(cfg.a0 + 0.5 * q1.values.size) * np.log(cfg.b0 + 0.5 * sse)
+        for lo in range(0, n_draws, block):
+            warped = _warp_values_batch(grid, q2v, knots[lo:lo + block],
+                                        values[lo:lo + block])
+            part = sse[lo:lo + block]
+            for j in range(q2.dim):
+                part += np.sum((q1v[:, j] - warped[..., j]) ** 2, axis=1)
+        loglik = -(cfg.a0 + 0.5 * q1v.size) * np.log(cfg.b0 + 0.5 * sse)
 
     finite = np.isfinite(loglik)
     if not finite.any():
@@ -110,8 +120,9 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     ess = 1.0 / float(np.sum(weights ** 2))
 
     picks = rng.choice(n_draws, size=cfg.resample_size, replace=True, p=weights)
-    warps = [PLWarp(knots[i], values[i]) for i in picks]
-    return PosteriorSample(warps=warps, weights=weights, ess=ess)
+    distinct, which = np.unique(picks, return_inverse=True)
+    built = [PLWarp(knots[i], values[i]) for i in distinct]
+    return PosteriorSample(warps=[built[i] for i in which], weights=weights, ess=ess)
 
 
 def posterior_summary(post: PosteriorSample, grid) -> tuple[PLWarp, np.ndarray, np.ndarray]:
@@ -123,7 +134,11 @@ def posterior_summary(post: PosteriorSample, grid) -> tuple[PLWarp, np.ndarray, 
     if not post.warps:
         raise ValueError("posterior sample is empty")
     g = check_grid(grid)
-    vals = np.stack([w(g) for w in post.warps])
+    evaluated: dict[int, np.ndarray] = {}
+    for w in post.warps:
+        if id(w) not in evaluated:
+            evaluated[id(w)] = w(g)
+    vals = np.stack([evaluated[id(w)] for w in post.warps])
     mean = np.maximum.accumulate(vals.mean(axis=0))
     mean[0], mean[-1] = 0.0, 1.0
     mean_warp = PLWarp.from_increments(g, np.diff(mean))

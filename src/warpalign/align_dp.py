@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .srvf import Srvf, _check_same_grid, _interp_columns, _require_uniform
-from .shapeops import apply_seed
+from .shapeops import _roll_seed
 from .warpmap import PLWarp, uniform_grid
 
 __all__ = ["DpConfig", "dp_align", "dp_align_closed", "dp_warp_energy"]
@@ -61,10 +61,9 @@ def _regrid(q: Srvf, m: int) -> Srvf:
     return Srvf(grid, _interp_columns(q.grid, q.values, grid), q.topology, False)
 
 
-def _fine_values(q: Srvf, refine: int) -> np.ndarray:
-    m = q.grid.size
-    fine = np.linspace(0.0, 1.0, refine * (m - 1) + 1)
-    return _interp_columns(q.grid, q.values, fine)
+def _fine_values(grid: np.ndarray, values: np.ndarray, refine: int) -> np.ndarray:
+    fine = np.linspace(0.0, 1.0, refine * (grid.size - 1) + 1)
+    return _interp_columns(grid, values, fine)
 
 
 def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
@@ -167,7 +166,7 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
     steps = cfg.neighborhood
     refine = _refinement(steps)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2, refine)
+    q2f = _fine_values(q2.grid, q2.values, refine)
     costs = [_step_costs(q1.values, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
     energies, choice = _solve(costs, steps, m)
     return _backtrack(choice[:, 0], energies[0], steps, q1.grid), float(energies[0])
@@ -182,7 +181,7 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     m = cfg.grid_size
     refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2, refine)
+    q2f = _fine_values(q2.grid, q2.values, refine)
     idx_x = np.rint(warp.x * (m - 1)).astype(int)
     idx_y = np.rint(warp.y * (m - 1)).astype(int)
     if not (np.allclose(warp.x, idx_x * dt, atol=1e-9)
@@ -204,10 +203,11 @@ def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
 
     On the DP lattice a seed shift by k nodes is a column offset, so each
     step's costs are computed once against two periods of q2 and every
-    seed reads a zero-copy window of them.  Off the lattice each seed is
-    shifted on the input grid and regridded.  Blocks are sized so that
-    the per-seed arrays (step choices, and regridded costs off the
-    lattice) stay within ``_BLOCK_BYTES``.
+    seed reads a zero-copy window of them.  Off the lattice each seed
+    rolls q2's raw values on the input grid, and the rolled values are
+    regridded.  Blocks are sized so that the per-seed arrays (step
+    choices, and regridded costs off the lattice) stay within
+    ``_BLOCK_BYTES``.
     """
     m = cfg.grid_size
     steps = cfg.neighborhood
@@ -215,7 +215,7 @@ def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
     dt = 1.0 / (m - 1)
     n = q1.grid.size - 1
     if n + 1 == m:
-        fine = _fine_values(apply_seed(q2, 0.0), refine)
+        fine = _fine_values(q2.grid, _roll_seed(q2.values, 0), refine)
         unrolled = np.concatenate((fine[:-1], fine))
         windows = [sliding_window_view(
             _step_costs(q1.values, unrolled, refine, (a, b), dt, n + m - b - 1),
@@ -224,11 +224,14 @@ def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
         for first in range(0, len(seeds), block):
             yield first, [w[:, first:first + block] for w in windows]
         return
-    q1v = _regrid(q1, m).values
+    lattice = uniform_grid(m)
+    q1v = _interp_columns(q1.grid, q1.values, lattice)
     block = max(1, _BLOCK_BYTES // ((1 + 8 * len(steps)) * m * m))
     for first in range(0, len(seeds), block):
-        fine = np.stack([_fine_values(_regrid(apply_seed(q2, k / n), m), refine)
-                         for k in seeds[first:first + block]])
+        fine = np.stack([
+            _fine_values(lattice, _interp_columns(q2.grid, _roll_seed(q2.values, k), lattice),
+                         refine)
+            for k in seeds[first:first + block]])
         yield first, [np.moveaxis(_step_costs(q1v, fine, refine, s, dt, m - s[1]), 0, 1)
                       for s in steps]
 

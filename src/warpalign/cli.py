@@ -396,8 +396,13 @@ def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample_size, poin
         count = len(res.posterior_warps)
         post = PosteriorSample(res.posterior_warps, np.full(count, 1.0 / count),
                                float(count))
+        ess = min(seg.result.ess for seg in res.segments)
     else:
         post = sir_posterior(to_srvf(c1), to_srvf(c2), cfg, rng)
+        ess = post.ess
+    if ess < 0.01 * draws:
+        click.echo(f"warning: effective sample size {ess:.4g} is below 1% of the "
+                   f"{draws} prior draws; the posterior band is unreliable", err=True)
     mean_warp, lower, upper = posterior_summary(post, summary_grid)
     mean = mean_warp(summary_grid)
 

@@ -134,14 +134,21 @@ def write_srvf(q, path) -> Path:
 
 
 def load_warp(path) -> PLWarp | CircularWarp:
+    """Read a warp JSON.  Besides the knot checks of ``PLWarp``, every
+    segment slope must be finite: a knot spacing so small that the slope
+    overflows would turn the warp action into NaN."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        if "seed" in data:
-            return CircularWarp.from_dict(data)
-        return PLWarp.from_dict(data)
+        warp = CircularWarp.from_dict(data) if "seed" in data else PLWarp.from_dict(data)
     except (json.JSONDecodeError, KeyError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from None
+    base = warp.base if isinstance(warp, CircularWarp) else warp
+    with np.errstate(over="ignore"):
+        slopes = np.diff(base.y) / np.diff(base.x)
+    if not np.isfinite(slopes).all():
+        raise DataError(f"{path}: knot spacing too small: a segment slope is not finite")
+    return warp
 
 
 def write_warp(warp: PLWarp | CircularWarp, path) -> Path:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .warpmap import PLWarp, check_grid, uniform_grid
+from .warpmap import PLWarp, batch_eval, check_grid, uniform_grid
 
 __all__ = [
     "Curve",
@@ -242,6 +242,20 @@ def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     warped = _interp_columns(grid, values, np.interp(grid, x, y))
     warped *= root_slope[seg][:, None]
     return warped
+
+
+def _warp_values_batch(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """``_warp_values`` for R warps at once, bit for bit: (R, K) knot rows
+    ``(x, y)`` give an (R, m, d) array whose ``[..., j]`` slices are
+    C-contiguous (R, m) arrays, so a row sum over one of them rounds as
+    it does on a single warp."""
+    at, slopes = batch_eval(x, y, grid, with_slope=True)
+    root_slope = np.sqrt(slopes, out=slopes)
+    out = np.empty((values.shape[1],) + at.shape)
+    for j, col in enumerate(out):
+        np.multiply(np.interp(at, grid, values[:, j]), root_slope, out=col)
+    return out.transpose(1, 2, 0)
 
 
 def warp_action(q: Srvf, w: PLWarp) -> Srvf:

@@ -223,35 +223,37 @@ def sup_dist(w1: PLWarp, w2: PLWarp) -> float:
     return float(np.max(np.abs(w1(x) - w2(x))))
 
 
-def batch_eval(knots_x: np.ndarray, knots_y: np.ndarray, t, with_slope: bool = False,
-               chunk: int = 4096):
+def batch_eval(knots_x: np.ndarray, knots_y: np.ndarray, t, with_slope: bool = False):
     """Evaluate many PL warps at common points t.
 
     ``knots_x`` and ``knots_y`` are (size, K) arrays whose rows are the
-    knot positions/values of individual warps.  Returns a (size, len(t))
-    array of values, plus the matching right-continuous slopes when
-    ``with_slope`` is set.
+    knots of valid warps, and ``t`` is sorted in [0,1].  Returns a
+    (size, len(t)) array of values, plus the matching right-continuous
+    slopes when ``with_slope`` is set.  Each row is ``PLWarp.__call__``
+    and ``PLWarp.derivative`` of that row's warp, bit for bit: the value
+    is ``np.interp``'s ``slope*(t - x0) + y0`` on the segment located.
     """
     knots_x = np.asarray(knots_x, dtype=float)
     knots_y = np.asarray(knots_y, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.ndim != 1 or t.size and not (t[0] >= 0.0 and t[-1] <= 1.0
+                                      and np.all(t[1:] >= t[:-1])):
+        raise ValueError("t must be sorted and lie in [0,1]")
     size, kk = knots_x.shape
-    out = np.empty((size, t.size))
-    slopes = np.empty((size, t.size)) if with_slope else None
-    for lo in range(0, size, chunk):
-        hi = min(lo + chunk, size)
-        sx = knots_x[lo:hi]
-        sy = knots_y[lo:hi]
-        idx = (sx[:, :, None] <= t[None, None, :]).sum(axis=1) - 1
-        np.clip(idx, 0, kk - 2, out=idx)
-        x0 = np.take_along_axis(sx, idx, axis=1)
-        x1 = np.take_along_axis(sx, idx + 1, axis=1)
-        y0 = np.take_along_axis(sy, idx, axis=1)
-        y1 = np.take_along_axis(sy, idx + 1, axis=1)
-        sl = (y1 - y0) / (x1 - x0)
-        out[lo:hi] = y0 + sl * (t[None, :] - x0)
-        if with_slope:
-            slopes[lo:hi] = sl
+    m = t.size
+    # The segment of t_j in row r is the number of interior knots <= t_j:
+    # each knot adds one from the first t at or past it onwards.
+    first = t.searchsorted(knots_x[:, 1:-1], side="left")
+    first += np.arange(0, size * (m + 1), m + 1)[:, None]
+    seg = np.bincount(first.ravel(), minlength=size * (m + 1)).reshape(size, m + 1)
+    idx = np.cumsum(seg[:, :m], axis=1)
+    idx += np.arange(0, size * kk, kk)[:, None]
+    x0 = np.take(knots_x, idx)
+    y0 = np.take(knots_y, idx)
+    idx += 1
+    slopes = (np.take(knots_y, idx) - y0) / (np.take(knots_x, idx) - x0)
+    out = slopes * (t - x0) + y0
+    out[:, t == 1.0] = knots_y[:, -1:]
     if with_slope:
         return out, slopes
     return out

@@ -2,9 +2,10 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from warpalign import Curve, PLWarp, uniform_grid
+from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
 
-__all__ = ["pl_warps", "smooth_curves", "fourier_values"]
+__all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
+           "reference_sir_posterior"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -29,6 +30,31 @@ def pl_warps(draw, max_segments=6, min_increment=0.05):
     return PLWarp(x, y)
 
 
+@st.composite
+def knot_rows(draw, points, max_rows=4, max_interior=5):
+    """(R, K) knot arrays of valid warps that share a knot count K.
+
+    Interior knots are drawn from the interior of ``points``, so some sit
+    exactly on them, and from off-point positions kept clear of the ends,
+    where a subnormal spacing would overflow the slope.
+    """
+    rows = draw(st.integers(1, max_rows))
+    inner = draw(st.integers(0, max_interior))
+    interior = st.floats(1e-6, 1.0 - 1e-6)
+    if points.size > 2:
+        interior = st.one_of(st.sampled_from(points[1:-1].tolist()), interior)
+    xs, ys = [], []
+    for _ in range(rows):
+        x = draw(st.lists(interior, min_size=inner, max_size=inner, unique=True))
+        dy = draw(st.lists(st.floats(0.05, 1.0), min_size=inner + 1, max_size=inner + 1))
+        y = np.concatenate(([0.0], np.cumsum(dy)))
+        y /= y[-1]
+        y[-1] = 1.0
+        xs.append(np.concatenate(([0.0], np.sort(x), [1.0])))
+        ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
 def fourier_values(t: np.ndarray, coeffs) -> np.ndarray:
     """Smooth 1-d signal from a few Fourier coefficients."""
     out = np.zeros_like(t)
@@ -47,3 +73,28 @@ def smooth_curves(draw, m=80, dim=1, amplitude=1.0, max_harmonics=3):
         coeffs = draw(st.lists(coeff, min_size=1, max_size=max_harmonics))
         cols.append(fourier_values(t, coeffs) + t)
     return Curve(t, np.column_stack(cols))
+
+
+def reference_sir_posterior(q1, q2, cfg, rng):
+    """SIR as first written, independent of the package's warp-action
+    kernels: a broadcast compare-sum segment lookup over all draws at once,
+    then one ``np.interp`` pass per dimension, and one ``PLWarp`` per
+    resampled draw.  Assumes every log likelihood is finite."""
+    grid = q1.grid
+    knots, values = sample_batch(cfg.prior, cfg.prior_draws, rng)
+    idx = (knots[:, :, None] <= grid).sum(axis=1) - 1
+    np.clip(idx, 0, knots.shape[1] - 2, out=idx)
+    x0, x1 = np.take_along_axis(knots, idx, 1), np.take_along_axis(knots, idx + 1, 1)
+    y0, y1 = np.take_along_axis(values, idx, 1), np.take_along_axis(values, idx + 1, 1)
+    slope = (y1 - y0) / (x1 - x0)
+    evals = y0 + slope * (grid - x0)
+    sse = np.zeros(cfg.prior_draws)
+    for j in range(q2.dim):
+        warped = np.interp(evals, grid, q2.values[:, j]) * np.sqrt(slope)
+        sse += np.sum((q1.values[:, j] - warped) ** 2, axis=1)
+    loglik = -(cfg.a0 + 0.5 * q1.values.size) * np.log(cfg.b0 + 0.5 * sse)
+    weights = np.exp(loglik - loglik.max())
+    weights /= weights.sum()
+    picks = rng.choice(cfg.prior_draws, size=cfg.resample_size, replace=True, p=weights)
+    return PosteriorSample([PLWarp(knots[i], values[i]) for i in picks], weights,
+                           1.0 / float(np.sum(weights ** 2)))

@@ -205,7 +205,7 @@ def _bruteforce_energy(q1, q2, cfg):
     m = cfg.grid_size
     refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2, refine)
+    q2f = _fine_values(q2.grid, q2.values, refine)
     cost = {s: _segment_costs(q1.values, q2f, m, refine, s, dt)
             for s in cfg.neighborhood}
     best = [np.inf]

@@ -5,6 +5,7 @@ import pytest
 
 from warpalign import (
     BayesConfig,
+    Curve,
     LikelihoodCollapseError,
     PLWarp,
     PosteriorSample,
@@ -14,13 +15,15 @@ from warpalign import (
     l2_dist,
     marginal_loglik,
     posterior_summary,
+    sample_batch,
     sir_posterior,
     sup_dist,
     to_srvf,
     uniform_grid,
     warp_action,
 )
-from warpalign.fixtures import two_bump_pair
+from conftest import reference_sir_posterior
+from warpalign.fixtures import pqrst_pair, two_bump_pair
 
 
 def bump_srvfs(m=100):
@@ -154,6 +157,52 @@ class TestSirPosterior:
         assert np.array_equal(a.weights, b.weights)
         assert all(np.array_equal(u.y, v.y) for u, v in zip(a.warps, b.warps))
 
+    def test_weights_are_normalized_marginal_likelihoods(self):
+        q1, q2 = bump_srvfs(40)
+        cfg = BayesConfig(prior=WarpPrior(identity(), partition_size=4, concentration=5.0),
+                          b0=5.0, prior_draws=200, resample_size=50)
+        post = sir_posterior(q1, q2, cfg, np.random.default_rng(8))
+        knots, values = sample_batch(cfg.prior, cfg.prior_draws, np.random.default_rng(8))
+        logs = np.array([marginal_loglik(q1, q2, PLWarp(x, y), cfg.a0, cfg.b0)
+                         for x, y in zip(knots, values)])
+        expected = np.exp(logs - logs.max())
+        expected /= expected.sum()
+        np.testing.assert_allclose(post.weights, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("pair, cfg, seed", [
+        ("bump", BayesConfig(), 0),
+        ("pqrst", BayesConfig(b0=5.0, prior_draws=5000, resample_size=500), 1),
+        ("pqrst", BayesConfig(prior=WarpPrior(identity(), partition_size=2, concentration=1.0),
+                              prior_draws=3000, resample_size=300), 2),
+        ("planar", BayesConfig(b0=5.0, prior_draws=3000, resample_size=300), 3),
+    ])
+    def test_matches_reference_sir(self, pair, cfg, seed):
+        """Blocked weighting and shared resampled warps change no bit of
+        the draws, the weights or the ESS."""
+        if pair == "planar":
+            t = uniform_grid(60)
+            q1 = to_srvf(Curve(t, np.column_stack([np.sin(3 * t), t ** 2])))
+            q2 = to_srvf(Curve(t, np.column_stack([np.sin(3 * t ** 1.2), t ** 2.2])))
+        else:
+            c1, c2 = two_bump_pair(100) if pair == "bump" else pqrst_pair(100)
+            q1, q2 = to_srvf(c1), to_srvf(c2)
+        post = sir_posterior(q1, q2, cfg, np.random.default_rng(seed))
+        ref = reference_sir_posterior(q1, q2, cfg, np.random.default_rng(seed))
+        assert np.array_equal(post.weights, ref.weights)
+        assert post.ess == ref.ess
+        assert all(np.array_equal(u.x, v.x) and np.array_equal(u.y, v.y)
+                   for u, v in zip(post.warps, ref.warps))
+
+    def test_repeated_draws_share_one_warp(self):
+        q1, q2 = bump_srvfs(60)
+        cfg = BayesConfig(prior_draws=300, resample_size=200)
+        post = sir_posterior(q1, q2, cfg, np.random.default_rng(4))
+        by_knots: dict[bytes, set[int]] = {}
+        for w in post.warps:
+            by_knots.setdefault(w.x.tobytes() + w.y.tobytes(), set()).add(id(w))
+        assert all(len(ids) == 1 for ids in by_knots.values())
+        assert len(by_knots) < len(post.warps)
+
     def test_consistency_in_prior_draws(self):
         # sup-distance of the posterior mean to identity does not grow with N
         q1, _ = bump_srvfs(50)
@@ -194,6 +243,26 @@ class TestPosteriorSummary:
         mean_warp, lower, upper = posterior_summary(post, grid)
         mid = mean_warp(grid)
         assert np.all(mid >= lower - 1e-9) and np.all(mid <= upper + 1e-9)
+
+    def test_each_distinct_warp_evaluated_once(self):
+        class CountingWarp(PLWarp):
+            __slots__ = ()
+            calls = 0
+
+            def __call__(self, t):
+                CountingWarp.calls += 1
+                return super().__call__(t)
+
+        a = CountingWarp([0.0, 0.4, 1.0], [0.0, 0.3, 1.0])
+        b = CountingWarp([0.0, 0.6, 1.0], [0.0, 0.7, 1.0])
+        shared = [a, b, a, a, b]
+        copies = [PLWarp(w.x, w.y) for w in shared]
+        grid = uniform_grid(11)
+        out = posterior_summary(PosteriorSample(shared, np.full(5, 0.2), 5.0), grid)
+        assert CountingWarp.calls == 2
+        ref = posterior_summary(PosteriorSample(copies, np.full(5, 0.2), 5.0), grid)
+        assert np.array_equal(out[0].y, ref[0].y)
+        assert np.array_equal(out[1], ref[1]) and np.array_equal(out[2], ref[2])
 
     def test_empty_sample_rejected(self):
         post = PosteriorSample(warps=[], weights=np.array([]), ess=0.0)

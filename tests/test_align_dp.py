@@ -33,7 +33,7 @@ def enumerate_path_costs(q1: Srvf, q2: Srvf, cfg: DpConfig) -> float:
     m = cfg.grid_size
     refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2, refine)
+    q2f = _fine_values(q2.grid, q2.values, refine)
     cost = {s: _segment_costs(q1.values, q2f, m, refine, s, dt)
             for s in cfg.neighborhood}
     best = [np.inf]

@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import reference_sir_posterior
 from warpalign import CircularWarp, Curve, PLWarp, make_circular
 from warpalign.cli import main
 from warpalign.fixtures import (
@@ -102,6 +103,23 @@ class TestIo:
         back = load_warp(write_warp(cw, tmp_path / "w.json"))
         assert isinstance(back, CircularWarp)
         assert back.seed == cw.seed and back.wrap_point == cw.wrap_point
+
+    @pytest.mark.parametrize("circular", [False, True])
+    def test_warp_with_overflowing_slope_is_data_error(self, tmp_path, circular):
+        data = {"knots": [[0.0, 0.0], [5e-324, 0.5], [1.0, 1.0]]}
+        if circular:
+            data |= {"seed": 0.5, "wrap_point": 0.5}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DataError, match="slope is not finite"):
+            load_warp(path)
+
+    def test_warp_with_spacing_below_min_increment_loads(self, tmp_path):
+        # sampled knot positions are sorted uniforms with no floor on their
+        # spacing; a tiny spacing with a finite slope is a valid warp
+        w = PLWarp([0.0, 1e-12, 1.0], [0.0, 0.5, 1.0])
+        back = load_warp(write_warp(w, tmp_path / "w.json"))
+        assert np.array_equal(back.x, w.x) and np.array_equal(back.y, w.y)
 
     def test_landmark_csv(self, tmp_path):
         path = tmp_path / "lm.csv"
@@ -308,6 +326,26 @@ class TestAlignCommands:
         assert band[0] == "t,lower,mean,upper,width"
         assert (out / "mean_warp.json").exists()
         assert (out / "aligned.csv").exists()
+
+    def test_align_bayes_warns_on_collapsed_weights(self, tmp_path, capsys, monkeypatch):
+        c1, c2 = two_bump_pair()
+        a = write_curve(c1, tmp_path / "a.csv")
+        b = write_curve(c2, tmp_path / "b.csv")
+        args = ["align-bayes", str(a), str(b), "--seed", "0", "--outdir"]
+        assert main(args + [str(tmp_path / "new")]) == 0
+        err = capsys.readouterr().err
+        assert "warning: effective sample size 1 is below 1% of the 20000" in err
+        # the output files are those of SIR as first written, byte for byte
+        monkeypatch.setattr("warpalign.cli.sir_posterior", reference_sir_posterior)
+        assert main(args + [str(tmp_path / "ref")]) == 0
+        assert read_all(tmp_path / "new") == read_all(tmp_path / "ref")
+
+    def test_align_bayes_quiet_with_flat_likelihood(self, bump_files, tmp_path, capsys):
+        a, b = bump_files
+        code = main(["align-bayes", str(a), str(b), "--points", "60", "--b0", "1e6",
+                     "--draws", "500", "--resample", "100", "--outdir", str(tmp_path)])
+        assert code == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_geodesic_steps(self, bump_files, tmp_path):
         a, b = bump_files

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import fourier_values, pl_warps, smooth_curves
+from conftest import fourier_values, knot_rows, pl_warps, smooth_curves
 from warpalign import (
     Curve,
     PLWarp,
@@ -23,7 +23,7 @@ from warpalign import (
     warp_curve,
     warp_energy,
 )
-from warpalign.srvf import _trapezoid
+from warpalign.srvf import _trapezoid, _warp_values, _warp_values_batch
 
 
 def line_curve(m=100, dim=1):
@@ -223,6 +223,43 @@ class TestWarpActionOracle:
         grid = np.concatenate(([0.0], np.cumsum(steps)))
         y = data.draw(arrays(np.float64, grid.size, elements=st.floats(-1e3, 1e3)))
         assert _trapezoid(y, grid[1:] - grid[:-1]) == np.trapezoid(y, grid)
+
+
+@st.composite
+def grids(draw, min_size=3, max_size=40):
+    """Uniform grids, or non-uniform ones from random positive steps."""
+    m = draw(st.integers(min_size, max_size))
+    if draw(st.booleans()):
+        return uniform_grid(m)
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=m - 1, max_size=m - 1))
+    grid = np.concatenate(([0.0], np.cumsum(steps)))
+    grid /= grid[-1]
+    grid[-1] = 1.0
+    return grid
+
+
+class TestWarpValuesBatch:
+    """Each row of the batched warp action is the scalar ``_warp_values``
+    of that row's warp, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_scalar_kernel(self, data):
+        grid = data.draw(grids())
+        d = data.draw(st.integers(1, 3))
+        vals = data.draw(arrays(np.float64, (grid.size, d), elements=st.floats(-10.0, 10.0)))
+        x, y = data.draw(knot_rows(grid))
+        batch = _warp_values_batch(grid, vals, x, y)
+        assert batch.shape == (x.shape[0], grid.size, d)
+        for r in range(x.shape[0]):
+            assert np.array_equal(batch[r], _warp_values(grid, vals, x[r], y[r]))
+
+    def test_dimension_slices_are_contiguous(self):
+        grid = uniform_grid(7)
+        x = np.array([[0.0, 0.4, 1.0], [0.0, 0.5, 1.0]])
+        y = np.array([[0.0, 0.3, 1.0], [0.0, 0.5, 1.0]])
+        batch = _warp_values_batch(grid, np.ones((7, 2)), x, y)
+        assert all(batch[..., j].flags.c_contiguous for j in range(2))
 
 
 class TestDistances:

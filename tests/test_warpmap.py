@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import pl_warps
+from conftest import knot_rows, pl_warps
 from warpalign import (
     CircularWarp,
     PLWarp,
@@ -194,6 +195,9 @@ class TestConstruction:
 
 
 class TestBatchEval:
+    """Each row of ``batch_eval`` is ``PLWarp.__call__`` and
+    ``PLWarp.derivative`` of that row's warp, bit for bit."""
+
     def test_matches_scalar_eval(self):
         rng = np.random.default_rng(3)
         warps = []
@@ -210,8 +214,33 @@ class TestBatchEval:
         t = np.linspace(0.0, 1.0, 17)
         vals, slopes = batch_eval(np.array(xs), np.array(ys), t, with_slope=True)
         for k, w in enumerate(warps):
-            assert np.allclose(vals[k], w(t), atol=1e-14)
-            assert np.allclose(slopes[k], w.derivative(t), atol=1e-12)
+            assert np.array_equal(vals[k], w(t))
+            assert np.array_equal(slopes[k], w.derivative(t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_plwarp(self, data):
+        t = np.sort(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1, max_size=30)))
+        # knots may sit on the evaluation points, including repeated ones
+        x, y = data.draw(knot_rows(np.unique(np.concatenate(([0.0, 1.0], t)))))
+        vals, slopes = batch_eval(x, y, t, with_slope=True)
+        assert np.array_equal(batch_eval(x, y, t), vals)
+        for r in range(x.shape[0]):
+            w = PLWarp(x[r], y[r])
+            assert np.array_equal(vals[r], w(t))
+            assert np.array_equal(slopes[r], w.derivative(t))
+
+    def test_value_at_one_is_exact(self):
+        # on this last segment slope*(1 - x0) + y0 rounds to 1 - 2**-53
+        x, y = np.array([[0.0, 0.02, 1.0]]), np.array([[0.0, 0.01, 1.0]])
+        assert batch_eval(x, y, [0.5, 1.0])[0, -1] == 1.0 == PLWarp(x[0], y[0])(1.0)
+
+    @pytest.mark.parametrize("t", [[0.5, 0.2], [-0.1, 0.5], [0.5, 1.5], [0.0, np.nan]])
+    def test_rejects_unsorted_or_outside_points(self, t):
+        with pytest.raises(ValueError, match="sorted"):
+            batch_eval(np.array([[0.0, 0.5, 1.0]]), np.array([[0.0, 0.4, 1.0]]), t)
 
 
 def test_check_grid_rejects_bad_grids():
