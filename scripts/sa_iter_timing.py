@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Per-iteration time of the simulated-annealing loop in each mode.
+"""Per-iteration time of the simulated-annealing loop in each mode, and
+the time of one closed-curve DP seed search.
 
 Aligns the bundled fixtures with default ``SaConfig`` settings apart from
 the iteration count: two-bump functions at m=100 (function mode), 3-d
 spirals at m=100 (open_shape) and planar closed blobs at m=101
 (closed_shape).  Each mode runs ``--runs`` times, seeded 0, 1, ..., and
-the median wall time per iteration is printed in microseconds.
+the median wall time per iteration is printed in microseconds.  The
+``closed_dp`` line is the median wall time of ``--runs`` calls of
+``dp_align_closed`` on the same closed blobs at ``grid_size=101``, in
+milliseconds.
 """
 
 import argparse
@@ -14,7 +18,8 @@ import time
 
 import numpy as np
 
-from warpalign import SaConfig, normalize_length, to_srvf, unit_normalize
+from warpalign import (DpConfig, SaConfig, dp_align_closed, normalize_length, to_srvf,
+                       unit_normalize)
 from warpalign.align_sa import align
 from warpalign.fixtures import closed_shape_pair, spiral_pair, two_bump_pair
 
@@ -46,6 +51,15 @@ def main() -> int:
             per_iter.append(elapsed / (res.energy_trace.size - 2))
         print(f"{mode:13s} {1e6 * statistics.median(per_iter):8.1f} us/iter "
               f"(median of {args.runs} runs x {args.iters} iterations)")
+    q1, q2 = pairs["closed_shape"]
+    cfg = DpConfig(grid_size=q1.grid.size)
+    times = []
+    for _ in range(args.runs):
+        start = time.perf_counter()
+        dp_align_closed(q1, q2, cfg)
+        times.append(time.perf_counter() - start)
+    print(f"{'closed_dp':13s} {1e3 * statistics.median(times):8.1f} ms/search "
+          f"(median of {args.runs} runs, {q1.grid.size - 1} seeds at grid_size={cfg.grid_size})")
     return 0
 
 

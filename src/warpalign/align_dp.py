@@ -103,33 +103,38 @@ def _segment_costs(q1v: np.ndarray, q2f: np.ndarray, m: int, refine: int,
     return cost
 
 
-def _solve(costs, steps, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _solve(costs, steps, m: int,
+           track: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Cheapest monotone paths from (0,0) to (m-1,m-1), one per seed.
 
     ``costs[si][i]`` is an (S, m-b) array, usually a strided view, holding
     the cost of step ``steps[si] = (a, b)`` from node (i, j) for every seed
-    and every j < m-b.  Only the last max(a)+1 rows of the distance table
-    are kept.  Ties go to the earlier step.  Returns the end-node
-    energies (S,) and the step choices (m, S, m), -1 where none applies.
+    and every j < m-b.  Each row writes every step's candidates into one
+    stacked (n_steps, S, m) buffer, inf where a step cannot land, and
+    takes their minimum; only the last max(a)+1 rows of the distance table
+    are kept.  Returns the end-node energies (S,) and, with ``track``, the
+    step choices (m, S, m): the first step whose candidate equals the row
+    minimum, so ties go to the earlier step, and -1 where it is inf.
+    Without ``track`` the choices are None.
     """
     n_seeds = costs[0].shape[1]
     span = max(a for a, _ in steps) + 1
     ring = np.full((span, n_seeds, m), np.inf)
     ring[0, :, 0] = 0.0
-    choice = np.full((m, n_seeds, m), -1, dtype=np.min_scalar_type(-len(steps)))
-    cand = np.empty((n_seeds, m))
-    better = np.empty((n_seeds, m), dtype=bool)
+    # a step's slot stays inf in the columns it cannot reach and in the
+    # rows before its first use, which come first since rows only increase
+    cand = np.full((len(steps), n_seeds, m), np.inf)
+    choice = None
+    if track:
+        choice = np.full((m, n_seeds, m), -1, dtype=np.min_scalar_type(-len(steps)))
     for i in range(1, m):
-        best = ring[i % span]
-        best.fill(np.inf)
         for si, (a, b) in enumerate(steps):
-            if i < a:
-                continue
-            w = m - b
-            src = np.add(ring[(i - a) % span, :, :w], costs[si][i - a], out=cand[:, :w])
-            mask = np.less(src, best[:, b:], out=better[:, :w])
-            np.copyto(best[:, b:], src, where=mask)
-            np.copyto(choice[i, :, b:], si, where=mask)
+            if i >= a:
+                np.add(ring[(i - a) % span, :, :m - b], costs[si][i - a], out=cand[si, :, b:])
+        best = np.minimum.reduce(cand, axis=0, out=ring[i % span])
+        if track:
+            choice[i] = (cand == best).argmax(axis=0)
+            np.copyto(choice[i], -1, where=best == np.inf)
     return ring[(m - 1) % span, :, m - 1].copy(), choice
 
 
@@ -168,7 +173,7 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
     dt = 1.0 / (m - 1)
     q2f = _fine_values(q2.grid, q2.values, refine)
     costs = [_step_costs(q1.values, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
-    energies, choice = _solve(costs, steps, m)
+    energies, choice = _solve(costs, steps, m, track=True)
     return _backtrack(choice[:, 0], energies[0], steps, q1.grid), float(energies[0])
 
 
@@ -198,6 +203,16 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     return float(total)
 
 
+def _seed_bytes(m: int, steps, regridded: bool) -> int:
+    """Bytes of one seed's arrays in the seed pass: its distance ring and
+    stacked candidates, plus its regridded step costs off the lattice."""
+    span = max(a for a, _ in steps) + 1
+    floats = (span + len(steps)) * m
+    if regridded:
+        floats += len(steps) * m * m
+    return 8 * floats
+
+
 def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
     """Yield (first seed position, per-step cost views) in seed blocks.
 
@@ -205,9 +220,8 @@ def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
     step's costs are computed once against two periods of q2 and every
     seed reads a zero-copy window of them.  Off the lattice each seed
     rolls q2's raw values on the input grid, and the rolled values are
-    regridded.  Blocks are sized so that the per-seed arrays (step
-    choices, and regridded costs off the lattice) stay within
-    ``_BLOCK_BYTES``.
+    regridded.  Blocks are sized so that the per-seed arrays of the seed
+    pass stay within ``_BLOCK_BYTES``.
     """
     m = cfg.grid_size
     steps = cfg.neighborhood
@@ -220,13 +234,13 @@ def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
         windows = [sliding_window_view(
             _step_costs(q1.values, unrolled, refine, (a, b), dt, n + m - b - 1),
             m - b, axis=1)[:, :n:cfg.seed_stride] for a, b in steps]
-        block = max(1, _BLOCK_BYTES // (m * m))
+        block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, False))
         for first in range(0, len(seeds), block):
             yield first, [w[:, first:first + block] for w in windows]
         return
     lattice = uniform_grid(m)
     q1v = _interp_columns(q1.grid, q1.values, lattice)
-    block = max(1, _BLOCK_BYTES // ((1 + 8 * len(steps)) * m * m))
+    block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, True))
     for first in range(0, len(seeds), block):
         fine = np.stack([
             _fine_values(lattice, _interp_columns(q2.grid, _roll_seed(q2.values, k), lattice),
@@ -242,20 +256,25 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
 
     Seeds run over every ``seed_stride``-th grid point; the reported seed
     is the shift applied to q2 before the interval alignment.  All seeds
-    share one row recurrence; ties go to the first seed.
+    share one energy-only row recurrence; ties go to the first seed.  The
+    winner's path comes from one more solve over its own cost slices.
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
     n = q1.grid.size - 1
+    on_lattice = n + 1 == cfg.grid_size
     seeds = range(0, n, cfg.seed_stride)
     best = None
     for first, costs in _closed_costs(q1, q2, cfg, seeds):
-        energies, choice = _solve(costs, cfg.neighborhood, cfg.grid_size)
+        energies, _ = _solve(costs, cfg.neighborhood, cfg.grid_size)
         k = int(np.argmin(energies))
         if best is None or energies[k] < best[1]:
-            best = (first + k, energies[k], choice[:, k].copy())
-    pos, energy, path = best
-    grid = q1.grid if n + 1 == cfg.grid_size else uniform_grid(cfg.grid_size)
-    return seeds[pos] / n, _backtrack(path, energy, cfg.neighborhood, grid), float(energy)
+            # off the lattice the slices are copied so the block can be freed
+            winner = [c[:, k:k + 1] if on_lattice else c[:, k:k + 1].copy() for c in costs]
+            best = (first + k, energies[k], winner)
+    pos, energy, winner = best
+    _, choice = _solve(winner, cfg.neighborhood, cfg.grid_size, track=True)
+    grid = q1.grid if on_lattice else uniform_grid(cfg.grid_size)
+    return seeds[pos] / n, _backtrack(choice[:, 0], energy, cfg.neighborhood, grid), float(energy)

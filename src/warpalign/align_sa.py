@@ -101,15 +101,14 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
     return u < math.exp((e_current - e_proposed) / temperature)
 
 
-def _energy(q1v: np.ndarray, grid: np.ndarray, q2v: np.ndarray, x: np.ndarray,
-            y: np.ndarray, dt: np.ndarray) -> float:
-    """Alignment energy on raw arrays and warp knots; matches srvf.warp_energy.
+def _energy(q1v: np.ndarray, warped: np.ndarray, dt: np.ndarray) -> float:
+    """Alignment energy of warped q2 values; matches srvf.warp_energy.
 
     ``dt`` is ``grid[1:] - grid[:-1]``, computed once per run.  The result
     reproduces ``np.trapezoid(np.sum(resid ** 2, axis=1), grid)`` exactly:
     the same products, sums and halving in the same order.
     """
-    resid = q1v - _warp_values(grid, q2v, x, y)
+    resid = q1v - warped
     return _trapezoid((resid * resid).sum(axis=1), dt)
 
 
@@ -138,11 +137,12 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
             shape: bool, closed: bool = False) -> AlignmentResult:
     """The annealing loop shared by every mode, on validated inputs.
 
-    ``shape`` refreshes the Procrustes rotation after every accepted move
-    and recomputes the energy with it applied, so reported energies
-    always pair the warp with its optimal rotation.  ``closed`` also
-    proposes a seed, a cyclic shift of q2 by k of its m-1 distinct grid
-    points, jointly with each warp.
+    Each proposal warps the seed-shifted q2 once.  ``shape`` rotates those
+    warped values for the proposal's energy, and on accept refreshes the
+    Procrustes rotation from them and recomputes the energy with it
+    applied, so reported energies always pair the warp with its optimal
+    rotation.  ``closed`` also proposes a seed, a cyclic shift of q2 by k
+    of its m-1 distinct grid points, jointly with each warp.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -156,27 +156,26 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
     x, y, k = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0
     rot = optimal_rotation(q1, q2).matrix if shape else None
     q2k = q2v  # q2 shifted to the current seed
-    q2r = q2v @ rot.T if shape else q2v  # ... and rotated
-    e = _energy(q1v, grid, q2r, x, y, dt)
+    warped = _warp_values(grid, q2k, x, y)
+    e = _energy(q1v, warped @ rot.T if shape else warped, dt)
     best = (x, y, k, rot, e)
     trace = [e]
     stale = 0
     for it in range(cfg.max_iters):
         temp = _temperature(cfg, it)
-        k_prop, q2k_prop, q2r_prop = k, q2k, q2r
+        k_prop, q2k_prop = k, q2k
         if closed:
             k_prop = _propose_seed(k, cfg.von_mises_kappa, n_seeds, rng)
             if k_prop != k:
                 q2k_prop = twice[k_prop:k_prop + grid.size]
-                q2r_prop = q2k_prop @ rot.T
         px, py = _propose_warp(x, y, cfg, rng)
-        e_prop = _energy(q1v, grid, q2r_prop, px, py, dt)
+        warped = _warp_values(grid, q2k_prop, px, py)
+        e_prop = _energy(q1v, warped @ rot.T if shape else warped, dt)
         if metropolis_accept(e, e_prop, temp, rng.random()):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
             if shape:
-                rot = _procrustes(q1v, _warp_values(grid, q2k, x, y), weights)
-                q2r = q2k @ rot.T
-                e = _energy(q1v, grid, q2r, x, y, dt)
+                rot = _procrustes(q1v, warped, weights)
+                e = _energy(q1v, warped @ rot.T, dt)
             stale = 0
             if e < best[4]:
                 best = (x, y, k, rot, e)

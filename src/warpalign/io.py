@@ -18,7 +18,7 @@ import scipy
 
 from . import __version__
 from .landmarks import LandmarkSet
-from .srvf import Curve
+from .srvf import Curve, _nonzero_length
 from .warpmap import CircularWarp, PLWarp
 
 __all__ = [
@@ -58,7 +58,7 @@ def load_curve(path) -> Curve:
     An optional header row is allowed and a leading ``# closed`` comment
     marks closed topology.  The t column must increase strictly from 0
     to 1 (a tolerance of 1e-9 at the endpoints is snapped, not coerced
-    elsewhere).
+    elsewhere), and the curve must have nonzero length.
     """
     path = Path(path)
     closed = False
@@ -89,6 +89,8 @@ def load_curve(path) -> Curve:
             if len(vals) != width:
                 raise DataError(f"{path}: line {lineno}: expected {width} columns, "
                                 f"got {len(vals)}")
+            if not np.isfinite(vals[0]):
+                raise DataError(f"{path}: line {lineno}: t must be finite (t={vals[0]!r})")
             if ts and vals[0] <= ts[-1]:
                 raise DataError(f"{path}: line {lineno}: t column must increase "
                                 f"strictly (t={vals[0]!r})")
@@ -106,9 +108,11 @@ def load_curve(path) -> Curve:
     if closed and not np.all(np.abs(pts[0] - pts[-1]) <= 1e-9):
         raise DataError(f"{path}: declared closed but endpoints differ")
     try:
-        return Curve(t, pts, "closed" if closed else "open")
+        curve = Curve(t, pts, "closed" if closed else "open")
+        _nonzero_length(curve)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    return curve
 
 
 def write_curve(curve: Curve, path) -> Path:

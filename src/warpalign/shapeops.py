@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .srvf import Curve, Srvf, arc_length, _check_same_grid, _trapezoid_weights, _require_uniform
+from .srvf import (Curve, Srvf, _check_same_grid, _nonzero_length, _require_uniform,
+                   _trapezoid_weights)
 
 __all__ = [
     "Rotation",
@@ -53,10 +54,7 @@ class Rotation:
 
 def normalize_length(curve: Curve) -> Curve:
     """Scale a curve to unit polyline length."""
-    length = arc_length(curve)
-    if length <= 1e-12:
-        raise ValueError("cannot normalize a degenerate (zero-length) curve")
-    return Curve(curve.grid, curve.points / length, curve.topology)
+    return Curve(curve.grid, curve.points / _nonzero_length(curve), curve.topology)
 
 
 def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:

@@ -118,6 +118,15 @@ def arc_length(curve: Curve) -> float:
     return float(np.sum(np.linalg.norm(np.diff(curve.points, axis=0), axis=1)))
 
 
+def _nonzero_length(curve: Curve) -> float:
+    """``arc_length``, rejecting a curve whose length is (numerically) zero:
+    its SRVF vanishes, so every distance and alignment of it is void."""
+    length = arc_length(curve)
+    if length <= 1e-12:
+        raise ValueError("degenerate (zero-length) curve")
+    return length
+
+
 def resample(curve: Curve, m: int) -> Curve:
     """Resample onto a uniform grid of m points by linear interpolation."""
     if m < 2:

@@ -3,9 +3,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
+from warpalign.align_dp import _closed_costs
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
-           "reference_sir_posterior"]
+           "reference_sir_posterior", "reference_dp_align_closed"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -98,3 +99,42 @@ def reference_sir_posterior(q1, q2, cfg, rng):
     picks = rng.choice(cfg.prior_draws, size=cfg.resample_size, replace=True, p=weights)
     return PosteriorSample([PLWarp(knots[i], values[i]) for i in picks], weights,
                            1.0 / float(np.sum(weights ** 2)))
+
+
+def reference_dp_align_closed(q1, q2, cfg):
+    """The closed-curve seed search one seed at a time, in plain numpy: the
+    strict-``<`` row recurrence with a full distance and step-choice table
+    per seed (ties go to the earlier step), the first seed of least
+    energy, and a backtrack of its path.  Step costs come from the
+    package's ``_closed_costs``, so energies compare bit for bit.
+
+    Returns (seed, knot x, knot y, energy).
+    """
+    m, steps = cfg.grid_size, cfg.neighborhood
+    n = q1.grid.size - 1
+    seeds = range(0, n, cfg.seed_stride)
+    best_pos, best_energy, best_choice = None, np.inf, None
+    for first, costs in _closed_costs(q1, q2, cfg, seeds):
+        for s in range(costs[0].shape[1]):
+            dist = np.full((m, m), np.inf)
+            dist[0, 0] = 0.0
+            choice = np.full((m, m), -1)
+            for i in range(1, m):
+                for si, (a, b) in enumerate(steps):
+                    if i < a:
+                        continue
+                    cand = dist[i - a, :m - b] + costs[si][i - a][s]
+                    better = cand < dist[i, b:]
+                    dist[i, b:][better] = cand[better]
+                    choice[i, b:][better] = si
+            if best_pos is None or dist[m - 1, m - 1] < best_energy:
+                best_pos, best_energy, best_choice = first + s, dist[m - 1, m - 1], choice
+    nodes = [(m - 1, m - 1)]
+    while nodes[-1] != (0, 0):
+        i, j = nodes[-1]
+        a, b = steps[best_choice[i, j]]
+        nodes.append((i - a, j - b))
+    grid = q1.grid if n + 1 == m else uniform_grid(m)
+    xs = np.array([grid[i] for i, _ in reversed(nodes)])
+    ys = np.array([grid[j] for _, j in reversed(nodes)])
+    return seeds[best_pos] / n, xs, ys, float(best_energy)

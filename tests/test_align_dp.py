@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_dp_align_closed
 from warpalign import (
     Curve,
     DpConfig,
@@ -19,8 +24,8 @@ from warpalign import (
     warp_action,
 )
 from warpalign import align_dp
-from warpalign.align_dp import _refinement, _fine_values, _segment_costs
-from warpalign.fixtures import bean_curve, two_bump_pair
+from warpalign.align_dp import _refinement, _fine_values, _seed_bytes, _segment_costs
+from warpalign.fixtures import _radial_curve, bean_curve, two_bump_pair
 
 
 def enumerate_path_costs(q1: Srvf, q2: Srvf, cfg: DpConfig) -> float:
@@ -239,6 +244,78 @@ class TestBatchedSeedSearch:
         q2 = Srvf(uniform_grid(41), vals, "closed")
         self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=41))
         self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=25, seed_stride=3))
+
+
+@st.composite
+def closed_srvfs(draw, m):
+    """Closed SRVFs on m points: a unit-length radial blob, raw values, or
+    raw values repeating with a period that divides m-1."""
+    kind = draw(st.sampled_from(["blob", "raw", "periodic"]))
+    if kind == "blob":
+        harmonic = st.tuples(st.integers(1, 4), st.floats(0.0, 0.3), st.floats(0.0, 6.3))
+        curve = _radial_curve(m, draw(st.lists(harmonic, min_size=1, max_size=3)))
+        return unit_normalize(to_srvf(normalize_length(curve)))
+    period = m - 1
+    if kind == "periodic":
+        period = draw(st.sampled_from([p for p in range(1, m // 2) if (m - 1) % p == 0]))
+    point = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    base = np.array(draw(st.lists(point, min_size=period, max_size=period)))
+    vals = np.tile(base, ((m - 1) // period, 1))
+    return Srvf(uniform_grid(m), np.vstack((vals, vals[:1])), "closed")
+
+
+class TestSeedPassOracle:
+    """The energy-only seed pass and the winner's re-solve against the
+    per-seed strict-``<`` recurrence of ``reference_dp_align_closed``: the
+    seed, the knots and the energy bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(q1, q2, cfg, per_block=None):
+        block_bytes = align_dp._BLOCK_BYTES
+        if per_block is not None:
+            block_bytes = per_block * _seed_bytes(cfg.grid_size, cfg.neighborhood,
+                                                  q1.grid.size != cfg.grid_size)
+        with mock.patch.object(align_dp, "_BLOCK_BYTES", block_bytes):
+            seed, warp, energy = dp_align_closed(q1, q2, cfg)
+            ref_seed, ref_x, ref_y, ref_energy = reference_dp_align_closed(q1, q2, cfg)
+        assert seed == ref_seed
+        assert np.array_equal(warp.x, ref_x)
+        assert np.array_equal(warp.y, ref_y)
+        assert energy == ref_energy
+        return seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_per_seed_recurrence(self, data):
+        m = data.draw(st.integers(6, 24), label="m")
+        q1 = data.draw(closed_srvfs(m), label="q1")
+        q2 = q1 if data.draw(st.booleans(), label="same") else data.draw(closed_srvfs(m))
+        on_lattice = data.draw(st.booleans(), label="on_lattice")
+        grid_size = m if on_lattice else data.draw(
+            st.integers(5, 26).filter(lambda g: g != m), label="grid_size")
+        stride = data.draw(st.sampled_from([1, 3]), label="seed_stride")
+        per_block = data.draw(st.sampled_from([None, 1, 2, 5]), label="seeds_per_block")
+        self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size, seed_stride=stride),
+                                   per_block)
+
+    @pytest.mark.parametrize("grid_size", [41, 30])
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_tied_seeds_go_to_the_first(self, grid_size, per_block):
+        # q2 repeats every 10 of its 40 distinct points, so seeds 10 apart
+        # have identical costs and energies
+        base = np.random.default_rng(6).normal(size=(10, 2))
+        vals = np.tile(base, (4, 1))
+        q2 = Srvf(uniform_grid(41), np.vstack((vals, vals[:1])), "closed")
+        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        cfg = DpConfig(grid_size=grid_size)
+        assert self.assert_matches_oracle(q1, q2, cfg, per_block) < 10 / 40
+
+    @pytest.mark.parametrize("grid_size", [41, 30])
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_identical_curves_pick_seed_zero(self, grid_size, per_block):
+        q = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        cfg = DpConfig(grid_size=grid_size)
+        assert self.assert_matches_oracle(q, q, cfg, per_block) == 0.0
 
 
 class TestDpConfig:

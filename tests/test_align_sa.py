@@ -30,6 +30,7 @@ from warpalign import (
 )
 from warpalign.align_sa import align, _energy, _propose_seed, _propose_warp, _temperature
 from warpalign.fixtures import bean_curve, spiral_pair, two_bump_pair
+from warpalign.srvf import _warp_values
 
 
 def shapeify(curve):
@@ -95,7 +96,7 @@ class TestProposals:
         q1, q2 = bump_srvfs()
         w = PLWarp([0.0, 0.3, 1.0], [0.0, 0.42, 1.0])
         g = q1.grid
-        fast = _energy(q1.values, g, q2.values, w.x, w.y, g[1:] - g[:-1])
+        fast = _energy(q1.values, _warp_values(g, q2.values, w.x, w.y), g[1:] - g[:-1])
         assert fast == pytest.approx(warp_energy(q1, q2, w), abs=1e-12)
 
 
@@ -289,10 +290,15 @@ def reference_roll(values, k):
     return np.vstack((shifted, shifted[:1]))
 
 
-def reference_anneal(q1, q2, cfg, rng):
+def reference_anneal(q1, q2, cfg, rng, rotate_first=False):
     """The annealer written in plain numpy, independent of the package's
     sampler and warp-action kernels; only the Procrustes step goes through
     the public ``optimal_rotation``.
+
+    Shape modes warp q2 first and rotate the warped values, as the package
+    does.  ``rotate_first`` instead rotates q2 and then warps it, the
+    arithmetic the package used before; warp action is linear in the
+    values, so the two agree up to rounding.
 
     Returns (warp knots, seed, rotation, energy trace) in the shape of
     AlignmentResult; seed is None outside closed mode and rotation None
@@ -304,8 +310,13 @@ def reference_anneal(q1, q2, cfg, rng):
     n_distinct = grid.size - 1
 
     def energy(q2v, rot, x, y):
-        q2r = q2v if rot is None else q2v @ rot.matrix.T
-        resid = q1.values - reference_warp_values(grid, q2r, x, y)
+        if rot is None:
+            warped = reference_warp_values(grid, q2v, x, y)
+        elif rotate_first:
+            warped = reference_warp_values(grid, q2v @ rot.matrix.T, x, y)
+        else:
+            warped = reference_warp_values(grid, q2v, x, y) @ rot.matrix.T
+        resid = q1.values - warped
         return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
 
     x, y, seed, q2v = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, q2.values
@@ -400,6 +411,14 @@ class TestReferenceAnnealer:
             assert res.rotation is None
         else:
             assert np.array_equal(res.rotation.matrix, rot.matrix)
+            # the rotate-then-warp arithmetic makes the same moves
+            x, y, ref_seed, _, trace = reference_anneal(
+                q1, q2, cfg, np.random.default_rng(seed), rotate_first=True)
+            assert np.array_equal(res.warp.x, x)
+            assert np.array_equal(res.warp.y, y)
+            assert res.seed == ref_seed
+            assert res.energy_trace.size == trace.size
+            assert np.max(np.abs(res.energy_trace - trace)) <= 1e-12
         return res
 
 

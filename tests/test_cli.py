@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_sir_posterior
 from warpalign import CircularWarp, Curve, PLWarp, make_circular
@@ -201,6 +206,85 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "SRVFs have different dimensions" in err
+
+    @pytest.mark.parametrize("command", ["distance", "align-sa", "align-bayes", "align-dp"])
+    def test_zero_length_curve_is_3(self, bump_files, tmp_path, capsys, command):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("t,x\n" + "".join(f"{k / 49!r},2.5\n" for k in range(50)))
+        code = main([command, str(flat), str(bump_files[1]), "--points", "60",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: {flat}: degenerate (zero-length) curve"]
+
+
+# each command with settings that keep a run short, were a bad file to load
+FUZZ_COMMANDS = {
+    "distance": [],
+    "geodesic": ["--steps", "2"],
+    "align-dp": ["--grid-size", "10"],
+    "align-sa": ["--iters", "5"],
+    "align-bayes": ["--draws", "20", "--resample", "5"],
+}
+DEFECTS = ["non_finite", "ragged", "duplicate_t", "not_closed", "zero_length"]
+
+
+@st.composite
+def malformed_csvs(draw):
+    """Curve CSV text with one defect that must make loading fail."""
+    rows = draw(st.integers(4, 20))
+    dim = draw(st.integers(1, 2))
+    defect = draw(st.sampled_from(DEFECTS))
+    t = np.linspace(0.0, 1.0, rows)
+    pts = np.array(draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim),
+                                 min_size=rows, max_size=rows)))
+    pts[:, 0] += 20.0 * t  # nonzero length
+    cells = [[repr(float(v)) for v in (tk, *p)] for tk, p in zip(t, pts)]
+    header = []
+    if defect == "non_finite":
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, dim))
+        cells[r][c] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif defect == "ragged":
+        r = draw(st.integers(0, rows - 1))
+        cells[r] = cells[r][:-1] if draw(st.booleans()) else cells[r] + ["0.5"]
+    elif defect == "duplicate_t":
+        r = draw(st.integers(1, rows - 1))
+        cells[r][0] = cells[r - 1][0]
+    elif defect == "not_closed":
+        header = ["# closed"]
+        gap = draw(st.floats(1e-6, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        cells[-1][1:] = cells[0][1:]
+        c = draw(st.integers(1, dim))
+        cells[-1][c] = repr(float(pts[0][c - 1]) + gap)
+    else:
+        value = repr(draw(st.floats(-5.0, 5.0)))
+        cells = [[c[0]] + [value] * dim for c in cells]
+    names = ["t"] + [f"x{j + 1}" for j in range(dim)]
+    return "\n".join(header + [",".join(names)] + [",".join(c) for c in cells]) + "\n"
+
+
+class TestMalformedCsvFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(malformed_csvs(), st.sampled_from(sorted(FUZZ_COMMANDS)), st.booleans())
+    def test_malformed_curve_exits_with_one_line(self, text, command, bad_first):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            bad = tmp / "bad.csv"
+            bad.write_text(text)
+            c1, c2 = two_bump_pair(20)
+            good = write_curve(c1 if bad_first else c2, tmp / "good.csv")
+            pair = [bad, good] if bad_first else [good, bad]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, *map(str, pair), "--points", "20",
+                             *FUZZ_COMMANDS[command], "--outdir", str(tmp / "out")])
+        lines = err.getvalue().splitlines()
+        assert code in (2, 3), err.getvalue()
+        if code == 3:
+            assert len(lines) == 1 and lines[0].startswith(f"data error: {bad}: ")
+        else:
+            assert len([line for line in lines if line.startswith("Error:")]) == 1
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDistance:

@@ -37,5 +37,8 @@ def test_sa_iter_timing_script_runs():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["function", "open_shape", "closed_shape"]
-    assert all(float(line.split()[1]) > 0.0 and "us/iter" in line for line in lines)
+    assert [line.split()[0] for line in lines] == ["function", "open_shape", "closed_shape",
+                                                   "closed_dp"]
+    assert all(float(line.split()[1]) > 0.0 for line in lines)
+    assert all("us/iter" in line for line in lines[:3])
+    assert "ms/search" in lines[3] and "100 seeds at grid_size=101" in lines[3]
