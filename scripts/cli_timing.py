@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Cold wall time of each CLI command on the bundled fixtures.
+
+Writes the fixtures (``scripts/make_fixtures.py``) to a temporary
+directory, then runs every command at its default settings ``--runs``
+times, each in a fresh interpreter, and prints the median wall time in
+seconds.  A cold run pays interpreter start-up and package import as a
+user's run does.  The ``import`` line is ``import warpalign,
+warpalign.cli`` alone; ``align-dp`` runs once on the two-bump functions
+and once (``align-dp-closed``) on the closed blobs with ``--shape``.
+"""
+
+import argparse
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+
+COMMANDS = {
+    "import": ["-c", "import warpalign, warpalign.cli"],
+    "distance": ["distance", "two_bump_1.csv", "two_bump_2.csv"],
+    "geodesic": ["geodesic", "two_bump_1.csv", "two_bump_2.csv"],
+    "align-dp": ["align-dp", "two_bump_1.csv", "two_bump_2.csv"],
+    "align-dp-closed": ["align-dp", "closed_blob_1.csv", "closed_blob_2.csv", "--shape"],
+    "align-sa": ["align-sa", "two_bump_1.csv", "two_bump_2.csv"],
+    "align-bayes": ["align-bayes", "two_bump_1.csv", "two_bump_2.csv"],
+    "sample-warps": ["sample-warps"],
+}
+
+
+def _argv(name: str, workdir: Path) -> list[str]:
+    args = COMMANDS[name]
+    if name == "import":
+        return [sys.executable, *args]
+    args = [str(workdir / a) if a.endswith(".csv") else a for a in args]
+    return [sys.executable, "-m", "warpalign.cli", *args, "--outdir", str(workdir / name)]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--commands", default=",".join(COMMANDS),
+                    help="comma-separated subset of: " + ", ".join(COMMANDS))
+    args = ap.parse_args()
+    names = [c.strip() for c in args.commands.split(",") if c.strip()]
+    unknown = set(names) - set(COMMANDS)
+    if args.runs < 1 or not names or unknown:
+        ap.error(f"--runs must be positive and --commands a subset of {', '.join(COMMANDS)}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        subprocess.run([sys.executable, str(SCRIPTS / "make_fixtures.py"), str(workdir)],
+                       check=True, capture_output=True)
+        for name in names:
+            times = []
+            for _ in range(args.runs):
+                start = time.perf_counter()
+                proc = subprocess.run(_argv(name, workdir), capture_output=True, text=True)
+                times.append(time.perf_counter() - start)
+                if proc.returncode != 0:
+                    print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+                    return 1
+            print(f"{name:16s} {statistics.median(times):7.3f} s "
+                  f"(median of {args.runs} cold runs)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

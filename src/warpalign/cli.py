@@ -35,6 +35,7 @@ from .io import (
 from .landmarks import constrained_align
 from .shapeops import apply_seed, normalize_length, rotate
 from .srvf import (
+    _nonzero_length,
     from_srvf,
     geodesic as geodesic_path,
     l2_dist,
@@ -88,9 +89,15 @@ def _outdir(path) -> Path:
 
 
 def _load_pair(path1, path2, points):
-    c1 = resample(load_curve(path1), points)
-    c2 = resample(load_curve(path2), points)
-    return c1, c2
+    curves = []
+    for path in (path1, path2):
+        curve = resample(load_curve(path), points)
+        try:
+            _nonzero_length(curve)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc} after resampling to --points {points}") from None
+        curves.append(curve)
+    return tuple(curves)
 
 
 def _as_shape_srvfs(c1, c2):

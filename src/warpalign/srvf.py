@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .warpmap import PLWarp, batch_eval, check_grid, uniform_grid
 
@@ -190,9 +189,10 @@ def from_srvf(q: Srvf, start=None) -> Curve:
     if start is None:
         start = np.zeros(q.dim)
     start = np.asarray(start, dtype=float).reshape(1, q.dim)
-    speed = np.linalg.norm(q.values, axis=1)
-    integrand = q.values * speed[:, None]
-    pts = cumulative_trapezoid(integrand, q.grid, axis=0, initial=0.0) + start
+    integrand = q.values * np.linalg.norm(q.values, axis=1)[:, None]
+    # scipy's cumulative_trapezoid(initial=0.0) arithmetic, to the last bit
+    steps = np.diff(q.grid)[:, None] * (integrand[1:] + integrand[:-1]) / 2.0
+    pts = np.vstack([np.zeros((1, q.dim)), np.cumsum(steps, axis=0)]) + start
     return Curve(q.grid, pts, "open")
 
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
 
 from .warpmap import (PLWarp, CircularWarp, _clamp_increments, _increment_values, check_grid,
                       make_circular, sup_dist)
@@ -214,6 +212,7 @@ def log_density(prior: WarpPrior, partition, values) -> float:
     ``theta * diff(H(partition))`` (standard normalization, exponents
     ``a_i - 1``), expressed in the coordinates ``values``.
     """
+    from scipy.special import gammaln  # loaded on first call: it slows every import
     s = check_grid(partition)
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size != s.size - 2:
@@ -262,6 +261,7 @@ def degeneracy_report(n_list, alpha: float, partition_cdf: PLWarp, samples: int,
 
 def beta_cdf_warp(a: float, b: float, knots: int = 1001) -> PLWarp:
     """Beta(a,b) distribution function sampled as a fine PL warp."""
+    from scipy.stats import beta as beta_dist  # loaded on first call: it slows every import
     t = np.linspace(0.0, 1.0, knots)
     y = beta_dist.cdf(t, a, b)
     y[0], y[-1] = 0.0, 1.0

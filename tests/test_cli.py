@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -216,6 +218,34 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert err == [f"data error: {flat}: degenerate (zero-length) curve"]
+
+    @pytest.mark.parametrize("command", ["distance", "align-sa", "align-bayes", "align-dp"])
+    def test_curve_flattened_by_resampling_is_3(self, tmp_path, capsys, command):
+        """A spike that falls between the --points grid resamples to a
+        constant curve, which must not be aligned as a zero SRVF."""
+        spike = tmp_path / "spike.csv"
+        spike.write_text("t,x\n" + "".join(f"{k / 999!r},{float(k == 5)!r}\n"
+                                           for k in range(1000)))
+        code = main([command, str(spike), str(spike), "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: {spike}: degenerate (zero-length) curve "
+                       "after resampling to --points 100"]
+
+
+class TestStartup:
+    def test_import_leaves_heavy_scipy_submodules_unloaded(self):
+        """Importing the package and its CLI loads no scipy.stats,
+        scipy.special or scipy.integrate: they take most of a cold start,
+        and only ``log_density`` and ``beta_cdf_warp`` need them."""
+        code = "import sys, warpalign, warpalign.cli; print(*sorted(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        heavy = ("scipy.stats", "scipy.special", "scipy.integrate")
+        loaded = [m for m in out.stdout.split()
+                  if m in heavy or m.startswith(tuple(h + "." for h in heavy))]
+        assert "warpalign.cli" in out.stdout.split()
+        assert loaded == []
 
 
 # each command with settings that keep a run short, were a bad file to load

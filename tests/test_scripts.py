@@ -42,3 +42,15 @@ def test_sa_iter_timing_script_runs():
     assert all(float(line.split()[1]) > 0.0 for line in lines)
     assert all("us/iter" in line for line in lines[:3])
     assert "ms/search" in lines[3] and "100 seeds at grid_size=101" in lines[3]
+
+
+def test_cli_timing_script_runs():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cli_timing.py"), "--commands", "import,distance",
+         "--runs", "1"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["import", "distance"]
+    assert all(float(line.split()[1]) > 0.0 for line in lines)
+    assert all("median of 1 cold runs" in line for line in lines)

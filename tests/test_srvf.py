@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_trapezoid
 
 from conftest import fourier_values, knot_rows, pl_warps, smooth_curves
 from warpalign import (
@@ -140,6 +141,22 @@ class TestFromSrvf:
     def test_roundtrip_property(self, c):
         back = from_srvf(to_srvf(c), c.points[0])
         assert np.max(np.abs(back.points - c.points)) < 1e-2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_scipy_cumulative_trapezoid(self, data):
+        """The numpy integration is scipy's, bit for bit, on uniform and
+        non-uniform grids and values over many decades."""
+        grid = data.draw(grids(min_size=2))
+        d = data.draw(st.integers(1, 3))
+        scale = 10.0 ** data.draw(st.integers(-8, 8))
+        vals = scale * data.draw(arrays(np.float64, (grid.size, d),
+                                        elements=st.floats(-10.0, 10.0)))
+        start = data.draw(arrays(np.float64, d, elements=st.floats(-1e3, 1e3)))
+        q = Srvf(grid, vals)
+        integrand = q.values * np.linalg.norm(q.values, axis=1)[:, None]
+        expected = cumulative_trapezoid(integrand, q.grid, axis=0, initial=0.0) + start
+        assert np.array_equal(from_srvf(q, start).points, expected)
 
 
 class TestWarpAction:
