@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Cold wall time of each CLI command on the bundled fixtures.
+"""Cold wall time and peak RSS of each CLI command on the bundled fixtures.
 
 Writes the fixtures (``scripts/make_fixtures.py``) to a temporary
 directory, then runs every command at its default settings ``--runs``
 times, each in a fresh interpreter, and prints the median wall time in
-seconds.  A cold run pays interpreter start-up and package import as a
-user's run does.  The ``import`` line is ``import warpalign,
-warpalign.cli`` alone; ``align-dp`` runs once on the two-bump functions
-and once (``align-dp-closed``) on the closed blobs with ``--shape``.
+seconds and the median peak resident set size in MB (the child's own
+``ru_maxrss``, read with ``os.wait4``).  A cold run pays interpreter
+start-up and package import as a user's run does.  The ``import`` line
+is ``import warpalign, warpalign.cli`` alone; ``align-dp`` runs once on
+the two-bump functions and once (``align-dp-closed``) on the closed
+blobs with ``--shape``.
 """
 
 import argparse
+import os
 import statistics
 import subprocess
 import sys
@@ -40,6 +43,18 @@ def _argv(name: str, workdir: Path) -> list[str]:
     return [sys.executable, "-m", "warpalign.cli", *args, "--outdir", str(workdir / name)]
 
 
+def _run(argv: list[str]) -> tuple[float, float, int, str]:
+    """Wall seconds, peak RSS in MB, exit code and stderr of one child."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return seconds, usage.ru_maxrss / 1024.0, proc.returncode, err.read().decode()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=5)
@@ -56,16 +71,16 @@ def main() -> int:
         subprocess.run([sys.executable, str(SCRIPTS / "make_fixtures.py"), str(workdir)],
                        check=True, capture_output=True)
         for name in names:
-            times = []
+            times, peaks = [], []
             for _ in range(args.runs):
-                start = time.perf_counter()
-                proc = subprocess.run(_argv(name, workdir), capture_output=True, text=True)
-                times.append(time.perf_counter() - start)
-                if proc.returncode != 0:
-                    print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+                seconds, peak_mb, code, stderr = _run(_argv(name, workdir))
+                if code != 0:
+                    print(f"{name}: exit {code}\n{stderr}", file=sys.stderr)
                     return 1
+                times.append(seconds)
+                peaks.append(peak_mb)
             print(f"{name:16s} {statistics.median(times):7.3f} s "
-                  f"(median of {args.runs} cold runs)")
+                  f"{statistics.median(peaks):7.1f} MB (median of {args.runs} cold runs)")
     return 0
 
 

@@ -29,7 +29,7 @@ __all__ = [
 
 
 # memory budget for the warped SRVF values of one block of prior draws
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 
 class LikelihoodCollapseError(RuntimeError):
@@ -114,8 +114,9 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     finite = np.isfinite(loglik)
     if not finite.any():
         raise LikelihoodCollapseError("all importance weights vanished")
-    shifted = np.where(finite, loglik - loglik[finite].max(), -np.inf)
-    weights = np.exp(shifted)
+    loglik -= np.max(loglik, where=finite, initial=-np.inf)
+    loglik[~finite] = -np.inf
+    weights = np.exp(loglik, out=loglik)
     weights /= weights.sum()
     ess = 1.0 / float(np.sum(weights ** 2))
 
@@ -142,6 +143,5 @@ def posterior_summary(post: PosteriorSample, grid) -> tuple[PLWarp, np.ndarray, 
     mean = np.maximum.accumulate(vals.mean(axis=0))
     mean[0], mean[-1] = 0.0, 1.0
     mean_warp = PLWarp.from_increments(g, np.diff(mean))
-    lower = np.percentile(vals, 2.5, axis=0)
-    upper = np.percentile(vals, 97.5, axis=0)
+    lower, upper = np.percentile(vals, [2.5, 97.5], axis=0)
     return mean_warp, lower, upper

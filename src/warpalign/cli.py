@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 data error.
 from __future__ import annotations
 
 import functools
+import math
 from pathlib import Path
 
 import click
@@ -133,7 +134,8 @@ def cli():
 @cli.command("sample-warps")
 @click.option("--n", default=20, show_default=True, help="Partition size.")
 @click.option("--theta", default=10.0, show_default=True, help="Concentration.")
-@click.option("--count", default=100, show_default=True, help="Number of warps.")
+@click.option("--count", default=100, show_default=True, type=click.IntRange(min=1),
+              help="Number of warps.")
 @click.option("--mean", default="uniform", show_default=True,
               help="Mean warp: 'uniform' or 'beta:A,B'.")
 @click.option("--circular", is_flag=True, help="Sample circle warps (uniform seed).")
@@ -165,7 +167,7 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
 @click.option("--alpha", default=1.2, show_default=True)
 @click.option("--ns", default="20,100,300,500", show_default=True,
               help="Comma-separated partition sizes.")
-@click.option("--samples", default=200, show_default=True)
+@click.option("--samples", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--partition", default="uniform", show_default=True,
               help="Partition-generating map: 'uniform' or 'beta:A,B'.")
 @click.option("--seed", default=0, show_default=True)
@@ -173,8 +175,12 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
 @_guard
 def degeneracy(alpha, ns, samples, partition, seed, outdir):
     """Median sup-distance of fixed-partition samples to the limit map."""
-    out = _outdir(outdir)
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise click.UsageError("--alpha must be positive and finite")
     n_list = _parse_ints(ns)
+    if not n_list or min(n_list) < 1:
+        raise click.UsageError("--ns must list partition sizes of at least 1")
+    out = _outdir(outdir)
     cdf = _parse_mean(partition)
     rng = np.random.default_rng(seed)
     rows = degeneracy_report(n_list, alpha, cdf, samples, rng)

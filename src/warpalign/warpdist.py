@@ -125,11 +125,11 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("params must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
         raise ValueError("Dirichlet parameters must be positive")
-    return _clamp_increments(_normalized_gammas(params, rng))
+    return _clamp_increments(_normalize(gamma_variates(params, rng)))
 
 
-def _normalized_gammas(shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    g = gamma_variates(shapes, rng)
+def _normalize(g: np.ndarray) -> np.ndarray:
+    """Gamma rows floored at 1e-300 and scaled to sum to one, in place."""
     np.maximum(g, 1e-300, out=g)
     g /= g.sum(axis=-1, keepdims=True)
     return g
@@ -165,15 +165,64 @@ def _random_partitions(size: int, n: int, rng: np.random.Generator) -> np.ndarra
     return knots
 
 
-def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float, size: int,
-          rng: np.random.Generator, knots=None) -> tuple[np.ndarray, np.ndarray]:
-    """The sampler core on raw mean knots; see ``sample_batch``."""
-    if knots is None:
-        knots = _random_partitions(size, n, rng)
+# Rows per block of a large draw (see ``_draw``); a batch of at most this
+# many rows is drawn by one ``gamma_variates`` call.
+_DRAW_ROWS = 1024
+
+
+def _shapes(knots: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray,
+            theta: float) -> np.ndarray:
+    """Dirichlet parameters ``theta * diff(H(knots))`` of each row, floored
+    at 1e-12."""
     h = np.interp(knots, mean_x, mean_y)
     a = theta * (h[:, 1:] - h[:, :-1])
     np.maximum(a, 1e-12, out=a)
-    return knots, _increment_values(_normalized_gammas(a, rng))
+    return a
+
+
+def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float, size: int,
+          rng: np.random.Generator, knots=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler core on raw mean knots; see ``sample_batch``.
+
+    A batch of more than ``_DRAW_ROWS`` rows is drawn in row blocks, so
+    its working memory beyond the returned arrays stays bounded.  The
+    random stream is that of one ``gamma_variates`` call over the whole
+    batch, so the output is the same bit for bit: three passes over the
+    blocks draw the shapes of at least one, then the boosted shapes
+    (``1 - (-a)`` is ``a + 1`` exactly), then the boosting uniforms.
+    Between passes a (size, K) scratch inside ``values`` holds each
+    increment's gamma draw, or its negated shape while that draw is
+    pending (shapes are finite, so ``a >= 1`` is ``not a < 1``); the last
+    pass recomputes the shapes from the knots for the boosting exponents.
+    """
+    if knots is None:
+        knots = _random_partitions(size, n, rng)
+    if size <= _DRAW_ROWS:
+        a = _shapes(knots, mean_x, mean_y, theta)
+        return knots, _increment_values(_normalize(gamma_variates(a, rng)))
+    values = np.empty(knots.shape)
+    # The scratch is the contiguous tail of values.  Output row i ends at
+    # (i+1)(K+1) and scratch row i+1 starts at size + (i+1)K, so writing a
+    # block's output never overwrites the scratch of a later block.
+    g = values.reshape(-1)[size:].reshape(size, -1)
+    blocks = [slice(lo, lo + _DRAW_ROWS) for lo in range(0, size, _DRAW_ROWS)]
+    for rows in blocks:
+        a = _shapes(knots[rows], mean_x, mean_y, theta)
+        large = a >= 1.0
+        gb = np.negative(a, out=g[rows])
+        gb[large] = rng.standard_gamma(a[large])
+    for rows in blocks:
+        gb = g[rows]
+        small = gb < 0.0
+        gb[small] = rng.standard_gamma(1.0 - gb[small])
+    for rows in blocks:
+        a = _shapes(knots[rows], mean_x, mean_y, theta)
+        small = a < 1.0
+        a = a[small]
+        gb = g[rows]
+        gb[small] *= rng.random(a.size) ** (1.0 / a)
+        values[rows] = _increment_values(_normalize(gb))
+    return knots, values
 
 
 def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
 from warpalign.align_dp import _closed_costs
+from warpalign.warpmap import MIN_INCREMENT
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
-           "reference_sir_posterior", "reference_dp_align_closed"]
+           "reference_draw", "reference_sir_posterior", "reference_dp_align_closed"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -74,6 +75,44 @@ def smooth_curves(draw, m=80, dim=1, amplitude=1.0, max_harmonics=3):
         coeffs = draw(st.lists(coeff, min_size=1, max_size=max_harmonics))
         cols.append(fourier_values(t, coeffs) + t)
     return Curve(t, np.column_stack(cols))
+
+
+def reference_draw(prior, size, rng, partition=None):
+    """``sample_batch`` as one pass over the whole batch, in plain numpy:
+    sorted partition uniforms with strictly increasing rows redrawn, then
+    one ``standard_gamma`` call over the shapes of at least one followed
+    by the boosted shapes below one, then the boosting uniforms, then the
+    1e-300 floor, the ``MIN_INCREMENT`` clamp and the cumulative sum.
+
+    Returns (knots, values)."""
+    n = prior.partition_size
+    if partition is None:
+        knots = np.empty((size, n + 1))
+        knots[:, 0], knots[:, -1] = 0.0, 1.0
+        u = knots[:, 1:-1]
+        u[...] = rng.random((size, n - 1))
+        u.sort(axis=1)
+        while not (knots[:, 1:] > knots[:, :-1]).all():
+            bad = ~(knots[:, 1:] > knots[:, :-1]).all(axis=1)
+            u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+    else:
+        knots = np.tile(np.asarray(partition, dtype=float), (size, 1))
+    h = np.interp(knots, prior.mean_warp.x, prior.mean_warp.y)
+    a = np.maximum(prior.concentration * (h[:, 1:] - h[:, :-1]), 1e-12)
+    small = a < 1.0
+    g = rng.standard_gamma(np.concatenate((a[~small], a[small] + 1.0)))
+    n_large = g.size - int(small.sum())
+    p = np.empty_like(a)
+    p[~small] = g[:n_large]
+    p[small] = g[n_large:] * rng.random(g.size - n_large) ** (1.0 / a[small])
+    p = np.maximum(p, 1e-300)
+    p /= p.sum(axis=1, keepdims=True)
+    p = np.maximum(p, MIN_INCREMENT)
+    p /= p.sum(axis=1, keepdims=True)
+    values = np.zeros_like(knots)
+    values[:, 1:] = np.cumsum(p, axis=1)
+    values[:, -1] = 1.0
+    return knots, values
 
 
 def reference_sir_posterior(q1, q2, cfg, rng):

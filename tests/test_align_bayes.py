@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpalign import (
     BayesConfig,
@@ -22,7 +25,7 @@ from warpalign import (
     uniform_grid,
     warp_action,
 )
-from conftest import reference_sir_posterior
+from conftest import pl_warps, reference_sir_posterior
 from warpalign.fixtures import pqrst_pair, two_bump_pair
 
 
@@ -221,6 +224,27 @@ class TestSirPosterior:
         assert medians[2] <= medians[1] + 0.01
 
 
+class TestSirMemory:
+    """The prior draw and the weighting pass work in row blocks, so SIR's
+    working memory beyond the kept knots and values stays bounded."""
+
+    @pytest.mark.parametrize("draws,bound", [
+        (20_000, 10 << 20),
+        # the kept (draws, K) knot and value arrays plus 10 MiB
+        (200_000, 2 * 8 * 200_000 * 21 + (10 << 20)),
+    ], ids=["20k", "200k"])
+    def test_traced_peak(self, draws, bound):
+        q1, q2 = bump_srvfs()
+        cfg = BayesConfig(prior_draws=draws)
+        tracemalloc.start()
+        try:
+            sir_posterior(q1, q2, cfg, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
 class TestPosteriorSummary:
     def test_identical_warps_zero_band(self):
         w = PLWarp([0.0, 0.4, 1.0], [0.0, 0.3, 1.0])
@@ -243,6 +267,18 @@ class TestPosteriorSummary:
         mean_warp, lower, upper = posterior_summary(post, grid)
         mid = mean_warp(grid)
         assert np.all(mid >= lower - 1e-9) and np.all(mid <= upper + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(warps=st.lists(pl_warps(max_segments=8), min_size=1, max_size=40),
+           m=st.integers(2, 60))
+    def test_band_is_two_separate_percentiles(self, warps, m):
+        grid = uniform_grid(m)
+        n = len(warps)
+        _, lower, upper = posterior_summary(
+            PosteriorSample(warps, np.full(n, 1.0 / n), float(n)), grid)
+        vals = np.stack([w(grid) for w in warps])
+        assert np.array_equal(lower, np.percentile(vals, 2.5, axis=0))
+        assert np.array_equal(upper, np.percentile(vals, 97.5, axis=0))
 
     def test_each_distinct_warp_evaluated_once(self):
         class CountingWarp(PLWarp):

@@ -185,6 +185,23 @@ class TestExitCodes:
         errors = [line for line in err.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and "finite" in errors[0]
 
+    @pytest.mark.parametrize("args", [
+        ["sample-warps", "--count", "-3"], ["sample-warps", "--count", "0"],
+        ["degeneracy", "--samples", "0"], ["degeneracy", "--ns", "0,5"],
+        ["degeneracy", "--ns", ","], ["degeneracy", "--alpha", "-1"],
+        ["degeneracy", "--alpha", "0"], ["degeneracy", "--alpha", "nan"],
+        ["degeneracy", "--alpha", "inf"],
+    ])
+    def test_bad_sampling_flag_is_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = main([*args, "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and args[1] in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["align-dp", "distance"])
     def test_nan_row_is_3(self, bump_files, tmp_path, capsys, command):
         a, b = bump_files

@@ -51,6 +51,10 @@ def test_cli_timing_script_runs():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["import", "distance"]
-    assert all(float(line.split()[1]) > 0.0 for line in lines)
+    fields = [line.split() for line in lines]
+    assert [f[0] for f in fields] == ["import", "distance"]
+    assert all(f[2] == "s" and f[4] == "MB" for f in fields)
+    assert all(float(f[1]) > 0.0 for f in fields)
+    # a fresh interpreter that imports numpy holds more than 10 MB
+    assert all(10.0 < float(f[3]) < 2048.0 for f in fields)
     assert all("median of 1 cold runs" in line for line in lines)

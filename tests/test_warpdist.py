@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import dblquad
 
@@ -19,7 +21,9 @@ from warpalign import (
     sample_fixed,
     sup_dist,
 )
+from warpalign.warpdist import _DRAW_ROWS
 from warpalign.warpmap import batch_eval
+from conftest import pl_warps, reference_draw
 
 
 def id_prior(n=20, theta=10.0) -> WarpPrior:
@@ -102,6 +106,28 @@ class TestSample:
                 assert np.array_equal(w.x, knots[0])
                 assert np.array_equal(w.y, values[0])
             assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("size", [1, _DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1,
+                                      3 * _DRAW_ROWS + 7])
+    @pytest.mark.parametrize("theta", [0.5, 10.0, 1000.0])
+    @pytest.mark.parametrize("fixed", [False, True])
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.sampled_from([2, 20]), mean=st.one_of(st.just(identity()), pl_warps()),
+           partition=st.one_of(st.just(identity()),
+                               pl_warps(max_segments=12, min_increment=0.01)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sample_batch_matches_one_pass_reference(self, size, theta, fixed, n, mean,
+                                                     partition, seed):
+        """Blocked draws consume the stream as one pass over the batch does:
+        at theta 0.5 every shape is boosted, at 1000 none is."""
+        prior = WarpPrior(mean, n, theta)
+        part = partition.x if fixed else None
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        knots, values = sample_batch(prior, size, rng_a, part)
+        ref_knots, ref_values = reference_draw(prior, size, rng_b, part)
+        assert np.array_equal(knots, ref_knots)
+        assert np.array_equal(values, ref_values)
+        assert rng_a.random() == rng_b.random()
 
     def test_valid_warps(self):
         rng = np.random.default_rng(1)
