@@ -16,6 +16,7 @@ import numpy as np
 from warpalign import (
     BayesConfig,
     DpConfig,
+    PosteriorSample,
     SaConfig,
     apply_seed,
     constrained_align,
@@ -87,10 +88,10 @@ def main() -> int:
     lm = pqrst_landmarks()
     res = constrained_align(p1, p2, lm, "bayes", BayesConfig(b0=5.0), rng)
     grid = np.union1d(p1.grid, lm.a)
-    vals = np.stack([w(grid) for w in res.posterior_warps])
-    lower = np.percentile(vals, 2.5, axis=0)
-    upper = np.percentile(vals, 97.5, axis=0)
-    write_band(out / "pqrst_band.csv", grid, lower, vals.mean(axis=0), upper)
+    count = len(res.posterior_warps)
+    draws = PosteriorSample(res.posterior_warps, np.full(count, 1.0 / count), float(count))
+    mean_warp, lower, upper = posterior_summary(draws, grid)
+    write_band(out / "pqrst_band.csv", grid, lower, mean_warp(grid), upper)
     write_warp(res.warp, out / "pqrst_warp.json")
     at_lm = [float(upper[np.searchsorted(grid, a)] - lower[np.searchsorted(grid, a)])
              for a in lm.a]

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: sample-warps, degeneracy, distance, geodesic, align-dp,
-align-sa, align-bayes.  Every command takes ``--seed`` and produces
-byte-identical outputs for identical invocations; each run writes a
-``manifest.json`` with the configuration, library versions and SHA-256
-digests of the produced files.
+align-sa, align-bayes.  Identical invocations produce byte-identical
+outputs; each run writes a ``manifest.json`` with every parsed argument
+and flag except ``--outdir``, library versions and SHA-256 digests of
+the produced files.
 
 Exit codes: 0 success, 2 usage error, 3 data error.
 """
@@ -40,7 +40,7 @@ from .srvf import (
     from_srvf,
     geodesic as geodesic_path,
     l2_dist,
-    resample,
+    resample as resample_curve,
     shape_dist,
     to_srvf,
     unit_normalize,
@@ -92,7 +92,7 @@ def _outdir(path) -> Path:
 def _load_pair(path1, path2, points):
     curves = []
     for path in (path1, path2):
-        curve = resample(load_curve(path), points)
+        curve = resample_curve(load_curve(path), points)
         try:
             _nonzero_length(curve)
         except ValueError as exc:
@@ -101,10 +101,30 @@ def _load_pair(path1, path2, points):
     return tuple(curves)
 
 
-def _as_shape_srvfs(c1, c2):
-    q1 = unit_normalize(to_srvf(normalize_length(c1)))
-    q2 = unit_normalize(to_srvf(normalize_length(c2)))
-    return q1, q2
+def _srvfs(c1, c2, shape):
+    """SRVFs of a curve pair; with ``shape``, of its unit-length, unit-norm shapes."""
+    if shape:
+        return tuple(unit_normalize(to_srvf(normalize_length(c))) for c in (c1, c2))
+    return to_srvf(c1), to_srvf(c2)
+
+
+def _record(out, outputs):
+    """Write the manifest of the running command: every parameter but --outdir."""
+    ctx = click.get_current_context()
+    config = {k: v for k, v in ctx.params.items() if k != "outdir"}
+    write_manifest(out, ctx.info_name, config, outputs)
+
+
+def _curve_pair(fn):
+    """Declare the two curve arguments and ``--points`` of a curve command."""
+    fn = click.option("--points", default=100, show_default=True,
+                      type=click.IntRange(min=3))(fn)
+    fn = click.argument("curve2", type=click.Path(exists=True))(fn)
+    return click.argument("curve1", type=click.Path(exists=True))(fn)
+
+
+_seed = click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0),
+                     help="RNG seed.")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -139,7 +159,7 @@ def cli():
 @click.option("--mean", default="uniform", show_default=True,
               help="Mean warp: 'uniform' or 'beta:A,B'.")
 @click.option("--circular", is_flag=True, help="Sample circle warps (uniform seed).")
-@click.option("--seed", default=0, show_default=True, help="RNG seed.")
+@_seed
 @click.option("--outdir", default="out", show_default=True)
 @_guard
 def sample_warps(n, theta, count, mean, circular, seed, outdir):
@@ -157,9 +177,7 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
         lines.append(w.to_json())
     target = out / "warps.jsonl"
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, "sample-warps",
-                   {"n": n, "theta": theta, "count": count, "mean": mean,
-                    "circular": circular, "seed": seed}, [target])
+    _record(out, [target])
     click.echo(f"wrote {count} warps to {target.name}")
 
 
@@ -170,7 +188,7 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
 @click.option("--samples", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--partition", default="uniform", show_default=True,
               help="Partition-generating map: 'uniform' or 'beta:A,B'.")
-@click.option("--seed", default=0, show_default=True)
+@_seed
 @click.option("--outdir", default="out", show_default=True)
 @_guard
 def degeneracy(alpha, ns, samples, partition, seed, outdir):
@@ -185,43 +203,32 @@ def degeneracy(alpha, ns, samples, partition, seed, outdir):
     rng = np.random.default_rng(seed)
     rows = degeneracy_report(n_list, alpha, cdf, samples, rng)
     target = write_table(out / "degeneracy.csv", "n,median_sup_distance", rows)
-    write_manifest(out, "degeneracy",
-                   {"alpha": alpha, "ns": ns, "samples": samples,
-                    "partition": partition, "seed": seed}, [target])
+    _record(out, [target])
     for n, d in rows:
         click.echo(f"n={n} median sup-distance {_fmt(d)}")
 
 
 @cli.command("distance")
-@click.argument("curve1", type=click.Path(exists=True))
-@click.argument("curve2", type=click.Path(exists=True))
-@click.option("--points", default=100, show_default=True)
+@_curve_pair
 @click.option("--shape", is_flag=True, help="Unit-norm shape distance instead of L2.")
 @click.option("--outdir", default=None, help="Optionally record the run here.")
 @_guard
 def distance(curve1, curve2, points, shape, outdir):
     """Print the SRVF distance between two curves (no alignment)."""
     c1, c2 = _load_pair(curve1, curve2, points)
-    if shape:
-        q1, q2 = _as_shape_srvfs(c1, c2)
-        d = shape_dist(q1, q2)
-    else:
-        d = l2_dist(to_srvf(c1), to_srvf(c2))
+    q1, q2 = _srvfs(c1, c2, shape)
+    d = shape_dist(q1, q2) if shape else l2_dist(q1, q2)
     click.echo(_fmt(d))
     if outdir is not None:
         out = _outdir(outdir)
         target = out / "distance.txt"
         target.write_text(_fmt(d) + "\n", encoding="utf-8")
-        write_manifest(out, "distance",
-                       {"curve1": str(curve1), "curve2": str(curve2),
-                        "points": points, "shape": shape}, [target])
+        _record(out, [target])
 
 
 @cli.command("geodesic")
-@click.argument("curve1", type=click.Path(exists=True))
-@click.argument("curve2", type=click.Path(exists=True))
-@click.option("--steps", default=5, show_default=True)
-@click.option("--points", default=100, show_default=True)
+@_curve_pair
+@click.option("--steps", default=5, show_default=True, type=click.IntRange(min=2))
 @click.option("--shape", is_flag=True, help="Great-circle path between unit shapes.")
 @click.option("--outdir", default="out", show_default=True)
 @_guard
@@ -229,24 +236,15 @@ def geodesic(curve1, curve2, steps, points, shape, outdir):
     """Write the geodesic between two curves, one curve CSV per step."""
     out = _outdir(outdir)
     c1, c2 = _load_pair(curve1, curve2, points)
-    if shape:
-        q1, q2 = _as_shape_srvfs(c1, c2)
-    else:
-        q1, q2 = to_srvf(c1), to_srvf(c2)
-    path = geodesic_path(q1, q2, steps)
-    outputs = []
-    for k, q in enumerate(path):
-        outputs.append(write_curve(from_srvf(q), out / f"geodesic_{k:03d}.csv"))
-    write_manifest(out, "geodesic",
-                   {"curve1": str(curve1), "curve2": str(curve2), "steps": steps,
-                    "points": points, "shape": shape}, outputs)
+    path = geodesic_path(*_srvfs(c1, c2, shape), steps)
+    outputs = [write_curve(from_srvf(q), out / f"geodesic_{k:03d}.csv")
+               for k, q in enumerate(path)]
+    _record(out, outputs)
     click.echo(f"wrote {steps} geodesic steps")
 
 
 @cli.command("align-dp")
-@click.argument("curve1", type=click.Path(exists=True))
-@click.argument("curve2", type=click.Path(exists=True))
-@click.option("--points", default=100, show_default=True)
+@_curve_pair
 @click.option("--grid-size", default=100, show_default=True)
 @click.option("--seed-stride", default=1, show_default=True,
               help="Closed curves: try every k-th grid point as the seed.")
@@ -257,13 +255,9 @@ def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
     """Dynamic-programming alignment (exhaustive seed search when closed)."""
     out = _outdir(outdir)
     c1, c2 = _load_pair(curve1, curve2, points)
-    if shape:
-        q1, q2 = _as_shape_srvfs(c1, c2)
-    else:
-        q1, q2 = to_srvf(c1), to_srvf(c2)
+    q1, q2 = _srvfs(c1, c2, shape)
     cfg = _config(DpConfig, grid_size=grid_size, seed_stride=seed_stride)
-    closed = q1.topology == "closed" and q2.topology == "closed"
-    if closed:
+    if q1.topology == "closed" and q2.topology == "closed":
         seed_val, warp, energy = dp_align_closed(q1, q2, cfg)
         q2_aligned = warp_action(apply_seed(q2, seed_val), warp)
     else:
@@ -279,16 +273,12 @@ def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
         rows.append(("seed", seed_val))
     warp_path = write_warp(warp, out / "warp.json")
     energy_path = write_table(out / "energy.csv", "metric,value", rows)
-    write_manifest(out, "align-dp",
-                   {"curve1": str(curve1), "curve2": str(curve2), "points": points,
-                    "grid_size": grid_size, "seed_stride": seed_stride,
-                    "shape": shape}, [warp_path, energy_path])
+    _record(out, [warp_path, energy_path])
     click.echo(f"energy {_fmt(energy)}")
 
 
 @cli.command("align-sa")
-@click.argument("curve1", type=click.Path(exists=True))
-@click.argument("curve2", type=click.Path(exists=True))
+@_curve_pair
 @click.option("--n", default=20, show_default=True)
 @click.option("--theta", default=100.0, show_default=True)
 @click.option("--t0", default=10.0, show_default=True)
@@ -299,10 +289,9 @@ def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
               type=click.Choice(["function", "open_shape", "closed_shape"]))
 @click.option("--kappa", default=50.0, show_default=True,
               help="Von Mises concentration for closed-curve seed proposals.")
-@click.option("--points", default=100, show_default=True)
 @click.option("--landmarks", default=None, type=click.Path(exists=True),
               help="CSV of matched positions a,b (function mode only).")
-@click.option("--seed", default=0, show_default=True)
+@_seed
 @click.option("--outdir", default="out", show_default=True)
 @_guard
 def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kappa,
@@ -313,9 +302,6 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
                   max_iters=iters, blend=blend, mode=mode, von_mises_kappa=kappa)
     rng = np.random.default_rng(seed)
     c1, c2 = _load_pair(curve1, curve2, points)
-    flags = {"n": n, "theta": theta, "t0": t0, "cooling": cooling, "iters": iters,
-             "blend": blend, "mode": mode, "kappa": kappa, "points": points,
-             "seed": seed, "landmarks": landmarks and str(landmarks)}
 
     if landmarks is not None:
         if mode != "function":
@@ -339,10 +325,8 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
         trace_path = write_trace(out / "trace.csv", traces,
                                  segment=list(range(len(traces))))
         aligned = warp_curve(c2, res.warp)
-        final_warp = res.warp
     else:
-        q1, q2 = (to_srvf(c1), to_srvf(c2)) if mode == "function" \
-            else _as_shape_srvfs(c1, c2)
+        q1, q2 = _srvfs(c1, c2, mode != "function")
         res = sa_dispatch(q1, q2, cfg, rng)
         payload = {
             "mode": mode,
@@ -361,13 +345,11 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
         else:
             q2w = apply_seed(q2, res.seed) if res.seed is not None else q2
             aligned = from_srvf(rotate(warp_action(q2w, res.warp), res.rotation))
-        final_warp = res.warp
 
     result_path = write_json(out / "result.json", payload)
-    warp_path = write_warp(final_warp, out / "warp.json")
+    warp_path = write_warp(res.warp, out / "warp.json")
     aligned_path = write_curve(aligned, out / "aligned.csv")
-    write_manifest(out, "align-sa", flags,
-                   [result_path, warp_path, trace_path, aligned_path])
+    _record(out, [result_path, warp_path, trace_path, aligned_path])
     if "final_energy" in payload:
         click.echo(f"final energy {_fmt(payload['final_energy'])}")
     else:
@@ -376,27 +358,25 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
 
 
 @cli.command("align-bayes")
-@click.argument("curve1", type=click.Path(exists=True))
-@click.argument("curve2", type=click.Path(exists=True))
+@_curve_pair
 @click.option("--n", default=20, show_default=True)
 @click.option("--theta", default=10.0, show_default=True)
 @click.option("--a0", default=0.01, show_default=True)
 @click.option("--b0", default=0.01, show_default=True)
 @click.option("--draws", default=20000, show_default=True)
-@click.option("--resample", "resample_size", default=2000, show_default=True)
-@click.option("--points", default=100, show_default=True)
+@click.option("--resample", default=2000, show_default=True)
 @click.option("--landmarks", default=None, type=click.Path(exists=True))
-@click.option("--seed", default=0, show_default=True)
+@_seed
 @click.option("--outdir", default="out", show_default=True)
 @_guard
-def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample_size, points,
+def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample, points,
                     landmarks, seed, outdir):
     """Bayesian alignment: posterior mean warp and 95% credible band."""
     out = _outdir(outdir)
     prior = _config(WarpPrior, mean_warp=identity(), partition_size=n,
                     concentration=theta)
     cfg = _config(BayesConfig, prior=prior, a0=a0, b0=b0, prior_draws=draws,
-                  resample_size=resample_size)
+                  resample_size=resample)
     rng = np.random.default_rng(seed)
     c1, c2 = _load_pair(curve1, curve2, points)
     summary_grid = c1.grid
@@ -404,8 +384,7 @@ def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample_size, poin
     if landmarks is not None:
         lm = load_landmarks(landmarks)
         res = constrained_align(c1, c2, lm, "bayes", cfg, rng)
-        if len(lm):
-            summary_grid = np.union1d(summary_grid, lm.a)
+        summary_grid = np.union1d(summary_grid, lm.a)
         count = len(res.posterior_warps)
         post = PosteriorSample(res.posterior_warps, np.full(count, 1.0 / count),
                                float(count))
@@ -422,11 +401,7 @@ def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample_size, poin
     warp_path = write_warp(mean_warp, out / "mean_warp.json")
     band_path = write_band(out / "band.csv", summary_grid, lower, mean, upper)
     aligned_path = write_curve(warp_curve(c2, mean_warp), out / "aligned.csv")
-    write_manifest(out, "align-bayes",
-                   {"n": n, "theta": theta, "a0": a0, "b0": b0, "draws": draws,
-                    "resample": resample_size, "points": points, "seed": seed,
-                    "landmarks": landmarks and str(landmarks)},
-                   [warp_path, band_path, aligned_path])
+    _record(out, [warp_path, band_path, aligned_path])
     click.echo(f"wrote posterior band to {band_path.name}")
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_sir_posterior
 from warpalign import CircularWarp, Curve, PLWarp, make_circular
-from warpalign.cli import main
+from warpalign.cli import cli, main
 from warpalign.fixtures import (
     bean_curve,
     closed_shape_pair,
@@ -61,6 +61,18 @@ def bump_files(tmp_path):
     c1, c2 = two_bump_pair(60)
     return (write_curve(c1, tmp_path / "a.csv"),
             write_curve(c2, tmp_path / "b.csv"))
+
+
+# small runs of every CLI command, for the manifest test
+MANIFEST_RUN_ARGS = {
+    "sample-warps": ["--count", "2"],
+    "degeneracy": ["--ns", "5", "--samples", "3"],
+    "distance": ["--points", "60"],
+    "geodesic": ["--steps", "2", "--points", "60"],
+    "align-dp": ["--points", "60", "--grid-size", "30"],
+    "align-sa": ["--points", "60", "--iters", "50"],
+    "align-bayes": ["--points", "60", "--draws", "200", "--resample", "50"],
+}
 
 
 def read_all(outdir: Path) -> dict[str, bytes]:
@@ -190,7 +202,8 @@ class TestExitCodes:
         ["degeneracy", "--samples", "0"], ["degeneracy", "--ns", "0,5"],
         ["degeneracy", "--ns", ","], ["degeneracy", "--alpha", "-1"],
         ["degeneracy", "--alpha", "0"], ["degeneracy", "--alpha", "nan"],
-        ["degeneracy", "--alpha", "inf"],
+        ["degeneracy", "--alpha", "inf"], ["sample-warps", "--seed", "-1"],
+        ["degeneracy", "--seed", "-1"],
     ])
     def test_bad_sampling_flag_is_2(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -200,6 +213,21 @@ class TestExitCodes:
         assert "Traceback" not in err and "Warning" not in err
         errors = [line for line in err.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and args[1] in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("align-sa", "--seed", "-1"), ("align-bayes", "--seed", "-1"),
+        ("distance", "--points", "2"), ("align-dp", "--points", "2"),
+        ("align-sa", "--points", "2"), ("geodesic", "--steps", "1"),
+    ])
+    def test_bad_curve_flag_is_2(self, bump_files, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        code = main([command, *map(str, bump_files), flag, value, "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and flag in errors[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["align-dp", "distance"])
@@ -375,9 +403,11 @@ class TestSampleWarps:
 
 
 class TestDegeneracy:
-    def test_medians_non_increasing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("partition", ["uniform", "beta:2,1"])
+    def test_medians_non_increasing(self, tmp_path, capsys, partition):
         code = main(["degeneracy", "--alpha", "1.2", "--ns", "20,100,300",
-                     "--samples", "60", "--seed", "3", "--outdir", str(tmp_path)])
+                     "--samples", "60", "--partition", partition, "--seed", "3",
+                     "--outdir", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "degeneracy.csv").read_text().strip().splitlines()
         assert rows[0] == "n,median_sup_distance"
@@ -525,6 +555,22 @@ class TestSchemasAndManifests:
               "--outdir", str(tmp_path)])
         for line in (tmp_path / "warps.jsonl").read_text().strip().splitlines():
             jsonschema.validate(json.loads(line), load_schema("warp.schema.json"))
+
+    @pytest.mark.parametrize("command", sorted(cli.commands))
+    def test_manifest_records_every_parameter(self, bump_files, tmp_path, command):
+        """The manifest's config holds each argument and flag of the
+        command but --outdir, so a run records which curves it read."""
+        args = MANIFEST_RUN_ARGS[command]
+        params = {p.name for p in cli.commands[command].params} - {"outdir"}
+        curves = [str(p) for p in bump_files] if "curve1" in params else []
+        out = tmp_path / "out"
+        assert main([command, *curves, *args, "--outdir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        config = manifest["config"]
+        assert set(config) == params
+        if curves:
+            assert [config["curve1"], config["curve2"]] == curves
 
     def test_manifest_checksums_match_files(self, bump_files, tmp_path):
         a, b = bump_files

@@ -21,14 +21,18 @@ def test_make_fixtures_outputs_parse(tmp_path):
     assert len(lm) == 2
 
 
-def test_degeneracy_script_runs(tmp_path):
+def test_alignment_demo_script_runs(tmp_path):
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_degeneracy.py"), "--ns", "10,40",
-         "--samples", "20", "--outdir", str(tmp_path)],
+        [sys.executable, str(SCRIPTS / "run_alignment_demo.py"), "--outdir", str(tmp_path)],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert (tmp_path / "degeneracy_uniform.csv").exists()
-    assert (tmp_path / "degeneracy_beta_2_1.csv").exists()
+    assert [line.split(":")[0] for line in out.stdout.splitlines()[:5]] == [
+        "two-bump functions", "two-bump Bayes", "pqrst landmarks", "spirals", "closed blobs"]
+    band = (tmp_path / "pqrst_band.csv").read_text().splitlines()
+    assert band[0] == "t,lower,mean,upper,width"
+    for name in ("two_bump_sa_warp.json", "two_bump_band.csv", "pqrst_warp.json",
+                 "spiral_warp.json", "closed_warp.json"):
+        assert (tmp_path / name).exists()
 
 
 def test_sa_iter_timing_script_runs():
