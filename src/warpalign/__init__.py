@@ -16,7 +16,6 @@ from .warpmap import (
     identity,
     compose,
     restrict,
-    convex_blend,
     sup_dist,
     make_circular,
     uniform_grid,

@@ -10,6 +10,7 @@ pointwise credible bands.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +29,22 @@ __all__ = [
 ]
 
 
-# memory budget for the warped SRVF values of one block of prior draws
+# memory budget for the warped SRVF values of the blocks of prior draws in
+# flight, shared by the weighting threads; no thread's block is below the floor
 _BLOCK_BYTES = 1 << 18
+_MIN_BLOCK_BYTES = 1 << 16
 
 
 class LikelihoodCollapseError(RuntimeError):
     """Raised when every importance weight underflows to zero."""
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _default_prior() -> WarpPrior:
@@ -89,8 +100,12 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     The importance function is the prior itself: draw ``prior_draws``
     warps, weight by the marginal likelihood (stabilized by a max shift),
     and resample ``resample_size`` warps with replacement.  The draws are
-    weighted in row blocks of ``_BLOCK_BYTES`` of warped values each, and
-    a draw resampled more than once appears as one shared ``PLWarp``.
+    weighted in row blocks, striped over W threads that share
+    ``_BLOCK_BYTES`` of warped values: W is the smallest of the CPUs this
+    process may use, the number of full-budget blocks and
+    ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.  Each row's weight is computed
+    alone, so the result does not depend on W.  A draw resampled more
+    than once appears as one shared ``PLWarp``.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -100,16 +115,34 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
 
     knots, values = sample_batch(cfg.prior, n_draws, rng)
     q1v, q2v = q1.values, q2.values
-    block = max(1, _BLOCK_BYTES // (8 * q1v.size))
+    row_bytes = 8 * q1v.size
+    n_blocks = -(-n_draws // max(1, _BLOCK_BYTES // row_bytes))
+    workers = max(1, min(_cpu_count(), n_blocks, _BLOCK_BYTES // _MIN_BLOCK_BYTES))
+    block = max(1, _BLOCK_BYTES // workers // row_bytes)
     sse = np.zeros(n_draws)
-    with np.errstate(over="ignore"):
-        for lo in range(0, n_draws, block):
-            warped = _warp_values_batch(grid, q2v, knots[lo:lo + block],
-                                        values[lo:lo + block])
-            part = sse[lo:lo + block]
-            for j in range(q2.dim):
-                part += np.sum((q1v[:, j] - warped[..., j]) ** 2, axis=1)
-        loglik = -(cfg.a0 + 0.5 * q1v.size) * np.log(cfg.b0 + 0.5 * sse)
+
+    def weigh(stripe):
+        # numpy's error state is per thread
+        with np.errstate(over="ignore"):
+            for lo in range(stripe * block, n_draws, workers * block):
+                warped = _warp_values_batch(grid, q2v, knots[lo:lo + block],
+                                            values[lo:lo + block])
+                part = sse[lo:lo + block]
+                for j in range(q2.dim):
+                    part += np.sum((q1v[:, j] - warped[..., j]) ** 2, axis=1)
+
+    if workers == 1:
+        weigh(0)
+    else:
+        # imported on first use: concurrent.futures loads logging, which every
+        # import of the package would otherwise pay for
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(weigh, stripe) for stripe in range(1, workers)]
+            weigh(0)
+            for future in futures:
+                future.result()
+    loglik = -(cfg.a0 + 0.5 * q1v.size) * np.log(cfg.b0 + 0.5 * sse)
 
     finite = np.isfinite(loglik)
     if not finite.any():

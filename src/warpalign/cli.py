@@ -25,6 +25,7 @@ from .io import (
     DataError,
     load_curve,
     load_landmarks,
+    load_warp,
     write_band,
     write_curve,
     write_json,
@@ -55,7 +56,7 @@ from .warpdist import (
     sample,
     sample_circular,
 )
-from .warpmap import PLWarp, identity
+from .warpmap import CircularWarp, PLWarp, identity
 
 
 def _fmt(x: float) -> str:
@@ -134,16 +135,19 @@ def _parse_ints(text: str) -> list[int]:
         raise click.UsageError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _parse_mean(text: str | None) -> PLWarp:
-    if text is None or text == "uniform":
+def _parse_mean(text: str) -> PLWarp:
+    """The ``--mean`` warp; a malformed value is a usage error."""
+    if text == "uniform":
         return identity()
     if text.startswith("beta:"):
         try:
             a, b = (float(v) for v in text[len("beta:"):].split(","))
+            return beta_cdf_warp(a, b)
         except ValueError:
-            raise click.UsageError(f"expected beta:A,B, got {text!r}")
-        return beta_cdf_warp(a, b)
-    raise click.UsageError(f"unknown mean warp {text!r}; use 'uniform' or 'beta:A,B'")
+            raise click.BadParameter(f"expected beta:A,B with positive finite A and B, "
+                                     f"got {text!r}", param_hint="'--mean'") from None
+    raise click.BadParameter(f"unknown mean warp {text!r}; use 'uniform' or 'beta:A,B'",
+                             param_hint="'--mean'")
 
 
 @click.group()
@@ -164,9 +168,9 @@ def cli():
 @_guard
 def sample_warps(n, theta, count, mean, circular, seed, outdir):
     """Draw warps and write them as JSON lines."""
-    out = _outdir(outdir)
     prior = _config(WarpPrior, mean_warp=_parse_mean(mean), partition_size=n,
                     concentration=theta)
+    out = _outdir(outdir)
     rng = np.random.default_rng(seed)
     lines = []
     for _ in range(count):
@@ -186,22 +190,19 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
 @click.option("--ns", default="20,100,300,500", show_default=True,
               help="Comma-separated partition sizes.")
 @click.option("--samples", default=200, show_default=True, type=click.IntRange(min=1))
-@click.option("--partition", default="uniform", show_default=True,
-              help="Partition-generating map: 'uniform' or 'beta:A,B'.")
 @_seed
 @click.option("--outdir", default="out", show_default=True)
 @_guard
-def degeneracy(alpha, ns, samples, partition, seed, outdir):
-    """Median sup-distance of fixed-partition samples to the limit map."""
+def degeneracy(alpha, ns, samples, seed, outdir):
+    """Median sup-distance of equispaced fixed-partition samples to the identity."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise click.UsageError("--alpha must be positive and finite")
     n_list = _parse_ints(ns)
     if not n_list or min(n_list) < 1:
         raise click.UsageError("--ns must list partition sizes of at least 1")
     out = _outdir(outdir)
-    cdf = _parse_mean(partition)
     rng = np.random.default_rng(seed)
-    rows = degeneracy_report(n_list, alpha, cdf, samples, rng)
+    rows = degeneracy_report(n_list, alpha, identity(), samples, rng)
     target = write_table(out / "degeneracy.csv", "n,median_sup_distance", rows)
     _record(out, [target])
     for n, d in rows:
@@ -211,12 +212,22 @@ def degeneracy(alpha, ns, samples, partition, seed, outdir):
 @cli.command("distance")
 @_curve_pair
 @click.option("--shape", is_flag=True, help="Unit-norm shape distance instead of L2.")
+@click.option("--warp", default=None, type=click.Path(exists=True),
+              help="Warp JSON of [0,1] applied to curve2 first, such as an align-* warp.json.")
 @click.option("--outdir", default=None, help="Optionally record the run here.")
 @_guard
-def distance(curve1, curve2, points, shape, outdir):
-    """Print the SRVF distance between two curves (no alignment)."""
+def distance(curve1, curve2, points, shape, warp, outdir):
+    """Print the SRVF distance between two curves, curve2 optionally warped."""
+    if warp is not None and shape:
+        raise click.UsageError("--warp cannot be combined with --shape: a warp file "
+                               "holds no rotation or seed")
     c1, c2 = _load_pair(curve1, curve2, points)
     q1, q2 = _srvfs(c1, c2, shape)
+    if warp is not None:
+        w = load_warp(warp)
+        if isinstance(w, CircularWarp):
+            raise DataError(f"{warp}: --warp takes a warp of [0,1], not of the circle")
+        q2 = warp_action(q2, w)
     d = shape_dist(q1, q2) if shape else l2_dist(q1, q2)
     click.echo(_fmt(d))
     if outdir is not None:

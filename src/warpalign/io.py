@@ -25,7 +25,6 @@ __all__ = [
     "DataError",
     "load_curve",
     "write_curve",
-    "write_srvf",
     "load_warp",
     "write_warp",
     "load_landmarks",
@@ -122,16 +121,6 @@ def write_curve(curve: Curve, path) -> Path:
         lines.append("# closed")
     lines.append("t," + ",".join(f"x{j + 1}" for j in range(curve.dim)))
     for t, row in zip(curve.grid, curve.points):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def write_srvf(q, path) -> Path:
-    """Export SRVF values as a plot-ready CSV (t,q1[,q2,q3])."""
-    path = Path(path)
-    lines = ["t," + ",".join(f"q{j + 1}" for j in range(q.dim))]
-    for t, row in zip(q.grid, q.values):
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

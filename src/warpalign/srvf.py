@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .warpmap import PLWarp, batch_eval, check_grid, uniform_grid
+from .warpmap import PLWarp, _lookup, check_grid, uniform_grid
 
 __all__ = [
     "Curve",
@@ -258,9 +258,10 @@ def _warp_values_batch(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     """``_warp_values`` for R warps at once, bit for bit: (R, K) knot rows
     ``(x, y)`` give an (R, m, d) array whose ``[..., j]`` slices are
     C-contiguous (R, m) arrays, so a row sum over one of them rounds as
-    it does on a single warp."""
-    at, slopes = batch_eval(x, y, grid, with_slope=True)
-    root_slope = np.sqrt(slopes, out=slopes)
+    it does on a single warp.  The root slope is gathered from the square
+    root of each row's segment-slope table."""
+    at, slopes, table, idx = _lookup(x, y, grid)
+    root_slope = np.take(np.sqrt(table, out=table), idx, out=slopes)
     out = np.empty((values.shape[1],) + at.shape)
     for j, col in enumerate(out):
         np.multiply(np.interp(at, grid, values[:, j]), root_slope, out=col)

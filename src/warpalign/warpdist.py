@@ -310,6 +310,8 @@ def degeneracy_report(n_list, alpha: float, partition_cdf: PLWarp, samples: int,
 
 def beta_cdf_warp(a: float, b: float, knots: int = 1001) -> PLWarp:
     """Beta(a,b) distribution function sampled as a fine PL warp."""
+    if not all(math.isfinite(v) and v > 0.0 for v in (a, b)):
+        raise ValueError("Beta parameters must be positive and finite")
     from scipy.stats import beta as beta_dist  # loaded on first call: it slows every import
     t = np.linspace(0.0, 1.0, knots)
     y = beta_dist.cdf(t, a, b)

@@ -21,7 +21,6 @@ __all__ = [
     "identity",
     "compose",
     "restrict",
-    "convex_blend",
     "sup_dist",
     "make_circular",
     "check_grid",
@@ -197,22 +196,6 @@ def restrict(w: PLWarp, a: float, b: float) -> PLWarp:
     return PLWarp(u, vals)
 
 
-def convex_blend(w1: PLWarp, w2: PLWarp, weight: float) -> PLWarp:
-    """Pointwise convex combination ``weight*w1 + (1-weight)*w2``.
-
-    A convex combination of PL warps with matching endpoints is again a
-    PL warp; its knots live on the union of the two knot sets.
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must lie in [0,1]")
-    x = np.union1d(w1.x, w2.x)
-    y = weight * w1(x) + (1.0 - weight) * w2(x)
-    y[0], y[-1] = 0.0, 1.0
-    if not np.all(np.diff(y) > 0):
-        x, y = _dedupe_knots(x, y)
-    return PLWarp(x, y)
-
-
 def sup_dist(w1: PLWarp, w2: PLWarp) -> float:
     """Supremum distance between two PL warps, computed exactly.
 
@@ -239,6 +222,22 @@ def batch_eval(knots_x: np.ndarray, knots_y: np.ndarray, t, with_slope: bool = F
     if t.ndim != 1 or t.size and not (t[0] >= 0.0 and t[-1] <= 1.0
                                       and np.all(t[1:] >= t[:-1])):
         raise ValueError("t must be sorted and lie in [0,1]")
+    out, slopes, _, _ = _lookup(knots_x, knots_y, t)
+    if with_slope:
+        return out, slopes
+    return out
+
+
+def _lookup(knots_x: np.ndarray, knots_y: np.ndarray, t: np.ndarray):
+    """``batch_eval`` on checked float input, with what it gathers from.
+
+    Returns ``(values, slopes, table, idx)``. ``table`` is the (size, K)
+    segment-slope table, ``(y1 - y0)/(x1 - x0)`` per segment with a last
+    column of zeros that no index reaches, and ``idx`` indexes each
+    point's segment in the flattened knot rows, so ``np.take(table, idx)``
+    is ``slopes`` and ``np.take(f(table), idx)`` is ``f`` of each point's
+    slope without applying ``f`` per point.
+    """
     size, kk = knots_x.shape
     m = t.size
     # The segment of t_j in row r is the number of interior knots <= t_j:
@@ -248,15 +247,16 @@ def batch_eval(knots_x: np.ndarray, knots_y: np.ndarray, t, with_slope: bool = F
     seg = np.bincount(first.ravel(), minlength=size * (m + 1)).reshape(size, m + 1)
     idx = np.cumsum(seg[:, :m], axis=1)
     idx += np.arange(0, size * kk, kk)[:, None]
-    x0 = np.take(knots_x, idx)
-    y0 = np.take(knots_y, idx)
-    idx += 1
-    slopes = (np.take(knots_y, idx) - y0) / (np.take(knots_x, idx) - x0)
-    out = slopes * (t - x0) + y0
+    table = np.zeros((size, kk))
+    np.divide(knots_y[:, 1:] - knots_y[:, :-1], knots_x[:, 1:] - knots_x[:, :-1],
+              out=table[:, :-1])
+    slopes = np.take(table, idx)
+    out = np.take(knots_x, idx)
+    np.subtract(t, out, out=out)
+    out *= slopes
+    out += np.take(knots_y, idx)
     out[:, t == 1.0] = knots_y[:, -1:]
-    if with_slope:
-        return out, slopes
-    return out
+    return out, slopes, table, idx
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
 from warpalign.align_dp import _closed_costs
-from warpalign.warpmap import MIN_INCREMENT
+from warpalign.io import _fmt
+from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
-           "reference_draw", "reference_sir_posterior", "reference_dp_align_closed"]
+           "reference_draw", "reference_sir_posterior", "reference_dp_align_closed",
+           "convex_blend", "write_srvf"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -177,3 +181,29 @@ def reference_dp_align_closed(q1, q2, cfg):
     xs = np.array([grid[i] for i, _ in reversed(nodes)])
     ys = np.array([grid[j] for _, j in reversed(nodes)])
     return seeds[best_pos] / n, xs, ys, float(best_energy)
+
+
+def convex_blend(w1: PLWarp, w2: PLWarp, weight: float) -> PLWarp:
+    """Pointwise convex combination ``weight*w1 + (1-weight)*w2``.
+
+    A convex combination of PL warps with matching endpoints is again a
+    PL warp; its knots live on the union of the two knot sets.
+    """
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError("weight must lie in [0,1]")
+    x = np.union1d(w1.x, w2.x)
+    y = weight * w1(x) + (1.0 - weight) * w2(x)
+    y[0], y[-1] = 0.0, 1.0
+    if not np.all(np.diff(y) > 0):
+        x, y = _dedupe_knots(x, y)
+    return PLWarp(x, y)
+
+
+def write_srvf(q, path) -> Path:
+    """Export SRVF values as a plot-ready CSV (t,q1[,q2,q3])."""
+    path = Path(path)
+    lines = ["t," + ",".join(f"q{j + 1}" for j in range(q.dim))]
+    for t, row in zip(q.grid, q.values):
+        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path

@@ -1,5 +1,11 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from warpalign import (
     warp_action,
 )
 from conftest import pl_warps, reference_sir_posterior
+from warpalign import align_bayes
 from warpalign.fixtures import pqrst_pair, two_bump_pair
 
 
@@ -243,6 +250,78 @@ class TestSirMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+class TestSirThreads:
+    """The weighting pass stripes its row blocks over W threads; no output
+    depends on W."""
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        """Make ``sir_posterior`` see ``workers`` CPUs; returns the list of
+        thread-pool sizes it then starts."""
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(align_bayes, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        return started
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_matches_reference_sir(self, monkeypatch, workers):
+        started = self.force_workers(monkeypatch, workers)
+        c1, c2 = pqrst_pair(100)
+        q1, q2 = to_srvf(c1), to_srvf(c2)
+        cfg = BayesConfig(b0=5.0, prior_draws=5000, resample_size=500)
+        post = sir_posterior(q1, q2, cfg, np.random.default_rng(5))
+        assert started == ([] if workers == 1 else [workers - 1])
+        ref = reference_sir_posterior(q1, q2, cfg, np.random.default_rng(5))
+        assert np.array_equal(post.weights, ref.weights)
+        assert post.ess == ref.ess
+        assert all(np.array_equal(u.x, v.x) and np.array_equal(u.y, v.y)
+                   for u, v in zip(post.warps, ref.warps))
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        q1, q2 = bump_srvfs()
+        cores = os.cpu_count() or 1
+        workers = 2 * cores + 1
+        # 400 draws a worker leave at least one full-budget block per worker
+        cfg = BayesConfig(prior_draws=400 * workers, resample_size=100)
+        self.force_workers(monkeypatch, 1)
+        alone = sir_posterior(q1, q2, cfg, np.random.default_rng(6))
+        started = self.force_workers(monkeypatch, workers)
+        result = {}
+        floor, interval = align_bayes._MIN_BLOCK_BYTES, sys.getswitchinterval()
+        align_bayes._MIN_BLOCK_BYTES = 1 << 10
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: result.setdefault(
+                "post", sir_posterior(q1, q2, cfg, np.random.default_rng(6))))
+            run.start()
+            run.join(timeout=120)
+            assert not run.is_alive(), "weighting did not finish in 120 s"
+        finally:
+            align_bayes._MIN_BLOCK_BYTES = floor
+            sys.setswitchinterval(interval)
+        assert started == [workers - 1]
+        assert np.array_equal(result["post"].weights, alone.weights)
+        assert result["post"].ess == alone.ess
+
+    def test_overflow_warns_in_no_worker(self, monkeypatch):
+        started = self.force_workers(monkeypatch, 2)
+        g = uniform_grid(100)
+        q1 = Srvf(g, np.ones((100, 1)))
+        q2 = Srvf(g, np.full((100, 1), 1e200))  # every squared residual overflows
+        cfg = BayesConfig(prior_draws=2000, resample_size=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LikelihoodCollapseError):
+                sir_posterior(q1, q2, cfg, np.random.default_rng(3))
+        assert started == [1]
 
 
 class TestPosteriorSummary:

@@ -4,13 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import convex_blend
 from warpalign import (
     PLWarp,
     SaConfig,
     Srvf,
     WarpPrior,
     apply_seed,
-    convex_blend,
     identity,
     metropolis_accept,
     normalize_length,

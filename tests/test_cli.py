@@ -149,7 +149,7 @@ class TestIo:
 
     def test_srvf_export(self, tmp_path):
         from warpalign import to_srvf
-        from warpalign.io import write_srvf
+        from conftest import write_srvf
 
         c1, _ = two_bump_pair(30)
         path = write_srvf(to_srvf(c1), tmp_path / "q.csv")
@@ -203,7 +203,8 @@ class TestExitCodes:
         ["degeneracy", "--ns", ","], ["degeneracy", "--alpha", "-1"],
         ["degeneracy", "--alpha", "0"], ["degeneracy", "--alpha", "nan"],
         ["degeneracy", "--alpha", "inf"], ["sample-warps", "--seed", "-1"],
-        ["degeneracy", "--seed", "-1"],
+        ["degeneracy", "--seed", "-1"], ["sample-warps", "--mean", "beta:-1,2"],
+        ["sample-warps", "--mean", "beta:0,1"], ["sample-warps", "--mean", "beta:nan,1"],
     ])
     def test_bad_sampling_flag_is_2(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -282,11 +283,13 @@ class TestStartup:
     def test_import_leaves_heavy_scipy_submodules_unloaded(self):
         """Importing the package and its CLI loads no scipy.stats,
         scipy.special or scipy.integrate: they take most of a cold start,
-        and only ``log_density`` and ``beta_cdf_warp`` need them."""
+        and only ``log_density`` and ``beta_cdf_warp`` need them.  Nor
+        does it load ``concurrent.futures``, which only a multi-threaded
+        SIR weighting pass needs."""
         code = "import sys, warpalign, warpalign.cli; print(*sorted(sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        heavy = ("scipy.stats", "scipy.special", "scipy.integrate")
+        heavy = ("scipy.stats", "scipy.special", "scipy.integrate", "concurrent.futures")
         loaded = [m for m in out.stdout.split()
                   if m in heavy or m.startswith(tuple(h + "." for h in heavy))]
         assert "warpalign.cli" in out.stdout.split()
@@ -376,6 +379,40 @@ class TestDistance:
         val = float(capsys.readouterr().out.strip())
         assert 0.0 < val <= np.pi / 2 + 1e-9
 
+    def test_warp_scores_the_align_sa_energy(self, bump_files, tmp_path, capsys):
+        a, b = map(str, bump_files)
+        out = tmp_path / "sa"
+        assert main(["align-sa", a, b, "--points", "60", "--iters", "200",
+                     "--seed", "2", "--outdir", str(out)]) == 0
+        energy = json.loads((out / "result.json").read_text())["final_energy"]
+        capsys.readouterr()
+        assert main(["distance", a, b, "--points", "60",
+                     "--warp", str(out / "warp.json")]) == 0
+        d = float(capsys.readouterr().out.strip())
+        assert abs(d ** 2 - energy) <= 1e-12
+
+    def test_warp_with_shape_is_2(self, bump_files, tmp_path, capsys):
+        path = write_warp(PLWarp([0.0, 0.5, 1.0], [0.0, 0.25, 1.0]), tmp_path / "w.json")
+        out = tmp_path / "out"
+        code = main(["distance", *map(str, bump_files), "--shape", "--warp", str(path),
+                     "--outdir", str(out)])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("Error:")]
+        assert len(errors) == 1 and "--warp" in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", [
+        {"knots": [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]], "seed": 0.5, "wrap_point": 0.5},
+        {"knots": [[0.0, 0.0], [5e-324, 0.5], [1.0, 1.0]]},
+    ], ids=["circular", "overflowing-slope"])
+    def test_bad_warp_file_is_3(self, bump_files, tmp_path, capsys, data):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        assert main(["distance", *map(str, bump_files), "--warp", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "data error" in captured.err
+
 
 class TestSampleWarps:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -403,10 +440,9 @@ class TestSampleWarps:
 
 
 class TestDegeneracy:
-    @pytest.mark.parametrize("partition", ["uniform", "beta:2,1"])
-    def test_medians_non_increasing(self, tmp_path, capsys, partition):
+    def test_medians_non_increasing(self, tmp_path, capsys):
         code = main(["degeneracy", "--alpha", "1.2", "--ns", "20,100,300",
-                     "--samples", "60", "--partition", partition, "--seed", "3",
+                     "--samples", "60", "--seed", "3",
                      "--outdir", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "degeneracy.csv").read_text().strip().splitlines()

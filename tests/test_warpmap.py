@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import knot_rows, pl_warps
+from conftest import convex_blend, knot_rows, pl_warps
 from warpalign import (
     CircularWarp,
     PLWarp,
     compose,
-    convex_blend,
     identity,
     make_circular,
     restrict,
