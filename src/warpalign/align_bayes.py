@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .srvf import Srvf, _check_same_grid, _warp_values, _warp_values_batch
+from .srvf import Srvf, _check_same_grid, _warp_sse_batch, _warp_values
 from .warpdist import WarpPrior, sample_batch
 from .warpmap import PLWarp, check_grid, identity
 
@@ -29,10 +29,13 @@ __all__ = [
 ]
 
 
-# memory budget for the warped SRVF values of the blocks of prior draws in
-# flight, shared by the weighting threads; no thread's block is below the floor
-_BLOCK_BYTES = 1 << 18
-_MIN_BLOCK_BYTES = 1 << 16
+# memory budget for the weighting threads' working arrays: per draw in a
+# block, a thread holds at most three grids of 8-byte values, its workspace
+# (the warped points and a gather buffer) and either the segment index or
+# one dimension's residuals; no thread's block is below the floor
+_BLOCK_BYTES = 3 << 19
+_MIN_BLOCK_BYTES = _BLOCK_BYTES // 4
+_ROW_ARRAYS = 3
 
 
 class LikelihoodCollapseError(RuntimeError):
@@ -100,12 +103,15 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     The importance function is the prior itself: draw ``prior_draws``
     warps, weight by the marginal likelihood (stabilized by a max shift),
     and resample ``resample_size`` warps with replacement.  The draws are
-    weighted in row blocks, striped over W threads that share
-    ``_BLOCK_BYTES`` of warped values: W is the smallest of the CPUs this
-    process may use, the number of full-budget blocks and
-    ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.  Each row's weight is computed
-    alone, so the result does not depend on W.  A draw resampled more
-    than once appears as one shared ``PLWarp``.
+    weighted in row blocks, striped over W threads: W is the smallest of
+    the CPUs this process may use, the number of full-budget blocks and
+    ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.  The W threads share
+    ``_BLOCK_BYTES`` of working arrays, ``_ROW_ARRAYS`` 8-byte grids
+    per draw in a block, so a block is 327 draws at m = 100 and W = 2.
+    Each thread allocates its workspace once per call and reuses it for
+    all its blocks.  Each row's weight is computed alone, so the result
+    does not depend on W.  A draw resampled more than once appears as
+    one shared ``PLWarp``.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -115,21 +121,20 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
 
     knots, values = sample_batch(cfg.prior, n_draws, rng)
     q1v, q2v = q1.values, q2.values
-    row_bytes = 8 * q1v.size
+    row_bytes = _ROW_ARRAYS * 8 * grid.size
     n_blocks = -(-n_draws // max(1, _BLOCK_BYTES // row_bytes))
     workers = max(1, min(_cpu_count(), n_blocks, _BLOCK_BYTES // _MIN_BLOCK_BYTES))
-    block = max(1, _BLOCK_BYTES // workers // row_bytes)
-    sse = np.zeros(n_draws)
+    block = max(1, min(n_draws, _BLOCK_BYTES // workers // row_bytes))
+    sse = np.empty(n_draws)
 
     def weigh(stripe):
+        work = np.empty((2, block, grid.size))
         # numpy's error state is per thread
         with np.errstate(over="ignore"):
             for lo in range(stripe * block, n_draws, workers * block):
-                warped = _warp_values_batch(grid, q2v, knots[lo:lo + block],
-                                            values[lo:lo + block])
-                part = sse[lo:lo + block]
-                for j in range(q2.dim):
-                    part += np.sum((q1v[:, j] - warped[..., j]) ** 2, axis=1)
+                hi = lo + block
+                _warp_sse_batch(grid, q2v, q1v, knots[lo:hi], values[lo:hi],
+                                sse[lo:hi], work)
 
     if workers == 1:
         weigh(0)

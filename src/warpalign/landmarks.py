@@ -149,10 +149,15 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
     segment warps, and compose with the pre-warp.  With no landmarks this
     reduces exactly to the unconstrained method.  Segments consume
     independent RNG streams (spawned from ``rng`` unless ``segment_rngs``
-    is supplied).
+    is supplied).  Each Bayes segment's prior is centred on the identity,
+    so with landmarks ``prior.mean_warp`` must be the identity.
     """
     if method not in ("sa", "bayes"):
         raise ValueError("method must be 'sa' or 'bayes'")
+    if method == "bayes" and len(lm) and not np.array_equal(cfg.prior.mean_warp.x,
+                                                            cfg.prior.mean_warp.y):
+        raise ValueError("landmark-constrained Bayes centres every segment's prior on "
+                         "the identity; prior.mean_warp must be the identity")
     if not np.array_equal(g1.grid, g2.grid):
         raise ValueError("curves must share a common grid; resample first")
     if rng is None:

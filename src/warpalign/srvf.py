@@ -253,19 +253,36 @@ def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     return warped
 
 
-def _warp_values_batch(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
-                       y: np.ndarray) -> np.ndarray:
-    """``_warp_values`` for R warps at once, bit for bit: (R, K) knot rows
-    ``(x, y)`` give an (R, m, d) array whose ``[..., j]`` slices are
-    C-contiguous (R, m) arrays, so a row sum over one of them rounds as
-    it does on a single warp.  The root slope is gathered from the square
-    root of each row's segment-slope table."""
-    at, slopes, table, idx = _lookup(x, y, grid)
-    root_slope = np.take(np.sqrt(table, out=table), idx, out=slopes)
-    out = np.empty((values.shape[1],) + at.shape)
-    for j, col in enumerate(out):
-        np.multiply(np.interp(at, grid, values[:, j]), root_slope, out=col)
-    return out.transpose(1, 2, 0)
+def _warp_sse_batch(grid: np.ndarray, values: np.ndarray, target: np.ndarray,
+                    x: np.ndarray, y: np.ndarray, sse: np.ndarray,
+                    work: np.ndarray) -> None:
+    """Write into ``sse`` each row's sum of squared residuals ``target -
+    _warp_values(grid, values, x[r], y[r])`` for R warps with (R, K) knot
+    rows ``(x, y)``.  ``work`` is a (2, >= R, len(grid)) float workspace
+    that the call overwrites.
+
+    Per dimension j, in order, the row sums of the squared residuals of
+    column j are added up, and each row sum is that of a C-contiguous
+    (R, m) array, so every row rounds as a single warp's would.  The root
+    slope is gathered from the square root of each row's segment-slope
+    table.  Beyond the workspace, a call holds one (R, m) array at a
+    time: the segment index, then each dimension's residuals, formed in
+    ``np.interp``'s output."""
+    rows = x.shape[0]
+    at, root_slope = work[0, :rows], work[1, :rows]
+    table, idx = _lookup(x, y, grid, at, root_slope)
+    np.take(np.sqrt(table, out=table), idx, out=root_slope, mode="clip")
+    del table, idx  # each dimension's residuals take the index's place
+    for j in range(values.shape[1]):
+        resid = np.interp(at, grid, values[:, j])
+        resid *= root_slope
+        np.subtract(target[:, j], resid, out=resid)
+        np.square(resid, out=resid)
+        if j == 0:
+            np.add.reduce(resid, axis=1, out=sse)
+        else:
+            sse += np.add.reduce(resid, axis=1)
+        del resid  # before the next dimension's interp allocates
 
 
 def warp_action(q: Srvf, w: PLWarp) -> Srvf:

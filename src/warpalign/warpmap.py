@@ -222,41 +222,52 @@ def batch_eval(knots_x: np.ndarray, knots_y: np.ndarray, t, with_slope: bool = F
     if t.ndim != 1 or t.size and not (t[0] >= 0.0 and t[-1] <= 1.0
                                       and np.all(t[1:] >= t[:-1])):
         raise ValueError("t must be sorted and lie in [0,1]")
-    out, slopes, _, _ = _lookup(knots_x, knots_y, t)
+    values = np.empty((knots_x.shape[0], t.size))
+    gathered = np.empty_like(values)
+    table, idx = _lookup(knots_x, knots_y, t, values, gathered)
     if with_slope:
-        return out, slopes
-    return out
+        return values, np.take(table, idx, out=gathered, mode="clip")
+    return values
 
 
-def _lookup(knots_x: np.ndarray, knots_y: np.ndarray, t: np.ndarray):
-    """``batch_eval`` on checked float input, with what it gathers from.
+def _lookup(knots_x: np.ndarray, knots_y: np.ndarray, t: np.ndarray,
+            values: np.ndarray, gathered: np.ndarray):
+    """``batch_eval`` on checked float input, written into ``values``.
 
-    Returns ``(values, slopes, table, idx)``. ``table`` is the (size, K)
-    segment-slope table, ``(y1 - y0)/(x1 - x0)`` per segment with a last
-    column of zeros that no index reaches, and ``idx`` indexes each
-    point's segment in the flattened knot rows, so ``np.take(table, idx)``
-    is ``slopes`` and ``np.take(f(table), idx)`` is ``f`` of each point's
-    slope without applying ``f`` per point.
+    ``values`` and ``gathered`` are (size, len(t)) float arrays, and
+    ``gathered`` is left holding each point's segment start value.
+    Returns ``(table, idx)``: ``table`` is the (size, K) segment-slope
+    table, ``(y1 - y0)/(x1 - x0)`` per segment with a last column of
+    zeros that no index reaches, and ``idx`` indexes each point's segment
+    in the flattened knot rows, so ``np.take(table, idx)`` is each point's
+    slope and ``np.take(f(table), idx)`` is ``f`` of it without applying
+    ``f`` per point.  Every index is in range, so the gathers clip
+    instead of checking bounds.
     """
     size, kk = knots_x.shape
     m = t.size
     # The segment of t_j in row r is the number of interior knots <= t_j:
-    # each knot adds one from the first t at or past it onwards.
+    # each knot adds one from the first t at or past it onwards.  Counted
+    # over the flattened rows, a knot past every t adds one from the next
+    # row's first point, and the running count there includes all
+    # K - 2 interior knots of each earlier row, so row r's count is its
+    # segment plus r * (K - 2), and its flat index adds 2 * r more.
     first = t.searchsorted(knots_x[:, 1:-1], side="left")
-    first += np.arange(0, size * (m + 1), m + 1)[:, None]
-    seg = np.bincount(first.ravel(), minlength=size * (m + 1)).reshape(size, m + 1)
-    idx = np.cumsum(seg[:, :m], axis=1)
-    idx += np.arange(0, size * kk, kk)[:, None]
+    first += m * np.arange(size)[:, None]
+    idx = np.bincount(first.ravel(), minlength=size * m)[:size * m]
+    np.add.accumulate(idx, out=idx)
+    idx = idx.reshape(size, m)
+    idx += np.arange(0, 2 * size, 2)[:, None]
     table = np.zeros((size, kk))
     np.divide(knots_y[:, 1:] - knots_y[:, :-1], knots_x[:, 1:] - knots_x[:, :-1],
               out=table[:, :-1])
-    slopes = np.take(table, idx)
-    out = np.take(knots_x, idx)
-    np.subtract(t, out, out=out)
-    out *= slopes
-    out += np.take(knots_y, idx)
-    out[:, t == 1.0] = knots_y[:, -1:]
-    return out, slopes, table, idx
+    np.take(knots_x, idx, out=values, mode="clip")
+    np.subtract(t, values, out=values)
+    values *= np.take(table, idx, out=gathered, mode="clip")
+    values += np.take(knots_y, idx, out=gathered, mode="clip")
+    # t is sorted, so the points exactly at 1 are its trailing run
+    values[:, t.searchsorted(1.0):] = knots_y[:, -1:]
+    return table, idx
 
 
 @dataclass(frozen=True)

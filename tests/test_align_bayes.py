@@ -289,8 +289,10 @@ class TestSirThreads:
         q1, q2 = bump_srvfs()
         cores = os.cpu_count() or 1
         workers = 2 * cores + 1
-        # 400 draws a worker leave at least one full-budget block per worker
-        cfg = BayesConfig(prior_draws=400 * workers, resample_size=100)
+        # one draw a worker more than a full-budget block (655 draws at
+        # m = 100) leaves at least one full-budget block per worker
+        full_block = align_bayes._BLOCK_BYTES // (align_bayes._ROW_ARRAYS * 8 * q1.grid.size)
+        cfg = BayesConfig(prior_draws=(full_block + 1) * workers, resample_size=100)
         self.force_workers(monkeypatch, 1)
         alone = sir_posterior(q1, q2, cfg, np.random.default_rng(6))
         started = self.force_workers(monkeypatch, workers)

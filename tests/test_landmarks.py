@@ -4,7 +4,10 @@ import pytest
 from warpalign import (
     BayesConfig,
     LandmarkSet,
+    PLWarp,
     SaConfig,
+    WarpPrior,
+    beta_cdf_warp,
     constrained_align,
     identity,
     landmark_prewarp,
@@ -70,6 +73,25 @@ class TestConstrainedAlign:
         res = constrained_align(c1, c2, lm, "sa", cfg, np.random.default_rng(7))
         for a, b in zip(lm.a, lm.b):
             assert abs(res.warp(a) - b) < 1e-12
+
+    def test_bayes_rejects_non_identity_prior_mean(self):
+        c1, c2 = pqrst_pair(100)
+        lm = LandmarkSet([(0.5, 0.5)])
+        cfg = BayesConfig(prior=WarpPrior(beta_cdf_warp(2, 3), 20, 10.0),
+                          prior_draws=200, resample_size=50)
+        with pytest.raises(ValueError, match=r"prior\.mean_warp"):
+            constrained_align(c1, c2, lm, "bayes", cfg, np.random.default_rng(8))
+
+    def test_bayes_accepts_identity_mean_with_extra_knots(self):
+        c1, c2 = pqrst_pair(100)
+        lm = LandmarkSet([(0.5, 0.5)])
+        flat = WarpPrior(PLWarp([0.0, 0.3, 1.0], [0.0, 0.3, 1.0]), 20, 10.0)
+        runs = [constrained_align(c1, c2, lm, "bayes",
+                                  BayesConfig(prior=prior, prior_draws=200, resample_size=50),
+                                  np.random.default_rng(8))
+                for prior in (flat, WarpPrior(identity(), 20, 10.0))]
+        assert np.array_equal(runs[0].warp.x, runs[1].warp.x)
+        assert np.array_equal(runs[0].warp.y, runs[1].warp.y)
 
     def test_theta_rescaled_per_segment(self):
         c1, c2 = pqrst_pair(100)

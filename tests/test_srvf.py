@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from warpalign import (
     warp_curve,
     warp_energy,
 )
-from warpalign.srvf import _trapezoid, _warp_values, _warp_values_batch
+from warpalign.srvf import _trapezoid, _warp_sse_batch, _warp_values
 
 
 def line_curve(m=100, dim=1):
@@ -255,28 +257,69 @@ def grids(draw, min_size=3, max_size=40):
     return grid
 
 
-class TestWarpValuesBatch:
-    """Each row of the batched warp action is the scalar ``_warp_values``
-    of that row's warp, bit for bit."""
+class TestWarpSseBatch:
+    """Each row's SSE from the batched residual kernel is that of the
+    scalar ``_warp_values`` on that row's warp, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_rows_match_scalar_kernel(self, data):
         grid = data.draw(grids())
         d = data.draw(st.integers(1, 3))
-        vals = data.draw(arrays(np.float64, (grid.size, d), elements=st.floats(-10.0, 10.0)))
+        vals, target = (data.draw(arrays(np.float64, (grid.size, d),
+                                         elements=st.floats(-10.0, 10.0)))
+                        for _ in range(2))
         x, y = data.draw(knot_rows(grid))
-        batch = _warp_values_batch(grid, vals, x, y)
-        assert batch.shape == (x.shape[0], grid.size, d)
+        sse = np.empty(x.shape[0])
+        _warp_sse_batch(grid, vals, target, x, y, sse, np.empty((2, x.shape[0], grid.size)))
         for r in range(x.shape[0]):
-            assert np.array_equal(batch[r], _warp_values(grid, vals, x[r], y[r]))
+            warped = _warp_values(grid, vals, x[r], y[r])
+            expected = 0.0
+            for j in range(d):
+                expected += np.sum((target[:, j] - warped[:, j]) ** 2)
+            assert sse[r] == expected
 
-    def test_dimension_slices_are_contiguous(self):
-        grid = uniform_grid(7)
-        x = np.array([[0.0, 0.4, 1.0], [0.0, 0.5, 1.0]])
-        y = np.array([[0.0, 0.3, 1.0], [0.0, 0.5, 1.0]])
-        batch = _warp_values_batch(grid, np.ones((7, 2)), x, y)
-        assert all(batch[..., j].flags.c_contiguous for j in range(2))
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reused_workspace_matches_fresh_buffers(self, data):
+        """One workspace carried through the row blocks of several knot
+        sets, each ending in a short block whenever the block size does
+        not divide its row count, gives every row a fresh call's SSE."""
+        grid = data.draw(grids())
+        d = data.draw(st.integers(1, 3))
+        vals, target = (data.draw(arrays(np.float64, (grid.size, d),
+                                         elements=st.floats(-10.0, 10.0)))
+                        for _ in range(2))
+        block = data.draw(st.integers(1, 4))
+        work = np.full((2, block, grid.size), np.nan)
+        for _ in range(data.draw(st.integers(1, 3))):
+            x, y = data.draw(knot_rows(grid, max_rows=9))
+            reused, fresh = np.empty(x.shape[0]), np.empty(x.shape[0])
+            for lo in range(0, x.shape[0], block):
+                rows = slice(lo, lo + block)
+                _warp_sse_batch(grid, vals, target, x[rows], y[rows], reused[rows], work)
+            _warp_sse_batch(grid, vals, target, x, y, fresh,
+                            np.empty((2, x.shape[0], grid.size)))
+            assert np.array_equal(reused, fresh)
+
+    def test_memory_does_not_grow_with_dimension(self):
+        """A call holds one dimension's residuals at a time, so its traced
+        peak at d = 3 is its peak at d = 1, not two (R, m) arrays more."""
+        rows, m = 400, 100
+        grid = uniform_grid(m)
+        x = np.tile(np.linspace(0.0, 1.0, 21), (rows, 1))
+        y = x ** 1.5
+        sse, work = np.empty(rows), np.empty((2, rows, m))
+        peaks = []
+        for d in (1, 3):
+            vals, target = np.random.default_rng(d).standard_normal((2, m, d))
+            tracemalloc.start()
+            try:
+                _warp_sse_batch(grid, vals, target, x, y, sse, work)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * rows * m // 10
 
 
 class TestDistances:

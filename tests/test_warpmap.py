@@ -219,14 +219,31 @@ class TestBatchEval:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_rows_match_plwarp(self, data):
+        # t ends below 1 (then knots past its last point count at no
+        # point) or in a run of one or more exact 1s; knots sit on the
+        # points, so a subnormal point would overflow the first slope
         t = np.sort(data.draw(st.lists(
-            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5]),
+                      st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False)),
             min_size=1, max_size=30)))
+        t = np.concatenate((t, np.ones(data.draw(st.integers(0, 3)))))
         # knots may sit on the evaluation points, including repeated ones
         x, y = data.draw(knot_rows(np.unique(np.concatenate(([0.0, 1.0], t)))))
         vals, slopes = batch_eval(x, y, t, with_slope=True)
         assert np.array_equal(batch_eval(x, y, t), vals)
         for r in range(x.shape[0]):
+            w = PLWarp(x[r], y[r])
+            assert np.array_equal(vals[r], w(t))
+            assert np.array_equal(slopes[r], w.derivative(t))
+
+    def test_knots_past_the_last_point(self):
+        # every interior knot of the first row lies past t, and each row's
+        # index must still start from that row's own first segment
+        x = np.array([[0.0, 0.5, 0.7, 1.0], [0.0, 0.05, 0.6, 1.0], [0.0, 0.8, 0.9, 1.0]])
+        y = np.array([[0.0, 0.2, 0.4, 1.0], [0.0, 0.3, 0.5, 1.0], [0.0, 0.1, 0.6, 1.0]])
+        t = np.array([0.0, 0.05, 0.1, 0.3])
+        vals, slopes = batch_eval(x, y, t, with_slope=True)
+        for r in range(3):
             w = PLWarp(x[r], y[r])
             assert np.array_equal(vals[r], w(t))
             assert np.array_equal(slopes[r], w.derivative(t))
