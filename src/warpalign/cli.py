@@ -23,6 +23,7 @@ from .align_dp import DpConfig, dp_align, dp_align_closed
 from .align_sa import SaConfig, align as sa_dispatch
 from .io import (
     DataError,
+    _fmt,
     load_curve,
     load_landmarks,
     load_warp,
@@ -57,10 +58,6 @@ from .warpdist import (
     sample_circular,
 )
 from .warpmap import CircularWarp, PLWarp, identity
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _guard(fn):

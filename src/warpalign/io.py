@@ -1,9 +1,16 @@
 """File formats: curve CSV, warp JSON, landmark CSV, bands and manifests.
 
-Parsing is strict: malformed rows raise :class:`DataError` with the
-offending line number, and nothing is silently coerced.  All writers
-format floats with ``repr`` so outputs round-trip exactly and identical
-inputs produce byte-identical files.
+The types own the input rules: :class:`Curve`, :class:`PLWarp`,
+:class:`CircularWarp` and :class:`LandmarkSet` check their invariants.
+This module only reads and writes; it raises a rule's ``ValueError`` as
+:class:`DataError` with the path added, and the line for a rule about
+one row.  Both CSV inputs share one grammar: blank lines and ``#``
+comments are skipped (``# closed`` marks a closed curve), a first row
+in which no cell is a number is a header, and every other row holds as
+many comma-separated floats as the header or the first data row.  The
+first bad line in file order is reported, and nothing is coerced.
+Writers format floats with ``repr``, so outputs round-trip exactly and
+identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -44,68 +51,75 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_row(parts: list[str], lineno: int, path) -> list[float]:
+def _floats(cells: list[str]) -> list[float] | None:
     try:
-        return [float(p) for p in parts]
+        return [float(c) for c in cells]
     except ValueError:
-        raise DataError(f"{path}: line {lineno}: non-numeric value") from None
+        return None
+
+
+def _read_csv(path: Path, check=None) -> tuple[list[list[float]], bool]:
+    """The data rows of a CSV in the module's grammar, and whether a
+    ``# closed`` comment marks it.
+
+    ``check(row, previous)`` may return a message for a row that breaks a
+    per-row rule (``previous`` is None for the first row); it is raised
+    like a grammar error, with the path and line.
+    """
+    closed = False
+    width = None
+    rows: list[list[float]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line.startswith("#"):
+                closed |= line[1:].strip().lower() == "closed"
+                continue
+            if not line:
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if width is None and all(_floats([c]) is None for c in cells):
+                width = len(cells)
+                continue
+            row = _floats(cells)
+            if row is None:
+                raise DataError(f"{path}: line {lineno}: non-numeric value")
+            width = width or len(row)
+            if len(row) != width:
+                raise DataError(f"{path}: line {lineno}: expected {width} columns, "
+                                f"got {len(row)}")
+            msg = check(row, rows[-1] if rows else None) if check else None
+            if msg:
+                raise DataError(f"{path}: line {lineno}: {msg}")
+            rows.append(row)
+    return rows, closed
+
+
+def _curve_t_rule(row, previous):
+    """A curve row's own rule: t is finite and above the previous row's t."""
+    if not np.isfinite(row[0]):
+        return f"t must be finite (t={row[0]!r})"
+    if previous is not None and row[0] <= previous[0]:
+        return f"t column must increase strictly (t={row[0]!r})"
+    return None
 
 
 def load_curve(path) -> Curve:
     """Read a curve CSV with columns t,x1[,x2,x3].
 
-    An optional header row is allowed and a leading ``# closed`` comment
-    marks closed topology.  The t column must increase strictly from 0
-    to 1 (a tolerance of 1e-9 at the endpoints is snapped, not coerced
-    elsewhere), and the curve must have nonzero length.
+    The t column must increase strictly from 0 to 1 (a tolerance of 1e-9
+    at the endpoints is snapped, not coerced elsewhere), and the curve
+    must have nonzero length.
     """
     path = Path(path)
-    closed = False
-    width = None
-    ts: list[float] = []
-    rows: list[list[float]] = []
-    header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line[1:].strip().lower() == "closed":
-                    closed = True
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if header_allowed:
-                header_allowed = False
-                try:
-                    [float(p) for p in parts]
-                except ValueError:
-                    width = len(parts)
-                    continue
-            vals = _parse_row(parts, lineno, path)
-            if width is None:
-                width = len(vals)
-            if len(vals) != width:
-                raise DataError(f"{path}: line {lineno}: expected {width} columns, "
-                                f"got {len(vals)}")
-            if not np.isfinite(vals[0]):
-                raise DataError(f"{path}: line {lineno}: t must be finite (t={vals[0]!r})")
-            if ts and vals[0] <= ts[-1]:
-                raise DataError(f"{path}: line {lineno}: t column must increase "
-                                f"strictly (t={vals[0]!r})")
-            ts.append(vals[0])
-            rows.append(vals[1:])
+    rows, closed = _read_csv(path, _curve_t_rule)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least two data rows")
-    if width is not None and not 2 <= width <= 4:
-        raise DataError(f"{path}: curves must have 1 to 3 coordinate columns")
-    t = np.asarray(ts)
+    data = np.asarray(rows)
+    t, pts = data[:, 0].copy(), data[:, 1:].copy()
     if abs(t[0]) > 1e-9 or abs(t[-1] - 1.0) > 1e-9:
         raise DataError(f"{path}: t column must run from 0 to 1")
     t[0], t[-1] = 0.0, 1.0
-    pts = np.asarray(rows)
-    if closed and not np.all(np.abs(pts[0] - pts[-1]) <= 1e-9):
-        raise DataError(f"{path}: declared closed but endpoints differ")
     try:
         curve = Curve(t, pts, "closed" if closed else "open")
         _nonzero_length(curve)
@@ -115,33 +129,20 @@ def load_curve(path) -> Curve:
 
 
 def write_curve(curve: Curve, path) -> Path:
-    path = Path(path)
-    lines = []
+    header = "t," + ",".join(f"x{j + 1}" for j in range(curve.dim))
     if curve.topology == "closed":
-        lines.append("# closed")
-    lines.append("t," + ",".join(f"x{j + 1}" for j in range(curve.dim)))
-    for t, row in zip(curve.grid, curve.points):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        header = "# closed\n" + header
+    return write_table(path, header, np.column_stack((curve.grid, curve.points)))
 
 
 def load_warp(path) -> PLWarp | CircularWarp:
-    """Read a warp JSON.  Besides the knot checks of ``PLWarp``, every
-    segment slope must be finite: a knot spacing so small that the slope
-    overflows would turn the warp action into NaN."""
+    """Read a warp JSON: a circle warp if it carries a seed."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        warp = CircularWarp.from_dict(data) if "seed" in data else PLWarp.from_dict(data)
-    except (json.JSONDecodeError, KeyError, IndexError, ValueError) as exc:
+        return CircularWarp.from_dict(data) if "seed" in data else PLWarp.from_dict(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    base = warp.base if isinstance(warp, CircularWarp) else warp
-    with np.errstate(over="ignore"):
-        slopes = np.diff(base.y) / np.diff(base.x)
-    if not np.isfinite(slopes).all():
-        raise DataError(f"{path}: knot spacing too small: a segment slope is not finite")
-    return warp
 
 
 def write_warp(warp: PLWarp | CircularWarp, path) -> Path:
@@ -152,52 +153,27 @@ def write_warp(warp: PLWarp | CircularWarp, path) -> Path:
 
 
 def load_landmarks(path) -> LandmarkSet:
-    """Read a landmark CSV with columns a,b (header optional)."""
+    """Read a landmark CSV with columns a,b."""
     path = Path(path)
-    pairs: list[list[float]] = []
-    header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if header_allowed:
-                header_allowed = False
-                try:
-                    [float(p) for p in parts]
-                except ValueError:
-                    continue
-            vals = _parse_row(parts, lineno, path)
-            if len(vals) != 2:
-                raise DataError(f"{path}: line {lineno}: expected two columns a,b")
-            pairs.append(vals)
+    rows, _ = _read_csv(path)
     try:
-        return LandmarkSet(np.asarray(pairs).reshape(-1, 2))
+        return LandmarkSet(rows)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def write_band(path, grid, lower, mean, upper) -> Path:
-    path = Path(path)
-    lines = ["t,lower,mean,upper,width"]
-    for t, lo, mid, hi in zip(grid, lower, mean, upper):
-        lines.append(",".join(_fmt(v) for v in (t, lo, mid, hi, hi - lo)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_table(path, "t,lower,mean,upper,width",
+                       ((t, lo, mid, hi, hi - lo)
+                        for t, lo, mid, hi in zip(grid, lower, mean, upper)))
 
 
 def write_trace(path, trace, segment=None) -> Path:
-    path = Path(path)
     if segment is None:
-        lines = ["iteration,energy"]
-        lines += [f"{k},{_fmt(e)}" for k, e in enumerate(trace)]
-    else:
-        lines = ["segment,iteration,energy"]
-        for seg, tr in zip(segment, trace):
-            lines += [f"{seg},{k},{_fmt(e)}" for k, e in enumerate(tr)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        return write_table(path, "iteration,energy", enumerate(trace))
+    return write_table(path, "segment,iteration,energy",
+                       ((seg, k, e) for seg, tr in zip(segment, trace)
+                        for k, e in enumerate(tr)))
 
 
 def write_table(path, header: str, rows) -> Path:
@@ -217,12 +193,6 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def write_manifest(outdir, command: str, config: dict, outputs) -> Path:
     """Record the run configuration, library versions and output digests."""
     outdir = Path(outdir)
@@ -235,6 +205,7 @@ def write_manifest(outdir, command: str, config: dict, outputs) -> Path:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "outputs": {Path(p).name: _sha256(Path(p)) for p in outputs},
+        "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                    for p in outputs},
     }
     return write_json(outdir / "manifest.json", manifest)

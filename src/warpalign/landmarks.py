@@ -37,13 +37,16 @@ class LandmarkSet:
     pairs: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
-        if pairs.size:
-            a, b = pairs[:, 0], pairs[:, 1]
-            if np.any(a <= 0.0) or np.any(a >= 1.0) or np.any(b <= 0.0) or np.any(b >= 1.0):
-                raise ValueError("landmark positions must lie strictly inside (0,1)")
-            if np.any(np.diff(a) <= 0.0) or np.any(np.diff(b) <= 0.0):
-                raise ValueError("landmark positions must be strictly increasing")
+        pairs = np.asarray(self.pairs, dtype=float)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("landmarks must be an (n, 2) array of pairs a,b")
+        # written so that NaN, for which every comparison is False, fails
+        if not np.all((pairs > 0.0) & (pairs < 1.0)):
+            raise ValueError("landmark positions must lie strictly inside (0,1)")
+        if not np.all(np.diff(pairs, axis=0) > 0.0):
+            raise ValueError("landmark positions must be strictly increasing")
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
 

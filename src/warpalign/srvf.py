@@ -36,15 +36,26 @@ __all__ = [
 _ZERO_SPEED = 1e-12
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
+def _check_samples(obj, field: str):
+    """Check and freeze the grid and the (m, d) ``field`` array of a sampled
+    ``Curve`` or ``Srvf``: d in {1,2,3}, finite values, one per grid point,
+    and a known topology."""
+    grid = check_grid(obj.grid)
+    vals = np.asarray(getattr(obj, field), dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.ndim != 2 or not 1 <= vals.shape[1] <= 3:
         raise ValueError("points must be an (m, d) array with d in {1,2,3}")
-    if not np.isfinite(pts).all():
+    if not np.isfinite(vals).all():
         raise ValueError("points must be finite (no NaN or inf)")
-    return pts
+    if vals.shape[0] != grid.size:
+        raise ValueError(f"grid and {field} lengths differ")
+    if obj.topology not in ("open", "closed"):
+        raise ValueError("topology must be 'open' or 'closed'")
+    grid.setflags(write=False)
+    vals.setflags(write=False)
+    object.__setattr__(obj, "grid", grid)
+    object.__setattr__(obj, field, vals)
 
 
 @dataclass(frozen=True)
@@ -59,19 +70,10 @@ class Curve:
     topology: str = "open"
 
     def __post_init__(self):
-        grid = check_grid(self.grid)
-        pts = _as_points(self.points)
-        if pts.shape[0] != grid.size:
-            raise ValueError("grid and points lengths differ")
-        if self.topology not in ("open", "closed"):
-            raise ValueError("topology must be 'open' or 'closed'")
+        _check_samples(self, "points")
         if self.topology == "closed":
-            if not np.all(np.abs(pts[0] - pts[-1]) <= 1e-9):
+            if not np.all(np.abs(self.points[0] - self.points[-1]) <= 1e-9):
                 raise ValueError("closed curve must end where it starts")
-        grid.setflags(write=False)
-        pts.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "points", pts)
 
     @property
     def dim(self) -> int:
@@ -92,16 +94,7 @@ class Srvf:
     is_shape: bool = False
 
     def __post_init__(self):
-        grid = check_grid(self.grid)
-        vals = _as_points(self.values)
-        if vals.shape[0] != grid.size:
-            raise ValueError("grid and values lengths differ")
-        if self.topology not in ("open", "closed"):
-            raise ValueError("topology must be 'open' or 'closed'")
-        grid.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
+        _check_samples(self, "values")
         if self.is_shape:
             nrm = l2_norm(self)
             if abs(nrm - 1.0) > 1e-6:

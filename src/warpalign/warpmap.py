@@ -10,7 +10,7 @@ exact.  Warps of the circle are represented extrinsically as a PL warp of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,10 +99,15 @@ class PLWarp:
         y = np.atleast_1d(np.asarray(y, dtype=float)).copy()
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ValueError("knots must be two equal-length 1-d sequences")
-        if x[0] != 0.0 or x[-1] != 1.0 or not np.all(np.diff(x) > 0):
+        dx, dy = np.diff(x), np.diff(y)
+        if x[0] != 0.0 or x[-1] != 1.0 or not np.all(dx > 0):
             raise ValueError("knot positions must increase strictly from 0 to 1")
-        if y[0] != 0.0 or y[-1] != 1.0 or not np.all(np.diff(y) > 0):
+        if y[0] != 0.0 or y[-1] != 1.0 or not np.all(dy > 0):
             raise ValueError("knot values must increase strictly from 0 to 1")
+        # a subnormal spacing overflows the slope, and the warp action to NaN
+        with np.errstate(over="ignore"):
+            if not np.isfinite(dy / dx).all():
+                raise ValueError("knot spacing too small: a segment slope is not finite")
         x.setflags(write=False)
         y.setflags(write=False)
         self.x = x
@@ -277,13 +282,26 @@ class CircularWarp:
     Stored as a PL warp ``base`` of [0,1] plus the unwrapping ``seed``
     c in (0,1]; evaluation is ``(base(t) + c) mod 1``.  ``wrap_point`` is
     the unique t_c where the mod-1 reduction wraps (the left limit there
-    is 1, the right limit 0).  For the degenerate seed c = 1 the map
-    coincides with ``base`` and the wrap sits at 0.
+    is 1, the right limit 0).  It is computed, not given: bisection on
+    the knot values finds the segment where ``base(t_c) = 1 - c``, and
+    the crossing is solved exactly on it.  For the degenerate seed c = 1
+    the map coincides with ``base`` and the wrap sits at 0.
     """
 
     base: PLWarp
     seed: float
-    wrap_point: float
+    wrap_point: float = field(init=False)
+
+    def __post_init__(self):
+        c = float(self.seed)
+        if not 0.0 < c <= 1.0:
+            raise ValueError("seed must lie in (0, 1]")
+        x, y, target = self.base.x, self.base.y, 1.0 - c
+        j = min(max(int(np.searchsorted(y, target, side="left")), 1), x.size - 1)
+        # c = 1 gives target 0, j = 1 and t_c = 0 exactly
+        t_c = x[j - 1] + (target - y[j - 1]) * (x[j] - x[j - 1]) / (y[j] - y[j - 1])
+        object.__setattr__(self, "seed", c)
+        object.__setattr__(self, "wrap_point", float(t_c))
 
     def __call__(self, t):
         v = self.base(t)
@@ -295,8 +313,8 @@ class CircularWarp:
 
     def to_dict(self) -> dict:
         d = self.base.to_dict()
-        d["seed"] = float(self.seed)
-        d["wrap_point"] = float(self.wrap_point)
+        d["seed"] = self.seed
+        d["wrap_point"] = self.wrap_point
         return d
 
     def to_json(self) -> str:
@@ -304,24 +322,15 @@ class CircularWarp:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircularWarp":
-        base = PLWarp.from_dict(data)
-        return cls(base=base, seed=float(data["seed"]),
-                   wrap_point=float(data["wrap_point"]))
+        """Rebuild a circle warp, rejecting a ``wrap_point`` that differs."""
+        warp = cls(PLWarp.from_dict(data), float(data["seed"]))
+        stored = float(data["wrap_point"])
+        if stored != warp.wrap_point:
+            raise ValueError(f"wrap_point {stored!r} contradicts the knots and seed, "
+                             f"which give {warp.wrap_point!r}")
+        return warp
 
 
 def make_circular(g: PLWarp, c: float) -> CircularWarp:
-    """Wrap a PL warp of [0,1] into a circle warp with seed c in (0,1].
-
-    The wrap point solves ``g(t_c) = 1 - c``; the containing segment is
-    located by bisection on the knot values and the crossing is solved
-    exactly on that segment.
-    """
-    if not 0.0 < c <= 1.0:
-        raise ValueError("seed must lie in (0, 1]")
-    if c == 1.0:
-        return CircularWarp(base=g, seed=1.0, wrap_point=0.0)
-    target = 1.0 - c
-    j = int(np.searchsorted(g.y, target, side="left"))
-    j = min(max(j, 1), g.x.size - 1)
-    t_c = g.x[j - 1] + (target - g.y[j - 1]) * (g.x[j] - g.x[j - 1]) / (g.y[j] - g.y[j - 1])
-    return CircularWarp(base=g, seed=float(c), wrap_point=float(t_c))
+    """Wrap a PL warp of [0,1] into a circle warp with seed c in (0,1]."""
+    return CircularWarp(g, c)

@@ -133,6 +133,20 @@ class TestIo:
         with pytest.raises(DataError, match="slope is not finite"):
             load_warp(path)
 
+    def test_circular_warp_with_contradicting_wrap_point_is_data_error(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"knots": [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]],
+                                    "seed": 0.5, "wrap_point": 0.5}))
+        with pytest.raises(DataError, match="which give 0.6666666666666666"):
+            load_warp(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"knots": 5}', '{"knots": null}'])
+    def test_warp_json_of_the_wrong_shape_is_data_error(self, tmp_path, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=str(path)):
+            load_warp(path)
+
     def test_warp_with_spacing_below_min_increment_loads(self, tmp_path):
         # sampled knot positions are sorted uniforms with no floor on their
         # spacing; a tiny spacing with a finite slope is a valid warp
@@ -147,6 +161,12 @@ class TestIo:
         assert np.array_equal(lm.a, [0.38, 0.68])
         assert np.array_equal(lm.b, [0.44, 0.75])
 
+    def test_landmark_csv_with_three_columns(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        path.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        with pytest.raises(DataError, match=r"\(n, 2\)"):
+            load_landmarks(path)
+
     def test_srvf_export(self, tmp_path):
         from warpalign import to_srvf
         from conftest import write_srvf
@@ -156,6 +176,55 @@ class TestIo:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,q1"
         assert len(lines) == 31
+
+
+class TestCsvReader:
+    """The one CSV grammar that curve and landmark files share."""
+
+    @pytest.mark.parametrize("text", ["", "t,x\n", "# closed\n# a note\n\n",
+                                      "t,x\n0,1\n", "0,1\n"],
+                             ids=["empty", "header-only", "comments-only",
+                                  "one-row", "one-row-no-header"])
+    def test_fewer_than_two_rows(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="need at least two data rows"):
+            load_curve(path)
+
+    @pytest.mark.parametrize("text,line", [
+        ("t,x\n0,1\n0.6,2\n0.4,3\n0.8,oops\n1,4\n", "line 4: t column"),
+        ("t,x\n0,1\n0.6,oops\n0.4,3\n1,4\n", "line 3: non-numeric"),
+        ("t,x\n0,1\n0.6,2,3\n0.5,oops\n1,4\n", "line 3: expected 2 columns"),
+        ("t,x\n0,1\n\n# note\nnan,2\n0.2\n1,4\n", "line 5: t must be finite"),
+    ])
+    def test_earlier_of_two_defects_is_reported(self, tmp_path, text, line):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=line):
+            load_curve(path)
+
+    def test_landmark_defects_in_file_order(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        path.write_text("a,b\n0.2,0.3,0.4\n0.5,x\n")
+        with pytest.raises(DataError, match="line 2: expected 2 columns, got 3"):
+            load_landmarks(path)
+
+    def test_first_row_with_a_number_is_data_not_header(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        path.write_text("0.38,0.4x\n0.68,0.75\n")
+        with pytest.raises(DataError, match="line 1: non-numeric value"):
+            load_landmarks(path)
+
+    def test_header_sets_the_width(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("t,x,y\n0,1\n1,2\n")
+        with pytest.raises(DataError, match="line 2: expected 3 columns, got 2"):
+            load_curve(path)
+
+    def test_closed_marker_anywhere_in_comments(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# a note\nt,x,y\n0,0,0\n# Closed\n0.5,1,0\n1,0,0\n")
+        assert load_curve(path).topology == "closed"
 
 
 class TestExitCodes:
@@ -365,6 +434,70 @@ class TestMalformedCsvFuzz:
         assert "Traceback" not in err.getvalue()
 
 
+LANDMARK_COMMANDS = {
+    "align-sa": ["--iters", "5"],
+    "align-bayes": ["--draws", "20", "--resample", "5"],
+}
+LANDMARK_DEFECTS = ["non_numeric", "ragged", "non_finite", "out_of_range",
+                    "not_increasing"]
+
+
+@st.composite
+def malformed_landmark_csvs(draw):
+    """Landmark CSV text with one defect that must make loading fail."""
+    defect = draw(st.sampled_from(LANDMARK_DEFECTS))
+    rows = draw(st.integers(2 if defect == "not_increasing" else 1, 4))
+    columns = [sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=rows,
+                                    max_size=rows, unique=True))) for _ in range(2)]
+    cells = [[repr(a), repr(b)] for a, b in zip(*columns)]
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, 1))
+    if defect == "non_numeric":
+        cells[r][c] = draw(st.sampled_from(["x", "", "0.5.1", "1e", "--0.3"]))
+    elif defect == "ragged":
+        cells[r] = cells[r][:1] if draw(st.booleans()) else cells[r] + ["0.5"]
+    elif defect == "non_finite":
+        cells[r][c] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+    elif defect == "out_of_range":
+        cells[r][c] = repr(draw(st.one_of(st.floats(-2.0, 0.0), st.floats(1.0, 3.0))))
+    else:
+        r = max(r, 1)
+        cells[r][c] = repr(draw(st.floats(0.01, float(cells[r - 1][c]))))
+    header = ["a,b"] if draw(st.booleans()) else []
+    return "\n".join(header + [",".join(row) for row in cells]) + "\n"
+
+
+class TestMalformedLandmarkFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_landmark_csvs(), st.sampled_from(sorted(LANDMARK_COMMANDS)))
+    def test_malformed_landmarks_exit_3_with_one_line(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            lm = tmp / "lm.csv"
+            lm.write_text(text)
+            c1, c2 = two_bump_pair(20)
+            pair = [write_curve(c1, tmp / "a.csv"), write_curve(c2, tmp / "b.csv")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, *map(str, pair), "--points", "20",
+                             *LANDMARK_COMMANDS[command], "--landmarks", str(lm),
+                             "--outdir", str(tmp / "out")])
+        lines = err.getvalue().splitlines()
+        assert code == 3, err.getvalue()
+        assert len(lines) == 1 and lines[0].startswith(f"data error: {lm}: ")
+
+    @pytest.mark.parametrize("command", sorted(LANDMARK_COMMANDS))
+    @pytest.mark.parametrize("row", ["nan,0.5", "0.5,nan"])
+    def test_nan_landmark_names_the_file(self, bump_files, tmp_path, capsys, command, row):
+        lm = tmp_path / "lm.csv"
+        lm.write_text(f"a,b\n0.2,0.25\n{row}\n")
+        code = main([command, *map(str, bump_files), "--points", "60",
+                     *LANDMARK_COMMANDS[command], "--landmarks", str(lm),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {lm}: landmark positions must lie strictly inside (0,1)"]
+
+
 class TestDistance:
     def test_identical_files_print_zero(self, bump_files, capsys):
         a, _ = bump_files
@@ -402,16 +535,20 @@ class TestDistance:
         assert len(errors) == 1 and "--warp" in errors[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("data", [
-        {"knots": [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]], "seed": 0.5, "wrap_point": 0.5},
-        {"knots": [[0.0, 0.0], [5e-324, 0.5], [1.0, 1.0]]},
+    @pytest.mark.parametrize("data,message", [
+        # a valid circle warp (its wrap_point agrees with its knots and seed)
+        ({"knots": [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]], "seed": 0.5,
+          "wrap_point": 0.6666666666666666}, "not of the circle"),
+        ({"knots": [[0.0, 0.0], [5e-324, 0.5], [1.0, 1.0]]}, "slope is not finite"),
     ], ids=["circular", "overflowing-slope"])
-    def test_bad_warp_file_is_3(self, bump_files, tmp_path, capsys, data):
+    def test_bad_warp_file_is_3(self, bump_files, tmp_path, capsys, data, message):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(data))
         assert main(["distance", *map(str, bump_files), "--warp", str(path)]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "data error" in captured.err
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"data error: {path}: ") and message in lines[0]
 
 
 class TestSampleWarps:

@@ -28,6 +28,18 @@ class TestLandmarkSet:
         with pytest.raises(ValueError):
             LandmarkSet([(0.3, 0.6), (0.5, 0.6)])  # coincident b
 
+    @pytest.mark.parametrize("bad", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5),
+                                     (0.5, -np.inf)])
+    def test_non_finite_position_rejected(self, bad):
+        # every comparison with NaN is False, so the range rule must fail it
+        for pairs in ([bad], [(0.2, 0.2), bad]):
+            with pytest.raises(ValueError, match="strictly inside"):
+                LandmarkSet(pairs)
+
+    def test_pairs_need_two_columns(self):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            LandmarkSet([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+
     def test_empty_allowed(self):
         lm = LandmarkSet(np.empty((0, 2)))
         assert len(lm) == 0

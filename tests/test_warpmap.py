@@ -168,6 +168,21 @@ class TestCircular:
         assert np.array_equal(again.base.x, cw.base.x)
         assert again.seed == cw.seed and again.wrap_point == cw.wrap_point
 
+    def test_wrap_point_is_computed_not_given(self):
+        g = hump()
+        with pytest.raises(TypeError):
+            CircularWarp(g, 0.5, 0.5)
+        assert CircularWarp(g, 0.5) == make_circular(g, 0.5)
+        assert CircularWarp(g, 0.5).wrap_point == 0.6666666666666666
+
+    def test_contradicting_wrap_point_rejected(self):
+        data = {"knots": [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]], "seed": 0.5,
+                "wrap_point": 0.5}
+        with pytest.raises(ValueError, match="wrap_point 0.5 contradicts"):
+            CircularWarp.from_dict(data)
+        data["wrap_point"] = 0.6666666666666666
+        assert CircularWarp.from_dict(data).wrap_point == 0.6666666666666666
+
 
 class TestConstruction:
     def test_invalid_knots_rejected(self):
@@ -175,6 +190,15 @@ class TestConstruction:
             PLWarp([0.0, 0.5, 1.0], [0.0, 0.5, 0.4])
         with pytest.raises(ValueError):
             PLWarp([0.1, 1.0], [0.0, 1.0])
+
+    def test_overflowing_slope_rejected(self):
+        # a subnormal knot spacing overflows the slope to inf
+        with pytest.raises(ValueError, match="slope is not finite"):
+            PLWarp([0.0, 5e-324, 1.0], [0.0, 0.5, 1.0])
+
+    def test_tiny_spacing_with_finite_slope_builds(self):
+        w = PLWarp([0.0, 1e-12, 1.0], [0.0, 0.5, 1.0])
+        assert w.derivative(0.0) == 0.5 / 1e-12
 
     def test_from_increments_clamps_zeros(self):
         w = PLWarp.from_increments([0.0, 0.5, 1.0], [0.0, 1.0])
