@@ -3,12 +3,14 @@
 The types own the input rules: :class:`Curve`, :class:`PLWarp`,
 :class:`CircularWarp` and :class:`LandmarkSet` check their invariants.
 This module only reads and writes; it raises a rule's ``ValueError`` as
-:class:`DataError` with the path added, and the line for a rule about
-one row.  Both CSV inputs share one grammar: blank lines and ``#``
-comments are skipped (``# closed`` marks a closed curve), a first row
-in which no cell is a number is a header, and every other row holds as
-many comma-separated floats as the header or the first data row.  The
-first bad line in file order is reported, and nothing is coerced.
+:class:`DataError` with the path added.  The line is added only for the
+CSV grammar and a curve row's t rule, which are checked here row by row.
+Both CSV inputs share one grammar: blank lines and ``#`` comments are
+skipped (``# closed`` marks a closed curve), a first row in which no
+cell is a number is a header, and every other row holds the same number
+of comma-separated floats: two in a landmark file, as many as the header
+or the first data row in a curve file.  The first bad line in file
+order is reported, and nothing is coerced.
 Writers format floats with ``repr``, so outputs round-trip exactly and
 identical inputs give byte-identical files.
 """
@@ -58,28 +60,28 @@ def _floats(cells: list[str]) -> list[float] | None:
         return None
 
 
-def _read_csv(path: Path, check=None) -> tuple[list[list[float]], bool]:
+def _read_csv(path: Path, check=None, width=None) -> tuple[list[list[float]], bool]:
     """The data rows of a CSV in the module's grammar, and whether a
     ``# closed`` comment marks it.
 
     ``check(row, previous)`` may return a message for a row that breaks a
     per-row rule (``previous`` is None for the first row); it is raised
-    like a grammar error, with the path and line.
+    like a grammar error, with the path and line.  ``width`` fixes the
+    row width; without it the header or the first data row sets it.
     """
     closed = False
-    width = None
+    first = True
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if line.startswith("#"):
+            if not line or line[0] == "#":
                 closed |= line[1:].strip().lower() == "closed"
                 continue
-            if not line:
-                continue
             cells = [c.strip() for c in line.split(",")]
-            if width is None and all(_floats([c]) is None for c in cells):
-                width = len(cells)
+            header, first = first and all(_floats([c]) is None for c in cells), False
+            if header:
+                width = width or len(cells)
                 continue
             row = _floats(cells)
             if row is None:
@@ -155,7 +157,7 @@ def write_warp(warp: PLWarp | CircularWarp, path) -> Path:
 def load_landmarks(path) -> LandmarkSet:
     """Read a landmark CSV with columns a,b."""
     path = Path(path)
-    rows, _ = _read_csv(path)
+    rows, _ = _read_csv(path, width=2)
     try:
         return LandmarkSet(rows)
     except ValueError as exc:

@@ -100,14 +100,14 @@ class PLWarp:
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ValueError("knots must be two equal-length 1-d sequences")
         dx, dy = np.diff(x), np.diff(y)
-        if x[0] != 0.0 or x[-1] != 1.0 or not np.all(dx > 0):
+        gap = dx.min()
+        if x[0] != 0.0 or x[-1] != 1.0 or not gap > 0:
             raise ValueError("knot positions must increase strictly from 0 to 1")
         if y[0] != 0.0 or y[-1] != 1.0 or not np.all(dy > 0):
             raise ValueError("knot values must increase strictly from 0 to 1")
-        # a subnormal spacing overflows the slope, and the warp action to NaN
-        with np.errstate(over="ignore"):
-            if not np.isfinite(dy / dx).all():
-                raise ValueError("knot spacing too small: a segment slope is not finite")
+        # dy <= 1, so only a subnormal spacing can overflow a slope dy/dx
+        if gap < 2.0**-1022 and np.any(dy > dx * np.finfo(float).max):
+            raise ValueError("knot spacing too small: a segment slope is not finite")
         x.setflags(write=False)
         y.setflags(write=False)
         self.x = x

@@ -164,7 +164,7 @@ class TestIo:
     def test_landmark_csv_with_three_columns(self, tmp_path):
         path = tmp_path / "lm.csv"
         path.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
-        with pytest.raises(DataError, match=r"\(n, 2\)"):
+        with pytest.raises(DataError, match="line 1: expected 2 columns, got 3"):
             load_landmarks(path)
 
     def test_srvf_export(self, tmp_path):
@@ -220,6 +220,12 @@ class TestCsvReader:
         path.write_text("t,x,y\n0,1\n1,2\n")
         with pytest.raises(DataError, match="line 2: expected 3 columns, got 2"):
             load_curve(path)
+
+    @pytest.mark.parametrize("header", ["a,b,note", "a,b,", "landmarks"])
+    def test_landmark_header_does_not_set_the_width(self, tmp_path, header):
+        path = tmp_path / "lm.csv"
+        path.write_text(f"{header}\n0.3,0.4\n0.6,0.7\n")
+        assert load_landmarks(path).pairs.tolist() == [[0.3, 0.4], [0.6, 0.7]]
 
     def test_closed_marker_anywhere_in_comments(self, tmp_path):
         path = tmp_path / "c.csv"

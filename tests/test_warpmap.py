@@ -199,6 +199,11 @@ class TestConstruction:
     def test_tiny_spacing_with_finite_slope_builds(self):
         w = PLWarp([0.0, 1e-12, 1.0], [0.0, 0.5, 1.0])
         assert w.derivative(0.0) == 0.5 / 1e-12
+        # subnormal spacings whose slopes stay finite, one near the largest float
+        assert PLWarp([0.0, 1e-309, 1.0], [0.0, 1e-310, 1.0]).derivative(0.0) < 1
+        assert PLWarp([0.0, 3e-309, 1.0], [0.0, 0.5, 1.0]).derivative(0.0) > 1e308
+        with pytest.raises(ValueError, match="slope is not finite"):
+            PLWarp([0.0, 2.5e-309, 1.0], [0.0, 0.5, 1.0])
 
     def test_from_increments_clamps_zeros(self):
         w = PLWarp.from_increments([0.0, 0.5, 1.0], [0.0, 1.0])
