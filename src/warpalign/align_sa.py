@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapeops import Rotation, _procrustes, optimal_rotation
-from .srvf import (Srvf, _check_same_grid, _require_uniform, _trapezoid, _trapezoid_weights,
-                   _warp_values)
+from .shapeops import Rotation, _procrustes, _procrustes_target, optimal_rotation
+from .srvf import Srvf, _check_same_grid, _require_uniform, _trapezoid, _warp_values
 from .warpdist import _draw
 from .warpmap import PLWarp
 
@@ -147,7 +146,8 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
     if rng is None:
         rng = np.random.default_rng()
     grid, q1v, q2v = q1.grid, q1.values, q2.values
-    dt, weights = grid[1:] - grid[:-1], _trapezoid_weights(grid)
+    dt = grid[1:] - grid[:-1]
+    target = _procrustes_target(q1v, grid)
     n_seeds = grid.size - 1
     # q2's distinct closed-curve values twice over: the window at k is q2
     # shifted by seed k, its duplicated endpoint included, without a copy
@@ -174,7 +174,7 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
         if metropolis_accept(e, e_prop, temp, rng.random()):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
             if shape:
-                rot = _procrustes(q1v, warped, weights)
+                rot = _procrustes(target, warped)
                 e = _energy(q1v, warped @ rot.T, dt)
             stale = 0
             if e < best[4]:

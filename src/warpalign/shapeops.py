@@ -8,6 +8,7 @@ the SRVF depends on the curve only through its derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,24 +61,54 @@ def normalize_length(curve: Curve) -> Curve:
 def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:
     """Rotation O in SO(d) minimizing ||q1 - O q2|| over the grid.
 
-    Standard Procrustes solution: O = U V^T from the SVD of the weighted
-    cross-covariance sum_k q1(t_k) q2(t_k)^T dt_k, with the last column
-    of U flipped if the determinant comes out negative.  In dimension
-    one the identity is returned.
+    Standard Procrustes solution for the weighted cross-covariance
+    A = sum_k q1(t_k) q2(t_k)^T dt_k: in the plane O is A's rotation part
+    in closed form; in 3-d it is U V^T from the SVD of A, with the last
+    column of U flipped if the determinant comes out negative.  In
+    dimension one the identity is returned.
     """
     _check_same_grid(q1, q2)
-    return Rotation(_procrustes(q1.values, q2.values, _trapezoid_weights(q1.grid)))
+    return Rotation(_procrustes(_procrustes_target(q1.values, q1.grid), q2.values))
 
 
-def _procrustes(v1: np.ndarray, v2: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``optimal_rotation`` on raw (m, d) value arrays and trapezoid weights."""
-    if v1.shape[1] == 1:
+def _procrustes_target(v1: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The (d, m) target of ``_procrustes``: (m, d) values v1 times their
+    trapezoid weights on ``grid``, transposed."""
+    return (v1 * _trapezoid_weights(grid)[:, None]).T
+
+
+def _procrustes(target: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``optimal_rotation`` on raw (m, d) values ``v2`` and the
+    ``_procrustes_target`` of the values to rotate onto.
+
+    For d = 2, tr(O A^T) = c (a00 + a11) + s (a10 - a01) over rotations
+    O = [[c, -s], [s, c]], so the maximiser is that vector normalised;
+    the SVD with its reflection flip finds the same O.  A zero vector
+    (every rotation optimal) gives the identity.  For d = 3, U V^T is
+    orthogonal with determinant +-1, so the sign of a cofactor expansion
+    makes the same flip decision as ``np.linalg.det``.
+    """
+    d = v2.shape[1]
+    if d == 1:
         return np.eye(1)
-    a = (v1 * weights[:, None]).T @ v2
+    a = target @ v2
+    if d == 2:
+        (a00, a01), (a10, a11) = a.tolist()
+        c, s = a00 + a11, a10 - a01
+        norm = math.hypot(c, s)
+        if norm == 0.0:
+            return np.eye(2)
+        c, s = c / norm, s / norm
+        return np.array([[c, -s], [s, c]])
     u, _, vt = np.linalg.svd(a)
-    if np.linalg.det(u @ vt) < 0.0:
+    r = u @ vt
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    det = (r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
+           + r02 * (r10 * r21 - r11 * r20))
+    if det < 0.0:
         u[:, -1] *= -1.0
-    return u @ vt
+        r = u @ vt
+    return r
 
 
 def rotate(q: Srvf, rot: Rotation) -> Srvf:

@@ -73,6 +73,8 @@ class SeedDistribution:
             raise ValueError("kind must be 'uniform' or 'von_mises'")
         if not 0.0 <= self.center < 1.0:
             raise ValueError("center must lie in [0,1)")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
 

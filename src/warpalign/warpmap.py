@@ -129,7 +129,7 @@ class PLWarp:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails too
             raise ValueError("warp maps are defined on [0,1]")
         out = np.interp(t, self.x, self.y)
         return float(out) if out.ndim == 0 else out
@@ -138,7 +138,7 @@ class PLWarp:
         """Slope at t.  At interior knots the right-segment slope is used;
         at t=1 the left-segment slope (right-continuous convention)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails too
             raise ValueError("warp maps are defined on [0,1]")
         idx = np.searchsorted(self.x, t, side="right") - 1
         idx = np.clip(idx, 0, self.x.size - 2)

@@ -11,7 +11,7 @@ from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
            "reference_draw", "reference_sir_posterior", "reference_dp_align_closed",
-           "convex_blend", "write_srvf"]
+           "reference_procrustes", "convex_blend", "write_srvf"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -181,6 +181,20 @@ def reference_dp_align_closed(q1, q2, cfg):
     xs = np.array([grid[i] for i, _ in reversed(nodes)])
     ys = np.array([grid[j] for _, j in reversed(nodes)])
     return seeds[best_pos] / n, xs, ys, float(best_energy)
+
+
+def reference_procrustes(v1, v2, weights):
+    """The Procrustes rotation of (m, d) values v2 onto v1 under trapezoid
+    weights as first written, for every d: U V^T from the SVD of the
+    weighted cross-covariance, with the last column of U flipped when
+    ``np.linalg.det`` of U V^T is negative."""
+    if v1.shape[1] == 1:
+        return np.eye(1)
+    a = (v1 * weights[:, None]).T @ v2
+    u, _, vt = np.linalg.svd(a)
+    if np.linalg.det(u @ vt) < 0.0:
+        u[:, -1] *= -1.0
+    return u @ vt
 
 
 def convex_blend(w1: PLWarp, w2: PLWarp, weight: float) -> PLWarp:

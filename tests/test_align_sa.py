@@ -4,9 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import convex_blend
+from conftest import convex_blend, reference_procrustes
 from warpalign import (
     PLWarp,
+    Rotation,
     SaConfig,
     Srvf,
     WarpPrior,
@@ -30,7 +31,7 @@ from warpalign import (
 )
 from warpalign.align_sa import align, _energy, _propose_seed, _propose_warp, _temperature
 from warpalign.fixtures import bean_curve, spiral_pair, two_bump_pair
-from warpalign.srvf import _warp_values
+from warpalign.srvf import _trapezoid_weights, _warp_values
 
 
 def shapeify(curve):
@@ -290,15 +291,16 @@ def reference_roll(values, k):
     return np.vstack((shifted, shifted[:1]))
 
 
-def reference_anneal(q1, q2, cfg, rng, rotate_first=False):
+def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rotation):
     """The annealer written in plain numpy, independent of the package's
     sampler and warp-action kernels; only the Procrustes step goes through
-    the public ``optimal_rotation``.
+    ``rotation``, by default the public ``optimal_rotation``.
 
     Shape modes warp q2 first and rotate the warped values, as the package
     does.  ``rotate_first`` instead rotates q2 and then warps it, the
     arithmetic the package used before; warp action is linear in the
-    values, so the two agree up to rounding.
+    values, so the two agree up to rounding.  ``reference_rotation`` in
+    place of ``optimal_rotation`` agrees up to rounding too.
 
     Returns (warp knots, seed, rotation, energy trace) in the shape of
     AlignmentResult; seed is None outside closed mode and rotation None
@@ -320,7 +322,7 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False):
         return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
 
     x, y, seed, q2v = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, q2.values
-    rot = optimal_rotation(q1, q2) if shape else None
+    rot = rotation(q1, q2) if shape else None
     e = energy(q2v, rot, x, y)
     best = (x, y, seed, rot, e)
     trace, stale = [e], 0
@@ -339,7 +341,7 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False):
             x, y, seed, q2v, e = px, py, seed_prop, q2v_prop, e_prop
             if shape:
                 warped = reference_warp_values(grid, q2v, x, y)
-                rot = optimal_rotation(q1, Srvf(grid, warped, q2.topology))
+                rot = rotation(q1, Srvf(grid, warped, q2.topology))
                 e = energy(q2v, rot, x, y)
             stale = 0
             if e < best[4]:
@@ -351,6 +353,11 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False):
             break
     trace.append(best[4])
     return best[0], best[1], best[2] if closed else None, best[3], np.asarray(trace)
+
+
+def reference_rotation(q1, q2):
+    """``optimal_rotation`` through the SVD-and-determinant reference."""
+    return Rotation(reference_procrustes(q1.values, q2.values, _trapezoid_weights(q1.grid)))
 
 
 class TestReferenceAnnealer:
@@ -411,14 +418,16 @@ class TestReferenceAnnealer:
             assert res.rotation is None
         else:
             assert np.array_equal(res.rotation.matrix, rot.matrix)
-            # the rotate-then-warp arithmetic makes the same moves
-            x, y, ref_seed, _, trace = reference_anneal(
-                q1, q2, cfg, np.random.default_rng(seed), rotate_first=True)
-            assert np.array_equal(res.warp.x, x)
-            assert np.array_equal(res.warp.y, y)
-            assert res.seed == ref_seed
-            assert res.energy_trace.size == trace.size
-            assert np.max(np.abs(res.energy_trace - trace)) <= 1e-12
+            # the rotate-then-warp arithmetic, and an SVD Procrustes step
+            # independent of the package's kernel, make the same moves
+            for variant in ({"rotate_first": True}, {"rotation": reference_rotation}):
+                x, y, ref_seed, _, trace = reference_anneal(
+                    q1, q2, cfg, np.random.default_rng(seed), **variant)
+                assert np.array_equal(res.warp.x, x)
+                assert np.array_equal(res.warp.y, y)
+                assert res.seed == ref_seed
+                assert res.energy_trace.size == trace.size
+                assert np.max(np.abs(res.energy_trace - trace)) <= 1e-12
         return res
 
 

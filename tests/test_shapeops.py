@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_procrustes
 from warpalign import (
     Curve,
     Rotation,
@@ -16,6 +21,8 @@ from warpalign import (
     uniform_grid,
 )
 from warpalign.fixtures import bean_curve
+from warpalign.shapeops import _procrustes
+from warpalign.srvf import _trapezoid_weights
 
 
 def planar_rotation(angle: float) -> np.ndarray:
@@ -95,11 +102,63 @@ class TestOptimalRotation:
         rot = optimal_rotation(q1, q2)
         assert np.array_equal(rot.matrix, np.eye(1))
 
+    def test_zero_cross_covariance_gives_identity(self):
+        q2 = random_shape(np.random.default_rng(4))
+        q1 = Srvf(q2.grid, np.zeros_like(q2.values))
+        assert np.array_equal(optimal_rotation(q1, q2).matrix, np.eye(2))
+
     def test_rotation_validation(self):
         with pytest.raises(ValueError):
             Rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))  # det -1
         with pytest.raises(ValueError):
             Rotation(np.array([[1.0, 1.0], [0.0, 1.0]]))  # not orthogonal
+
+
+@st.composite
+def procrustes_inputs(draw, dim):
+    """(v1, v2, trapezoid weights) at value scales from 1e-8 to 1e8.  Half
+    the draws make v1 the mirror image of v2, so the cross-covariance has
+    det < 0 and the SVD solution flips a column."""
+    m = draw(st.integers(dim, 8))
+
+    def values():
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        flat = draw(st.lists(st.floats(-1.0, 1.0), min_size=m * dim, max_size=m * dim))
+        return scale * np.array(flat).reshape(m, dim)
+
+    v2 = values()
+    if draw(st.booleans()):
+        v1 = v2 * np.r_[np.ones(dim - 1), -1.0] * 10.0 ** draw(st.integers(-8, 8))
+    else:
+        v1 = values()
+    return v1, v2, _trapezoid_weights(uniform_grid(m))
+
+
+class TestProcrustesKernel:
+    """``_procrustes`` against the SVD-and-determinant ``reference_procrustes``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(procrustes_inputs(2))
+    def test_planar_closed_form_matches_svd(self, inputs):
+        v1, v2, w = inputs
+        target = (v1 * w[:, None]).T
+        rot, ref = _procrustes(target, v2), reference_procrustes(v1, v2, w)
+        assert rot[0, 0] == rot[1, 1] and rot[0, 1] == -rot[1, 0]
+        assert abs(rot[0, 0] ** 2 + rot[1, 0] ** 2 - 1.0) <= 4e-16
+        a = target @ v2
+        # tr(O A^T) is no lower than at the reference's O
+        assert np.sum(rot * a) >= np.sum(ref * a) - 1e-14 * np.abs(a).sum()
+        # when a00 + a11 and a10 - a01 nearly cancel, every rotation is
+        # nearly optimal and neither answer is fixed to 1e-12
+        assume(math.hypot(a[0, 0] + a[1, 1], a[1, 0] - a[0, 1]) > 1e-3 * np.abs(a).sum())
+        assert np.max(np.abs(rot - ref)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(procrustes_inputs(3))
+    def test_spatial_matches_svd_bit_for_bit(self, inputs):
+        v1, v2, w = inputs
+        assert np.array_equal(_procrustes((v1 * w[:, None]).T, v2),
+                              reference_procrustes(v1, v2, w))
 
 
 class TestApplySeed:

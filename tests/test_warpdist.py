@@ -312,6 +312,11 @@ class TestSeedDistributionValidation:
         with pytest.raises(ValueError):
             SeedDistribution.von_mises(0.2, -1.0)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            SeedDistribution.von_mises(0.5, kappa)
+
     def test_bad_center(self):
         with pytest.raises(ValueError):
             SeedDistribution.von_mises(1.0, 2.0)

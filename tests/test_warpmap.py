@@ -40,6 +40,15 @@ class TestEval:
         with pytest.raises(ValueError):
             hump()(-0.1)
 
+    @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]])
+    def test_nan_rejected(self, t):
+        with pytest.raises(ValueError, match="defined on"):
+            hump()(t)
+        with pytest.raises(ValueError, match="defined on"):
+            hump().derivative(t)
+        with pytest.raises(ValueError, match="defined on"):
+            make_circular(hump(), 0.5)(t)
+
     def test_vectorized(self):
         out = hump()(np.array([0.0, 0.5, 1.0]))
         assert np.array_equal(out, [0.0, 0.25, 1.0])
