@@ -9,7 +9,9 @@ seconds and the median peak resident set size in MB (the child's own
 start-up and package import as a user's run does.  The ``import`` line
 is ``import warpalign, warpalign.cli`` alone; ``align-dp`` runs once on
 the two-bump functions and once (``align-dp-closed``) on the closed
-blobs with ``--shape``.
+blobs with ``--shape``; ``align-sa-lm`` and ``align-bayes-lm`` run
+``align-sa`` and ``align-bayes`` on the PQRST pair with
+``--landmarks pqrst_landmarks.csv``.
 """
 
 import argparse
@@ -31,6 +33,10 @@ COMMANDS = {
     "align-dp-closed": ["align-dp", "closed_blob_1.csv", "closed_blob_2.csv", "--shape"],
     "align-sa": ["align-sa", "two_bump_1.csv", "two_bump_2.csv"],
     "align-bayes": ["align-bayes", "two_bump_1.csv", "two_bump_2.csv"],
+    "align-sa-lm": ["align-sa", "pqrst_1.csv", "pqrst_2.csv",
+                    "--landmarks", "pqrst_landmarks.csv"],
+    "align-bayes-lm": ["align-bayes", "pqrst_1.csv", "pqrst_2.csv",
+                       "--landmarks", "pqrst_landmarks.csv"],
     "sample-warps": ["sample-warps"],
 }
 

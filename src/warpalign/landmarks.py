@@ -1,12 +1,17 @@
 """Landmark-constrained alignment by decomposition.
 
-Matched landmark pairs are pinned exactly with a PL pre-warp; the
-remaining freedom is aligned independently on each inter-landmark
-segment with the concentration and partition size rescaled by segment
-length (the restriction of the warp law to a subinterval is the same
-family with concentration scaled by the interval's mean-warp mass).
-Segment warps are glued and composed with the pre-warp, so the final
-warp interpolates every landmark pair exactly.
+Matched pairs (a_k, b_k), with a_0 = b_0 = 0 and a_{K+1} = b_{K+1} = 1,
+split the problem into unconstrained segment problems.  Segment k takes
+curve 1 on [a_k, a_{k+1}] and curve 2 on [b_k, b_{k+1}], both rescaled to
+[0,1], and aligns them with the concentration and partition size scaled
+by the segment's length (the restriction of the warp law to a
+subinterval is the same family with concentration scaled by the
+interval's mean-warp mass).  The constrained warp lays the segment warps
+w_k end to end:
+
+    w(a_k + (a_{k+1} - a_k) u) = b_k + (b_{k+1} - b_k) w_k(u),  u in [0,1],
+
+so it passes through every landmark pair exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import numpy as np
 
 from .align_bayes import BayesConfig, PosteriorSample, posterior_summary, sir_posterior
 from .align_sa import AlignmentResult, SaConfig, sa_align
-from .srvf import Curve, resample, to_srvf, warp_curve
+from .srvf import Curve, _interp_columns, to_srvf
 from .warpdist import WarpPrior
-from .warpmap import PLWarp, compose, identity
+from .warpmap import PLWarp, identity, uniform_grid
 
 __all__ = [
     "LandmarkSet",
@@ -73,12 +78,15 @@ class SegmentAlignment:
 
 @dataclass(frozen=True)
 class ConstrainedResult:
-    """Composed warp plus per-segment details.
+    """Glued warp plus per-segment details.
 
-    ``warp`` maps curve-1 parameters to curve-2 parameters and passes
-    through every landmark pair exactly.  For the Bayes method
-    ``posterior_warps`` holds composed posterior draws (segment draws
-    glued index by index), suitable for credible bands.
+    ``warp`` maps curve-1 parameters to curve-2 parameters: on
+    [a_k, a_{k+1}] it is segment k's warp rescaled onto [b_k, b_{k+1}], so
+    it passes through every landmark pair exactly.  ``prewarp`` is the PL
+    warp through the pairs (:func:`landmark_prewarp`).  For the Bayes
+    method ``warp`` glues the segment posterior means, and
+    ``posterior_warps`` glues the segment draws index by index, suitable
+    for credible bands.
     """
 
     warp: PLWarp
@@ -99,33 +107,26 @@ def landmark_prewarp(lm: LandmarkSet) -> PLWarp:
     return PLWarp(x, y)
 
 
-def _segment_curve(curve: Curve, lo: float, hi: float) -> Curve:
-    inside = (curve.grid > lo) & (curve.grid < hi)
-    ts = np.concatenate(([lo], curve.grid[inside], [hi]))
-    if ts.size < 3:
-        raise ValueError(
-            f"segment [{lo:g}, {hi:g}] has fewer than 3 sample points; "
-            "resample the curves on a finer grid")
-    pts = np.column_stack([
-        np.interp(ts, curve.grid, curve.points[:, j]) for j in range(curve.dim)
-    ])
-    u = (ts - lo) / (hi - lo)
-    u[0], u[-1] = 0.0, 1.0
-    return resample(Curve(u, pts, "open"), ts.size)
+def _segment_curve(curve: Curve, lo: float, hi: float, m: int) -> Curve:
+    """``curve`` on [lo, hi], sampled at ``lo + (hi - lo) * u`` on the
+    uniform grid u of m points, as an open curve on u."""
+    u = uniform_grid(m)
+    at = lo + (hi - lo) * u
+    at[-1] = hi
+    return Curve(u, _interp_columns(curve.grid, curve.points, at), "open")
 
 
-def _glue(cuts: np.ndarray, seg_warps: list[PLWarp]) -> PLWarp:
-    xs, ys = [0.0], [0.0]
+def _glue(cuts1: np.ndarray, cuts2: np.ndarray, seg_warps: list[PLWarp]) -> PLWarp:
+    """Lay segment warps end to end, segment k's from [cuts1[k], cuts1[k+1]]
+    onto [cuts2[k], cuts2[k+1]]."""
+    xs, ys = [np.zeros(1)], [np.zeros(1)]
     for k, w in enumerate(seg_warps):
-        lo, hi = cuts[k], cuts[k + 1]
-        span = hi - lo
-        gx = lo + span * w.x
-        gy = lo + span * w.y
-        gx[0] = gy[0] = lo
-        gx[-1] = gy[-1] = hi
-        xs.extend(gx[1:])
-        ys.extend(gy[1:])
-    return PLWarp(xs, ys)
+        gx = cuts1[k] + (cuts1[k + 1] - cuts1[k]) * w.x[1:]
+        gy = cuts2[k] + (cuts2[k + 1] - cuts2[k]) * w.y[1:]
+        gx[-1], gy[-1] = cuts1[k + 1], cuts2[k + 1]
+        xs.append(gx)
+        ys.append(gy)
+    return PLWarp(np.concatenate(xs), np.concatenate(ys))
 
 
 def _scaled_sa_config(cfg: SaConfig, span: float) -> SaConfig:
@@ -146,10 +147,12 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
                       ) -> ConstrainedResult:
     """Landmark-constrained alignment of g2 onto g1.
 
-    Steps: pre-warp g2 so its landmarks sit at curve 1's positions, align
-    each inter-landmark segment independently with the chosen method
-    (``"sa"`` or ``"bayes"``) under length-rescaled settings, glue the
-    segment warps, and compose with the pre-warp.  With no landmarks this
+    Each segment k samples curve 1 at a_k + (a_{k+1} - a_k) u and curve 2
+    at b_k + (b_{k+1} - b_k) u on a uniform grid u with as many points as
+    curve 1's grid has inside (a_k, a_{k+1}), plus the two ends; aligns
+    them with the chosen method (``"sa"``, in function mode, or
+    ``"bayes"``) under length-rescaled settings; and the segment warps are
+    glued from [a_k, a_{k+1}] onto [b_k, b_{k+1}].  With no landmarks this
     reduces exactly to the unconstrained method.  Segments consume
     independent RNG streams (spawned from ``rng`` unless ``segment_rngs``
     is supplied).  Each Bayes segment's prior is centred on the identity,
@@ -157,6 +160,8 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
     """
     if method not in ("sa", "bayes"):
         raise ValueError("method must be 'sa' or 'bayes'")
+    if method == "sa" and cfg.mode != "function":
+        raise ValueError(f"constrained_align runs SA in function mode only, not {cfg.mode!r}")
     if method == "bayes" and len(lm) and not np.array_equal(cfg.prior.mean_warp.x,
                                                             cfg.prior.mean_warp.y):
         raise ValueError("landmark-constrained Bayes centres every segment's prior on "
@@ -174,13 +179,12 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
             return ConstrainedResult(res.warp, identity(), method, [seg])
         post = sir_posterior(q1, q2, cfg, rng)
         seg = SegmentAlignment((0.0, 1.0), cfg, post)
-        return ConstrainedResult(_posterior_mean(post, g1.grid), identity(),
+        return ConstrainedResult(posterior_summary(post, g1.grid)[0], identity(),
                                  method, [seg], posterior_warps=post.warps)
 
-    pre = landmark_prewarp(lm)
-    g2p = warp_curve(g2, pre)
-    cuts = np.concatenate(([0.0], lm.a, [1.0]))
-    n_seg = cuts.size - 1
+    cuts1 = np.concatenate(([0.0], lm.a, [1.0]))
+    cuts2 = np.concatenate(([0.0], lm.b, [1.0]))
+    n_seg = cuts1.size - 1
     if segment_rngs is None:
         segment_rngs = rng.spawn(n_seg)
     elif len(segment_rngs) != n_seg:
@@ -190,11 +194,15 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
     seg_warps: list[PLWarp] = []
     draws_per_segment: list[list[PLWarp]] = []
     for k in range(n_seg):
-        lo, hi = float(cuts[k]), float(cuts[k + 1])
+        lo, hi = float(cuts1[k]), float(cuts1[k + 1])
         span = hi - lo
-        s1 = _segment_curve(g1, lo, hi)
-        s2 = _segment_curve(g2p, lo, hi)
-        q1, q2 = to_srvf(s1), to_srvf(s2)
+        m = np.count_nonzero((g1.grid > lo) & (g1.grid < hi)) + 2
+        if m < 3:
+            raise ValueError(
+                f"segment [{lo:g}, {hi:g}] has fewer than 3 sample points; "
+                "resample the curves on a finer grid")
+        q1 = to_srvf(_segment_curve(g1, lo, hi, m))
+        q2 = to_srvf(_segment_curve(g2, cuts2[k], cuts2[k + 1], m))
         if method == "sa":
             seg_cfg = _scaled_sa_config(cfg, span)
             res = sa_align(q1, q2, seg_cfg, segment_rngs[k])
@@ -202,22 +210,14 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
         else:
             seg_cfg = _scaled_bayes_config(cfg, span)
             res = sir_posterior(q1, q2, seg_cfg, segment_rngs[k])
-            seg_warps.append(_posterior_mean(res, q1.grid))
+            seg_warps.append(posterior_summary(res, q1.grid)[0])
             draws_per_segment.append(res.warps)
         segments.append(SegmentAlignment((lo, hi), seg_cfg, res))
 
-    glued = _glue(cuts, seg_warps)
-    total = compose(pre, glued)
     posterior_warps = None
     if method == "bayes":
         count = min(len(d) for d in draws_per_segment)
-        posterior_warps = [
-            compose(pre, _glue(cuts, [draws_per_segment[k][i] for k in range(n_seg)]))
-            for i in range(count)
-        ]
-    return ConstrainedResult(total, pre, method, segments, posterior_warps)
-
-
-def _posterior_mean(post: PosteriorSample, grid: np.ndarray) -> PLWarp:
-    mean_warp, _, _ = posterior_summary(post, grid)
-    return mean_warp
+        posterior_warps = [_glue(cuts1, cuts2, [d[i] for d in draws_per_segment])
+                           for i in range(count)]
+    return ConstrainedResult(_glue(cuts1, cuts2, seg_warps), landmark_prewarp(lm),
+                             method, segments, posterior_warps)

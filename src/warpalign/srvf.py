@@ -124,9 +124,7 @@ def resample(curve: Curve, m: int) -> Curve:
     if m < 2:
         raise ValueError("need at least two sample points")
     grid = uniform_grid(m)
-    pts = np.column_stack([
-        np.interp(grid, curve.grid, curve.points[:, j]) for j in range(curve.dim)
-    ])
+    pts = _interp_columns(curve.grid, curve.points, grid)
     if curve.topology == "closed":
         pts[-1] = pts[0]
     return Curve(grid, pts, curve.topology)
@@ -134,10 +132,7 @@ def resample(curve: Curve, m: int) -> Curve:
 
 def warp_curve(curve: Curve, w: PLWarp) -> Curve:
     """The reparameterized curve ``g o w`` sampled on the original grid."""
-    t = w(curve.grid)
-    pts = np.column_stack([
-        np.interp(t, curve.grid, curve.points[:, j]) for j in range(curve.dim)
-    ])
+    pts = _interp_columns(curve.grid, curve.points, w(curve.grid))
     if curve.topology == "closed":
         pts[-1] = pts[0]
     return Curve(curve.grid, pts, curve.topology)

@@ -11,6 +11,8 @@ from warpalign import (
     constrained_align,
     identity,
     landmark_prewarp,
+    posterior_summary,
+    restrict,
     sa_align,
     sup_dist,
     to_srvf,
@@ -163,8 +165,56 @@ class TestConstrainedAlign:
             constrained_align(c1, c2, lm, "sa", SaConfig(max_iters=10),
                               np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mode", ["open_shape", "closed_shape"])
+    @pytest.mark.parametrize("pairs", [np.empty((0, 2)), [(0.5, 0.55)]])
+    def test_sa_shape_mode_rejected(self, mode, pairs):
+        # the segment aligner is function-mode SA: a shape mode would come
+        # back without its rotation or seed
+        c1, c2 = pqrst_pair(100)
+        with pytest.raises(ValueError, match="function mode"):
+            constrained_align(c1, c2, LandmarkSet(pairs), "sa",
+                              SaConfig(max_iters=10, mode=mode), np.random.default_rng(0))
+
     def test_unknown_method_rejected(self):
         c1, c2 = two_bump_pair(50)
         with pytest.raises(ValueError):
             constrained_align(c1, c2, LandmarkSet(np.empty((0, 2))), "dp",
                               SaConfig(), np.random.default_rng(0))
+
+
+class TestDecomposition:
+    """On [a_k, a_{k+1}] the constrained warp is segment k's warp, rescaled
+    onto [b_k, b_{k+1}]."""
+
+    def test_sa_warp_is_glued_segment_warps(self):
+        c1, c2 = pqrst_pair(100)
+        lm = pqrst_landmarks()
+        res = constrained_align(c1, c2, lm, "sa", SaConfig(max_iters=300),
+                                np.random.default_rng(11))
+        cuts = np.concatenate(([0.0], lm.a, [1.0]))
+        for k, seg in enumerate(res.segments):
+            assert seg.interval == (cuts[k], cuts[k + 1])
+            piece = restrict(res.warp, cuts[k], cuts[k + 1])
+            assert sup_dist(piece, seg.result.warp) <= 1e-12
+        for a, b in zip(lm.a, lm.b):
+            assert res.warp(a) == b
+
+    def test_bayes_mean_and_draws_are_glued_segment_warps(self):
+        c1, c2 = pqrst_pair(100)
+        lm = pqrst_landmarks()
+        cfg = BayesConfig(prior_draws=300, resample_size=40)
+        res = constrained_align(c1, c2, lm, "bayes", cfg, np.random.default_rng(12))
+        cuts = np.concatenate(([0.0], lm.a, [1.0]))
+        assert len(res.posterior_warps) == 40
+        for k, seg in enumerate(res.segments):
+            lo, hi = cuts[k], cuts[k + 1]
+            # the segment grid: curve 1's grid points inside it, plus its ends
+            grid = uniform_grid(np.count_nonzero((c1.grid > lo) & (c1.grid < hi)) + 2)
+            mean, _, _ = posterior_summary(seg.result, grid)
+            assert sup_dist(restrict(res.warp, lo, hi), mean) <= 1e-12
+            for i in range(0, 40, 7):
+                piece = restrict(res.posterior_warps[i], lo, hi)
+                assert sup_dist(piece, seg.result.warps[i]) <= 1e-12
+        for w in (res.warp, *res.posterior_warps):
+            for a, b in zip(lm.a, lm.b):
+                assert w(a) == b
