@@ -9,9 +9,11 @@ seconds and the median peak resident set size in MB (the child's own
 start-up and package import as a user's run does.  The ``import`` line
 is ``import warpalign, warpalign.cli`` alone; ``align-dp`` runs once on
 the two-bump functions and once (``align-dp-closed``) on the closed
-blobs with ``--shape``; ``align-sa-lm`` and ``align-bayes-lm`` run
-``align-sa`` and ``align-bayes`` on the PQRST pair with
-``--landmarks pqrst_landmarks.csv``.
+blobs with ``--shape``; ``align-sa`` runs once in each mode, on the
+two-bump functions, on the 3-d spirals (``align-sa-open``) and on the
+closed blobs at 101 points (``align-sa-closed``); ``align-sa-lm`` and
+``align-bayes-lm`` run ``align-sa`` and ``align-bayes`` on the PQRST
+pair with ``--landmarks pqrst_landmarks.csv``.
 """
 
 import argparse
@@ -32,6 +34,9 @@ COMMANDS = {
     "align-dp": ["align-dp", "two_bump_1.csv", "two_bump_2.csv"],
     "align-dp-closed": ["align-dp", "closed_blob_1.csv", "closed_blob_2.csv", "--shape"],
     "align-sa": ["align-sa", "two_bump_1.csv", "two_bump_2.csv"],
+    "align-sa-open": ["align-sa", "spiral_1.csv", "spiral_2.csv", "--mode", "open_shape"],
+    "align-sa-closed": ["align-sa", "closed_blob_1.csv", "closed_blob_2.csv",
+                        "--mode", "closed_shape", "--points", "101"],
     "align-bayes": ["align-bayes", "two_bump_1.csv", "two_bump_2.csv"],
     "align-sa-lm": ["align-sa", "pqrst_1.csv", "pqrst_2.csv",
                     "--landmarks", "pqrst_landmarks.csv"],

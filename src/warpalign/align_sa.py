@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapeops import Rotation, _procrustes, _procrustes_target, optimal_rotation
+from .shapeops import Rotation, _procrustes, _procrustes_target
 from .srvf import Srvf, _check_same_grid, _require_uniform, _trapezoid, _warp_values
 from .warpdist import _draw
 from .warpmap import PLWarp
@@ -94,10 +94,11 @@ class AlignmentResult:
 
 def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
                       u: float) -> bool:
-    """Accept with probability min{1, exp((e_current - e_proposed)/T)}."""
+    """Accept with probability min{1, exp((e_current - e_proposed)/T)}, read as
+    0 for an uphill move at T = 0."""
     if e_proposed <= e_current:
         return True
-    return u < math.exp((e_current - e_proposed) / temperature)
+    return temperature > 0.0 and u < math.exp((e_current - e_proposed) / temperature)
 
 
 def _energy(q1v: np.ndarray, warped: np.ndarray, dt: np.ndarray) -> float:
@@ -129,20 +130,25 @@ def _propose_seed(k: int, kappa: float, n_distinct: int, rng: np.random.Generato
 
 
 def _temperature(cfg: SaConfig, iteration: int) -> float:
-    return cfg.t0 / cfg.cooling ** iteration
+    try:
+        return cfg.t0 / cfg.cooling ** iteration
+    except OverflowError:
+        return 0.0
 
 
-def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
-            shape: bool, closed: bool = False) -> AlignmentResult:
-    """The annealing loop shared by every mode, on validated inputs.
+def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
+            rng: np.random.Generator | None) -> AlignmentResult:
+    """The annealing loop shared by every mode, on inputs ``align`` checked.
 
-    Each proposal warps the seed-shifted q2 once.  ``shape`` rotates those
-    warped values for the proposal's energy, and on accept refreshes the
-    Procrustes rotation from them and recomputes the energy with it
+    Each proposal warps the seed-shifted q2 once.  The shape modes rotate
+    those warped values for the proposal's energy, and on accept refresh
+    the Procrustes rotation from them and recompute the energy with it
     applied, so reported energies always pair the warp with its optimal
-    rotation.  ``closed`` also proposes a seed, a cyclic shift of q2 by k
-    of its m-1 distinct grid points, jointly with each warp.
+    rotation.  Closed mode also proposes a seed, a cyclic shift of q2 by
+    k of its m-1 distinct grid points, jointly with each warp.
     """
+    shape = cfg.mode != "function"
+    closed = cfg.mode == "closed_shape"
     if rng is None:
         rng = np.random.default_rng()
     grid, q1v, q2v = q1.grid, q1.values, q2.values
@@ -154,7 +160,7 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
     twice = np.concatenate((q2v[:-1], q2v[:-1])) if closed else None
 
     x, y, k = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0
-    rot = optimal_rotation(q1, q2).matrix if shape else None
+    rot = _procrustes(target, q2v) if shape else None
     q2k = q2v  # q2 shifted to the current seed
     warped = _warp_values(grid, q2k, x, y)
     e = _energy(q1v, warped @ rot.T if shape else warped, dt)
@@ -190,54 +196,47 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig, rng: np.random.Generator | None,
                            k / n_seeds if closed else None, np.asarray(trace), trace[0], e)
 
 
-def sa_align(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(),
-             rng: np.random.Generator | None = None) -> AlignmentResult:
-    """Annealed warp alignment of two functions on a common uniform grid."""
+def align(q1: Srvf, q2: Srvf, cfg: SaConfig,
+          rng: np.random.Generator | None = None) -> AlignmentResult:
+    """Annealed alignment of q2 onto q1 in the mode ``cfg.mode`` names.
+
+    The modes align functions or curves in R^d (``"function"``), open
+    curves in R^2 or R^3 (``"open_shape"``) and closed curves in R^2 or
+    R^3 (``"closed_shape"``).  Both SRVFs share one uniform grid; the
+    shape modes need unit-norm SRVFs, and closed mode closed ones.
+    """
+    if cfg.mode != "function" and not (q1.is_shape and q2.is_shape):
+        raise ValueError("shape alignment needs unit-norm SRVFs")
+    if cfg.mode == "open_shape" and q1.dim < 2:
+        raise ValueError("open_shape mode needs curves in dimension 2 or 3")
+    if cfg.mode == "closed_shape" and (q1.topology != "closed" or q2.topology != "closed"):
+        raise ValueError("closed_shape mode needs closed-curve SRVFs")
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
-    return _anneal(q1, q2, cfg, rng, shape=False)
+    return _anneal(q1, q2, cfg, rng)
+
+
+def _align_in(mode: str, q1: Srvf, q2: Srvf, cfg: SaConfig,
+              rng: np.random.Generator | None) -> AlignmentResult:
+    if cfg.mode != mode:
+        raise ValueError(f"this aligner runs SA in {mode} mode only, "
+                         f"not {cfg.mode!r}; align dispatches on cfg.mode")
+    return align(q1, q2, cfg, rng)
+
+
+def sa_align(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(),
+             rng: np.random.Generator | None = None) -> AlignmentResult:
+    """:func:`align` for a function-mode ``cfg``; other modes raise."""
+    return _align_in("function", q1, q2, cfg, rng)
 
 
 def sa_align_open_shape(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(mode="open_shape"),
                         rng: np.random.Generator | None = None) -> AlignmentResult:
-    """Annealed alignment of open-curve shapes with a Procrustes step.
-
-    The rotation is refreshed from the warped configuration after every
-    accepted move and the energy recomputed with it applied, so reported
-    energies always pair the warp with its optimal rotation.
-    """
-    if not (q1.is_shape and q2.is_shape):
-        raise ValueError("shape alignment needs unit-norm SRVFs")
-    if q1.dim < 2:
-        raise ValueError("open_shape mode needs curves in dimension 2 or 3")
-    _check_same_grid(q1, q2)
-    _require_uniform(q1.grid)
-    return _anneal(q1, q2, cfg, rng, shape=True)
+    """:func:`align` for an open_shape ``cfg``; other modes raise."""
+    return _align_in("open_shape", q1, q2, cfg, rng)
 
 
 def sa_align_closed(q1: Srvf, q2: Srvf, cfg: SaConfig = SaConfig(mode="closed_shape"),
                     rng: np.random.Generator | None = None) -> AlignmentResult:
-    """Annealed alignment of closed planar shapes.
-
-    Each iteration jointly proposes a seed shift (von Mises around the
-    current seed, snapped to the grid) and a warp; the Metropolis rule
-    decides on the combined move, and accepted moves refresh the
-    Procrustes rotation.
-    """
-    if not (q1.is_shape and q2.is_shape):
-        raise ValueError("shape alignment needs unit-norm SRVFs")
-    if q1.topology != "closed" or q2.topology != "closed":
-        raise ValueError("closed_shape mode needs closed-curve SRVFs")
-    _check_same_grid(q1, q2)
-    _require_uniform(q1.grid)
-    return _anneal(q1, q2, cfg, rng, shape=True, closed=True)
-
-
-def align(q1: Srvf, q2: Srvf, cfg: SaConfig,
-          rng: np.random.Generator | None = None) -> AlignmentResult:
-    """Dispatch on ``cfg.mode``."""
-    if cfg.mode == "function":
-        return sa_align(q1, q2, cfg, rng)
-    if cfg.mode == "open_shape":
-        return sa_align_open_shape(q1, q2, cfg, rng)
-    return sa_align_closed(q1, q2, cfg, rng)
+    """:func:`align` for a closed_shape ``cfg``; other modes raise."""
+    return _align_in("closed_shape", q1, q2, cfg, rng)

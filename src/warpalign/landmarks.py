@@ -85,8 +85,8 @@ class ConstrainedResult:
     it passes through every landmark pair exactly.  ``prewarp`` is the PL
     warp through the pairs (:func:`landmark_prewarp`).  For the Bayes
     method ``warp`` glues the segment posterior means, and
-    ``posterior_warps`` glues the segment draws index by index, suitable
-    for credible bands.
+    ``posterior_warps`` glues the segment draws index by index, one shared
+    ``PLWarp`` wherever the segment draws are all shared, for credible bands.
     """
 
     warp: PLWarp
@@ -116,17 +116,27 @@ def _segment_curve(curve: Curve, lo: float, hi: float, m: int) -> Curve:
     return Curve(u, _interp_columns(curve.grid, curve.points, at), "open")
 
 
-def _glue(cuts1: np.ndarray, cuts2: np.ndarray, seg_warps: list[PLWarp]) -> PLWarp:
-    """Lay segment warps end to end, segment k's from [cuts1[k], cuts1[k+1]]
-    onto [cuts2[k], cuts2[k+1]]."""
-    xs, ys = [np.zeros(1)], [np.zeros(1)]
-    for k, w in enumerate(seg_warps):
-        gx = cuts1[k] + (cuts1[k + 1] - cuts1[k]) * w.x[1:]
-        gy = cuts2[k] + (cuts2[k + 1] - cuts2[k]) * w.y[1:]
-        gx[-1], gy[-1] = cuts1[k + 1], cuts2[k + 1]
+def _glue(cuts1: np.ndarray, cuts2: np.ndarray, draws: list[list[PLWarp]]) -> list[PLWarp]:
+    """Lay segment warps end to end, index by index: glued warp i takes
+    segment k's i-th warp from [cuts1[k], cuts1[k+1]] onto
+    [cuts2[k], cuts2[k+1]].  The knots of all distinct glued warps are
+    computed at once as stacked rows, and a glued warp whose segment warps
+    are all shared objects is built once and shared."""
+    slot: dict[tuple[int, ...], int] = {}
+    which = [slot.setdefault(key, len(slot))
+             for key in zip(*([id(w) for w in d] for d in draws))]
+    first = np.unique(which, return_index=True)[1]
+    start = np.zeros((first.size, 1))
+    xs, ys = [start], [start]
+    for k, d in enumerate(draws):
+        gx = cuts1[k] + (cuts1[k + 1] - cuts1[k]) * np.stack([d[i].x[1:] for i in first])
+        gy = cuts2[k] + (cuts2[k + 1] - cuts2[k]) * np.stack([d[i].y[1:] for i in first])
+        gx[:, -1], gy[:, -1] = cuts1[k + 1], cuts2[k + 1]
         xs.append(gx)
         ys.append(gy)
-    return PLWarp(np.concatenate(xs), np.concatenate(ys))
+    built = [PLWarp(x, y) for x, y in zip(np.concatenate(xs, axis=1),
+                                          np.concatenate(ys, axis=1))]
+    return [built[j] for j in which]
 
 
 def _scaled_sa_config(cfg: SaConfig, span: float) -> SaConfig:
@@ -142,9 +152,7 @@ def _scaled_bayes_config(cfg: BayesConfig, span: float) -> BayesConfig:
 
 def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
                       cfg: SaConfig | BayesConfig,
-                      rng: np.random.Generator | None = None,
-                      segment_rngs: list[np.random.Generator] | None = None,
-                      ) -> ConstrainedResult:
+                      rng: np.random.Generator | None = None) -> ConstrainedResult:
     """Landmark-constrained alignment of g2 onto g1.
 
     Each segment k samples curve 1 at a_k + (a_{k+1} - a_k) u and curve 2
@@ -154,14 +162,12 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
     ``"bayes"``) under length-rescaled settings; and the segment warps are
     glued from [a_k, a_{k+1}] onto [b_k, b_{k+1}].  With no landmarks this
     reduces exactly to the unconstrained method.  Segments consume
-    independent RNG streams (spawned from ``rng`` unless ``segment_rngs``
-    is supplied).  Each Bayes segment's prior is centred on the identity,
-    so with landmarks ``prior.mean_warp`` must be the identity.
+    independent RNG streams spawned from ``rng``.  Each Bayes segment's
+    prior is centred on the identity, so with landmarks
+    ``prior.mean_warp`` must be the identity.
     """
     if method not in ("sa", "bayes"):
         raise ValueError("method must be 'sa' or 'bayes'")
-    if method == "sa" and cfg.mode != "function":
-        raise ValueError(f"constrained_align runs SA in function mode only, not {cfg.mode!r}")
     if method == "bayes" and len(lm) and not np.array_equal(cfg.prior.mean_warp.x,
                                                             cfg.prior.mean_warp.y):
         raise ValueError("landmark-constrained Bayes centres every segment's prior on "
@@ -184,16 +190,11 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
 
     cuts1 = np.concatenate(([0.0], lm.a, [1.0]))
     cuts2 = np.concatenate(([0.0], lm.b, [1.0]))
-    n_seg = cuts1.size - 1
-    if segment_rngs is None:
-        segment_rngs = rng.spawn(n_seg)
-    elif len(segment_rngs) != n_seg:
-        raise ValueError(f"need {n_seg} segment RNGs")
 
     segments: list[SegmentAlignment] = []
     seg_warps: list[PLWarp] = []
     draws_per_segment: list[list[PLWarp]] = []
-    for k in range(n_seg):
+    for k, seg_rng in enumerate(rng.spawn(cuts1.size - 1)):
         lo, hi = float(cuts1[k]), float(cuts1[k + 1])
         span = hi - lo
         m = np.count_nonzero((g1.grid > lo) & (g1.grid < hi)) + 2
@@ -205,19 +206,15 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
         q2 = to_srvf(_segment_curve(g2, cuts2[k], cuts2[k + 1], m))
         if method == "sa":
             seg_cfg = _scaled_sa_config(cfg, span)
-            res = sa_align(q1, q2, seg_cfg, segment_rngs[k])
+            res = sa_align(q1, q2, seg_cfg, seg_rng)
             seg_warps.append(res.warp)
         else:
             seg_cfg = _scaled_bayes_config(cfg, span)
-            res = sir_posterior(q1, q2, seg_cfg, segment_rngs[k])
+            res = sir_posterior(q1, q2, seg_cfg, seg_rng)
             seg_warps.append(posterior_summary(res, q1.grid)[0])
             draws_per_segment.append(res.warps)
         segments.append(SegmentAlignment((lo, hi), seg_cfg, res))
 
-    posterior_warps = None
-    if method == "bayes":
-        count = min(len(d) for d in draws_per_segment)
-        posterior_warps = [_glue(cuts1, cuts2, [d[i] for d in draws_per_segment])
-                           for i in range(count)]
-    return ConstrainedResult(_glue(cuts1, cuts2, seg_warps), landmark_prewarp(lm),
-                             method, segments, posterior_warps)
+    posterior_warps = _glue(cuts1, cuts2, draws_per_segment) if method == "bayes" else None
+    return ConstrainedResult(_glue(cuts1, cuts2, [[w] for w in seg_warps])[0],
+                             landmark_prewarp(lm), method, segments, posterior_warps)

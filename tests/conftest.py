@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
 from warpalign.align_dp import _closed_costs
+from warpalign.fixtures import bean_curve
 from warpalign.io import _fmt
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
            "reference_draw", "reference_sir_posterior", "reference_dp_align_closed",
-           "reference_procrustes", "convex_blend", "write_srvf"]
+           "reference_procrustes", "convex_blend", "write_srvf", "bean_curve_3d"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -221,3 +222,11 @@ def write_srvf(q, path) -> Path:
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def bean_curve_3d(m: int = 41) -> Curve:
+    """``bean_curve`` lifted into R^3 by a z column of 0.2 sin 2 pi t."""
+    bean = bean_curve(m)
+    z = 0.2 * np.sin(2.0 * np.pi * bean.grid)
+    z[-1] = z[0]
+    return Curve(bean.grid, np.column_stack((bean.points, z)), "closed")

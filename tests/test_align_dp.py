@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_dp_align_closed
+from conftest import bean_curve_3d, reference_dp_align_closed
 from warpalign import (
     Curve,
     DpConfig,
@@ -167,6 +167,13 @@ class TestDpAlignClosed:
         step = 1.0 / (q1.grid.size - 1)
         assert min(abs(seed - 0.7), abs(seed - 0.7 + 1), abs(seed - 0.7 - 1)) <= step
         assert energy < 1e-6
+
+    def test_closed_curve_in_r3(self):
+        q1 = unit_normalize(to_srvf(normalize_length(bean_curve_3d(41))))
+        q2 = apply_seed(q1, 0.3)
+        seed, _, _ = dp_align_closed(q1, q2, DpConfig(grid_size=q1.grid.size))
+        step = 1.0 / (q1.grid.size - 1)
+        assert min(abs(seed - 0.7), abs(seed - 0.7 + 1), abs(seed - 0.7 - 1)) <= step
 
     def test_best_not_worse_than_zero_seed(self):
         q1 = self.closed_shape()

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import convex_blend, reference_procrustes
+from conftest import bean_curve_3d, convex_blend, reference_procrustes
 from warpalign import (
     PLWarp,
     Rotation,
@@ -63,12 +63,30 @@ class TestMetropolisRule:
         expected = u < min(1.0, math.exp((e_cur - e_prop) / temp))
         assert metropolis_accept(e_cur, e_prop, temp, u) == expected
 
+    def test_zero_temperature_accepts_only_downhill(self):
+        assert metropolis_accept(2.0, 1.0, 0.0, 0.5)
+        assert metropolis_accept(2.0, 2.0, 0.0, 0.5)
+        assert not metropolis_accept(1.0, 1.0 + 1e-12, 0.0, 0.0)
+
 
 class TestSchedule:
     def test_geometric_cooling(self):
         cfg = SaConfig(t0=10.0, cooling=1.0001)
         for k in (0, 1, 10, 2000):
             assert abs(_temperature(cfg, k) - 10.0 / 1.0001 ** k) < 1e-9
+
+    @pytest.mark.parametrize("settings,frozen_at", [
+        ({"cooling": 10.0}, 309),  # cooling**k overflows
+        ({"t0": 1e-300, "cooling": 1.5}, 150),  # t0 / cooling**k underflows
+    ], ids=["overflow", "underflow"])
+    def test_frozen_schedule_runs(self, settings, frozen_at):
+        cfg = SaConfig(max_iters=400, **settings)
+        assert _temperature(cfg, frozen_at) == 0.0
+        q1, q2 = bump_srvfs()
+        res = sa_align(q1, q2, cfg, np.random.default_rng(0))
+        assert res.energy_trace.size == cfg.max_iters + 2
+        # at T = 0 the chain never goes uphill
+        assert np.all(np.diff(res.energy_trace[frozen_at:]) <= 0.0)
 
 
 class TestProposals:
@@ -194,8 +212,8 @@ class TestOpenShapeAlignment:
 
     def test_rejects_non_shapes(self):
         q = to_srvf(spiral_pair(40)[0])
-        with pytest.raises(ValueError):
-            sa_align_open_shape(q, q, SaConfig(max_iters=10),
+        with pytest.raises(ValueError, match="unit-norm"):
+            sa_align_open_shape(q, q, SaConfig(mode="open_shape", max_iters=10),
                                 np.random.default_rng(0))
 
 
@@ -225,8 +243,21 @@ class TestClosedAlignment:
     def test_rejects_open_curves(self):
         c1, _ = spiral_pair(40)
         q = shapeify(c1)
-        with pytest.raises(ValueError):
-            sa_align_closed(q, q, SaConfig(max_iters=10), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="closed-curve"):
+            sa_align_closed(q, q, SaConfig(mode="closed_shape", max_iters=10),
+                            np.random.default_rng(0))
+
+    def test_closed_curve_in_r3(self):
+        q1 = shapeify(bean_curve_3d(41))
+        q2 = apply_seed(q1, 0.3)
+        res = sa_align_closed(q1, q2, SaConfig(mode="closed_shape", max_iters=400),
+                              np.random.default_rng(0))
+        rot = res.rotation.matrix
+        assert rot.shape == (3, 3)
+        assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-12)
+        assert np.linalg.det(rot) > 0.0
+        aligned = rotate(apply_seed(q2, res.seed), res.rotation)
+        assert abs(res.final_energy - warp_energy(q1, aligned, res.warp)) <= 1e-9
 
     def test_deterministic(self):
         q1 = shapeify(bean_curve(41))
@@ -236,6 +267,22 @@ class TestClosedAlignment:
         b = sa_align_closed(q1, q2, cfg, np.random.default_rng(9))
         assert a.seed == b.seed and a.final_energy == b.final_energy
         assert np.array_equal(a.warp.y, b.warp.y)
+
+
+class TestModeRule:
+    """Each mode-named aligner rejects a config of another mode."""
+
+    @pytest.mark.parametrize("aligner,mode", [
+        (sa_align, "open_shape"), (sa_align, "closed_shape"),
+        (sa_align_open_shape, "function"), (sa_align_open_shape, "closed_shape"),
+        (sa_align_closed, "function"), (sa_align_closed, "open_shape"),
+    ])
+    def test_named_aligner_rejects_other_mode(self, aligner, mode):
+        # a closed planar shape pair is valid input for every mode
+        q1 = shapeify(bean_curve(41))
+        q2 = apply_seed(q1, 0.2)
+        with pytest.raises(ValueError, match=f"mode only, not '{mode}'"):
+            aligner(q1, q2, SaConfig(mode=mode, max_iters=10), np.random.default_rng(0))
 
 
 def reference_partition(n, rng):

@@ -630,6 +630,15 @@ class TestAlignCommands:
         assert {"result.json", "warp.json", "trace.csv", "aligned.csv",
                 "manifest.json"} <= set(outs[0])
 
+    def test_align_sa_frozen_schedule(self, bump_files, tmp_path):
+        # cooling**k overflows from iteration 309: the chain freezes at T = 0
+        a, b = bump_files
+        out = tmp_path / "sa"
+        code = main(["align-sa", str(a), str(b), "--points", "60", "--cooling", "10",
+                     "--iters", "400", "--seed", "1", "--outdir", str(out)])
+        assert code == 0
+        assert json.loads((out / "result.json").read_text())["iterations"] == 400
+
     def test_align_sa_landmarks(self, tmp_path):
         c1, c2 = pqrst_pair(100)
         pa = write_curve(c1, tmp_path / "a.csv")

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from warpalign import (
     BayesConfig,
+    Curve,
     LandmarkSet,
     PLWarp,
     SaConfig,
@@ -129,18 +132,20 @@ class TestConstrainedAlign:
             assert seg.config.theta == pytest.approx(100.0 * span)
 
     def test_segment_independence(self):
-        # changing one segment's RNG stream only moves that segment's warp
+        # two pairs that differ only inside segment 2, run from one seed:
+        # only segment 2's warp moves
         c1, c2 = pqrst_pair(100)
         lm = LandmarkSet([(0.5, 0.55)])
         cfg = SaConfig(max_iters=200)
-        rngs_a = [np.random.default_rng(1), np.random.default_rng(2)]
-        rngs_b = [np.random.default_rng(1), np.random.default_rng(3)]
-        res_a = constrained_align(c1, c2, lm, "sa", cfg, segment_rngs=rngs_a)
-        res_b = constrained_align(c1, c2, lm, "sa", cfg, segment_rngs=rngs_b)
-        left = np.linspace(0.01, 0.49, 40)
-        right = np.linspace(0.51, 0.99, 40)
-        assert np.array_equal(res_a.warp(left), res_b.warp(left))
-        assert np.max(np.abs(res_a.warp(right) - res_b.warp(right))) > 0.0
+        changed = Curve(c2.grid, np.where(c2.grid[:, None] > 0.6, 2.0 * c2.points, c2.points))
+        res_a, res_b = (constrained_align(c1, g2, lm, "sa", cfg, np.random.default_rng(1))
+                        for g2 in (c2, changed))
+        left, right = (seg.result.warp for seg in res_a.segments)
+        assert np.array_equal(left.x, res_b.segments[0].result.warp.x)
+        assert np.array_equal(left.y, res_b.segments[0].result.warp.y)
+        assert sup_dist(right, res_b.segments[1].result.warp) > 0.0
+        t = np.linspace(0.01, 0.49, 40)
+        assert np.array_equal(res_a.warp(t), res_b.warp(t))
 
     def test_bayes_band_zero_at_landmarks_positive_between(self):
         c1, c2 = pqrst_pair(100)
@@ -218,3 +223,16 @@ class TestDecomposition:
         for w in (res.warp, *res.posterior_warps):
             for a, b in zip(lm.a, lm.b):
                 assert w(a) == b
+
+    def test_bayes_draws_shared_where_segment_draws_are(self):
+        c1, c2 = pqrst_pair(100)
+        lm = pqrst_landmarks()
+        cfg = BayesConfig(prior_draws=300, resample_size=40)
+        res = constrained_align(c1, c2, lm, "bayes", cfg, np.random.default_rng(12))
+        draws = [seg.result.warps for seg in res.segments]
+        shared = 0
+        for i, j in combinations(range(40), 2):
+            same = all(d[i] is d[j] for d in draws)
+            assert (res.posterior_warps[i] is res.posterior_warps[j]) == same
+            shared += same
+        assert shared > 0
