@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-iteration time of the simulated-annealing loop in each mode, the
-time of one closed-curve DP seed search and of one SIR posterior.
+time of one closed-curve DP seed search, of one DP alignment and of one
+SIR posterior.
 
 Aligns the bundled fixtures with default ``SaConfig`` settings apart from
 the iteration count: two-bump functions at m=100 (function mode), 3-d
@@ -9,9 +10,12 @@ spirals at m=100 (open_shape) and planar closed blobs at m=101
 the median wall time per iteration is printed in microseconds.  The
 ``closed_dp`` line is the median wall time of ``--runs`` calls of
 ``dp_align_closed`` on the same closed blobs at ``grid_size=101``, in
-milliseconds.  The ``sir_posterior`` line is the median wall time of
-``--runs`` calls of ``sir_posterior`` at default ``BayesConfig`` on the
-two-bump functions, seeded 0, 1, ..., in milliseconds.
+milliseconds.  The ``dp_align`` line is the median wall time of
+``--runs`` calls of ``dp_align`` on the two-bump functions at
+``grid_size=100``, in milliseconds.  The ``sir_posterior`` line is the
+median wall time of ``--runs`` calls of ``sir_posterior`` at default
+``BayesConfig`` on the two-bump functions, seeded 0, 1, ..., in
+milliseconds.
 """
 
 import argparse
@@ -20,8 +24,8 @@ import time
 
 import numpy as np
 
-from warpalign import (BayesConfig, DpConfig, SaConfig, dp_align_closed, normalize_length,
-                       sir_posterior, to_srvf, unit_normalize)
+from warpalign import (BayesConfig, DpConfig, SaConfig, dp_align, dp_align_closed,
+                       normalize_length, sir_posterior, to_srvf, unit_normalize)
 from warpalign.align_sa import align
 from warpalign.fixtures import closed_shape_pair, spiral_pair, two_bump_pair
 
@@ -63,6 +67,14 @@ def main() -> int:
     print(f"{'closed_dp':13s} {1e3 * statistics.median(times):8.1f} ms/search "
           f"(median of {args.runs} runs, {q1.grid.size - 1} seeds at grid_size={cfg.grid_size})")
     q1, q2 = pairs["function"]
+    cfg = DpConfig(grid_size=q1.grid.size)
+    times = []
+    for _ in range(args.runs):
+        start = time.perf_counter()
+        dp_align(q1, q2, cfg)
+        times.append(time.perf_counter() - start)
+    print(f"{'dp_align':13s} {1e3 * statistics.median(times):8.1f} ms/call "
+          f"(median of {args.runs} runs at grid_size={cfg.grid_size})")
     bayes = BayesConfig()
     times = []
     for run in range(args.runs):

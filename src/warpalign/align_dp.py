@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,39 +104,74 @@ def _segment_costs(q1v: np.ndarray, q2f: np.ndarray, m: int, refine: int,
     return cost
 
 
+@lru_cache(maxsize=16)
+def _band(steps, m: int) -> tuple[tuple[int, int], ...]:
+    """For each row i, a column range [lo_i, hi_i) that holds every node
+    of row i on a path of ``steps`` from (0,0) to (m-1,m-1).
+
+    Every step's slope b/a lies in [s_min, s_max], so a node (i, j) on a
+    path has s_min*i <= j <= s_max*i from the start and
+    s_min*(M-i) <= M-j <= s_max*(M-i) to the end, M = m-1: the adjustment
+    window of slope-constrained DTW, in exact integer arithmetic.  Both
+    bounds never decrease with i; an empty row has lo_i == hi_i.
+    """
+    by_slope = cmp_to_key(lambda s, t: s[1] * t[0] - t[1] * s[0])
+    a_lo, b_lo = min(steps, key=by_slope)
+    a_hi, b_hi = max(steps, key=by_slope)
+    last = m - 1
+    i = np.arange(m)
+    rest = last - i
+    lo = np.maximum(-(-b_lo * i // a_lo), last - b_hi * rest // a_hi)
+    hi = np.minimum(b_hi * i // a_hi, last + (-b_lo * rest // a_lo)) + 1
+    lo = np.minimum(lo, m)
+    return tuple(zip(lo.tolist(), np.maximum(hi, lo).tolist()))
+
+
 def _solve(costs, steps, m: int,
            track: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Cheapest monotone paths from (0,0) to (m-1,m-1), one per seed.
 
     ``costs[si][i]`` is an (S, m-b) array, usually a strided view, holding
     the cost of step ``steps[si] = (a, b)`` from node (i, j) for every seed
-    and every j < m-b.  Each row writes every step's candidates into one
-    stacked (n_steps, S, m) buffer, inf where a step cannot land, and
-    takes their minimum; only the last max(a)+1 rows of the distance table
-    are kept.  Returns the end-node energies (S,) and, with ``track``, the
-    step choices (m, S, m): the first step whose candidate equals the row
-    minimum, so ties go to the earlier step, and -1 where it is inf.
-    Without ``track`` the choices are None.
+    and every j < m-b; it is read through a transposed view.  The seed
+    axis is innermost, so a run of columns of one row is one contiguous
+    block.  Row i computes only its ``_band`` columns: it writes every
+    step's candidates there into one stacked (n_steps, m, S) buffer, inf
+    where a step cannot land, and takes their minimum.  A node outside the
+    band cannot reach the end, or is unreachable and reads as inf, so the
+    band nodes hold the same values as the full table.  Only the last
+    max(a)+1 rows of the distance table are kept.  Returns the end-node
+    energies (S,) and, with ``track``, the step choices (m, m, S): the
+    first step whose candidate equals the row minimum, so ties go to the
+    earlier step.  Only nodes of finite energy have a meaningful choice,
+    and those are all a backtrack from a finite end node visits.  Without
+    ``track`` the choices are None.
     """
     n_seeds = costs[0].shape[1]
     span = max(a for a, _ in steps) + 1
-    ring = np.full((span, n_seeds, m), np.inf)
-    ring[0, :, 0] = 0.0
+    ring = np.full((span, m, n_seeds), np.inf)
+    ring[0, 0] = 0.0
     # a step's slot stays inf in the columns it cannot reach and in the
     # rows before its first use, which come first since rows only increase
-    cand = np.full((len(steps), n_seeds, m), np.inf)
+    cand = np.full((len(steps), m, n_seeds), np.inf)
+    costs = [np.swapaxes(c, 1, 2) for c in costs]  # costs[si][i] is (m-b, S)
     choice = None
     if track:
-        choice = np.full((m, n_seeds, m), -1, dtype=np.min_scalar_type(-len(steps)))
-    for i in range(1, m):
+        choice = np.zeros((m, m, n_seeds), dtype=np.min_scalar_type(len(steps) - 1))
+    ring_rows, cand_rows = list(ring), list(cand)
+    for i, (lo, hi) in enumerate(_band(steps, m)[1:], start=1):
+        dist = ring_rows[i % span]
+        # the band only moves right, so a reused row is stale below lo only
+        dist[:lo] = np.inf
         for si, (a, b) in enumerate(steps):
-            if i >= a:
-                np.add(ring[(i - a) % span, :, :m - b], costs[si][i - a], out=cand[si, :, b:])
-        best = np.minimum.reduce(cand, axis=0, out=ring[i % span])
+            start = max(lo, b)
+            if i >= a and start < hi:
+                np.add(ring_rows[(i - a) % span][start - b:hi - b],
+                       costs[si][i - a, start - b:hi - b], out=cand_rows[si][start:hi])
+        np.minimum.reduce(cand[:, lo:hi], axis=0, out=dist[lo:hi])
         if track:
-            choice[i] = (cand == best).argmax(axis=0)
-            np.copyto(choice[i], -1, where=best == np.inf)
-    return ring[(m - 1) % span, :, m - 1].copy(), choice
+            choice[i, lo:hi] = cand[:, lo:hi].argmin(axis=0)
+    return ring[(m - 1) % span, m - 1].copy(), choice
 
 
 def _backtrack(choice: np.ndarray, energy: float, steps, grid: np.ndarray) -> PLWarp:
@@ -174,11 +210,17 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
     q2f = _fine_values(q2.grid, q2.values, refine)
     costs = [_step_costs(q1.values, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
     energies, choice = _solve(costs, steps, m, track=True)
-    return _backtrack(choice[:, 0], energies[0], steps, q1.grid), float(energies[0])
+    return _backtrack(choice[:, :, 0], energies[0], steps, q1.grid), float(energies[0])
 
 
 def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig()) -> float:
-    """Recompute the DP energy of a lattice warp from its segment costs."""
+    """Recompute the DP energy of a lattice warp from its segment costs.
+
+    A segment that moves a nodes along q1 and b along q2 reads q2 at
+    j + k*b/a, k = 0..a, so its costs use a fine grid lcm(refine, a) times
+    finer than the lattice; for the neighborhood's own steps that is the
+    DP's fine grid.
+    """
     _check_same_grid(q1, q2)
     if q1.grid.size != cfg.grid_size:
         q1 = _regrid(q1, cfg.grid_size)
@@ -186,19 +228,22 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     m = cfg.grid_size
     refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2.grid, q2.values, refine)
     idx_x = np.rint(warp.x * (m - 1)).astype(int)
     idx_y = np.rint(warp.y * (m - 1)).astype(int)
     if not (np.allclose(warp.x, idx_x * dt, atol=1e-9)
             and np.allclose(warp.y, idx_y * dt, atol=1e-9)):
         raise ValueError("warp knots do not sit on the DP lattice")
     total = 0.0
+    fine: dict[int, np.ndarray] = {}
     cache: dict[tuple[int, int], np.ndarray] = {}
     for k in range(idx_x.size - 1):
-        a = idx_x[k + 1] - idx_x[k]
-        b = idx_y[k + 1] - idx_y[k]
+        a = int(idx_x[k + 1] - idx_x[k])
+        b = int(idx_y[k + 1] - idx_y[k])
         if (a, b) not in cache:
-            cache[(a, b)] = _segment_costs(q1.values, q2f, m, refine, (a, b), dt)
+            r = math.lcm(refine, a)
+            if r not in fine:
+                fine[r] = _fine_values(q2.grid, q2.values, r)
+            cache[(a, b)] = _segment_costs(q1.values, fine[r], m, r, (a, b), dt)
         total = total + cache[(a, b)][idx_x[k], idx_y[k]]
     return float(total)
 
@@ -277,4 +322,5 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     pos, energy, winner = best
     _, choice = _solve(winner, cfg.neighborhood, cfg.grid_size, track=True)
     grid = q1.grid if on_lattice else uniform_grid(cfg.grid_size)
-    return seeds[pos] / n, _backtrack(choice[:, 0], energy, cfg.neighborhood, grid), float(energy)
+    warp = _backtrack(choice[:, :, 0], energy, cfg.neighborhood, grid)
+    return seeds[pos] / n, warp, float(energy)

@@ -192,7 +192,7 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
             break
     x, y, k, rot, e = best
     trace.append(e)
-    return AlignmentResult(PLWarp(x, y), Rotation(rot) if shape else None,
+    return AlignmentResult(PLWarp(x, y), Rotation._unchecked(rot) if shape else None,
                            k / n_seeds if closed else None, np.asarray(trace), trace[0], e)
 
 

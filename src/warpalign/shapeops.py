@@ -43,6 +43,15 @@ class Rotation:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "Rotation":
+        """Wrap a matrix ``_procrustes`` returned, which is in SO(d) by
+        construction, without ``__post_init__``'s re-check."""
+        rot = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(rot, "matrix", matrix)
+        return rot
+
+    @classmethod
     def identity(cls, dim: int) -> "Rotation":
         return cls(np.eye(dim))
 
@@ -68,7 +77,7 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:
     dimension one the identity is returned.
     """
     _check_same_grid(q1, q2)
-    return Rotation(_procrustes(_procrustes_target(q1.values, q1.grid), q2.values))
+    return Rotation._unchecked(_procrustes(_procrustes_target(q1.values, q1.grid), q2.values))
 
 
 def _procrustes_target(v1: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,8 @@ from warpalign import (
     warp_action,
 )
 from warpalign import align_dp
-from warpalign.align_dp import _refinement, _fine_values, _seed_bytes, _segment_costs
+from warpalign.align_dp import (_DEFAULT_STEPS, _band, _fine_values, _refinement, _seed_bytes,
+                                _segment_costs)
 from warpalign.fixtures import _radial_curve, bean_curve, two_bump_pair
 
 
@@ -64,6 +66,42 @@ def smooth_pair(m=60):
     return to_srvf(c1), to_srvf(c2)
 
 
+def on_some_path(steps, m: int) -> np.ndarray:
+    """(m, m) mask of the nodes on some lattice path from (0,0) to
+    (m-1,m-1): a BFS forward from (0,0) intersected with a BFS backward
+    from (m-1,m-1)."""
+    def bfs(start, sign):
+        seen = np.zeros((m, m), dtype=bool)
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            i, j = queue.popleft()
+            for a, b in steps:
+                node = (i + sign * a, j + sign * b)
+                if 0 <= node[0] < m and 0 <= node[1] < m and not seen[node]:
+                    seen[node] = True
+                    queue.append(node)
+        return seen
+
+    return bfs((0, 0), 1) & bfs((m - 1, m - 1), -1)
+
+
+def interp_path_energy(q1: Srvf, q2: Srvf, nodes) -> float:
+    """DP energy of the lattice path through ``nodes``, segment by segment:
+    q2 read with ``np.interp`` at every q1 node a segment spans, times
+    sqrt(slope), and the squared difference integrated by the trapezoid
+    rule.  Independent of the package's fine-grid step costs."""
+    t = q1.grid
+    total = 0.0
+    for (i0, j0), (i1, j1) in zip(nodes[:-1], nodes[1:]):
+        slope = (t[j1] - t[j0]) / (t[i1] - t[i0])
+        at = t[j0] + slope * (t[i0:i1 + 1] - t[i0])
+        warped = np.column_stack([np.interp(at, t, col) for col in q2.values.T])
+        sq = np.sum((q1.values[i0:i1 + 1] - np.sqrt(slope) * warped) ** 2, axis=1)
+        total += float(np.sum((sq[1:] + sq[:-1]) / 2.0 * np.diff(t[i0:i1 + 1])))
+    return total
+
+
 class TestDpAlign:
     def test_self_alignment_identity(self):
         q1, _ = smooth_pair()
@@ -77,6 +115,45 @@ class TestDpAlign:
         cfg = DpConfig(grid_size=60)
         warp, energy = dp_align(q1, q2, cfg)
         assert abs(dp_warp_energy(q1, q2, warp, cfg) - energy) < 1e-9
+
+    def test_energy_recompute_is_exact(self):
+        # the recomputation sums the same step costs in the same order
+        for m in (40, 100):
+            q1, q2 = smooth_pair(m)
+            cfg = DpConfig(grid_size=m)
+            warp, energy = dp_align(q1, q2, cfg)
+            assert dp_warp_energy(q1, q2, warp, cfg) == energy
+
+    def test_energy_of_steps_outside_the_neighborhood(self):
+        # steps (3,1), (2,3) and (7,8): 3 and 7 do not divide the default
+        # neighborhood's refinement times b, so q2 is read between its
+        # refined nodes
+        t = uniform_grid(13)
+        q1 = to_srvf(Curve(t, np.sin(3 * t)))
+        q2 = to_srvf(Curve(t, np.cos(2 * t) + t ** 2))
+        nodes = [(0, 0), (3, 1), (5, 4), (12, 12)]
+        warp = PLWarp(np.array([i for i, _ in nodes]) / 12, np.array([j for _, j in nodes]) / 12)
+        energy = dp_warp_energy(q1, q2, warp, DpConfig(grid_size=13))
+        assert energy == pytest.approx(2.16563126106383, rel=1e-12)
+        assert energy == pytest.approx(interp_path_energy(q1, q2, nodes), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_energy_of_any_lattice_path(self, data):
+        m = data.draw(st.integers(3, 16), label="m")
+        q1 = Srvf(uniform_grid(m), np.array(data.draw(
+            st.lists(st.floats(-2.0, 2.0), min_size=2 * m, max_size=2 * m))).reshape(m, 2))
+        q2 = Srvf(uniform_grid(m), np.array(data.draw(
+            st.lists(st.floats(-2.0, 2.0), min_size=2 * m, max_size=2 * m))).reshape(m, 2))
+        inner = data.draw(st.lists(st.integers(1, m - 2), max_size=4, unique=True), label="xs")
+        k = len(inner)
+        ys = data.draw(st.lists(st.integers(1, m - 2), min_size=k, max_size=k, unique=True),
+                       label="ys")
+        nodes = list(zip([0] + sorted(inner) + [m - 1], [0] + sorted(ys) + [m - 1]))
+        t = uniform_grid(m)
+        warp = PLWarp(t[[i for i, _ in nodes]], t[[j for _, j in nodes]])
+        energy = dp_warp_energy(q1, q2, warp, DpConfig(grid_size=m))
+        assert energy == pytest.approx(interp_path_energy(q1, q2, nodes), rel=1e-10, abs=1e-12)
 
     def test_energy_not_above_identity(self):
         rng = np.random.default_rng(0)
@@ -271,6 +348,42 @@ def closed_srvfs(draw, m):
     return Srvf(uniform_grid(m), np.vstack((vals, vals[:1])), "closed")
 
 
+def neighborhoods():
+    """Nonempty subsets of the default steps, with or without the diagonal,
+    the default steps themselves, and sets with slopes on one side of 1."""
+    return st.one_of(
+        st.lists(st.sampled_from(_DEFAULT_STEPS), min_size=1, max_size=len(_DEFAULT_STEPS),
+                 unique=True).map(tuple),
+        st.sampled_from([_DEFAULT_STEPS, ((1, 1), (1, 2)), ((1, 1), (2, 1)),
+                         ((1, 1), (1, 3), (2, 3)), ((1, 1), (3, 2), (3, 1))]))
+
+
+class TestBand:
+    """``_band`` holds every node that lies on some lattice path."""
+
+    @pytest.mark.parametrize("steps", [
+        _DEFAULT_STEPS, ((1, 1),), ((1, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 1)),
+        ((2, 1), (1, 3)), ((1, 1), (1, 3), (2, 3)), ((3, 2), (2, 3)), ((2, 2),), ((1, 2),),
+        ((3, 1), (1, 1), (2, 5))])
+    def test_paths_lie_in_the_band(self, steps):
+        for m in range(2, 26):
+            bands = _band(steps, m)
+            assert len(bands) == m
+            on_path = on_some_path(steps, m)
+            for i, (lo, hi) in enumerate(bands):
+                assert 0 <= lo <= hi <= m
+                cols = np.flatnonzero(on_path[i])
+                assert np.all((lo <= cols) & (cols < hi)), (m, i, lo, hi, cols)
+            assert all(b1[0] <= b2[0] and b1[1] <= b2[1] for b1, b2 in zip(bands, bands[1:]))
+
+    def test_default_band_is_the_slope_window(self):
+        # slopes 1/3 .. 3 on a 100-node lattice: row 3 keeps columns 1 .. 9,
+        # row 50 columns 17 .. 82 and row 96 columns 90 .. 98
+        bands = _band(_DEFAULT_STEPS, 100)
+        assert bands[0] == (0, 1) and bands[99] == (99, 100)
+        assert bands[3] == (1, 10) and bands[50] == (17, 83) and bands[96] == (90, 99)
+
+
 class TestSeedPassOracle:
     """The energy-only seed pass and the winner's re-solve against the
     per-seed strict-``<`` recurrence of ``reference_dp_align_closed``: the
@@ -291,7 +404,7 @@ class TestSeedPassOracle:
         assert energy == ref_energy
         return seed
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_per_seed_recurrence(self, data):
         m = data.draw(st.integers(6, 24), label="m")
@@ -302,8 +415,13 @@ class TestSeedPassOracle:
             st.integers(5, 26).filter(lambda g: g != m), label="grid_size")
         stride = data.draw(st.sampled_from([1, 3]), label="seed_stride")
         per_block = data.draw(st.sampled_from([None, 1, 2, 5]), label="seeds_per_block")
-        self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size, seed_stride=stride),
-                                   per_block)
+        steps = data.draw(neighborhoods(), label="neighborhood")
+        cfg = DpConfig(grid_size=grid_size, neighborhood=steps, seed_stride=stride)
+        if not on_some_path(cfg.neighborhood, grid_size)[-1, -1]:
+            with pytest.raises(ValueError, match="end node unreachable"):
+                dp_align_closed(q1, q2, cfg)
+            return
+        self.assert_matches_oracle(q1, q2, cfg, per_block)
 
     @pytest.mark.parametrize("grid_size", [41, 30])
     @pytest.mark.parametrize("per_block", [None, 1, 3])

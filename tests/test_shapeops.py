@@ -160,6 +160,18 @@ class TestProcrustesKernel:
         assert np.array_equal(_procrustes((v1 * w[:, None]).T, v2),
                               reference_procrustes(v1, v2, w))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_output_in_special_orthogonal_group(self, dim, data):
+        # optimal_rotation and the annealer wrap this output in a Rotation
+        # without its constructor's orthogonality and determinant checks
+        v1, v2, w = data.draw(procrustes_inputs(dim))
+        rot = _procrustes((v1 * w[:, None]).T, v2)
+        assert rot.shape == (dim, dim)
+        assert np.allclose(rot.T @ rot, np.eye(dim), rtol=0.0, atol=1e-12)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestApplySeed:
     def closed_shape(self, m=101):
