@@ -8,10 +8,13 @@ seconds and the median peak resident set size in MB (the child's own
 ``ru_maxrss``, read with ``os.wait4``).  A cold run pays interpreter
 start-up and package import as a user's run does.  The ``import`` line
 is ``import warpalign, warpalign.cli`` alone; ``align-dp`` runs once on
-the two-bump functions and once (``align-dp-closed``) on the closed
-blobs with ``--shape``; ``align-sa`` runs once in each mode, on the
-two-bump functions, on the 3-d spirals (``align-sa-open``) and on the
-closed blobs at 101 points (``align-sa-closed``); ``align-sa-lm`` and
+the two-bump functions, once (``align-dp-closed``) on the closed blobs
+with ``--shape`` and once more (``align-dp-closed-off``) with ``--shape
+--grid-size 80``, the off-lattice seed search that regrids every seed
+from the 100-point input grid onto an 80-node lattice; ``align-sa`` runs
+once in each mode, on the two-bump functions, on the 3-d spirals
+(``align-sa-open``) and on the closed blobs at 101 points
+(``align-sa-closed``); ``align-sa-lm`` and
 ``align-bayes-lm`` run ``align-sa`` and ``align-bayes`` on the PQRST
 pair with ``--landmarks pqrst_landmarks.csv``.
 """
@@ -33,6 +36,8 @@ COMMANDS = {
     "geodesic": ["geodesic", "two_bump_1.csv", "two_bump_2.csv"],
     "align-dp": ["align-dp", "two_bump_1.csv", "two_bump_2.csv"],
     "align-dp-closed": ["align-dp", "closed_blob_1.csv", "closed_blob_2.csv", "--shape"],
+    "align-dp-closed-off": ["align-dp", "closed_blob_1.csv", "closed_blob_2.csv", "--shape",
+                            "--grid-size", "80"],
     "align-sa": ["align-sa", "two_bump_1.csv", "two_bump_2.csv"],
     "align-sa-open": ["align-sa", "spiral_1.csv", "spiral_2.csv", "--mode", "open_shape"],
     "align-sa-closed": ["align-sa", "closed_blob_1.csv", "closed_blob_2.csv",
@@ -90,7 +95,7 @@ def main() -> int:
                     return 1
                 times.append(seconds)
                 peaks.append(peak_mb)
-            print(f"{name:16s} {statistics.median(times):7.3f} s "
+            print(f"{name:20s} {statistics.median(times):7.3f} s "
                   f"{statistics.median(peaks):7.1f} MB (median of {args.runs} cold runs)")
     return 0
 

@@ -34,6 +34,18 @@ def _shapes(pair):
     return tuple(unit_normalize(to_srvf(normalize_length(c))) for c in pair)
 
 
+def _median_time(call, runs: int, per=None) -> float:
+    """Median over run = 0, 1, ..., runs-1 of the wall seconds of
+    ``call(run)``, each divided by ``per(result)`` when ``per`` is given."""
+    times = []
+    for run in range(runs):
+        start = time.perf_counter()
+        result = call(run)
+        elapsed = time.perf_counter() - start
+        times.append(elapsed / per(result) if per else elapsed)
+    return statistics.median(times)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--iters", type=int, default=1000)
@@ -49,39 +61,24 @@ def main() -> int:
     }
     for mode, (q1, q2) in pairs.items():
         cfg = SaConfig(mode=mode, max_iters=args.iters)
-        per_iter = []
-        for run in range(args.runs):
-            start = time.perf_counter()
-            res = align(q1, q2, cfg, np.random.default_rng(run))
-            elapsed = time.perf_counter() - start
-            per_iter.append(elapsed / (res.energy_trace.size - 2))
-        print(f"{mode:13s} {1e6 * statistics.median(per_iter):8.1f} us/iter "
+        seconds = _median_time(lambda run: align(q1, q2, cfg, np.random.default_rng(run)),
+                               args.runs, per=lambda res: res.energy_trace.size - 2)
+        print(f"{mode:13s} {1e6 * seconds:8.1f} us/iter "
               f"(median of {args.runs} runs x {args.iters} iterations)")
     q1, q2 = pairs["closed_shape"]
     cfg = DpConfig(grid_size=q1.grid.size)
-    times = []
-    for _ in range(args.runs):
-        start = time.perf_counter()
-        dp_align_closed(q1, q2, cfg)
-        times.append(time.perf_counter() - start)
-    print(f"{'closed_dp':13s} {1e3 * statistics.median(times):8.1f} ms/search "
+    seconds = _median_time(lambda _: dp_align_closed(q1, q2, cfg), args.runs)
+    print(f"{'closed_dp':13s} {1e3 * seconds:8.1f} ms/search "
           f"(median of {args.runs} runs, {q1.grid.size - 1} seeds at grid_size={cfg.grid_size})")
     q1, q2 = pairs["function"]
     cfg = DpConfig(grid_size=q1.grid.size)
-    times = []
-    for _ in range(args.runs):
-        start = time.perf_counter()
-        dp_align(q1, q2, cfg)
-        times.append(time.perf_counter() - start)
-    print(f"{'dp_align':13s} {1e3 * statistics.median(times):8.1f} ms/call "
+    seconds = _median_time(lambda _: dp_align(q1, q2, cfg), args.runs)
+    print(f"{'dp_align':13s} {1e3 * seconds:8.1f} ms/call "
           f"(median of {args.runs} runs at grid_size={cfg.grid_size})")
     bayes = BayesConfig()
-    times = []
-    for run in range(args.runs):
-        start = time.perf_counter()
-        sir_posterior(q1, q2, bayes, np.random.default_rng(run))
-        times.append(time.perf_counter() - start)
-    print(f"{'sir_posterior':13s} {1e3 * statistics.median(times):8.1f} ms/call "
+    seconds = _median_time(
+        lambda run: sir_posterior(q1, q2, bayes, np.random.default_rng(run)), args.runs)
+    print(f"{'sir_posterior':13s} {1e3 * seconds:8.1f} ms/call "
           f"(median of {args.runs} runs, {bayes.prior_draws} draws at m={q1.grid.size})")
     return 0
 

@@ -51,15 +51,20 @@ class DpConfig:
 
 
 def _refinement(steps) -> int:
-    r = 1
-    for a, _ in steps:
-        r = math.lcm(r, a)
-    return r
+    return math.lcm(*(a for a, _ in steps))
 
 
-def _regrid(q: Srvf, m: int) -> Srvf:
+def _lattice(q1: Srvf, q2: Srvf, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DP's one lattice rule: q1 and q2 share one uniform grid, and the
+    lattice is that grid when it has m nodes, else the uniform grid of m
+    nodes that both SRVFs are interpolated onto.  Returns the lattice grid
+    and q1's and q2's values on it."""
+    _check_same_grid(q1, q2)
+    _require_uniform(q1.grid)
+    if q1.grid.size == m:
+        return q1.grid, q1.values, q2.values
     grid = uniform_grid(m)
-    return Srvf(grid, _interp_columns(q.grid, q.values, grid), q.topology, False)
+    return grid, *(_interp_columns(q.grid, q.values, grid) for q in (q1, q2))
 
 
 def _fine_values(grid: np.ndarray, values: np.ndarray, refine: int) -> np.ndarray:
@@ -93,15 +98,6 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
         cross = lhs @ np.swapaxes(rhs, -1, -2)
         acc += weights[k] * (sq_l[:, None] + sq_r[..., None, :] - 2.0 * cross)
     return acc
-
-
-def _segment_costs(q1v: np.ndarray, q2f: np.ndarray, m: int, refine: int,
-                   step: tuple[int, int], dt: float) -> np.ndarray:
-    """(m, m) step costs, infinite where the move would leave the lattice."""
-    a, b = step
-    cost = np.full((m, m), np.inf)
-    cost[:m - a, :m - b] = _step_costs(q1v, q2f, refine, step, dt, m - b)
-    return cost
 
 
 @lru_cache(maxsize=16)
@@ -194,38 +190,34 @@ def _backtrack(choice: np.ndarray, energy: float, steps, grid: np.ndarray) -> PL
 def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, float]:
     """Optimal lattice warp and its energy.
 
-    SRVFs are interpolated onto a uniform lattice of ``cfg.grid_size``
-    nodes if needed; the DP then finds the cheapest monotone path from
-    (0,0) to the far corner using the configured steps.
+    The SRVFs must share one uniform grid and are interpolated onto a
+    uniform lattice of ``cfg.grid_size`` nodes if needed; the DP then
+    finds the cheapest monotone path from (0,0) to the far corner using
+    the configured steps.
     """
-    _check_same_grid(q1, q2)
-    _require_uniform(q1.grid)
-    if q1.grid.size != cfg.grid_size:
-        q1 = _regrid(q1, cfg.grid_size)
-        q2 = _regrid(q2, cfg.grid_size)
     m = cfg.grid_size
+    grid, q1v, q2v = _lattice(q1, q2, m)
     steps = cfg.neighborhood
     refine = _refinement(steps)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2.grid, q2.values, refine)
-    costs = [_step_costs(q1.values, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
+    q2f = _fine_values(grid, q2v, refine)
+    costs = [_step_costs(q1v, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
     energies, choice = _solve(costs, steps, m, track=True)
-    return _backtrack(choice[:, :, 0], energies[0], steps, q1.grid), float(energies[0])
+    return _backtrack(choice[:, :, 0], energies[0], steps, grid), float(energies[0])
 
 
 def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig()) -> float:
-    """Recompute the DP energy of a lattice warp from its segment costs.
+    """Recompute the DP energy of a lattice warp from its segment costs,
+    on the lattice ``dp_align`` would use.
 
     A segment that moves a nodes along q1 and b along q2 reads q2 at
     j + k*b/a, k = 0..a, so its costs use a fine grid lcm(refine, a) times
     finer than the lattice; for the neighborhood's own steps that is the
-    DP's fine grid.
+    DP's fine grid.  Each knot indexes its step's (m-a, m-b) cost table
+    directly, since a lattice warp's knots never leave the lattice.
     """
-    _check_same_grid(q1, q2)
-    if q1.grid.size != cfg.grid_size:
-        q1 = _regrid(q1, cfg.grid_size)
-        q2 = _regrid(q2, cfg.grid_size)
     m = cfg.grid_size
+    grid, q1v, q2v = _lattice(q1, q2, m)
     refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
     idx_x = np.rint(warp.x * (m - 1)).astype(int)
@@ -242,8 +234,8 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
         if (a, b) not in cache:
             r = math.lcm(refine, a)
             if r not in fine:
-                fine[r] = _fine_values(q2.grid, q2.values, r)
-            cache[(a, b)] = _segment_costs(q1.values, fine[r], m, r, (a, b), dt)
+                fine[r] = _fine_values(grid, q2v, r)
+            cache[(a, b)] = _step_costs(q1v, fine[r], r, (a, b), dt, m - b)
         total = total + cache[(a, b)][idx_x[k], idx_y[k]]
     return float(total)
 
@@ -265,30 +257,29 @@ def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
     step's costs are computed once against two periods of q2 and every
     seed reads a zero-copy window of them.  Off the lattice each seed
     rolls q2's raw values on the input grid, and the rolled values are
-    regridded.  Blocks are sized so that the per-seed arrays of the seed
-    pass stay within ``_BLOCK_BYTES``.
+    regridded onto the lattice.  Blocks are sized so that the per-seed
+    arrays of the seed pass stay within ``_BLOCK_BYTES``.
     """
     m = cfg.grid_size
+    grid, q1v, _ = _lattice(q1, q2, m)
     steps = cfg.neighborhood
     refine = _refinement(steps)
     dt = 1.0 / (m - 1)
     n = q1.grid.size - 1
     if n + 1 == m:
-        fine = _fine_values(q2.grid, _roll_seed(q2.values, 0), refine)
+        fine = _fine_values(grid, _roll_seed(q2.values, 0), refine)
         unrolled = np.concatenate((fine[:-1], fine))
         windows = [sliding_window_view(
-            _step_costs(q1.values, unrolled, refine, (a, b), dt, n + m - b - 1),
+            _step_costs(q1v, unrolled, refine, (a, b), dt, n + m - b - 1),
             m - b, axis=1)[:, :n:cfg.seed_stride] for a, b in steps]
         block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, False))
         for first in range(0, len(seeds), block):
             yield first, [w[:, first:first + block] for w in windows]
         return
-    lattice = uniform_grid(m)
-    q1v = _interp_columns(q1.grid, q1.values, lattice)
     block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, True))
     for first in range(0, len(seeds), block):
         fine = np.stack([
-            _fine_values(lattice, _interp_columns(q2.grid, _roll_seed(q2.values, k), lattice),
+            _fine_values(grid, _interp_columns(q2.grid, _roll_seed(q2.values, k), grid),
                          refine)
             for k in seeds[first:first + block]])
         yield first, [np.moveaxis(_step_costs(q1v, fine, refine, s, dt, m - s[1]), 0, 1)
@@ -306,8 +297,7 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
-    _check_same_grid(q1, q2)
-    _require_uniform(q1.grid)
+    grid, _, _ = _lattice(q1, q2, cfg.grid_size)
     n = q1.grid.size - 1
     on_lattice = n + 1 == cfg.grid_size
     seeds = range(0, n, cfg.seed_stride)
@@ -321,6 +311,5 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
             best = (first + k, energies[k], winner)
     pos, energy, winner = best
     _, choice = _solve(winner, cfg.neighborhood, cfg.grid_size, track=True)
-    grid = q1.grid if on_lattice else uniform_grid(cfg.grid_size)
     warp = _backtrack(choice[:, :, 0], energy, cfg.neighborhood, grid)
     return seeds[pos] / n, warp, float(energy)

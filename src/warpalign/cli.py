@@ -319,7 +319,7 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
         payload = {
             "mode": mode,
             "warp": res.warp.to_dict(),
-            "landmarks": [[float(a), float(b)] for a, b in res.prewarp.knots[1:-1]],
+            "landmarks": lm.pairs.tolist(),
             "segments": [
                 {"interval": list(seg.interval),
                  "theta": seg.config.theta,

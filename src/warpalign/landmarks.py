@@ -176,20 +176,20 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
         raise ValueError("curves must share a common grid; resample first")
     if rng is None:
         rng = np.random.default_rng()
+    prewarp = landmark_prewarp(lm)
 
     if len(lm) == 0:
         q1, q2 = to_srvf(g1), to_srvf(g2)
         if method == "sa":
             res = sa_align(q1, q2, cfg, rng)
             seg = SegmentAlignment((0.0, 1.0), cfg, res)
-            return ConstrainedResult(res.warp, identity(), method, [seg])
+            return ConstrainedResult(res.warp, prewarp, method, [seg])
         post = sir_posterior(q1, q2, cfg, rng)
         seg = SegmentAlignment((0.0, 1.0), cfg, post)
-        return ConstrainedResult(posterior_summary(post, g1.grid)[0], identity(),
+        return ConstrainedResult(posterior_summary(post, g1.grid)[0], prewarp,
                                  method, [seg], posterior_warps=post.warps)
 
-    cuts1 = np.concatenate(([0.0], lm.a, [1.0]))
-    cuts2 = np.concatenate(([0.0], lm.b, [1.0]))
+    cuts1, cuts2 = prewarp.x, prewarp.y
 
     segments: list[SegmentAlignment] = []
     seg_warps: list[PLWarp] = []
@@ -217,4 +217,4 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
 
     posterior_warps = _glue(cuts1, cuts2, draws_per_segment) if method == "bayes" else None
     return ConstrainedResult(_glue(cuts1, cuts2, [[w] for w in seg_warps])[0],
-                             landmark_prewarp(lm), method, segments, posterior_warps)
+                             prewarp, method, segments, posterior_warps)

@@ -323,23 +323,18 @@ def geodesic(q1: Srvf, q2: Srvf, steps: int) -> list[Srvf]:
     if steps < 2:
         raise ValueError("need at least two steps")
     _check_same_grid(q1, q2)
-    fractions = np.linspace(0.0, 1.0, steps)
-    path = []
-    if q1.is_shape and q2.is_shape:
-        psi = shape_dist(q1, q2)
-        if psi >= np.pi - 1e-6:
-            raise ValueError("antipodal shapes have no unique geodesic")
-        for s in fractions:
-            if psi < 1e-9:
-                vals = (1.0 - s) * q1.values + s * q2.values
-            else:
-                vals = (np.sin((1.0 - s) * psi) * q1.values
-                        + np.sin(s * psi) * q2.values) / np.sin(psi)
-            path.append(Srvf(q1.grid, vals, q1.topology, is_shape=True))
-    else:
-        for s in fractions:
+    shape = q1.is_shape and q2.is_shape
+    # psi below 1e-9 takes the linear path: non-shapes, and shapes too close for the arc
+    psi = shape_dist(q1, q2) if shape else 0.0
+    if psi >= np.pi - 1e-6:
+        raise ValueError("antipodal shapes have no unique geodesic")
+    path = [q1]
+    for s in np.linspace(0.0, 1.0, steps)[1:-1]:
+        if psi < 1e-9:
             vals = (1.0 - s) * q1.values + s * q2.values
-            path.append(Srvf(q1.grid, vals, q1.topology, is_shape=False))
-    path[0] = q1
-    path[-1] = q2
+        else:
+            vals = (np.sin((1.0 - s) * psi) * q1.values
+                    + np.sin(s * psi) * q2.values) / np.sin(psi)
+        path.append(Srvf(q1.grid, vals, q1.topology, is_shape=shape))
+    path.append(q2)
     return path

@@ -5,13 +5,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
-from warpalign.align_dp import _closed_costs
+from warpalign.align_dp import _closed_costs, _fine_values, _refinement, _step_costs
 from warpalign.fixtures import bean_curve
 from warpalign.io import _fmt
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
-           "reference_draw", "reference_sir_posterior", "reference_dp_align_closed",
+           "reference_draw", "reference_sir_posterior", "enumerate_path_costs",
+           "reference_dp_align_closed",
            "reference_procrustes", "convex_blend", "write_srvf", "bean_curve_3d"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
@@ -143,6 +144,35 @@ def reference_sir_posterior(q1, q2, cfg, rng):
     picks = rng.choice(cfg.prior_draws, size=cfg.resample_size, replace=True, p=weights)
     return PosteriorSample([PLWarp(knots[i], values[i]) for i in picks], weights,
                            1.0 / float(np.sum(weights ** 2)))
+
+
+def enumerate_path_costs(q1, q2, cfg) -> float:
+    """Brute-force oracle: minimum DP energy over all monotone lattice
+    paths, for SRVFs already on the ``cfg.grid_size`` lattice.
+
+    Paths are enumerated independently of the DP recursion; segment costs
+    are the package's ``_step_costs`` tables and the summation order is
+    the DP's, so the minima are comparable exactly.  A step is taken only
+    when it stays on the lattice, so every index is inside its table.
+    """
+    m = cfg.grid_size
+    refine = _refinement(cfg.neighborhood)
+    dt = 1.0 / (m - 1)
+    q2f = _fine_values(q2.grid, q2.values, refine)
+    cost = {(a, b): _step_costs(q1.values, q2f, refine, (a, b), dt, m - b)
+            for a, b in cfg.neighborhood}
+    best = [np.inf]
+
+    def walk(i, j, acc):
+        if (i, j) == (m - 1, m - 1):
+            best[0] = min(best[0], acc)
+            return
+        for a, b in cfg.neighborhood:
+            if i + a <= m - 1 and j + b <= m - 1:
+                walk(i + a, j + b, acc + cost[(a, b)][i, j])
+
+    walk(0, 0, 0.0)
+    return best[0]
 
 
 def reference_dp_align_closed(q1, q2, cfg):

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 from scipy import stats
 
+from conftest import enumerate_path_costs
 from warpalign import (
     BayesConfig,
     DpConfig,
@@ -47,7 +48,6 @@ from warpalign import (
     uniform_grid,
     warp_action,
 )
-from warpalign.align_dp import _fine_values, _refinement, _segment_costs
 from warpalign.cli import main
 from warpalign.fixtures import (
     bean_curve,
@@ -194,32 +194,11 @@ def test_criterion_06_dp_oracle_equivalence():
         q1 = Srvf(uniform_grid(6), rng.normal(size=(6, 1)))
         q2 = Srvf(uniform_grid(6), rng.normal(size=(6, 1)))
         _, energy = dp_align(q1, q2, cfg)
-        oracle = _bruteforce_energy(q1, q2, cfg)
+        oracle = enumerate_path_costs(q1, q2, cfg)
         if energy != oracle:
             mismatches += 1
     report(6, "DP equals exhaustive path enumeration on 6x6 grids",
            mismatches == 0, f"{mismatches} mismatches in 50 pairs")
-
-
-def _bruteforce_energy(q1, q2, cfg):
-    m = cfg.grid_size
-    refine = _refinement(cfg.neighborhood)
-    dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2.grid, q2.values, refine)
-    cost = {s: _segment_costs(q1.values, q2f, m, refine, s, dt)
-            for s in cfg.neighborhood}
-    best = [np.inf]
-
-    def walk(i, j, acc):
-        if (i, j) == (m - 1, m - 1):
-            best[0] = min(best[0], acc)
-            return
-        for a, b in cfg.neighborhood:
-            if i + a <= m - 1 and j + b <= m - 1:
-                walk(i + a, j + b, acc + cost[(a, b)][i, j])
-
-    walk(0, 0, 0.0)
-    return best[0]
 
 
 def test_criterion_07_sa_correctness():

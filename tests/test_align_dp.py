@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bean_curve_3d, reference_dp_align_closed
+from conftest import bean_curve_3d, enumerate_path_costs, reference_dp_align_closed
 from warpalign import (
     Curve,
     DpConfig,
@@ -25,36 +25,8 @@ from warpalign import (
     warp_action,
 )
 from warpalign import align_dp
-from warpalign.align_dp import (_DEFAULT_STEPS, _band, _fine_values, _refinement, _seed_bytes,
-                                _segment_costs)
+from warpalign.align_dp import _DEFAULT_STEPS, _band, _seed_bytes
 from warpalign.fixtures import _radial_curve, bean_curve, two_bump_pair
-
-
-def enumerate_path_costs(q1: Srvf, q2: Srvf, cfg: DpConfig) -> float:
-    """Brute-force oracle: minimum energy over all monotone lattice paths.
-
-    Paths are enumerated independently of the DP recursion; segment costs
-    and their summation order match the implementation so the minima are
-    comparable exactly.
-    """
-    m = cfg.grid_size
-    refine = _refinement(cfg.neighborhood)
-    dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2.grid, q2.values, refine)
-    cost = {s: _segment_costs(q1.values, q2f, m, refine, s, dt)
-            for s in cfg.neighborhood}
-    best = [np.inf]
-
-    def walk(i, j, acc):
-        if (i, j) == (m - 1, m - 1):
-            best[0] = min(best[0], acc)
-            return
-        for a, b in cfg.neighborhood:
-            if i + a <= m - 1 and j + b <= m - 1:
-                walk(i + a, j + b, acc + cost[(a, b)][i, j])
-
-    walk(0, 0, 0.0)
-    return best[0]
 
 
 def random_srvf(rng, m=6, dim=1) -> Srvf:
@@ -117,12 +89,14 @@ class TestDpAlign:
         assert abs(dp_warp_energy(q1, q2, warp, cfg) - energy) < 1e-9
 
     def test_energy_recompute_is_exact(self):
-        # the recomputation sums the same step costs in the same order
+        # the recomputation sums the same step costs in the same order, on
+        # the input grid and on a regridded lattice alike
         for m in (40, 100):
             q1, q2 = smooth_pair(m)
-            cfg = DpConfig(grid_size=m)
-            warp, energy = dp_align(q1, q2, cfg)
-            assert dp_warp_energy(q1, q2, warp, cfg) == energy
+            for grid_size in (m, 37, 80, 120):
+                cfg = DpConfig(grid_size=grid_size)
+                warp, energy = dp_align(q1, q2, cfg)
+                assert dp_warp_energy(q1, q2, warp, cfg) == energy
 
     def test_energy_of_steps_outside_the_neighborhood(self):
         # steps (3,1), (2,3) and (7,8): 3 and 7 do not divide the default
@@ -217,6 +191,23 @@ class TestDpAlign:
         q1, q2 = Srvf(g, np.ones((10, 1))), Srvf(g, np.ones((10, 2)))
         with pytest.raises(ValueError, match="different dimensions"):
             dp_align(q1, q2, DpConfig(grid_size=10))
+
+    @pytest.mark.parametrize("grid_size", [20, 30])
+    @pytest.mark.parametrize("entry", ["dp_align", "dp_warp_energy", "dp_align_closed"])
+    def test_non_uniform_grid_rejected(self, entry, grid_size):
+        # every DP entry point applies the one lattice rule, on the input
+        # grid's own size and off it
+        t = np.linspace(0.0, 1.0, 20) ** 1.5
+        topology = "closed" if entry == "dp_align_closed" else "open"
+        values = np.column_stack((np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)))
+        q1 = Srvf(t, values, topology)
+        q2 = Srvf(t, values[:, ::-1], topology)
+        cfg = DpConfig(grid_size=grid_size)
+        call = {"dp_align": lambda: dp_align(q1, q2, cfg),
+                "dp_warp_energy": lambda: dp_warp_energy(q1, q2, identity(), cfg),
+                "dp_align_closed": lambda: dp_align_closed(q1, q2, cfg)}[entry]
+        with pytest.raises(ValueError, match="uniform grid"):
+            call()
 
     def test_unreachable_neighborhood_rejected(self):
         q = Srvf(uniform_grid(6), np.ones((6, 1)))
