@@ -80,7 +80,9 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     integrated by the trapezoid rule on the a+1 grid nodes the move
     spans, with q2 read off a refine-times finer precomputed grid.
     ``q2f`` may carry leading batch axes; the result has shape
-    ``q2f.shape[:-2] + (len(q1v) - a, ncols)``.
+    ``q2f.shape[:-2] + (len(q1v) - a, ncols)``.  Each node adds
+    ``w_k * (|l|^2 + |r|^2 - 2 l.r)``, evaluated in that order in one
+    temporary.
     """
     a, b = step
     sq = math.sqrt(b / a)
@@ -89,14 +91,20 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     stride = refine * b // a
     imax = q1v.shape[0] - a
     acc = np.zeros(q2f.shape[:-2] + (imax, ncols))
+    term = np.empty_like(acc)
     j_fine = np.arange(ncols) * refine
+    sq_q1 = np.add.reduce(np.square(q1v), axis=1)
     for k in range(a + 1):
         lhs = q1v[k:k + imax]
-        rhs = sq * q2f[..., j_fine + k * stride, :]
-        sq_l = np.sum(lhs ** 2, axis=1)
-        sq_r = np.sum(rhs ** 2, axis=-1)
+        rhs = q2f[..., j_fine + k * stride, :]
+        rhs *= sq
+        sq_r = np.add.reduce(np.square(rhs), axis=-1)
         cross = lhs @ np.swapaxes(rhs, -1, -2)
-        acc += weights[k] * (sq_l[:, None] + sq_r[..., None, :] - 2.0 * cross)
+        cross *= 2.0
+        np.add(sq_q1[k:k + imax, None], sq_r[..., None, :], out=term)
+        term -= cross
+        term *= weights[k]
+        acc += term
     return acc
 
 
@@ -250,22 +258,24 @@ def _seed_bytes(m: int, steps, regridded: bool) -> int:
     return 8 * floats
 
 
-def _closed_costs(q1: Srvf, q2: Srvf, cfg: DpConfig, seeds: range):
+def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf, cfg: DpConfig,
+                  seeds: range):
     """Yield (first seed position, per-step cost views) in seed blocks.
 
-    On the DP lattice a seed shift by k nodes is a column offset, so each
-    step's costs are computed once against two periods of q2 and every
-    seed reads a zero-copy window of them.  Off the lattice each seed
-    rolls q2's raw values on the input grid, and the rolled values are
-    regridded onto the lattice.  Blocks are sized so that the per-seed
-    arrays of the seed pass stay within ``_BLOCK_BYTES``.
+    ``grid`` and ``q1v`` are the lattice and q1's values on it, as
+    ``_lattice`` gives them for the checked pair.  On the DP lattice a
+    seed shift by k nodes is a column offset, so each step's costs are
+    computed once against two periods of q2 and every seed reads a
+    zero-copy window of them.  Off the lattice each seed rolls q2's raw
+    values on the input grid, and the rolled values are regridded onto
+    the lattice.  Blocks are sized so that the per-seed arrays of the
+    seed pass stay within ``_BLOCK_BYTES``.
     """
     m = cfg.grid_size
-    grid, q1v, _ = _lattice(q1, q2, m)
     steps = cfg.neighborhood
     refine = _refinement(steps)
     dt = 1.0 / (m - 1)
-    n = q1.grid.size - 1
+    n = q2.grid.size - 1
     if n + 1 == m:
         fine = _fine_values(grid, _roll_seed(q2.values, 0), refine)
         unrolled = np.concatenate((fine[:-1], fine))
@@ -297,12 +307,12 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
-    grid, _, _ = _lattice(q1, q2, cfg.grid_size)
+    grid, q1v, _ = _lattice(q1, q2, cfg.grid_size)
     n = q1.grid.size - 1
     on_lattice = n + 1 == cfg.grid_size
     seeds = range(0, n, cfg.seed_stride)
     best = None
-    for first, costs in _closed_costs(q1, q2, cfg, seeds):
+    for first, costs in _closed_costs(grid, q1v, q2, cfg, seeds):
         energies, _ = _solve(costs, cfg.neighborhood, cfg.grid_size)
         k = int(np.argmin(energies))
         if best is None or energies[k] < best[1]:

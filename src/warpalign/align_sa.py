@@ -106,19 +106,22 @@ def _energy(q1v: np.ndarray, warped: np.ndarray, dt: np.ndarray) -> float:
 
     ``dt`` is ``grid[1:] - grid[:-1]``, computed once per run.  The result
     reproduces ``np.trapezoid(np.sum(resid ** 2, axis=1), grid)`` exactly:
-    the same products, sums and halving in the same order.
+    the same products, sums and halving in the same order.  A sum over
+    one column is that column, so for d = 1 it is read directly.
     """
     resid = q1v - warped
-    return _trapezoid((resid * resid).sum(axis=1), dt)
+    resid *= resid
+    sq = resid[:, 0] if resid.shape[1] == 1 else np.add.reduce(resid, axis=1)
+    return _trapezoid(sq, dt)
 
 
 def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Knots of a draw centred at the warp ``(x, y)``, blended toward the identity."""
-    knots, values = _draw(x, y, cfg.n, cfg.theta, 1, rng)
-    px = knots[0]
+    px, py = _draw(x, y, cfg.n, cfg.theta, None, rng)
     # blending against the identity needs no knot union: id(x) = x
-    py = cfg.blend * values[0] + (1.0 - cfg.blend) * px
+    py *= cfg.blend
+    py += (1.0 - cfg.blend) * px
     py[0], py[-1] = 0.0, 1.0
     return px, py
 

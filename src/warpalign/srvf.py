@@ -195,7 +195,10 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 def _trapezoid(y: np.ndarray, dt: np.ndarray) -> float:
     """``np.trapezoid(y, grid)`` for ``dt = grid[1:] - grid[:-1]``, with
     numpy's own arithmetic, so the result is the same to the last bit."""
-    return float((dt * (y[1:] + y[:-1]) / 2.0).sum())
+    s = y[1:] + y[:-1]
+    s *= dt
+    s /= 2.0
+    return float(np.add.reduce(s))
 
 
 def l2_norm(q: Srvf) -> float:
@@ -234,7 +237,9 @@ def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     take the last segment's: counting interior knots at or below t gives
     that segment's index directly.
     """
-    root_slope = np.sqrt((y[1:] - y[:-1]) / (x[1:] - x[:-1]))
+    root_slope = y[1:] - y[:-1]
+    root_slope /= x[1:] - x[:-1]
+    np.sqrt(root_slope, out=root_slope)
     seg = x[1:-1].searchsorted(grid, side="right")
     warped = _interp_columns(grid, values, np.interp(grid, x, y))
     warped *= root_slope[seg][:, None]

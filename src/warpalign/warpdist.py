@@ -111,7 +111,10 @@ def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
     n_large = g.size - a.size
     out = np.empty_like(shapes)
     out[large] = g[:n_large]
-    out[small] = g[n_large:] * rng.random(a.size) ** (1.0 / a)
+    u = rng.random(a.size)
+    u **= np.divide(1.0, a, out=a)
+    u *= g[n_large:]
+    out[small] = u
     return out
 
 
@@ -133,7 +136,7 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
 def _normalize(g: np.ndarray) -> np.ndarray:
     """Gamma rows floored at 1e-300 and scaled to sum to one, in place."""
     np.maximum(g, 1e-300, out=g)
-    g /= g.sum(axis=-1, keepdims=True)
+    g /= np.add.reduce(g, axis=-1, keepdims=True)
     return g
 
 
@@ -152,18 +155,18 @@ def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
     return PLWarp.from_increments(t, p)
 
 
-def _random_partitions(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows of sorted interior uniforms padded with the endpoints; a row
-    that is not strictly increasing (a repeated uniform, or a zero) is
-    redrawn."""
-    knots = np.empty((size, n + 1))
-    knots[:, 0], knots[:, -1] = 0.0, 1.0
-    u = knots[:, 1:-1]
-    u[...] = rng.random((size, n - 1))
-    u.sort(axis=1)
-    while not (knots[:, 1:] > knots[:, :-1]).all():
-        bad = ~(knots[:, 1:] > knots[:, :-1]).all(axis=1)
-        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of sorted interior uniforms padded with the endpoints, or one
+    such row as a 1-d array for ``size=None``; a row that is not strictly
+    increasing (a repeated uniform, or a zero) is redrawn."""
+    knots = np.empty((n + 1,) if size is None else (size, n + 1))
+    knots[..., 0], knots[..., -1] = 0.0, 1.0
+    u = knots[..., 1:-1]
+    u[...] = rng.random(u.shape)
+    u.sort(axis=-1)
+    while not (knots[..., 1:] > knots[..., :-1]).all():
+        bad = ~(knots[..., 1:] > knots[..., :-1]).all(axis=-1)
+        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=-1)
     return knots
 
 
@@ -174,32 +177,37 @@ _DRAW_ROWS = 1024
 
 def _shapes(knots: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray,
             theta: float) -> np.ndarray:
-    """Dirichlet parameters ``theta * diff(H(knots))`` of each row, floored
-    at 1e-12."""
+    """Dirichlet parameters ``theta * diff(H(knots))`` of each row (or of
+    one 1-d row), floored at 1e-12."""
     h = np.interp(knots, mean_x, mean_y)
-    a = theta * (h[:, 1:] - h[:, :-1])
+    a = h[..., 1:] - h[..., :-1]
+    a *= theta
     np.maximum(a, 1e-12, out=a)
     return a
 
 
-def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float, size: int,
-          rng: np.random.Generator, knots=None) -> tuple[np.ndarray, np.ndarray]:
+def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
+          size: int | None, rng: np.random.Generator,
+          knots=None) -> tuple[np.ndarray, np.ndarray]:
     """The sampler core on raw mean knots; see ``sample_batch``.
 
-    A batch of more than ``_DRAW_ROWS`` rows is drawn in row blocks, so
-    its working memory beyond the returned arrays stays bounded.  The
-    random stream is that of one ``gamma_variates`` call over the whole
-    batch, so the output is the same bit for bit: three passes over the
-    blocks draw the shapes of at least one, then the boosted shapes
-    (``1 - (-a)`` is ``a + 1`` exactly), then the boosting uniforms.
-    Between passes a (size, K) scratch inside ``values`` holds each
-    increment's gamma draw, or its negated shape while that draw is
-    pending (shapes are finite, so ``a >= 1`` is ``not a < 1``); the last
-    pass recomputes the shapes from the knots for the boosting exponents.
+    ``size=None`` draws one warp as 1-d knot and value arrays, as numpy's
+    own ``size=None`` does; its random stream and values are those of
+    row 0 of ``size=1``.  A batch of more than ``_DRAW_ROWS`` rows is
+    drawn in row blocks, so its working memory beyond the returned arrays
+    stays bounded.  The random stream is that of one ``gamma_variates``
+    call over the whole batch, so the output is the same bit for bit:
+    three passes over the blocks draw the shapes of at least one, then
+    the boosted shapes (``1 - (-a)`` is ``a + 1`` exactly), then the
+    boosting uniforms.  Between passes a (size, K) scratch inside
+    ``values`` holds each increment's gamma draw, or its negated shape
+    while that draw is pending (shapes are finite, so ``a >= 1`` is
+    ``not a < 1``); the last pass recomputes the shapes from the knots
+    for the boosting exponents.
     """
     if knots is None:
         knots = _random_partitions(size, n, rng)
-    if size <= _DRAW_ROWS:
+    if size is None or size <= _DRAW_ROWS:
         a = _shapes(knots, mean_x, mean_y, theta)
         return knots, _increment_values(_normalize(gamma_variates(a, rng)))
     values = np.empty(knots.shape)
@@ -221,8 +229,10 @@ def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float, size: in
         a = _shapes(knots[rows], mean_x, mean_y, theta)
         small = a < 1.0
         a = a[small]
+        u = rng.random(a.size)
+        u **= np.divide(1.0, a, out=a)
         gb = g[rows]
-        gb[small] *= rng.random(a.size) ** (1.0 / a)
+        gb[small] *= u
         values[rows] = _increment_values(_normalize(gb))
     return knots, values
 
@@ -244,8 +254,9 @@ def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
 
 def sample(prior: WarpPrior, rng: np.random.Generator, partition=None) -> PLWarp:
     """One warp from the prior: row 0 of ``sample_batch(prior, 1, ...)``."""
-    knots, values = sample_batch(prior, 1, rng, partition)
-    return PLWarp(knots[0], values[0])
+    knots = None if partition is None else check_grid(partition)
+    return PLWarp(*_draw(prior.mean_warp.x, prior.mean_warp.y, prior.partition_size,
+                         prior.concentration, None, rng, knots))
 
 
 def sample_circular(prior: WarpPrior, seed_dist: SeedDistribution,

@@ -34,17 +34,18 @@ __all__ = [
 MIN_INCREMENT = 1e-10
 
 
-def _clamp_increments(p) -> np.ndarray:
-    """Increments clamped to ``MIN_INCREMENT`` and renormalised to sum to one
-    along the last axis."""
-    p = np.maximum(p, MIN_INCREMENT)
-    p /= p.sum(axis=-1, keepdims=True)
+def _clamp_increments(p: np.ndarray) -> np.ndarray:
+    """Float increments clamped to ``MIN_INCREMENT`` and renormalised to sum
+    to one along the last axis, in place: ``p`` must be an array the
+    caller owns."""
+    np.maximum(p, MIN_INCREMENT, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
-def _increment_values(p) -> np.ndarray:
+def _increment_values(p: np.ndarray) -> np.ndarray:
     """Knot values 0, cumsum(_clamp_increments(p)) along the last axis, with
-    the last value set to exactly 1."""
+    the last value set to exactly 1; ``p`` is clamped in place."""
     p = _clamp_increments(p)
     values = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
     np.add.accumulate(p, axis=-1, out=values[..., 1:])
@@ -119,9 +120,10 @@ class PLWarp:
 
         Increments below ``MIN_INCREMENT`` are clamped and the vector is
         renormalized, so degenerate (underflowed) simplex draws still yield
-        a strictly increasing warp.
+        a strictly increasing warp.  The clamp works on a copy: the
+        argument is not changed.
         """
-        return cls(x, _increment_values(np.asarray(increments, dtype=float)))
+        return cls(x, _increment_values(np.array(increments, dtype=float)))
 
     @property
     def knots(self) -> np.ndarray:

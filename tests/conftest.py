@@ -5,7 +5,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
-from warpalign.align_dp import _closed_costs, _fine_values, _refinement, _step_costs
+from warpalign.align_dp import _closed_costs, _fine_values, _lattice, _refinement, _step_costs
 from warpalign.fixtures import bean_curve
 from warpalign.io import _fmt
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
@@ -188,7 +188,8 @@ def reference_dp_align_closed(q1, q2, cfg):
     n = q1.grid.size - 1
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
-    for first, costs in _closed_costs(q1, q2, cfg, seeds):
+    lattice, q1v, _ = _lattice(q1, q2, m)
+    for first, costs in _closed_costs(lattice, q1v, q2, cfg, seeds):
         for s in range(costs[0].shape[1]):
             dist = np.full((m, m), np.inf)
             dist[0, 0] = 0.0

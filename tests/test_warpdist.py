@@ -64,6 +64,11 @@ class TestDirichlet:
         expected = 0.2 * 0.8 / 26.0
         assert abs(draws.var() - expected) < 0.1 * expected
 
+    def test_leaves_params_unchanged(self):
+        params = np.array([1e-4, 0.5, 2.0])
+        dirichlet_sample(params, np.random.default_rng(0))
+        assert np.array_equal(params, [1e-4, 0.5, 2.0])
+
     def test_tiny_shapes_stay_positive(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -92,10 +97,12 @@ class TestSample:
         b = sample(id_prior(), np.random.default_rng(42))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
-    @pytest.mark.parametrize("theta", [100.0, 10.0, 0.5])
+    @pytest.mark.parametrize("theta", [1e4, 100.0, 10.0, 0.5])
     @pytest.mark.parametrize("partition", [None, [0.0, 0.1, 0.35, 0.4, 0.8, 1.0]])
     def test_matches_first_row_of_sample_batch(self, theta, partition):
-        # theta = 0.5 puts every Dirichlet shape below one: the boosted path
+        # theta = 1e4 keeps every shape of the fixed partition at one or
+        # more: the plain path alone; theta = 0.5 puts every Dirichlet
+        # shape below one: the boosted path
         mean = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0])
         prior = WarpPrior(mean, 20, theta)
         for seed in range(3):

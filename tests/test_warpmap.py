@@ -219,6 +219,12 @@ class TestConstruction:
         assert np.all(np.diff(w.y) > 0)
         assert w.y[-1] == 1.0
 
+    def test_from_increments_leaves_argument_unchanged(self):
+        # the clamp works in place, on a copy of a float64 argument
+        inc = np.array([0.0, 0.2, 0.6])
+        PLWarp.from_increments([0.0, 0.3, 0.5, 1.0], inc)
+        assert np.array_equal(inc, [0.0, 0.2, 0.6])
+
     def test_json_roundtrip_exact(self):
         w = PLWarp([0.0, 1 / 3, 1.0], [0.0, 0.123456789012345, 1.0])
         again = PLWarp.from_dict(json.loads(w.to_json()))
