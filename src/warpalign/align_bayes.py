@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .srvf import Srvf, _check_same_grid, _warp_sse_batch, _warp_values
+from .srvf import Srvf, _check_same_grid, _warp_sse_batch
 from .warpdist import WarpPrior, sample_batch
 from .warpmap import PLWarp, check_grid, identity
 
@@ -87,13 +87,21 @@ def marginal_loglik(q1: Srvf, q2: Srvf, warp: PLWarp, a0: float = 0.01,
     With residual sum of squares SSE over the grid samples, the value is
     ``-(a0 + n/2) * log(b0 + SSE/2)`` where n counts residual components;
     terms that do not depend on the warp are dropped since only weight
-    ratios matter for SIR.
+    ratios matter for SIR.  The SSE kernel and the formula are
+    ``sir_posterior``'s, so its weights are these values' to the last bit.
     """
     _check_same_grid(q1, q2)
-    warped = _warp_values(q1.grid, q2.values, warp.x, warp.y)
-    sse = float(np.sum((q1.values - warped) ** 2))
-    n_resid = q1.values.size
-    return -(a0 + 0.5 * n_resid) * math.log(b0 + 0.5 * sse)
+    grid, sse = q1.grid, np.empty(1)
+    _warp_sse_batch(grid, q2.values, q1.values, warp.x[None], warp.y[None], sse,
+                    np.empty((2, 1, grid.size)))
+    return float(_loglik(sse, q1.values.size, a0, b0)[0])
+
+
+def _loglik(sse: np.ndarray, n_resid: int, a0: float, b0: float) -> np.ndarray:
+    """``-(a0 + n/2) * log(b0 + SSE/2)`` per residual sum of squares in
+    ``sse``, over ``n_resid`` residual components: the one formula behind
+    ``marginal_loglik`` and the SIR weights."""
+    return -(a0 + 0.5 * n_resid) * np.log(b0 + 0.5 * sse)
 
 
 def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
@@ -147,7 +155,7 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
             weigh(0)
             for future in futures:
                 future.result()
-    loglik = -(cfg.a0 + 0.5 * q1v.size) * np.log(cfg.b0 + 0.5 * sse)
+    loglik = _loglik(sse, q1v.size, cfg.a0, cfg.b0)
 
     finite = np.isfinite(loglik)
     if not finite.any():

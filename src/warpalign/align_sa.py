@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shapeops import Rotation, _procrustes, _procrustes_target
-from .srvf import Srvf, _check_same_grid, _require_uniform, _trapezoid, _warp_values
+from .srvf import Srvf, _check_same_grid, _require_uniform, _sq_l2, _warp_values
 from .warpdist import _draw
 from .warpmap import PLWarp
 
@@ -101,20 +101,6 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
     return temperature > 0.0 and u < math.exp((e_current - e_proposed) / temperature)
 
 
-def _energy(q1v: np.ndarray, warped: np.ndarray, dt: np.ndarray) -> float:
-    """Alignment energy of warped q2 values; matches srvf.warp_energy.
-
-    ``dt`` is ``grid[1:] - grid[:-1]``, computed once per run.  The result
-    reproduces ``np.trapezoid(np.sum(resid ** 2, axis=1), grid)`` exactly:
-    the same products, sums and halving in the same order.  A sum over
-    one column is that column, so for d = 1 it is read directly.
-    """
-    resid = q1v - warped
-    resid *= resid
-    sq = resid[:, 0] if resid.shape[1] == 1 else np.add.reduce(resid, axis=1)
-    return _trapezoid(sq, dt)
-
-
 def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Knots of a draw centred at the warp ``(x, y)``, blended toward the identity."""
@@ -166,7 +152,7 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     rot = _procrustes(target, q2v) if shape else None
     q2k = q2v  # q2 shifted to the current seed
     warped = _warp_values(grid, q2k, x, y)
-    e = _energy(q1v, warped @ rot.T if shape else warped, dt)
+    e = _sq_l2(q1v - (warped @ rot.T if shape else warped), dt)
     best = (x, y, k, rot, e)
     trace = [e]
     stale = 0
@@ -179,12 +165,12 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
                 q2k_prop = twice[k_prop:k_prop + grid.size]
         px, py = _propose_warp(x, y, cfg, rng)
         warped = _warp_values(grid, q2k_prop, px, py)
-        e_prop = _energy(q1v, warped @ rot.T if shape else warped, dt)
+        e_prop = _sq_l2(q1v - (warped @ rot.T if shape else warped), dt)
         if metropolis_accept(e, e_prop, temp, rng.random()):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
             if shape:
                 rot = _procrustes(target, warped)
-                e = _energy(q1v, warped @ rot.T, dt)
+                e = _sq_l2(q1v - warped @ rot.T, dt)
             stale = 0
             if e < best[4]:
                 best = (x, y, k, rot, e)

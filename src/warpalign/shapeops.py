@@ -51,10 +51,6 @@ class Rotation:
         object.__setattr__(rot, "matrix", matrix)
         return rot
 
-    @classmethod
-    def identity(cls, dim: int) -> "Rotation":
-        return cls(np.eye(dim))
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values @ self.matrix.T
 

@@ -201,9 +201,20 @@ def _trapezoid(y: np.ndarray, dt: np.ndarray) -> float:
     return float(np.add.reduce(s))
 
 
+def _sq_l2(v: np.ndarray, dt: np.ndarray) -> float:
+    """Squared trapezoid L2 norm of (m, d) values ``v`` on a grid with
+    spacings ``dt``, squaring ``v`` in place: ``v`` must be an array the
+    caller owns.  The result is ``np.trapezoid(np.sum(v ** 2, axis=1),
+    grid)`` to the last bit; a sum over one column is that column, so
+    for d = 1 it is read directly.  The annealer's energy, warp_energy,
+    l2_dist and l2_norm all run this one kernel."""
+    v *= v
+    return _trapezoid(v[:, 0] if v.shape[1] == 1 else np.add.reduce(v, axis=1), dt)
+
+
 def l2_norm(q: Srvf) -> float:
-    v, g = q.values, q.grid
-    return float(np.sqrt(_trapezoid((v * v).sum(axis=1), g[1:] - g[:-1])))
+    g = q.grid
+    return float(np.sqrt(_sq_l2(np.array(q.values), g[1:] - g[:-1])))
 
 
 def inner_product(q1: Srvf, q2: Srvf) -> float:
@@ -301,13 +312,20 @@ def _check_same_grid(q1: Srvf, q2: Srvf):
 def l2_dist(q1: Srvf, q2: Srvf) -> float:
     """Trapezoidal L2 distance between two SRVFs on a common grid."""
     _check_same_grid(q1, q2)
-    diff, g = q1.values - q2.values, q1.grid
-    return float(np.sqrt(_trapezoid((diff * diff).sum(axis=1), g[1:] - g[:-1])))
+    g = q1.grid
+    return float(np.sqrt(_sq_l2(q1.values - q2.values, g[1:] - g[:-1])))
 
 
 def warp_energy(q1: Srvf, q2: Srvf, w: PLWarp) -> float:
-    """Alignment energy ``|| q1 - (q2 o w) sqrt(w') ||^2``."""
-    return l2_dist(q1, warp_action(q2, w)) ** 2
+    """Alignment energy ``|| q1 - (q2 o w) sqrt(w') ||^2``.
+
+    This is the annealer's own arithmetic, so it equals a function-mode
+    ``sa_align`` run's ``final_energy`` for the run's warp exactly, and
+    ``l2_dist(q1, warp_action(q2, w)) ** 2`` to rounding.
+    """
+    _check_same_grid(q1, q2)
+    g = q1.grid
+    return _sq_l2(q1.values - _warp_values(g, q2.values, w.x, w.y), g[1:] - g[:-1])
 
 
 def shape_dist(q1: Srvf, q2: Srvf) -> float:

@@ -125,10 +125,6 @@ class PLWarp:
         """
         return cls(x, _increment_values(np.array(increments, dtype=float)))
 
-    @property
-    def knots(self) -> np.ndarray:
-        return np.column_stack((self.x, self.y))
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails too
@@ -142,9 +138,9 @@ class PLWarp:
         t = np.asarray(t, dtype=float)
         if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails too
             raise ValueError("warp maps are defined on [0,1]")
-        idx = np.searchsorted(self.x, t, side="right") - 1
-        idx = np.clip(idx, 0, self.x.size - 2)
-        slope = (self.y[idx + 1] - self.y[idx]) / (self.x[idx + 1] - self.x[idx])
+        # t's segment is the number of interior knots at or below t
+        seg = self.x[1:-1].searchsorted(t, side="right")
+        slope = (np.diff(self.y) / np.diff(self.x))[seg]
         return float(slope) if slope.ndim == 0 else slope
 
     def inverse(self) -> "PLWarp":

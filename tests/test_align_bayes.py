@@ -33,7 +33,7 @@ from warpalign import (
 )
 from conftest import pl_warps, reference_sir_posterior
 from warpalign import align_bayes
-from warpalign.fixtures import pqrst_pair, two_bump_pair
+from warpalign.fixtures import closed_shape_pair, pqrst_pair, spiral_pair, two_bump_pair
 
 
 def bump_srvfs(m=100):
@@ -168,16 +168,21 @@ class TestSirPosterior:
         assert all(np.array_equal(u.y, v.y) for u, v in zip(a.warps, b.warps))
 
     def test_weights_are_normalized_marginal_likelihoods(self):
-        q1, q2 = bump_srvfs(40)
+        """Bit for bit, on functions, closed planar curves and space curves:
+        the SIR weights and ``marginal_loglik`` share one SSE kernel and
+        one formula."""
         cfg = BayesConfig(prior=WarpPrior(identity(), partition_size=4, concentration=5.0),
                           b0=5.0, prior_draws=200, resample_size=50)
-        post = sir_posterior(q1, q2, cfg, np.random.default_rng(8))
-        knots, values = sample_batch(cfg.prior, cfg.prior_draws, np.random.default_rng(8))
-        logs = np.array([marginal_loglik(q1, q2, PLWarp(x, y), cfg.a0, cfg.b0)
-                         for x, y in zip(knots, values)])
-        expected = np.exp(logs - logs.max())
-        expected /= expected.sum()
-        np.testing.assert_allclose(post.weights, expected, rtol=1e-12, atol=0.0)
+        for pair in (two_bump_pair, closed_shape_pair, spiral_pair):
+            c1, c2 = pair(40)
+            q1, q2 = to_srvf(c1), to_srvf(c2)
+            post = sir_posterior(q1, q2, cfg, np.random.default_rng(8))
+            knots, values = sample_batch(cfg.prior, cfg.prior_draws, np.random.default_rng(8))
+            logs = np.array([marginal_loglik(q1, q2, PLWarp(x, y), cfg.a0, cfg.b0)
+                             for x, y in zip(knots, values)])
+            expected = np.exp(logs - logs.max())
+            expected /= expected.sum()
+            assert np.array_equal(post.weights, expected), pair.__name__
 
     @pytest.mark.parametrize("pair, cfg, seed", [
         ("bump", BayesConfig(), 0),

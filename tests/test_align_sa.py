@@ -29,9 +29,9 @@ from warpalign import (
     warp_action,
     warp_energy,
 )
-from warpalign.align_sa import align, _energy, _propose_seed, _propose_warp, _temperature
-from warpalign.fixtures import bean_curve, spiral_pair, two_bump_pair
-from warpalign.srvf import _trapezoid_weights, _warp_values
+from warpalign.align_sa import align, _propose_seed, _propose_warp, _temperature
+from warpalign.fixtures import bean_curve, pqrst_pair, spiral_pair, two_bump_pair
+from warpalign.srvf import _sq_l2, _trapezoid_weights, _warp_values
 
 
 def shapeify(curve):
@@ -115,8 +115,8 @@ class TestProposals:
         q1, q2 = bump_srvfs()
         w = PLWarp([0.0, 0.3, 1.0], [0.0, 0.42, 1.0])
         g = q1.grid
-        fast = _energy(q1.values, _warp_values(g, q2.values, w.x, w.y), g[1:] - g[:-1])
-        assert fast == pytest.approx(warp_energy(q1, q2, w), abs=1e-12)
+        fast = _sq_l2(q1.values - _warp_values(g, q2.values, w.x, w.y), g[1:] - g[:-1])
+        assert fast == warp_energy(q1, q2, w)
 
 
 class TestFunctionAlignment:
@@ -145,6 +145,16 @@ class TestFunctionAlignment:
         assert res.final_energy <= res.initial_energy
         running_min = np.minimum.accumulate(res.energy_trace)
         assert np.all(np.diff(running_min) <= 0)
+
+    @pytest.mark.parametrize("pair", [two_bump_pair, pqrst_pair])
+    def test_energies_are_warp_energy(self, pair):
+        c1, c2 = pair()
+        q1, q2 = to_srvf(c1), to_srvf(c2)
+        start = warp_energy(q1, q2, identity())
+        for seed in range(10):
+            res = sa_align(q1, q2, SaConfig(max_iters=300), np.random.default_rng(seed))
+            assert res.initial_energy == start
+            assert res.final_energy == warp_energy(q1, q2, res.warp)
 
     def test_known_warp_recovery(self):
         q1, _ = bump_srvfs(80)
