@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .warpmap import PLWarp, _lookup, check_grid, uniform_grid
+from .warpmap import PLWarp, _interp, _lookup, check_grid, uniform_grid
 
 __all__ = [
     "Curve",
@@ -232,9 +232,14 @@ def unit_normalize(q: Srvf) -> Srvf:
 
 
 def _interp_columns(grid: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Each column of (m, d) ``values`` on ``grid`` read at the points ``at``,
+    as a new (len(at), d) array; for d = 1 it is a view of the one column
+    interpolated."""
+    if values.shape[1] == 1:
+        return _interp(at, grid, values[:, 0])[:, None]
     out = np.empty((at.size, values.shape[1]))
     for j in range(values.shape[1]):
-        out[:, j] = np.interp(at, grid, values[:, j])
+        out[:, j] = _interp(at, grid, values[:, j])
     return out
 
 
@@ -252,7 +257,7 @@ def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     root_slope /= x[1:] - x[:-1]
     np.sqrt(root_slope, out=root_slope)
     seg = x[1:-1].searchsorted(grid, side="right")
-    warped = _interp_columns(grid, values, np.interp(grid, x, y))
+    warped = _interp_columns(grid, values, _interp(grid, x, y))
     warped *= root_slope[seg][:, None]
     return warped
 
@@ -271,14 +276,14 @@ def _warp_sse_batch(grid: np.ndarray, values: np.ndarray, target: np.ndarray,
     slope is gathered from the square root of each row's segment-slope
     table.  Beyond the workspace, a call holds one (R, m) array at a
     time: the segment index, then each dimension's residuals, formed in
-    ``np.interp``'s output."""
+    the interpolation's output."""
     rows = x.shape[0]
     at, root_slope = work[0, :rows], work[1, :rows]
     table, idx = _lookup(x, y, grid, at, root_slope)
     np.take(np.sqrt(table, out=table), idx, out=root_slope, mode="clip")
     del table, idx  # each dimension's residuals take the index's place
     for j in range(values.shape[1]):
-        resid = np.interp(at, grid, values[:, j])
+        resid = _interp(at, grid, values[:, j])
         resid *= root_slope
         np.subtract(target[:, j], resid, out=resid)
         np.square(resid, out=resid)

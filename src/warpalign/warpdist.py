@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .warpmap import (PLWarp, CircularWarp, _clamp_increments, _increment_values, check_grid,
-                      make_circular, sup_dist)
+from .warpmap import (PLWarp, CircularWarp, _clamp_increments, _increment_values, _interp,
+                      check_grid, make_circular, sup_dist)
 
 __all__ = [
     "WarpPrior",
@@ -105,8 +105,12 @@ def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
     """
     shapes = np.asarray(shapes, dtype=float)
     small = shapes < 1.0
-    large = ~small
     a = shapes[small]
+    if not a.size and shapes.ndim:
+        # the same one call, with no uniforms to draw; a 0-d input takes
+        # the general path, which returns an array, not a float
+        return rng.standard_gamma(shapes)
+    large = ~small
     g = rng.standard_gamma(np.concatenate((shapes[large], a + 1.0)))
     n_large = g.size - a.size
     out = np.empty_like(shapes)
@@ -136,7 +140,7 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
 def _normalize(g: np.ndarray) -> np.ndarray:
     """Gamma rows floored at 1e-300 and scaled to sum to one, in place."""
     np.maximum(g, 1e-300, out=g)
-    g /= np.add.reduce(g, axis=-1, keepdims=True)
+    g /= np.add.reduce(g) if g.ndim == 1 else np.add.reduce(g, axis=-1, keepdims=True)
     return g
 
 
@@ -162,9 +166,12 @@ def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np
     knots = np.empty((n + 1,) if size is None else (size, n + 1))
     knots[..., 0], knots[..., -1] = 0.0, 1.0
     u = knots[..., 1:-1]
-    u[...] = rng.random(u.shape)
+    if size is None:
+        rng.random(out=u)  # a contiguous row: the same draws, no copy
+    else:
+        u[...] = rng.random(u.shape)
     u.sort(axis=-1)
-    while not (knots[..., 1:] > knots[..., :-1]).all():
+    while np.count_nonzero(knots[..., 1:] <= knots[..., :-1]):
         bad = ~(knots[..., 1:] > knots[..., :-1]).all(axis=-1)
         u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=-1)
     return knots
@@ -179,7 +186,7 @@ def _shapes(knots: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray,
             theta: float) -> np.ndarray:
     """Dirichlet parameters ``theta * diff(H(knots))`` of each row (or of
     one 1-d row), floored at 1e-12."""
-    h = np.interp(knots, mean_x, mean_y)
+    h = _interp(knots, mean_x, mean_y)
     a = h[..., 1:] - h[..., :-1]
     a *= theta
     np.maximum(a, 1e-12, out=a)

@@ -13,6 +13,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+# The compiled kernel behind np.interp.  On real input np.interp dispatches,
+# checks fp for complex values and calls it with the same arguments, so a
+# direct call gives the same bits without those Python-level calls.
+from numpy._core.multiarray import interp as _interp
 
 __all__ = [
     "MIN_INCREMENT",
@@ -39,7 +43,7 @@ def _clamp_increments(p: np.ndarray) -> np.ndarray:
     to one along the last axis, in place: ``p`` must be an array the
     caller owns."""
     np.maximum(p, MIN_INCREMENT, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    p /= np.add.reduce(p) if p.ndim == 1 else np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
@@ -129,7 +133,7 @@ class PLWarp:
         t = np.asarray(t, dtype=float)
         if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN fails too
             raise ValueError("warp maps are defined on [0,1]")
-        out = np.interp(t, self.x, self.y)
+        out = _interp(t, self.x, self.y)
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
@@ -173,7 +177,7 @@ def compose(outer: PLWarp, inner: PLWarp) -> PLWarp:
     preimages under inner of outer's knots, so the composition is exact
     at every point, not just at knots.
     """
-    preimages = np.interp(outer.x, inner.y, inner.x)
+    preimages = _interp(outer.x, inner.y, inner.x)
     x = np.union1d(inner.x, preimages)
     y = outer(inner(x))
     y[0], y[-1] = 0.0, 1.0

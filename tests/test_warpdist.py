@@ -21,7 +21,7 @@ from warpalign import (
     sample_fixed,
     sup_dist,
 )
-from warpalign.warpdist import _DRAW_ROWS
+from warpalign.warpdist import _DRAW_ROWS, _random_partitions
 from warpalign.warpmap import batch_eval
 from conftest import pl_warps, reference_draw
 
@@ -211,6 +211,54 @@ class TestSample:
         right2 = (vals2[:, 4] - vals2[:, 3]) / (1.0 - vals2[:, 3])
         ref_corr = np.corrcoef(left, right2)[0, 1]
         assert abs(joint_corr - ref_corr) < 3 * np.sqrt(2.0 / vals.shape[0])
+
+
+class FirstDrawStub:
+    """A generator whose first ``random`` call returns ``first`` and whose
+    later calls draw from ``rng``."""
+
+    def __init__(self, first, rng):
+        self.first, self.rng = np.array(first, dtype=float), rng
+
+    def random(self, size=None, out=None):
+        if self.first is None:
+            return self.rng.random(size, out=out)
+        first, self.first = self.first, None
+        if out is None:
+            return first
+        out[...] = first
+        return out
+
+
+class TestRandomPartitions:
+    """A row of sorted uniforms that is not strictly increasing, from a
+    repeated uniform or a 0.0, is redrawn, and no other row is."""
+
+    N = 6
+
+    @pytest.mark.parametrize("first", [[0.2, 0.7, 0.2, 0.9, 0.4], [0.3, 0.0, 0.8, 0.5, 0.6]],
+                             ids=["repeat", "zero"])
+    def test_one_row_is_redrawn(self, first):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        knots = _random_partitions(None, self.N, FirstDrawStub(first, rng))
+        assert knots.shape == (self.N + 1,)
+        assert knots[0] == 0.0 and knots[-1] == 1.0 and np.all(np.diff(knots) > 0.0)
+        assert np.array_equal(knots[1:-1], np.sort(ref.random(self.N - 1)))
+        # the redraw took n - 1 uniforms and no more
+        assert rng.random() == ref.random()
+
+    def test_batch_redraws_its_bad_rows_only(self):
+        first = np.random.default_rng(9).random((4, self.N - 1))
+        first[1, 3] = first[1, 0]  # a repeated uniform
+        first[3, 2] = 0.0
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        knots = _random_partitions(4, self.N, FirstDrawStub(first, rng))
+        expected = np.sort(first, axis=1)
+        expected[[1, 3]] = np.sort(ref.random((2, self.N - 1)), axis=1)
+        assert np.array_equal(knots[:, 1:-1], expected)
+        assert np.all(knots[:, 0] == 0.0) and np.all(knots[:, -1] == 1.0)
+        assert np.all(np.diff(knots, axis=1) > 0.0)
+        assert rng.random() == ref.random()
 
 
 class TestCircularSampling:

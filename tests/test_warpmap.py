@@ -9,13 +9,22 @@ from conftest import convex_blend, knot_rows, pl_warps
 from warpalign import (
     CircularWarp,
     PLWarp,
+    SaConfig,
+    WarpPrior,
     compose,
     identity,
     make_circular,
+    normalize_length,
     restrict,
+    sample,
+    sample_batch,
     sup_dist,
+    to_srvf,
+    unit_normalize,
 )
-from warpalign.warpmap import batch_eval, check_grid
+from warpalign.align_sa import align
+from warpalign.fixtures import closed_shape_pair, spiral_pair, two_bump_pair
+from warpalign.warpmap import _interp, batch_eval, check_grid
 
 DENSE = np.linspace(0.0, 1.0, 1001)
 
@@ -308,3 +317,45 @@ def test_check_grid_rejects_bad_grids():
         check_grid([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         check_grid([0.1, 1.0])
+
+
+class TestCompiledInterp:
+    """The package interpolates through ``warpmap._interp``, numpy's compiled
+    kernel behind ``np.interp``, bound once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=pl_warps(max_segments=8, min_increment=0.001),
+           free=st.lists(st.floats(0.0, 1.0), max_size=12), data=st.data())
+    def test_matches_np_interp_bit_for_bit(self, w, free, data):
+        on_knots = data.draw(st.lists(st.sampled_from(w.x.tolist()), max_size=6))
+        t = np.array(free + on_knots + [0.0, 1.0])
+        # a strided column, as the warp kernels read values[:, j]
+        fp = np.column_stack((w.x, w.y))[:, 1]
+        for query in (t, np.stack((t, t[::-1])), np.asarray(t[0])):
+            for xp, yp in ((w.x, w.y), (w.y, w.x), (w.x, fp)):
+                got, expected = _interp(query, xp, yp), np.interp(query, xp, yp)
+                assert type(got) is type(expected) and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_hot_paths_do_not_call_np_interp(self, monkeypatch):
+        """SA in every mode, ``sample`` and ``sample_batch`` bypass the
+        ``np.interp`` wrapper: with it raising they still run."""
+        def shape(c):
+            return unit_normalize(to_srvf(normalize_length(c)))
+
+        pairs = {"function": tuple(to_srvf(c) for c in two_bump_pair(40)),
+                 "open_shape": tuple(shape(c) for c in spiral_pair(40)),
+                 "closed_shape": tuple(shape(c) for c in closed_shape_pair(41))}
+        prior = WarpPrior(PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0]), 20, 10.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.interp called on a hot path")
+
+        monkeypatch.setattr(np, "interp", refuse)
+        rng = np.random.default_rng(0)
+        for mode, (q1, q2) in pairs.items():
+            align(q1, q2, SaConfig(mode=mode, max_iters=50), rng)
+        w = sample(prior, rng)
+        w(np.linspace(0.0, 1.0, 11))
+        sample_batch(prior, 5, rng)
+        sample_batch(prior, 5, rng, partition=[0.0, 0.3, 1.0])
