@@ -105,12 +105,8 @@ def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
     """
     shapes = np.asarray(shapes, dtype=float)
     small = shapes < 1.0
-    a = shapes[small]
-    if not a.size and shapes.ndim:
-        # the same one call, with no uniforms to draw; a 0-d input takes
-        # the general path, which returns an array, not a float
-        return rng.standard_gamma(shapes)
     large = ~small
+    a = shapes[small]
     g = rng.standard_gamma(np.concatenate((shapes[large], a + 1.0)))
     n_large = g.size - a.size
     out = np.empty_like(shapes)

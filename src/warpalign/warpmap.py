@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 # The compiled kernel behind np.interp.  On real input np.interp dispatches,
 # checks fp for complex values and calls it with the same arguments, so a
-# direct call gives the same bits without those Python-level calls.
+# direct call gives the same bits without those Python-level calls.  This
+# is private numpy API, present at this path throughout numpy 2.x: before
+# raising the `numpy<3` bound in pyproject.toml, check that it still is.
 from numpy._core.multiarray import interp as _interp
 
 __all__ = [
