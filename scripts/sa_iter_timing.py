@@ -17,6 +17,13 @@ at ``grid_size=80``.  The ``dp_align`` line is the median wall time of
 median wall time of ``--runs`` calls of ``sir_posterior`` at default
 ``BayesConfig`` on the two-bump functions, seeded 0, 1, ..., in
 milliseconds.
+
+The figures move between invocations more than a small change does:
+on a shared 2-vCPU host one build read 42.7 to 82.4 us per
+function-mode iteration across separate invocations, so this script
+cannot resolve a 10% change.  To compare two builds, use the
+benchmark's ``job_p50_ref`` (``wabench/run.py``), or interleave both
+builds' runs within one process.
 """
 
 import argparse

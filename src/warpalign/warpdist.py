@@ -109,12 +109,11 @@ def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
     a = shapes[small]
     g = rng.standard_gamma(np.concatenate((shapes[large], a + 1.0)))
     n_large = g.size - a.size
+    boosted = g[n_large:]
+    boosted *= np.power(rng.random(a.size), np.divide(1.0, a, out=a), out=a)
     out = np.empty_like(shapes)
     out[large] = g[:n_large]
-    u = rng.random(a.size)
-    u **= np.divide(1.0, a, out=a)
-    u *= g[n_large:]
-    out[small] = u
+    out[small] = boosted
     return out
 
 
@@ -173,8 +172,8 @@ def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np
     return knots
 
 
-# Rows per block of a large draw (see ``_draw``); a batch of at most this
-# many rows is drawn by one ``gamma_variates`` call.
+# Rows per ``gamma_variates`` call of a batch draw (see ``_draw``): it
+# bounds a large draw's working memory, and it fixes the random stream.
 _DRAW_ROWS = 1024
 
 
@@ -196,17 +195,10 @@ def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
 
     ``size=None`` draws one warp as 1-d knot and value arrays, as numpy's
     own ``size=None`` does; its random stream and values are those of
-    row 0 of ``size=1``.  A batch of more than ``_DRAW_ROWS`` rows is
-    drawn in row blocks, so its working memory beyond the returned arrays
-    stays bounded.  The random stream is that of one ``gamma_variates``
-    call over the whole batch, so the output is the same bit for bit:
-    three passes over the blocks draw the shapes of at least one, then
-    the boosted shapes (``1 - (-a)`` is ``a + 1`` exactly), then the
-    boosting uniforms.  Between passes a (size, K) scratch inside
-    ``values`` holds each increment's gamma draw, or its negated shape
-    while that draw is pending (shapes are finite, so ``a >= 1`` is
-    ``not a < 1``); the last pass recomputes the shapes from the knots
-    for the boosting exponents.
+    row 0 of ``size=1``.  A batch of more than ``_DRAW_ROWS`` rows draws
+    every partition first, then runs the small-batch recipe on each
+    ``_DRAW_ROWS``-row block in row order, so its working memory beyond
+    the returned arrays stays bounded.
     """
     if knots is None:
         knots = _random_partitions(size, n, rng)
@@ -214,29 +206,10 @@ def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
         a = _shapes(knots, mean_x, mean_y, theta)
         return knots, _increment_values(_normalize(gamma_variates(a, rng)))
     values = np.empty(knots.shape)
-    # The scratch is the contiguous tail of values.  Output row i ends at
-    # (i+1)(K+1) and scratch row i+1 starts at size + (i+1)K, so writing a
-    # block's output never overwrites the scratch of a later block.
-    g = values.reshape(-1)[size:].reshape(size, -1)
-    blocks = [slice(lo, lo + _DRAW_ROWS) for lo in range(0, size, _DRAW_ROWS)]
-    for rows in blocks:
+    for lo in range(0, size, _DRAW_ROWS):
+        rows = slice(lo, lo + _DRAW_ROWS)
         a = _shapes(knots[rows], mean_x, mean_y, theta)
-        large = a >= 1.0
-        gb = np.negative(a, out=g[rows])
-        gb[large] = rng.standard_gamma(a[large])
-    for rows in blocks:
-        gb = g[rows]
-        small = gb < 0.0
-        gb[small] = rng.standard_gamma(1.0 - gb[small])
-    for rows in blocks:
-        a = _shapes(knots[rows], mean_x, mean_y, theta)
-        small = a < 1.0
-        a = a[small]
-        u = rng.random(a.size)
-        u **= np.divide(1.0, a, out=a)
-        gb = g[rows]
-        gb[small] *= u
-        values[rows] = _increment_values(_normalize(gb))
+        values[rows] = _increment_values(_normalize(gamma_variates(a, rng)))
     return knots, values
 
 
@@ -246,7 +219,9 @@ def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
 
     Each row is one warp: knot positions from sorted uniforms (or the
     supplied fixed partition), increments Dirichlet with parameters
-    ``theta * diff(H(knots))``.
+    ``theta * diff(H(knots))``.  The random stream is the partition
+    uniforms of every row, then one ``gamma_variates`` call per block of
+    ``_DRAW_ROWS`` rows, in row order.
     """
     if size < 1:
         raise ValueError("size must be positive")

@@ -84,11 +84,12 @@ def smooth_curves(draw, m=80, dim=1, amplitude=1.0, max_harmonics=3):
 
 
 def reference_draw(prior, size, rng, partition=None):
-    """``sample_batch`` as one pass over the whole batch, in plain numpy:
-    sorted partition uniforms with strictly increasing rows redrawn, then
-    one ``standard_gamma`` call over the shapes of at least one followed
-    by the boosted shapes below one, then the boosting uniforms, then the
-    1e-300 floor, the ``MIN_INCREMENT`` clamp and the cumulative sum.
+    """``sample_batch`` in plain numpy: sorted partition uniforms for every
+    row, with strictly increasing rows redrawn, then for each 1024-row
+    block in row order one ``standard_gamma`` call over the shapes of at
+    least one followed by the boosted shapes below one, then the boosting
+    uniforms, then the 1e-300 floor, the ``MIN_INCREMENT`` clamp and the
+    cumulative sum.
 
     Returns (knots, values)."""
     n = prior.partition_size
@@ -103,20 +104,21 @@ def reference_draw(prior, size, rng, partition=None):
             u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
     else:
         knots = np.tile(np.asarray(partition, dtype=float), (size, 1))
-    h = np.interp(knots, prior.mean_warp.x, prior.mean_warp.y)
-    a = np.maximum(prior.concentration * (h[:, 1:] - h[:, :-1]), 1e-12)
-    small = a < 1.0
-    g = rng.standard_gamma(np.concatenate((a[~small], a[small] + 1.0)))
-    n_large = g.size - int(small.sum())
-    p = np.empty_like(a)
-    p[~small] = g[:n_large]
-    p[small] = g[n_large:] * rng.random(g.size - n_large) ** (1.0 / a[small])
-    p = np.maximum(p, 1e-300)
-    p /= p.sum(axis=1, keepdims=True)
-    p = np.maximum(p, MIN_INCREMENT)
-    p /= p.sum(axis=1, keepdims=True)
     values = np.zeros_like(knots)
-    values[:, 1:] = np.cumsum(p, axis=1)
+    for lo in range(0, size, 1024):
+        h = np.interp(knots[lo:lo + 1024], prior.mean_warp.x, prior.mean_warp.y)
+        a = np.maximum(prior.concentration * (h[:, 1:] - h[:, :-1]), 1e-12)
+        small = a < 1.0
+        g = rng.standard_gamma(np.concatenate((a[~small], a[small] + 1.0)))
+        n_large = g.size - int(small.sum())
+        p = np.empty_like(a)
+        p[~small] = g[:n_large]
+        p[small] = g[n_large:] * rng.random(g.size - n_large) ** (1.0 / a[small])
+        p = np.maximum(p, 1e-300)
+        p /= p.sum(axis=1, keepdims=True)
+        p = np.maximum(p, MIN_INCREMENT)
+        p /= p.sum(axis=1, keepdims=True)
+        values[lo:lo + 1024, 1:] = np.cumsum(p, axis=1)
     values[:, -1] = 1.0
     return knots, values
 

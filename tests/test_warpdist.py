@@ -115,7 +115,7 @@ class TestSample:
             assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("size", [1, _DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1,
-                                      3 * _DRAW_ROWS + 7])
+                                      2 * _DRAW_ROWS, 3 * _DRAW_ROWS + 7])
     @pytest.mark.parametrize("theta", [0.5, 10.0, 1000.0])
     @pytest.mark.parametrize("fixed", [False, True])
     @settings(max_examples=8, deadline=None)
@@ -125,8 +125,10 @@ class TestSample:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_sample_batch_matches_one_pass_reference(self, size, theta, fixed, n, mean,
                                                      partition, seed):
-        """Blocked draws consume the stream as one pass over the batch does:
-        at theta 0.5 every shape is boosted, at 1000 none is."""
+        """A batch consumes the stream as the reference does: every
+        partition, then one pass of the gamma recipe per 1024-row block (the
+        last block full at 2048, short at 1025 and 3079).  At theta 0.5
+        every shape is boosted, at 1000 none is."""
         prior = WarpPrior(mean, n, theta)
         part = partition.x if fixed else None
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
