@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .warpmap import (PLWarp, CircularWarp, _clamp_increments, _increment_values, _interp,
-                      check_grid, make_circular, sup_dist)
+from .warpmap import (MIN_INCREMENT, PLWarp, CircularWarp, _floor_normalize,
+                      _increment_values, _interp, check_grid, make_circular, sup_dist)
 
 __all__ = [
     "WarpPrior",
@@ -99,22 +99,16 @@ def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
     Shapes below one use the boosting identity
     ``G(a) = G(a+1) * U^(1/a)``, which behaves better than direct
     sampling when a is tiny.  The random stream is fixed: one
-    ``standard_gamma`` call draws the shapes of at least one, then the
-    boosted shapes below one, each group in array order; the boosting
-    uniforms follow.
+    ``standard_gamma`` call over ``shapes + (shapes < 1)`` in array
+    order, then one uniform per shape below one, in array order.
     """
     shapes = np.asarray(shapes, dtype=float)
     small = shapes < 1.0
-    large = ~small
+    # a 0-d shape gives a Python float; asarray makes it an array to boost
+    g = np.asarray(rng.standard_gamma(shapes + small))
     a = shapes[small]
-    g = rng.standard_gamma(np.concatenate((shapes[large], a + 1.0)))
-    n_large = g.size - a.size
-    boosted = g[n_large:]
-    boosted *= np.power(rng.random(a.size), np.divide(1.0, a, out=a), out=a)
-    out = np.empty_like(shapes)
-    out[large] = g[:n_large]
-    out[small] = boosted
-    return out
+    g[small] *= np.power(rng.random(a.size), np.divide(1.0, a, out=a), out=a)
+    return g
 
 
 def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
@@ -129,14 +123,8 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("params must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
         raise ValueError("Dirichlet parameters must be positive")
-    return _clamp_increments(_normalize(gamma_variates(params, rng)))
-
-
-def _normalize(g: np.ndarray) -> np.ndarray:
-    """Gamma rows floored at 1e-300 and scaled to sum to one, in place."""
-    np.maximum(g, 1e-300, out=g)
-    g /= np.add.reduce(g) if g.ndim == 1 else np.add.reduce(g, axis=-1, keepdims=True)
-    return g
+    p = _floor_normalize(gamma_variates(params, rng), 1e-300)
+    return _floor_normalize(p, MIN_INCREMENT)
 
 
 def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
@@ -204,12 +192,12 @@ def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
         knots = _random_partitions(size, n, rng)
     if size is None or size <= _DRAW_ROWS:
         a = _shapes(knots, mean_x, mean_y, theta)
-        return knots, _increment_values(_normalize(gamma_variates(a, rng)))
+        return knots, _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
     values = np.empty(knots.shape)
     for lo in range(0, size, _DRAW_ROWS):
         rows = slice(lo, lo + _DRAW_ROWS)
         a = _shapes(knots[rows], mean_x, mean_y, theta)
-        values[rows] = _increment_values(_normalize(gamma_variates(a, rng)))
+        values[rows] = _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
     return knots, values
 
 

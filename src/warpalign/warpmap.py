@@ -40,19 +40,19 @@ __all__ = [
 MIN_INCREMENT = 1e-10
 
 
-def _clamp_increments(p: np.ndarray) -> np.ndarray:
-    """Float increments clamped to ``MIN_INCREMENT`` and renormalised to sum
-    to one along the last axis, in place: ``p`` must be an array the
-    caller owns."""
-    np.maximum(p, MIN_INCREMENT, out=p)
+def _floor_normalize(p: np.ndarray, floor: float) -> np.ndarray:
+    """``p`` floored at ``floor`` and scaled to sum to one along the last
+    axis, in place: ``p`` must be a float array the caller owns."""
+    np.maximum(p, floor, out=p)
     p /= np.add.reduce(p) if p.ndim == 1 else np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
 def _increment_values(p: np.ndarray) -> np.ndarray:
-    """Knot values 0, cumsum(_clamp_increments(p)) along the last axis, with
-    the last value set to exactly 1; ``p`` is clamped in place."""
-    p = _clamp_increments(p)
+    """Knot values 0, cumsum of ``p`` clamped to ``MIN_INCREMENT`` and
+    renormalised, along the last axis, with the last value set to exactly
+    1; ``p`` is clamped in place."""
+    p = _floor_normalize(p, MIN_INCREMENT)
     values = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
     np.add.accumulate(p, axis=-1, out=values[..., 1:])
     values[..., -1] = 1.0

@@ -86,10 +86,9 @@ def smooth_curves(draw, m=80, dim=1, amplitude=1.0, max_harmonics=3):
 def reference_draw(prior, size, rng, partition=None):
     """``sample_batch`` in plain numpy: sorted partition uniforms for every
     row, with strictly increasing rows redrawn, then for each 1024-row
-    block in row order one ``standard_gamma`` call over the shapes of at
-    least one followed by the boosted shapes below one, then the boosting
-    uniforms, then the 1e-300 floor, the ``MIN_INCREMENT`` clamp and the
-    cumulative sum.
+    block in row order one ``standard_gamma`` call over ``a + (a < 1)`` in
+    array order, then one boosting uniform per shape below one, then the
+    1e-300 floor, the ``MIN_INCREMENT`` clamp and the cumulative sum.
 
     Returns (knots, values)."""
     n = prior.partition_size
@@ -109,11 +108,8 @@ def reference_draw(prior, size, rng, partition=None):
         h = np.interp(knots[lo:lo + 1024], prior.mean_warp.x, prior.mean_warp.y)
         a = np.maximum(prior.concentration * (h[:, 1:] - h[:, :-1]), 1e-12)
         small = a < 1.0
-        g = rng.standard_gamma(np.concatenate((a[~small], a[small] + 1.0)))
-        n_large = g.size - int(small.sum())
-        p = np.empty_like(a)
-        p[~small] = g[:n_large]
-        p[small] = g[n_large:] * rng.random(g.size - n_large) ** (1.0 / a[small])
+        p = rng.standard_gamma(a + small)
+        p[small] *= rng.random(int(small.sum())) ** (1.0 / a[small])
         p = np.maximum(p, 1e-300)
         p /= p.sum(axis=1, keepdims=True)
         p = np.maximum(p, MIN_INCREMENT)

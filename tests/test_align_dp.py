@@ -209,6 +209,13 @@ class TestDpAlign:
         with pytest.raises(ValueError, match="uniform grid"):
             call()
 
+    def test_off_lattice_warp_rejected(self):
+        # 0.3 is not a multiple of the lattice step 1/9
+        q = Srvf(uniform_grid(10), np.ones((10, 1)))
+        warp = PLWarp([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="do not sit on the DP lattice"):
+            dp_warp_energy(q, q, warp, DpConfig(grid_size=10))
+
     def test_unreachable_neighborhood_rejected(self):
         q = Srvf(uniform_grid(6), np.ones((6, 1)))
         cfg = DpConfig(grid_size=6, neighborhood=((2, 2),))
@@ -446,3 +453,5 @@ class TestDpConfig:
             DpConfig(neighborhood=())
         with pytest.raises(ValueError):
             DpConfig(neighborhood=((0, 1),))
+        with pytest.raises(ValueError, match="seed_stride must be at least 1"):
+            DpConfig(seed_stride=0)

@@ -226,6 +226,12 @@ class TestOpenShapeAlignment:
             sa_align_open_shape(q, q, SaConfig(mode="open_shape", max_iters=10),
                                 np.random.default_rng(0))
 
+    def test_rejects_one_dimensional_shapes(self):
+        q = unit_normalize(bump_srvfs(40)[0])
+        with pytest.raises(ValueError, match="dimension 2 or 3"):
+            sa_align_open_shape(q, q, SaConfig(mode="open_shape", max_iters=10),
+                                np.random.default_rng(0))
+
 
 class TestClosedAlignment:
     def test_seed_and_warp_recovery(self):
@@ -305,16 +311,12 @@ def reference_partition(n, rng):
 
 
 def reference_gammas(a, rng):
-    """Gamma(a) draws in the package's stream order: the gammas of shapes
-    >= 1, then those of shapes < 1 boosted as Gamma(a+1) * U^(1/a), then
-    the boosting uniforms."""
-    g = np.empty_like(a)
+    """Gamma(a) draws in the package's stream order: one gamma per shape in
+    array order, of shape a + 1 where a < 1, then one uniform per shape
+    below one, boosting its gamma as Gamma(a+1) * U^(1/a)."""
     small = a < 1.0
-    if np.any(~small):
-        g[~small] = rng.standard_gamma(a[~small])
-    if np.any(small):
-        g[small] = (rng.standard_gamma(a[small] + 1.0)
-                    * rng.random(int(small.sum())) ** (1.0 / a[small]))
+    g = rng.standard_gamma(a + small)
+    g[small] *= rng.random(int(small.sum())) ** (1.0 / a[small])
     return g
 
 
@@ -422,11 +424,11 @@ class TestReferenceAnnealer:
 
     PAPER = {}
     COLD = {"blend": 1.0, "t0": 1.0, "cooling": 1.0005}
-    # Dirichlet shapes mostly >= 1: most draws take the plain gamma branch
-    # alone, about one in twenty also boosts a shape below 1 (a spacing
-    # under 1e-4), which pins the order of the two branches' variates
+    # Dirichlet shapes mostly >= 1: most draws use no boosting uniform,
+    # about one in twenty boosts a shape below 1 (a spacing under 1e-4),
+    # which pins the uniforms' place after the gammas
     STIFF = {"theta": 1e4}
-    # every Dirichlet shape < 1, so only the boosted branch runs
+    # every Dirichlet shape < 1, so every gamma is boosted
     LOOSE = {"theta": 0.5}
 
     @staticmethod
@@ -500,3 +502,14 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             SaConfig(mode="torus")
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("n", 1, "n must be at least 2"),
+        ("theta", 0.0, "theta, t0 must be positive"),
+        ("t0", -1.0, "theta, t0 must be positive"),
+        ("von_mises_kappa", -1.0, "kappa nonnegative"),
+        ("max_iters", 0, "max_iters must be positive"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SaConfig(**{field: value})

@@ -191,6 +191,14 @@ class TestCsvReader:
         with pytest.raises(DataError, match="need at least two data rows"):
             load_curve(path)
 
+    @pytest.mark.parametrize("text", ["t,x\n0.1,1\n1,2\n", "t,x\n0,1\n0.9,2\n"],
+                             ids=["late-start", "early-end"])
+    def test_t_must_span_the_unit_interval(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="t column must run from 0 to 1"):
+            load_curve(path)
+
     @pytest.mark.parametrize("text,line", [
         ("t,x\n0,1\n0.6,2\n0.4,3\n0.8,oops\n1,4\n", "line 4: t column"),
         ("t,x\n0,1\n0.6,oops\n0.4,3\n1,4\n", "line 3: non-numeric"),

@@ -17,6 +17,7 @@ from warpalign import (
     posterior_summary,
     restrict,
     sa_align,
+    sir_posterior,
     sup_dist,
     to_srvf,
     uniform_grid,
@@ -69,12 +70,20 @@ class TestPrewarp:
 class TestConstrainedAlign:
     def test_empty_set_matches_unconstrained(self):
         c1, c2 = two_bump_pair(80)
+        none = LandmarkSet(np.empty((0, 2)))
         cfg = SaConfig(max_iters=150)
-        res = constrained_align(c1, c2, LandmarkSet(np.empty((0, 2))), "sa", cfg,
-                                np.random.default_rng(5))
+        res = constrained_align(c1, c2, none, "sa", cfg, np.random.default_rng(5))
         direct = sa_align(to_srvf(c1), to_srvf(c2), cfg, np.random.default_rng(5))
         assert np.array_equal(res.warp.x, direct.warp.x)
         assert np.array_equal(res.warp.y, direct.warp.y)
+        cfg = BayesConfig(prior_draws=200, resample_size=50)
+        res = constrained_align(c1, c2, none, "bayes", cfg, np.random.default_rng(5))
+        post = sir_posterior(to_srvf(c1), to_srvf(c2), cfg, np.random.default_rng(5))
+        mean = posterior_summary(post, c1.grid)[0]
+        assert np.array_equal(res.warp.x, mean.x) and np.array_equal(res.warp.y, mean.y)
+        assert len(res.posterior_warps) == len(post.warps) == 50
+        for glued, draw in zip(res.posterior_warps, post.warps):
+            assert np.array_equal(glued.x, draw.x) and np.array_equal(glued.y, draw.y)
 
     def test_identical_curves_near_identity(self):
         c1, _ = two_bump_pair(100)
@@ -179,6 +188,13 @@ class TestConstrainedAlign:
         with pytest.raises(ValueError, match="function mode"):
             constrained_align(c1, c2, LandmarkSet(pairs), "sa",
                               SaConfig(max_iters=10, mode=mode), np.random.default_rng(0))
+
+    def test_grid_mismatch_rejected(self):
+        c1, _ = two_bump_pair(50)
+        _, c2 = two_bump_pair(60)
+        with pytest.raises(ValueError, match="common grid"):
+            constrained_align(c1, c2, LandmarkSet(np.empty((0, 2))), "sa",
+                              SaConfig(max_iters=10), np.random.default_rng(0))
 
     def test_unknown_method_rejected(self):
         c1, c2 = two_bump_pair(50)

@@ -112,6 +112,8 @@ class TestOptimalRotation:
             Rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))  # det -1
         with pytest.raises(ValueError):
             Rotation(np.array([[1.0, 1.0], [0.0, 1.0]]))  # not orthogonal
+        with pytest.raises(ValueError, match="must be square"):
+            Rotation(np.eye(3)[:2])
 
 
 @st.composite
@@ -215,6 +217,11 @@ class TestApplySeed:
         q = Srvf(g, np.ones((50, 2)))
         with pytest.raises(ValueError):
             apply_seed(q, 0.5)
+
+    @pytest.mark.parametrize("s", [-0.1, 1.0])
+    def test_seed_outside_unit_interval_rejected(self, s):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 1\)"):
+            apply_seed(self.closed_shape(), s)
 
     def test_rotate_preserves_shape_flag(self):
         q = self.closed_shape()

@@ -65,6 +65,18 @@ class TestCurve:
         with pytest.raises(ValueError, match="finite"):
             Srvf(uniform_grid(5), vals)
 
+    @pytest.mark.parametrize("make,match", [
+        (lambda: Curve(uniform_grid(3), np.zeros((3, 1)), "torus"),
+         "topology must be 'open' or 'closed'"),
+        (lambda: Srvf(uniform_grid(5), 2.0 * np.ones((5, 1)), is_shape=True),
+         "is_shape requires unit L2 norm"),
+        (lambda: unit_normalize(Srvf(uniform_grid(5), np.zeros((5, 1)))),
+         "cannot normalize a zero SRVF"),
+    ], ids=["topology", "shape-norm", "zero-srvf"])
+    def test_invalid_input_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestResample:
     def test_same_grid_identity(self):

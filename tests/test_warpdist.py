@@ -21,7 +21,7 @@ from warpalign import (
     sample_fixed,
     sup_dist,
 )
-from warpalign.warpdist import _DRAW_ROWS, _random_partitions
+from warpalign.warpdist import _DRAW_ROWS, _random_partitions, gamma_variates
 from warpalign.warpmap import batch_eval
 from conftest import pl_warps, reference_draw
 
@@ -43,6 +43,11 @@ class TestDirichlet:
             dirichlet_sample([1.0, 0.0], rng)
         with pytest.raises(ValueError):
             dirichlet_sample([1.0, -2.0], rng)
+
+    @pytest.mark.parametrize("params", [[], [[1.0, 2.0]]], ids=["empty", "2d"])
+    def test_rejects_non_vector(self, params):
+        with pytest.raises(ValueError, match="nonempty 1-d sequence"):
+            dirichlet_sample(params, np.random.default_rng(0))
 
     def test_flat_two_dim_marginal_uniform(self):
         rng = np.random.default_rng(7)
@@ -76,6 +81,31 @@ class TestDirichlet:
             assert np.all(p > 0) and abs(p.sum() - 1.0) < 1e-12
 
 
+class TestGammaVariates:
+    @pytest.mark.parametrize("shapes", [0.3, 2.5, [0.05, 3.0, 0.7, 1.0],
+                                        [[0.2, 4.0, 0.9], [1.5, 0.01, 6.0]]],
+                             ids=["0d-boosted", "0d-plain", "1d", "2d"])
+    def test_stream_is_one_gamma_call_then_the_uniforms(self, shapes):
+        # Gamma(a + (a < 1)) for every shape in array order, then one
+        # uniform per shape below one, in array order
+        a = np.asarray(shapes, dtype=float)
+        g = gamma_variates(shapes, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        small = a < 1.0
+        expected = np.asarray(rng.standard_gamma(a + small))
+        u = rng.random(int(small.sum()))
+        expected[small] = expected[small] * u ** (1.0 / a[small])
+        assert isinstance(g, np.ndarray) and g.shape == a.shape
+        assert np.array_equal(g, expected)
+
+    def test_means(self):
+        # E Gamma(a, 1) = a; the bound is five standard errors sqrt(a / N)
+        shapes = np.array([0.05, 0.5, 1.0, 3.0])
+        n = 200_000
+        g = gamma_variates(np.tile(shapes, (n, 1)), np.random.default_rng(17))
+        assert np.all(np.abs(g.mean(axis=0) - shapes) < 5.0 * np.sqrt(shapes / n))
+
+
 class TestSampleFixed:
     def test_midpoint_marginal_uniform(self):
         rng = np.random.default_rng(21)
@@ -90,12 +120,24 @@ class TestSampleFixed:
                           for _ in range(100)])
         assert coarse / fine >= 3.0
 
+    @pytest.mark.parametrize("n,alpha,match", [
+        (1, 1.0, "at least two increments"),
+        (5, 0.0, "alpha must be positive"),
+    ])
+    def test_rejects_bad_arguments(self, n, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            sample_fixed(n, alpha, np.random.default_rng(0))
+
 
 class TestSample:
     def test_deterministic_given_seed(self):
         a = sample(id_prior(), np.random.default_rng(42))
         b = sample(id_prior(), np.random.default_rng(42))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    def test_sample_batch_rejects_empty_batch(self):
+        with pytest.raises(ValueError, match="size must be positive"):
+            sample_batch(id_prior(), 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("theta", [1e4, 100.0, 10.0, 0.5])
     @pytest.mark.parametrize("partition", [None, [0.0, 0.1, 0.35, 0.4, 0.8, 1.0]])
@@ -306,6 +348,15 @@ class TestLogDensity:
         with pytest.raises(ValueError):
             log_density(id_prior(3, 3.0), [0.0, 0.3, 0.7, 1.0], [0.6, 0.4])
 
+    @pytest.mark.parametrize("prior,partition,values,match", [
+        (id_prior(3, 3.0), [0.0, 0.3, 0.7, 1.0], [0.5], "match the interior"),
+        # theta * diff(H) underflows to zero on a subnormal spacing
+        (id_prior(2, 0.1), [0.0, 5e-324, 1.0], [0.5], "partition too fine"),
+    ], ids=["values-length", "underflowing-shape"])
+    def test_rejects_bad_arguments(self, prior, partition, values, match):
+        with pytest.raises(ValueError, match=match):
+            log_density(prior, partition, values)
+
     def test_density_integrates_to_one(self):
         # quadrature oracle over the ordered pairs 0 < x1 < x2 < 1
         prior = id_prior(3, 6.0)
@@ -377,6 +428,10 @@ class TestSeedDistributionValidation:
     def test_bad_center(self):
         with pytest.raises(ValueError):
             SeedDistribution.von_mises(1.0, 2.0)
+
+    def test_bad_kind(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            SeedDistribution("wrapped_normal")
 
     def test_prior_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from warpalign import (
     to_srvf,
     unit_normalize,
 )
+from warpalign import warpmap
 from warpalign.align_sa import align
 from warpalign.fixtures import closed_shape_pair, spiral_pair, two_bump_pair
-from warpalign.warpmap import _interp, batch_eval, check_grid
+from warpalign.warpmap import _interp, batch_eval, check_grid, uniform_grid
 
 DENSE = np.linspace(0.0, 1.0, 1001)
 
@@ -106,6 +108,18 @@ class TestCompose:
         comp = compose(u, v)
         # constructor enforced the warp invariants; check the function too
         assert np.max(np.abs(comp(DENSE) - u(v(DENSE)))) < 1e-12
+
+    def test_colliding_knots_are_deduplicated(self):
+        # two interior knots one ulp apart make a steep segment; two of the
+        # composition's knots then collide in value after rounding
+        w = PLWarp([0.0, 0.01, np.nextafter(0.01, 1.0), 1.0], [0.0, 0.03, 0.5, 1.0])
+        with mock.patch.object(warpmap, "_dedupe_knots",
+                               wraps=warpmap._dedupe_knots) as dedupe:
+            comp = compose(w, w)
+        assert dedupe.call_count == 1
+        assert isinstance(comp, PLWarp)
+        assert np.all(np.diff(comp.x) > 0) and np.all(np.diff(comp.y) > 0)
+        assert np.max(np.abs(comp.y - w(w(comp.x)))) <= 1e-12
 
 
 class TestRestrict:
@@ -208,6 +222,18 @@ class TestConstruction:
             PLWarp([0.0, 0.5, 1.0], [0.0, 0.5, 0.4])
         with pytest.raises(ValueError):
             PLWarp([0.1, 1.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: check_grid([0.0]), "at least two points"),
+        (lambda: check_grid([[0.0, 1.0]]), "at least two points"),
+        (lambda: uniform_grid(1), "at least two points"),
+        (lambda: PLWarp([0.0, 1.0], [0.0, 0.5, 1.0]), "two equal-length 1-d sequences"),
+        (lambda: PLWarp([[0.0, 1.0]], [[0.0, 1.0]]), "two equal-length 1-d sequences"),
+    ], ids=["one-point-grid", "2d-grid", "one-point-uniform-grid", "length-mismatch",
+            "2d-knots"])
+    def test_malformed_input_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_overflowing_slope_rejected(self):
         # a subnormal knot spacing overflows the slope to inf
