@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .srvf import Srvf, _check_same_grid, _warp_sse_batch
-from .warpdist import WarpPrior, sample_batch
+from .warpdist import WarpPrior, _draw_blocks
 from .warpmap import PLWarp, check_grid, identity
 
 __all__ = [
@@ -50,6 +50,13 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _check_hyperparameters(a0: float, b0: float) -> None:
+    """The rule on the Gamma hyperparameters that ``BayesConfig`` and
+    ``marginal_loglik`` share: both positive and finite."""
+    if not all(math.isfinite(v) and v > 0.0 for v in (a0, b0)):
+        raise ValueError("Gamma hyperparameters must be positive and finite")
+
+
 def _default_prior() -> WarpPrior:
     return WarpPrior(identity(), partition_size=20, concentration=10.0)
 
@@ -65,8 +72,7 @@ class BayesConfig:
     resample_size: int = 2000
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.a0, self.b0)):
-            raise ValueError("Gamma hyperparameters must be positive and finite")
+        _check_hyperparameters(self.a0, self.b0)
         if not self.prior_draws >= self.resample_size >= 1:
             raise ValueError("need prior_draws >= resample_size >= 1")
 
@@ -89,7 +95,9 @@ def marginal_loglik(q1: Srvf, q2: Srvf, warp: PLWarp, a0: float = 0.01,
     terms that do not depend on the warp are dropped since only weight
     ratios matter for SIR.  The SSE kernel and the formula are
     ``sir_posterior``'s, so its weights are these values' to the last bit.
+    ``a0`` and ``b0`` must be positive and finite, as in ``BayesConfig``.
     """
+    _check_hyperparameters(a0, b0)
     _check_same_grid(q1, q2)
     grid, sse = q1.grid, np.empty(1)
     _warp_sse_batch(grid, q2.values, q1.values, warp.x[None], warp.y[None], sse,
@@ -110,16 +118,20 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
 
     The importance function is the prior itself: draw ``prior_draws``
     warps, weight by the marginal likelihood (stabilized by a max shift),
-    and resample ``resample_size`` warps with replacement.  The draws are
-    weighted in row blocks, striped over W threads: W is the smallest of
-    the CPUs this process may use, the number of full-budget blocks and
-    ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.  The W threads share
-    ``_BLOCK_BYTES`` of working arrays, ``_ROW_ARRAYS`` 8-byte grids
-    per draw in a block, so a block is 327 draws at m = 100 and W = 2.
-    Each thread allocates its workspace once per call and reuses it for
-    all its blocks.  Each row's weight is computed alone, so the result
-    does not depend on W.  A draw resampled more than once appears as
-    one shared ``PLWarp``.
+    and resample ``resample_size`` warps with replacement.  The prior is
+    drawn in blocks of ``_DRAW_ROWS`` rows, and W threads weigh the
+    draws: W is the smallest of the CPUs this process may use, the number
+    of full-budget weighing blocks and ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.
+    With W > 1, W - 1 pool threads weigh each finished draw block from a
+    queue while the calling thread draws the next; once the draw is done
+    the calling thread joins them until the queue is empty.  With W = 1
+    the draw comes first, then the weighing.  A thread weighs a block in
+    sub-blocks that share ``_BLOCK_BYTES`` of working arrays with the
+    other threads, ``_ROW_ARRAYS`` 8-byte grids per draw, so a sub-block
+    is 327 draws at m = 100 and W = 2; it allocates its workspace once
+    per call.  Each row's weight is computed alone, so the result does
+    not depend on W.  A draw resampled more than once appears as one
+    shared ``PLWarp``.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -127,7 +139,7 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     grid = q1.grid
     n_draws = cfg.prior_draws
 
-    knots, values = sample_batch(cfg.prior, n_draws, rng)
+    knots, values, blocks = _draw_blocks(cfg.prior, n_draws, rng)
     q1v, q2v = q1.values, q2.values
     row_bytes = _ROW_ARRAYS * 8 * grid.size
     n_blocks = -(-n_draws // max(1, _BLOCK_BYTES // row_bytes))
@@ -135,24 +147,38 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     block = max(1, min(n_draws, _BLOCK_BYTES // workers // row_bytes))
     sse = np.empty(n_draws)
 
-    def weigh(stripe):
+    def weigh(ranges):
         work = np.empty((2, block, grid.size))
         # numpy's error state is per thread
         with np.errstate(over="ignore"):
-            for lo in range(stripe * block, n_draws, workers * block):
-                hi = lo + block
-                _warp_sse_batch(grid, q2v, q1v, knots[lo:hi], values[lo:hi],
-                                sse[lo:hi], work)
+            for rows in ranges:
+                for lo in range(rows.start, rows.stop, block):
+                    hi = min(lo + block, rows.stop)
+                    _warp_sse_batch(grid, q2v, q1v, knots[lo:hi], values[lo:hi],
+                                    sse[lo:hi], work)
 
     if workers == 1:
-        weigh(0)
+        for _ in blocks:
+            pass
+        weigh([slice(0, n_draws)])
     else:
         # imported on first use: concurrent.futures loads logging, which every
         # import of the package would otherwise pay for
         from concurrent.futures import ThreadPoolExecutor
+        from queue import SimpleQueue
+        finished = SimpleQueue()
         with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(weigh, stripe) for stripe in range(1, workers)]
-            weigh(0)
+            futures = [pool.submit(weigh, iter(finished.get, None))
+                       for _ in range(workers - 1)]
+            try:
+                for rows in blocks:
+                    finished.put(rows)
+            finally:
+                # one stop marker per thread, also if the draw fails: a pool
+                # thread left waiting would hang the pool's shutdown
+                for _ in range(workers):
+                    finished.put(None)
+            weigh(iter(finished.get, None))
             for future in futures:
                 future.result()
     loglik = _loglik(sse, q1v.size, cfg.a0, cfg.b0)

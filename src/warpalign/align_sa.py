@@ -104,7 +104,7 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
 def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Knots of a draw centred at the warp ``(x, y)``, blended toward the identity."""
-    px, py = _draw(x, y, cfg.n, cfg.theta, None, rng)
+    px, py = _draw(x, y, cfg.n, cfg.theta, rng)
     # blending against the identity needs no knot union: id(x) = x
     py *= cfg.blend
     py += (1.0 - cfg.blend) * px

@@ -15,6 +15,7 @@ which ``degeneracy_report`` measures empirically.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,8 @@ def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np
     return knots
 
 
-# Rows per ``gamma_variates`` call of a batch draw (see ``_draw``): it
-# bounds a large draw's working memory, and it fixes the random stream.
+# Rows per ``gamma_variates`` call of a batch draw (see ``_draw_blocks``):
+# it bounds a large draw's working memory, and it fixes the random stream.
 _DRAW_ROWS = 1024
 
 
@@ -177,28 +178,40 @@ def _shapes(knots: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray,
 
 
 def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
-          size: int | None, rng: np.random.Generator,
-          knots=None) -> tuple[np.ndarray, np.ndarray]:
-    """The sampler core on raw mean knots; see ``sample_batch``.
-
-    ``size=None`` draws one warp as 1-d knot and value arrays, as numpy's
-    own ``size=None`` does; its random stream and values are those of
-    row 0 of ``size=1``.  A batch of more than ``_DRAW_ROWS`` rows draws
-    every partition first, then runs the small-batch recipe on each
-    ``_DRAW_ROWS``-row block in row order, so its working memory beyond
-    the returned arrays stays bounded.
-    """
+          rng: np.random.Generator, knots=None) -> tuple[np.ndarray, np.ndarray]:
+    """One warp on raw mean knots, as 1-d knot and value arrays, without
+    the checks of ``sample``; its random stream and values are those of
+    row 0 of a one-row batch (see ``_draw_blocks``)."""
     if knots is None:
-        knots = _random_partitions(size, n, rng)
-    if size is None or size <= _DRAW_ROWS:
-        a = _shapes(knots, mean_x, mean_y, theta)
-        return knots, _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
+        knots = _random_partitions(None, n, rng)
+    a = _shapes(knots, mean_x, mean_y, theta)
+    return knots, _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
+
+
+def _draw_blocks(prior: WarpPrior, size: int, rng: np.random.Generator,
+                 knots=None) -> tuple[np.ndarray, np.ndarray, Iterator[slice]]:
+    """Start a draw of ``size`` warps: the one producer of batch draws.
+
+    Draws every partition now, unless ``knots`` gives them, and returns
+    ``(knots, values, blocks)``.  Iterating ``blocks`` fills ``values``
+    one ``_DRAW_ROWS``-row block at a time, in row order, and yields each
+    block's row slice once its values are final, so a caller can use a
+    block while the next one is drawn.  The working memory beyond the
+    returned arrays stays bounded by one block.
+    """
+    x, y = prior.mean_warp.x, prior.mean_warp.y
+    if knots is None:
+        knots = _random_partitions(size, prior.partition_size, rng)
     values = np.empty(knots.shape)
-    for lo in range(0, size, _DRAW_ROWS):
-        rows = slice(lo, lo + _DRAW_ROWS)
-        a = _shapes(knots[rows], mean_x, mean_y, theta)
-        values[rows] = _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
-    return knots, values
+
+    def blocks():
+        for lo in range(0, size, _DRAW_ROWS):
+            rows = slice(lo, min(lo + _DRAW_ROWS, size))
+            a = _shapes(knots[rows], x, y, prior.concentration)
+            values[rows] = _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
+            yield rows
+
+    return knots, values, blocks()
 
 
 def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
@@ -214,15 +227,17 @@ def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
     if size < 1:
         raise ValueError("size must be positive")
     knots = None if partition is None else np.tile(check_grid(partition), (size, 1))
-    return _draw(prior.mean_warp.x, prior.mean_warp.y, prior.partition_size,
-                 prior.concentration, size, rng, knots)
+    knots, values, blocks = _draw_blocks(prior, size, rng, knots)
+    for _ in blocks:
+        pass
+    return knots, values
 
 
 def sample(prior: WarpPrior, rng: np.random.Generator, partition=None) -> PLWarp:
     """One warp from the prior: row 0 of ``sample_batch(prior, 1, ...)``."""
     knots = None if partition is None else check_grid(partition)
     return PLWarp(*_draw(prior.mean_warp.x, prior.mean_warp.y, prior.partition_size,
-                         prior.concentration, None, rng, knots))
+                         prior.concentration, rng, knots))
 
 
 def sample_circular(prior: WarpPrior, seed_dist: SeedDistribution,

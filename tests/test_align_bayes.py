@@ -32,7 +32,7 @@ from warpalign import (
     warp_action,
 )
 from conftest import pl_warps, reference_sir_posterior
-from warpalign import align_bayes
+from warpalign import align_bayes, warpdist
 from warpalign.fixtures import closed_shape_pair, pqrst_pair, spiral_pair, two_bump_pair
 
 
@@ -71,6 +71,18 @@ class TestMarginalLoglik:
         q2 = Srvf(uniform_grid(12), np.ones((12, 1)))
         with pytest.raises(ValueError):
             marginal_loglik(q1, q2, identity())
+
+    @pytest.mark.parametrize("a0, b0", [
+        (math.nan, 0.01), (0.01, math.inf), (-1.0, 0.01), (0.0, 0.01), (0.01, 0.0),
+        (0.01, -1.0),
+    ])
+    def test_rejects_what_bayes_config_rejects(self, a0, b0):
+        q1, _ = bump_srvfs()
+        with pytest.raises(ValueError) as config_error:
+            BayesConfig(a0=a0, b0=b0)
+        with pytest.raises(ValueError) as loglik_error:
+            marginal_loglik(q1, q1, identity(), a0, b0)
+        assert str(loglik_error.value) == str(config_error.value)
 
     def test_dimension_mismatch(self):
         g = uniform_grid(10)
@@ -258,8 +270,8 @@ class TestSirMemory:
 
 
 class TestSirThreads:
-    """The weighting pass stripes its row blocks over W threads; no output
-    depends on W."""
+    """W threads weigh the draw blocks, the pool threads while the next
+    block is drawn; no output depends on W."""
 
     @staticmethod
     def force_workers(monkeypatch, workers):
@@ -276,14 +288,37 @@ class TestSirThreads:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         return started
 
+    @staticmethod
+    def run_bounded(call):
+        """Run ``call`` on its own thread, joined with a timeout so that a
+        hang fails the test; returns the exception it raised, or None."""
+        raised = []
+
+        def target():
+            try:
+                call()
+            except Exception as exc:  # handed to the test to inspect
+                raised.append(exc)
+
+        run = threading.Thread(target=target)
+        run.start()
+        run.join(timeout=120)
+        assert not run.is_alive(), "sir_posterior did not return in 120 s"
+        return raised[0] if raised else None
+
+    # one draw block, a one-row last block and a ragged last block
+    @pytest.mark.parametrize("draws", [1000, 1025, 5000])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_reference_sir(self, monkeypatch, workers):
+    def test_matches_reference_sir(self, monkeypatch, workers, draws):
         started = self.force_workers(monkeypatch, workers)
         c1, c2 = pqrst_pair(100)
         q1, q2 = to_srvf(c1), to_srvf(c2)
-        cfg = BayesConfig(b0=5.0, prior_draws=5000, resample_size=500)
+        cfg = BayesConfig(b0=5.0, prior_draws=draws, resample_size=500)
         post = sir_posterior(q1, q2, cfg, np.random.default_rng(5))
-        assert started == ([] if workers == 1 else [workers - 1])
+        # fewer full-budget weighing blocks than CPUs cap the threads
+        full_block = align_bayes._BLOCK_BYTES // (align_bayes._ROW_ARRAYS * 8 * q1.grid.size)
+        threads = min(workers, -(-draws // full_block))
+        assert started == ([] if threads == 1 else [threads - 1])
         ref = reference_sir_posterior(q1, q2, cfg, np.random.default_rng(5))
         assert np.array_equal(post.weights, ref.weights)
         assert post.ess == ref.ess
@@ -306,17 +341,64 @@ class TestSirThreads:
         align_bayes._MIN_BLOCK_BYTES = 1 << 10
         sys.setswitchinterval(1e-6)
         try:
-            run = threading.Thread(target=lambda: result.setdefault(
-                "post", sir_posterior(q1, q2, cfg, np.random.default_rng(6))))
-            run.start()
-            run.join(timeout=120)
-            assert not run.is_alive(), "weighting did not finish in 120 s"
+            assert self.run_bounded(lambda: result.setdefault(
+                "post", sir_posterior(q1, q2, cfg, np.random.default_rng(6)))) is None
         finally:
             align_bayes._MIN_BLOCK_BYTES = floor
             sys.setswitchinterval(interval)
         assert started == [workers - 1]
         assert np.array_equal(result["post"].weights, alone.weights)
         assert result["post"].ess == alone.ess
+
+    def test_draw_error_leaves_no_thread(self, monkeypatch):
+        """A draw that fails mid-way still sends every pool thread its stop
+        marker: the error comes out and no pool thread is left waiting."""
+        started = self.force_workers(monkeypatch, 2)
+        real, calls = warpdist.gamma_variates, []
+
+        def failing(shapes, rng):
+            calls.append(shapes.shape)
+            if len(calls) == 3:
+                raise RuntimeError("third draw block")
+            return real(shapes, rng)
+
+        monkeypatch.setattr(warpdist, "gamma_variates", failing)
+        q1, q2 = bump_srvfs()
+        cfg = BayesConfig(prior_draws=5000, resample_size=100)
+        before = set(threading.enumerate())
+        error = self.run_bounded(lambda: sir_posterior(q1, q2, cfg, np.random.default_rng(7)))
+        assert isinstance(error, RuntimeError) and str(error) == "third draw block"
+        assert started == [1] and len(calls) == 3
+        assert set(threading.enumerate()) <= before
+
+    def test_pool_thread_error_comes_out(self, monkeypatch):
+        self.force_workers(monkeypatch, 2)
+        real_sse, real_gamma = align_bayes._warp_sse_batch, warpdist.gamma_variates
+        caller, draws, raised = [], [], threading.Event()
+
+        def failing(*args):
+            if threading.get_ident() != caller[0]:
+                raised.set()
+                raise RuntimeError("pool thread")
+            real_sse(*args)
+
+        def slow(shapes, rng):
+            # the second draw block waits until a pool thread has failed on the first
+            draws.append(raised.wait(timeout=60) if len(draws) == 1 else None)
+            return real_gamma(shapes, rng)
+
+        monkeypatch.setattr(align_bayes, "_warp_sse_batch", failing)
+        monkeypatch.setattr(warpdist, "gamma_variates", slow)
+        q1, q2 = bump_srvfs()
+        cfg = BayesConfig(prior_draws=3000, resample_size=100)
+
+        def call():
+            caller.append(threading.get_ident())
+            sir_posterior(q1, q2, cfg, np.random.default_rng(7))
+
+        error = self.run_bounded(call)
+        assert isinstance(error, RuntimeError) and str(error) == "pool thread"
+        assert draws[1] is True
 
     def test_overflow_warns_in_no_worker(self, monkeypatch):
         started = self.force_workers(monkeypatch, 2)
