@@ -9,7 +9,6 @@ pointwise credible bands.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .srvf import Srvf, _check_same_grid, _warp_sse_batch
 from .warpdist import WarpPrior, _draw_blocks
-from .warpmap import PLWarp, check_grid, identity
+from .warpmap import PLWarp, check_count, check_grid, check_positive, identity
 
 __all__ = [
     "BayesConfig",
@@ -50,13 +49,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _check_hyperparameters(a0: float, b0: float) -> None:
-    """The rule on the Gamma hyperparameters that ``BayesConfig`` and
-    ``marginal_loglik`` share: both positive and finite."""
-    if not all(math.isfinite(v) and v > 0.0 for v in (a0, b0)):
-        raise ValueError("Gamma hyperparameters must be positive and finite")
-
-
 def _default_prior() -> WarpPrior:
     return WarpPrior(identity(), partition_size=20, concentration=10.0)
 
@@ -72,9 +64,9 @@ class BayesConfig:
     resample_size: int = 2000
 
     def __post_init__(self):
-        _check_hyperparameters(self.a0, self.b0)
-        if not self.prior_draws >= self.resample_size >= 1:
-            raise ValueError("need prior_draws >= resample_size >= 1")
+        check_positive("Gamma hyperparameters a0 and b0", self.a0, self.b0)
+        check_count("resample_size", self.resample_size, 1)
+        check_count("prior_draws", self.prior_draws, self.resample_size)
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,7 @@ def marginal_loglik(q1: Srvf, q2: Srvf, warp: PLWarp, a0: float = 0.01,
     ``sir_posterior``'s, so its weights are these values' to the last bit.
     ``a0`` and ``b0`` must be positive and finite, as in ``BayesConfig``.
     """
-    _check_hyperparameters(a0, b0)
+    check_positive("Gamma hyperparameters a0 and b0", a0, b0)
     _check_same_grid(q1, q2)
     grid, sse = q1.grid, np.empty(1)
     _warp_sse_batch(grid, q2.values, q1.values, warp.x[None], warp.y[None], sse,

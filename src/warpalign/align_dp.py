@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .srvf import Srvf, _check_same_grid, _interp_columns, _require_uniform
 from .shapeops import _roll_seed
-from .warpmap import PLWarp, uniform_grid
+from .warpmap import PLWarp, check_count, uniform_grid
 
 __all__ = ["DpConfig", "dp_align", "dp_align_closed", "dp_warp_energy"]
 
@@ -35,15 +35,13 @@ class DpConfig:
     seed_stride: int = 1
 
     def __post_init__(self):
-        if self.grid_size < 3:
-            raise ValueError("grid_size must be at least 3")
-        steps = tuple((int(a), int(b)) for a, b in self.neighborhood)
+        check_count("grid_size", self.grid_size, 3)
+        check_count("seed_stride", self.seed_stride, 1)
+        part = "each part of a neighborhood step"
+        steps = tuple((check_count(part, a, 1), check_count(part, b, 1))
+                      for a, b in self.neighborhood)
         if not steps:
             raise ValueError("neighborhood must be nonempty")
-        if any(a < 1 or b < 1 for a, b in steps):
-            raise ValueError("neighborhood steps must be positive")
-        if self.seed_stride < 1:
-            raise ValueError("seed_stride must be at least 1")
         # diagonal step first so that ties break toward identity-like warps
         if (1, 1) in steps:
             steps = ((1, 1),) + tuple(s for s in steps if s != (1, 1))

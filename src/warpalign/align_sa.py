@@ -20,7 +20,7 @@ import numpy as np
 from .shapeops import Rotation, _procrustes, _procrustes_target
 from .srvf import Srvf, _check_same_grid, _require_uniform, _sq_l2, _warp_values
 from .warpdist import _draw
-from .warpmap import PLWarp
+from .warpmap import PLWarp, check_count, check_positive
 
 __all__ = [
     "SaConfig",
@@ -58,19 +58,15 @@ class SaConfig:
     von_mises_kappa: float = 50.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if not all(map(math.isfinite, (self.theta, self.t0, self.cooling,
-                                       self.von_mises_kappa))):
-            raise ValueError("theta, t0, cooling and kappa must be finite")
-        if self.theta <= 0 or self.t0 <= 0 or self.von_mises_kappa < 0:
-            raise ValueError("theta, t0 must be positive and kappa nonnegative")
-        if self.cooling <= 1.0:
-            raise ValueError("cooling factor must exceed 1")
+        check_count("n", self.n, 2)
+        check_count("max_iters", self.max_iters, 1)
+        check_positive("theta, t0", self.theta, self.t0)
+        if not (math.isfinite(self.cooling) and self.cooling > 1.0):
+            raise ValueError("cooling factor must be finite and exceed 1")
+        if not (math.isfinite(self.von_mises_kappa) and self.von_mises_kappa >= 0.0):
+            raise ValueError("von_mises_kappa must be finite and kappa nonnegative")
         if not 0.0 <= self.blend <= 1.0:
             raise ValueError("blend must lie in [0,1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         if self.mode not in ("function", "open_shape", "closed_shape"):
             raise ValueError("mode must be function, open_shape or closed_shape")
 

@@ -166,8 +166,11 @@ def constrained_align(g1: Curve, g2: Curve, lm: LandmarkSet, method: str,
     prior is centred on the identity, so with landmarks
     ``prior.mean_warp`` must be the identity.
     """
-    if method not in ("sa", "bayes"):
+    kind = {"sa": SaConfig, "bayes": BayesConfig}.get(method)
+    if kind is None:
         raise ValueError("method must be 'sa' or 'bayes'")
+    if not isinstance(cfg, kind):
+        raise ValueError(f"method {method!r} takes a {kind.__name__}, not {type(cfg).__name__}")
     if method == "bayes" and len(lm) and not np.array_equal(cfg.prior.mean_warp.x,
                                                             cfg.prior.mean_warp.y):
         raise ValueError("landmark-constrained Bayes centres every segment's prior on "

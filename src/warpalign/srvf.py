@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .warpmap import PLWarp, _interp, _lookup, check_grid, uniform_grid
+from .warpmap import PLWarp, _interp, _lookup, check_count, check_grid, uniform_grid
 
 __all__ = [
     "Curve",
@@ -121,8 +121,6 @@ def _nonzero_length(curve: Curve) -> float:
 
 def resample(curve: Curve, m: int) -> Curve:
     """Resample onto a uniform grid of m points by linear interpolation."""
-    if m < 2:
-        raise ValueError("need at least two sample points")
     grid = uniform_grid(m)
     pts = _interp_columns(curve.grid, curve.points, grid)
     if curve.topology == "closed":
@@ -348,8 +346,7 @@ def geodesic(q1: Srvf, q2: Srvf, steps: int) -> list[Srvf]:
     Unit-norm shapes follow the great-circle arc on the SRVF sphere;
     anything else interpolates linearly in SRVF space.
     """
-    if steps < 2:
-        raise ValueError("need at least two steps")
+    check_count("steps", steps, 2)
     _check_same_grid(q1, q2)
     shape = q1.is_shape and q2.is_shape
     # psi below 1e-9 takes the linear path: non-shapes, and shapes too close for the arc

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .warpmap import (MIN_INCREMENT, PLWarp, CircularWarp, _floor_normalize,
-                      _increment_values, _interp, check_grid, make_circular, sup_dist)
+                      _increment_values, _interp, check_count, check_grid,
+                      check_positive, make_circular, sup_dist)
 
 __all__ = [
     "WarpPrior",
@@ -50,10 +51,8 @@ class WarpPrior:
     concentration: float = 10.0
 
     def __post_init__(self):
-        if self.partition_size < 2:
-            raise ValueError("partition size must be at least 2")
-        if not (math.isfinite(self.concentration) and self.concentration > 0.0):
-            raise ValueError("concentration must be positive and finite")
+        check_count("partition_size", self.partition_size, 2)
+        check_positive("concentration", self.concentration)
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,8 @@ def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
     Knots sit at k/n and the n increments are Dirichlet(alpha, ..., alpha).
     As n grows this law collapses onto the identity warp.
     """
-    if n < 2:
-        raise ValueError("need at least two increments")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    check_count("n", n, 2)
+    check_positive("alpha", alpha)
     t = np.linspace(0.0, 1.0, n + 1)
     p = dirichlet_sample(np.full(n, alpha), rng)
     return PLWarp.from_increments(t, p)
@@ -224,8 +221,7 @@ def sample_batch(prior: WarpPrior, size: int, rng: np.random.Generator,
     uniforms of every row, then one ``gamma_variates`` call per block of
     ``_DRAW_ROWS`` rows, in row order.
     """
-    if size < 1:
-        raise ValueError("size must be positive")
+    check_count("size", size, 1)
     knots = None if partition is None else np.tile(check_grid(partition), (size, 1))
     knots, values, blocks = _draw_blocks(prior, size, rng, knots)
     for _ in blocks:
@@ -288,24 +284,26 @@ def degeneracy_report(n_list, alpha: float, partition_cdf: PLWarp, samples: int,
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
+    n_list = [check_count("n", n, 1) for n in n_list]
+    check_count("samples", samples, 1)
     limit = partition_cdf.inverse()
     rows = []
     for n in n_list:
-        t = partition_cdf(np.linspace(0.0, 1.0, int(n) + 1))
+        t = partition_cdf(np.linspace(0.0, 1.0, n + 1))
         t[0], t[-1] = 0.0, 1.0
         dists = np.empty(samples)
-        flat = np.full(int(n), alpha)
+        flat = np.full(n, alpha)
         for k in range(samples):
             w = PLWarp.from_increments(t, dirichlet_sample(flat, rng))
             dists[k] = sup_dist(w, limit)
-        rows.append((int(n), float(np.median(dists))))
+        rows.append((n, float(np.median(dists))))
     return rows
 
 
 def beta_cdf_warp(a: float, b: float, knots: int = 1001) -> PLWarp:
     """Beta(a,b) distribution function sampled as a fine PL warp."""
-    if not all(math.isfinite(v) and v > 0.0 for v in (a, b)):
-        raise ValueError("Beta parameters must be positive and finite")
+    check_positive("Beta parameters a and b", a, b)
+    check_count("knots", knots, 2)
     from scipy.stats import beta as beta_dist  # loaded on first call: it slows every import
     t = np.linspace(0.0, 1.0, knots)
     y = beta_dist.cdf(t, a, b)

@@ -10,6 +10,7 @@ exact.  Warps of the circle are represented extrinsically as a PL warp of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,11 +72,23 @@ def check_grid(values) -> np.ndarray:
     return g
 
 
+def check_count(name: str, value, least: int) -> int:
+    """The one rule for counts: ``value`` must be an integer (a Python or
+    numpy int, not a bool) of at least ``least``; returns it as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be at least {least} and an integer, not {value!r}")
+    return int(value)
+
+
+def check_positive(name: str, *values) -> None:
+    """The one rule for scales: every value must be positive and finite."""
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def uniform_grid(m: int) -> np.ndarray:
     """Equispaced grid of m points on [0,1]."""
-    if m < 2:
-        raise ValueError("grid needs at least two points")
-    return np.linspace(0.0, 1.0, m)
+    return np.linspace(0.0, 1.0, check_count("m", m, 2))
 
 
 def _dedupe_knots(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

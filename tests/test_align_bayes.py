@@ -481,6 +481,17 @@ class TestBayesConfig:
         with pytest.raises(ValueError):
             BayesConfig(prior_draws=10, resample_size=20)
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"prior_draws": 300.5}, "prior_draws must be at least 2000 and an integer, not 300.5"),
+        ({"prior_draws": 10, "resample_size": 20},
+         "prior_draws must be at least 20 and an integer, not 10"),
+        ({"resample_size": 2.5}, "resample_size must be at least 1 and an integer, not 2.5"),
+        ({"resample_size": 0}, "resample_size must be at least 1 and an integer, not 0"),
+    ])
+    def test_sample_size_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BayesConfig(**fields)
+
     def test_default_prior(self):
         cfg = BayesConfig()
         assert cfg.prior.partition_size == 20

@@ -455,3 +455,20 @@ class TestDpConfig:
             DpConfig(neighborhood=((0, 1),))
         with pytest.raises(ValueError, match="seed_stride must be at least 1"):
             DpConfig(seed_stride=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("grid_size", 50.0, "grid_size must be at least 3 and an integer, not 50.0"),
+        ("seed_stride", 1.5, "seed_stride must be at least 1 and an integer, not 1.5"),
+        ("neighborhood", ((1.9, 2.7),),
+         "each part of a neighborhood step must be at least 1 and an integer, not 1.9"),
+        ("neighborhood", ((1, 1), (2, 0)),
+         "each part of a neighborhood step must be at least 1 and an integer, not 0"),
+    ])
+    def test_count_rejected_not_truncated(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DpConfig(**{field: value})
+
+    def test_numpy_integer_steps_become_ints(self):
+        cfg = DpConfig(grid_size=np.int64(50), neighborhood=((np.int64(2), np.int32(1)),))
+        assert cfg.neighborhood == ((2, 1),)
+        assert all(type(v) is int for v in cfg.neighborhood[0])

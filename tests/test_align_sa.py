@@ -508,7 +508,12 @@ class TestConfigValidation:
         ("theta", 0.0, "theta, t0 must be positive"),
         ("t0", -1.0, "theta, t0 must be positive"),
         ("von_mises_kappa", -1.0, "kappa nonnegative"),
-        ("max_iters", 0, "max_iters must be positive"),
+        ("max_iters", 0, "max_iters must be at least 1 and an integer, not 0"),
+        ("n", 3.5, "n must be at least 2 and an integer, not 3.5"),
+        ("n", True, "n must be at least 2 and an integer, not True"),
+        ("max_iters", 100.0, "max_iters must be at least 1 and an integer, not 100.0"),
+        ("theta", math.inf, "theta, t0 must be positive and finite"),
+        ("t0", math.nan, "theta, t0 must be positive and finite"),
     ])
     def test_out_of_range_field_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):

@@ -14,13 +14,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_sir_posterior
-from warpalign import CircularWarp, Curve, PLWarp, make_circular
+from warpalign import (
+    CircularWarp,
+    Curve,
+    PLWarp,
+    Rotation,
+    apply_seed,
+    from_srvf,
+    l2_dist,
+    make_circular,
+    normalize_length,
+    resample,
+    rotate,
+    to_srvf,
+    unit_normalize,
+    warp_action,
+)
 from warpalign.cli import cli, main
 from warpalign.fixtures import (
     bean_curve,
     closed_shape_pair,
     pqrst_landmarks,
     pqrst_pair,
+    spiral_pair,
     two_bump_pair,
 )
 from warpalign.io import (
@@ -646,6 +662,33 @@ class TestAlignCommands:
                      "--iters", "400", "--seed", "1", "--outdir", str(out)])
         assert code == 0
         assert json.loads((out / "result.json").read_text())["iterations"] == 400
+
+    @pytest.mark.parametrize("mode,pair", [("open_shape", spiral_pair),
+                                           ("closed_shape", closed_shape_pair)])
+    def test_align_sa_shape_mode_outputs(self, tmp_path, mode, pair):
+        paths = [write_curve(c, tmp_path / f"{k}.csv") for k, c in zip("ab", pair(41))]
+        out = tmp_path / "sa"
+        code = main(["align-sa", *map(str, paths), "--mode", mode, "--points", "41",
+                     "--iters", "150", "--seed", "3", "--outdir", str(out)])
+        assert code == 0
+        validate_json(out / "result.json", "result.schema.json")
+        result = json.loads((out / "result.json").read_text())
+        rot = Rotation(np.array(result["rotation"]))
+        assert np.allclose(rot.matrix @ rot.matrix.T, np.eye(rot.matrix.shape[0]),
+                           rtol=0.0, atol=1e-12)
+        assert abs(np.linalg.det(rot.matrix) - 1.0) < 1e-12
+        assert ("seed_point" in result) == (mode == "closed_shape")
+        # rebuild the aligned SRVF from the written warp, rotation and seed,
+        # on the shapes the command aligned
+        q1, q2 = (unit_normalize(to_srvf(normalize_length(resample(load_curve(p), 41))))
+                  for p in paths)
+        if mode == "closed_shape":
+            q2 = apply_seed(q2, result["seed_point"])
+        aligned = rotate(warp_action(q2, load_warp(out / "warp.json")), rot)
+        assert result["final_energy"] == pytest.approx(l2_dist(q1, aligned) ** 2,
+                                                       rel=1e-12, abs=0.0)
+        assert np.array_equal(load_curve(out / "aligned.csv").points,
+                              from_srvf(aligned).points)
 
     def test_align_sa_landmarks(self, tmp_path):
         c1, c2 = pqrst_pair(100)

@@ -202,6 +202,18 @@ class TestConstrainedAlign:
             constrained_align(c1, c2, LandmarkSet(np.empty((0, 2))), "dp",
                               SaConfig(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("method,cfg,message", [
+        ("bayes", SaConfig(max_iters=10), "method 'bayes' takes a BayesConfig, not SaConfig"),
+        ("sa", BayesConfig(prior_draws=20, resample_size=5),
+         "method 'sa' takes a SaConfig, not BayesConfig"),
+    ])
+    @pytest.mark.parametrize("pairs", [np.empty((0, 2)), [(0.5, 0.55)]])
+    def test_config_of_the_other_method_rejected(self, method, cfg, message, pairs):
+        c1, c2 = two_bump_pair(50)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            constrained_align(c1, c2, LandmarkSet(pairs), method, cfg,
+                              np.random.default_rng(0))
+
 
 class TestDecomposition:
     """On [a_k, a_{k+1}] the constrained warp is segment k's warp, rescaled

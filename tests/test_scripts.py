@@ -1,10 +1,12 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 from warpalign.io import load_curve, load_landmarks
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_make_fixtures_outputs_parse(tmp_path):
@@ -66,3 +68,11 @@ def test_cli_timing_script_runs():
     # a fresh interpreter that imports numpy holds more than 10 MB
     assert all(10.0 < float(f[3]) < 2048.0 for f in fields)
     assert all("median of 1 cold runs" in line for line in lines)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    out = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "True"

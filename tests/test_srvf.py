@@ -427,6 +427,13 @@ class TestGeodesic:
         with pytest.raises(ValueError):
             geodesic(q, q, 1)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, 1])
+    def test_step_count_must_be_an_integer_of_at_least_two(self, steps):
+        q = Srvf(uniform_grid(40), np.ones((40, 1)))
+        with pytest.raises(ValueError,
+                           match=f"^steps must be at least 2 and an integer, not {steps}$"):
+            geodesic(q, q, steps)
+
     def test_antipodal_rejected(self):
         g = uniform_grid(50)
         v = np.ones((50, 1))

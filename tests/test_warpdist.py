@@ -121,8 +121,11 @@ class TestSampleFixed:
         assert coarse / fine >= 3.0
 
     @pytest.mark.parametrize("n,alpha,match", [
-        (1, 1.0, "at least two increments"),
+        (1, 1.0, "n must be at least 2 and an integer, not 1"),
         (5, 0.0, "alpha must be positive"),
+        (5.0, 1.0, "n must be at least 2 and an integer, not 5.0"),
+        (5, np.inf, "alpha must be positive and finite"),
+        (5, np.nan, "alpha must be positive and finite"),
     ])
     def test_rejects_bad_arguments(self, n, alpha, match):
         with pytest.raises(ValueError, match=match):
@@ -136,8 +139,12 @@ class TestSample:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_sample_batch_rejects_empty_batch(self):
-        with pytest.raises(ValueError, match="size must be positive"):
+        with pytest.raises(ValueError, match="^size must be at least 1 and an integer, not 0$"):
             sample_batch(id_prior(), 0, np.random.default_rng(0))
+
+    def test_sample_batch_rejects_fractional_size(self):
+        with pytest.raises(ValueError, match="^size must be at least 1 and an integer, not 2.5$"):
+            sample_batch(id_prior(), 2.5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("theta", [1e4, 100.0, 10.0, 0.5])
     @pytest.mark.parametrize("partition", [None, [0.0, 0.1, 0.35, 0.4, 0.8, 1.0]])
@@ -414,6 +421,26 @@ class TestDegeneracy:
         with pytest.raises(ValueError):
             degeneracy_report([], 1.0, identity(), 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("ns,samples,message", [
+        ([20], 0, "samples must be at least 1 and an integer, not 0"),
+        ([20], 2.0, "samples must be at least 1 and an integer, not 2.0"),
+        ([20, 20.5], 3, "n must be at least 1 and an integer, not 20.5"),
+        ([0], 3, "n must be at least 1 and an integer, not 0"),
+    ])
+    def test_bad_count_rejected_before_sampling(self, ns, samples, message):
+        # samples=0 used to return a nan median with a RuntimeWarning, and a
+        # fractional n was truncated
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            degeneracy_report(ns, 1.2, identity(), samples, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_numpy_integer_counts_accepted(self):
+        rows = degeneracy_report([np.int64(5)], 1.2, identity(), np.int32(3),
+                                 np.random.default_rng(0))
+        assert rows == degeneracy_report([5], 1.2, identity(), 3, np.random.default_rng(0))
+        assert type(rows[0][0]) is int
+
 
 class TestSeedDistributionValidation:
     def test_bad_kappa(self):
@@ -438,3 +465,25 @@ class TestSeedDistributionValidation:
             WarpPrior(identity(), 1, 1.0)
         with pytest.raises(ValueError):
             WarpPrior(identity(), 5, 0.0)
+
+    @pytest.mark.parametrize("n,theta,message", [
+        (2.5, 10.0, "partition_size must be at least 2 and an integer, not 2.5"),
+        (1, 10.0, "partition_size must be at least 2 and an integer, not 1"),
+        (20, np.inf, "concentration must be positive and finite"),
+        (20, -1.0, "concentration must be positive and finite"),
+    ])
+    def test_prior_rejection_names_the_field(self, n, theta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WarpPrior(identity(), n, theta)
+
+
+class TestBetaCdfWarp:
+    @pytest.mark.parametrize("a,b,knots,message", [
+        (2.0, 3.0, 1, "knots must be at least 2 and an integer, not 1"),
+        (2.0, 3.0, 101.0, "knots must be at least 2 and an integer, not 101.0"),
+        (0.0, 3.0, 1001, "Beta parameters a and b must be positive and finite"),
+        (2.0, np.inf, 1001, "Beta parameters a and b must be positive and finite"),
+    ])
+    def test_rejects_bad_arguments(self, a, b, knots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            beta_cdf_warp(a, b, knots=knots)

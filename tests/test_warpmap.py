@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,8 @@ from warpalign import (
 from warpalign import warpmap
 from warpalign.align_sa import align
 from warpalign.fixtures import closed_shape_pair, spiral_pair, two_bump_pair
-from warpalign.warpmap import _interp, batch_eval, check_grid, uniform_grid
+from warpalign.warpmap import (_interp, batch_eval, check_count, check_grid, check_positive,
+                               uniform_grid)
 
 DENSE = np.linspace(0.0, 1.0, 1001)
 
@@ -226,11 +228,12 @@ class TestConstruction:
     @pytest.mark.parametrize("make,match", [
         (lambda: check_grid([0.0]), "at least two points"),
         (lambda: check_grid([[0.0, 1.0]]), "at least two points"),
-        (lambda: uniform_grid(1), "at least two points"),
+        (lambda: uniform_grid(1), "^m must be at least 2 and an integer, not 1$"),
+        (lambda: uniform_grid(3.0), "^m must be at least 2 and an integer, not 3.0$"),
         (lambda: PLWarp([0.0, 1.0], [0.0, 0.5, 1.0]), "two equal-length 1-d sequences"),
         (lambda: PLWarp([[0.0, 1.0]], [[0.0, 1.0]]), "two equal-length 1-d sequences"),
-    ], ids=["one-point-grid", "2d-grid", "one-point-uniform-grid", "length-mismatch",
-            "2d-knots"])
+    ], ids=["one-point-grid", "2d-grid", "one-point-uniform-grid", "float-uniform-grid",
+            "length-mismatch", "2d-knots"])
     def test_malformed_input_rejected(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
@@ -270,6 +273,27 @@ class TestConstruction:
     def test_convex_blend_is_warp(self, u, v):
         b = convex_blend(u, v, 0.9)
         assert np.max(np.abs(b(DENSE) - (0.9 * u(DENSE) + 0.1 * v(DENSE)))) < 1e-12
+
+
+class TestCountAndScaleRules:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(7)])
+    def test_integer_count_returned_as_int(self, value):
+        got = check_count("n", value, 3)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [2, 3.0, 3.5, True, np.float64(4.0), "4", None])
+    def test_count_rejected(self, value):
+        message = f"n must be at least 3 and an integer, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_count("n", value, 3)
+
+    def test_positive_scales_pass(self):
+        assert check_positive("a, b", 1e-300, 2, np.float64(1e300)) is None
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_any_bad_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="^a, b must be positive and finite$"):
+            check_positive("a, b", 1.0, bad)
 
 
 class TestBatchEval:
