@@ -13,14 +13,16 @@ and value arrays: inputs are validated at entry, and ``PLWarp`` and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .shapeops import Rotation, _procrustes, _procrustes_target
 from .srvf import Srvf, _check_same_grid, _require_uniform, _sq_l2, _warp_values
-from .warpdist import _draw
-from .warpmap import PLWarp, check_count, check_positive
+from .warpdist import _DRAW_ROWS, _draw, _random_partitions
+from .warpmap import PLWarp, check_count, check_nonnegative, check_positive
 
 __all__ = [
     "SaConfig",
@@ -63,8 +65,7 @@ class SaConfig:
         check_positive("theta, t0", self.theta, self.t0)
         if not (math.isfinite(self.cooling) and self.cooling > 1.0):
             raise ValueError("cooling factor must be finite and exceed 1")
-        if not (math.isfinite(self.von_mises_kappa) and self.von_mises_kappa >= 0.0):
-            raise ValueError("von_mises_kappa must be finite and kappa nonnegative")
+        check_nonnegative("kappa", self.von_mises_kappa)
         if not 0.0 <= self.blend <= 1.0:
             raise ValueError("blend must lie in [0,1]")
         if self.mode not in ("function", "open_shape", "closed_shape"):
@@ -97,10 +98,12 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
     return temperature > 0.0 and u < math.exp((e_current - e_proposed) / temperature)
 
 
-def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Knots of a draw centred at the warp ``(x, y)``, blended toward the identity."""
-    px, py = _draw(x, y, cfg.n, cfg.theta, rng)
+def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig, rng: np.random.Generator,
+                  knots=None, u=None) -> tuple[np.ndarray, np.ndarray]:
+    """Knots of a draw centred at the warp ``(x, y)``, blended toward the
+    identity; ``knots`` and ``u`` are the draw's pre-drawn partition and
+    boosting uniforms (see ``_draw``)."""
+    px, py = _draw(x, y, cfg.n, cfg.theta, rng, knots, u)
     # blending against the identity needs no knot union: id(x) = x
     py *= cfg.blend
     py += (1.0 - cfg.blend) * px
@@ -108,10 +111,31 @@ def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig,
     return px, py
 
 
-def _propose_seed(k: int, kappa: float, n_distinct: int, rng: np.random.Generator) -> int:
-    """Von Mises step around the seed at grid offset k, snapped to the grid."""
-    raw = (k / n_distinct + rng.vonmises(0.0, kappa) / _TWO_PI) % 1.0
+def _propose_seed(k: int, step: float, n_distinct: int) -> int:
+    """The seed at grid offset k moved by the von Mises angle ``step``,
+    snapped to the grid."""
+    raw = (k / n_distinct + step / _TWO_PI) % 1.0
     return round(raw * n_distinct) % n_distinct
+
+
+def _chain_draws(cfg: SaConfig, closed: bool,
+                 rng: np.random.Generator) -> Iterator[tuple]:
+    """The chain's randomness that does not depend on its state, one
+    ``(partition, boosting uniforms, seed step, accept uniform)`` per
+    iteration; the seed step is None outside closed mode.
+
+    It is drawn for a block of B = min(``_DRAW_ROWS``, iterations left)
+    iterations at a time, in this order: B partitions (bad rows redrawn),
+    B rows of n boosting uniforms, in closed mode B von Mises steps, then
+    B accept uniforms.  Each iteration's gammas, which depend on the
+    current warp, are drawn after its block.
+    """
+    for lo in range(0, cfg.max_iters, _DRAW_ROWS):
+        size = min(_DRAW_ROWS, cfg.max_iters - lo)
+        knots = _random_partitions(size, cfg.n, rng)
+        u = rng.random((size, cfg.n))
+        steps = rng.vonmises(0.0, cfg.von_mises_kappa, size).tolist() if closed else repeat(None)
+        yield from zip(knots, u, steps, rng.random(size).tolist())
 
 
 def _temperature(cfg: SaConfig, iteration: int) -> float:
@@ -131,6 +155,10 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     applied, so reported energies always pair the warp with its optimal
     rotation.  Closed mode also proposes a seed, a cyclic shift of q2 by
     k of its m-1 distinct grid points, jointly with each warp.
+
+    The randomness that does not depend on the chain's state comes from
+    ``_chain_draws`` in blocks, so each iteration makes one generator
+    call: the ``standard_gamma`` of its proposal's Dirichlet step.
     """
     shape = cfg.mode != "function"
     closed = cfg.mode == "closed_shape"
@@ -152,17 +180,17 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     best = (x, y, k, rot, e)
     trace = [e]
     stale = 0
-    for it in range(cfg.max_iters):
+    for it, (knots, u, step, u_accept) in enumerate(_chain_draws(cfg, closed, rng)):
         temp = _temperature(cfg, it)
         k_prop, q2k_prop = k, q2k
         if closed:
-            k_prop = _propose_seed(k, cfg.von_mises_kappa, n_seeds, rng)
+            k_prop = _propose_seed(k, step, n_seeds)
             if k_prop != k:
                 q2k_prop = twice[k_prop:k_prop + grid.size]
-        px, py = _propose_warp(x, y, cfg, rng)
+        px, py = _propose_warp(x, y, cfg, rng, knots, u)
         warped = _warp_values(grid, q2k_prop, px, py)
         e_prop = _sq_l2(q1v - (warped @ rot.T if shape else warped), dt)
-        if metropolis_accept(e, e_prop, temp, rng.random()):
+        if metropolis_accept(e, e_prop, temp, u_accept):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
             if shape:
                 rot = _procrustes(target, warped)

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 3 data error.
 from __future__ import annotations
 
 import functools
-import math
 from pathlib import Path
 
 import click
@@ -53,11 +52,12 @@ from .warpdist import (
     SeedDistribution,
     WarpPrior,
     beta_cdf_warp,
+    check_sizes,
     degeneracy_report,
     sample,
     sample_circular,
 )
-from .warpmap import CircularWarp, PLWarp, identity
+from .warpmap import CircularWarp, PLWarp, check_positive, identity
 
 
 def _guard(fn):
@@ -73,12 +73,13 @@ def _guard(fn):
     return wrapper
 
 
-def _config(factory, **kwargs):
-    """Build a config from flags; invalid flag combinations are usage errors."""
+def _config(factory, *args, flag=None, **kwargs):
+    """Build a config, or run a library rule, on flag values; a value the
+    library rejects is a usage error, prefixed with ``flag`` when given."""
     try:
-        return factory(**kwargs)
+        return factory(*args, **kwargs)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise click.UsageError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
 def _outdir(path) -> Path:
@@ -192,11 +193,8 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
 @_guard
 def degeneracy(alpha, ns, samples, seed, outdir):
     """Median sup-distance of equispaced fixed-partition samples to the identity."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise click.UsageError("--alpha must be positive and finite")
-    n_list = _parse_ints(ns)
-    if not n_list or min(n_list) < 1:
-        raise click.UsageError("--ns must list partition sizes of at least 1")
+    _config(check_positive, "alpha", alpha, flag="--alpha")
+    n_list = _config(check_sizes, _parse_ints(ns), flag="--ns")
     out = _outdir(outdir)
     rng = np.random.default_rng(seed)
     rows = degeneracy_report(n_list, alpha, identity(), samples, rng)

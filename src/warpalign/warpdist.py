@@ -14,7 +14,6 @@ which ``degeneracy_report`` measures empirically.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .warpmap import (MIN_INCREMENT, PLWarp, CircularWarp, _floor_normalize,
                       _increment_values, _interp, check_count, check_grid,
-                      check_positive, make_circular, sup_dist)
+                      check_nonnegative, check_positive, make_circular, sup_dist)
 
 __all__ = [
     "WarpPrior",
@@ -73,10 +72,7 @@ class SeedDistribution:
             raise ValueError("kind must be 'uniform' or 'von_mises'")
         if not 0.0 <= self.center < 1.0:
             raise ValueError("center must lie in [0,1)")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        check_nonnegative("kappa", self.kappa)
 
     @classmethod
     def uniform(cls) -> "SeedDistribution":
@@ -96,18 +92,23 @@ class SeedDistribution:
 def gamma_variates(shapes, rng: np.random.Generator) -> np.ndarray:
     """Gamma(shape, 1) draws, elementwise over an array of shapes.
 
-    Shapes below one use the boosting identity
-    ``G(a) = G(a+1) * U^(1/a)``, which behaves better than direct
-    sampling when a is tiny.  The random stream is fixed: one
-    ``standard_gamma`` call over ``shapes + (shapes < 1)`` in array
-    order, then one uniform per shape below one, in array order.
+    Every shape is boosted by the identity ``G(a) = G(a+1) * U^(1/a)``,
+    which holds for every a > 0 (Marsaglia & Tsang 2000) and stays
+    accurate when a is tiny.  The random stream is fixed: one
+    ``standard_gamma`` call over ``shapes + 1`` in array order, then one
+    uniform per shape, in array order.
     """
-    shapes = np.asarray(shapes, dtype=float)
-    small = shapes < 1.0
+    return _boosted_gammas(np.asarray(shapes, dtype=float), rng)
+
+
+def _boosted_gammas(shapes: np.ndarray, rng: np.random.Generator, u=None) -> np.ndarray:
+    """``gamma_variates`` of a float array, boosted by the uniforms ``u``
+    of its shape if given, else by uniforms drawn after the gammas."""
     # a 0-d shape gives a Python float; asarray makes it an array to boost
-    g = np.asarray(rng.standard_gamma(shapes + small))
-    a = shapes[small]
-    g[small] *= np.power(rng.random(a.size), np.divide(1.0, a, out=a), out=a)
+    g = np.asarray(rng.standard_gamma(shapes + 1.0))
+    if u is None:
+        u = rng.random(shapes.shape)
+    g *= u ** (1.0 / shapes)
     return g
 
 
@@ -158,8 +159,10 @@ def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np
     return knots
 
 
-# Rows per ``gamma_variates`` call of a batch draw (see ``_draw_blocks``):
-# it bounds a large draw's working memory, and it fixes the random stream.
+# Rows per ``gamma_variates`` call of a batch draw (see ``_draw_blocks``),
+# and iterations per block of an annealing chain's pre-drawn randomness
+# (see ``align_sa._chain_draws``): it bounds the working memory of both,
+# and it fixes their random streams.
 _DRAW_ROWS = 1024
 
 
@@ -175,14 +178,20 @@ def _shapes(knots: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray,
 
 
 def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
-          rng: np.random.Generator, knots=None) -> tuple[np.ndarray, np.ndarray]:
+          rng: np.random.Generator, knots=None, u=None) -> tuple[np.ndarray, np.ndarray]:
     """One warp on raw mean knots, as 1-d knot and value arrays, without
-    the checks of ``sample``; its random stream and values are those of
-    row 0 of a one-row batch (see ``_draw_blocks``)."""
+    the checks of ``sample``.
+
+    Drawn from ``rng`` alone, its random stream and values are those of
+    row 0 of a one-row batch (see ``_draw_blocks``): the partition, the
+    gammas, then the boosting uniforms.  A caller that draws ahead passes
+    the partition ``knots`` and the n boosting uniforms ``u``; the draw
+    then makes one generator call, the gammas.
+    """
     if knots is None:
         knots = _random_partitions(None, n, rng)
     a = _shapes(knots, mean_x, mean_y, theta)
-    return knots, _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
+    return knots, _increment_values(_floor_normalize(_boosted_gammas(a, rng, u), 1e-300))
 
 
 def _draw_blocks(prior: WarpPrior, size: int, rng: np.random.Generator,
@@ -273,6 +282,14 @@ def prior_moments(prior: WarpPrior, t):
     return h, h * (1.0 - h) / (1.0 + prior.concentration)
 
 
+def check_sizes(n_list) -> list[int]:
+    """The partition sizes of ``degeneracy_report``: a nonempty list of
+    counts of at least 1, returned as ints."""
+    if len(n_list) == 0:
+        raise ValueError("n_list must be nonempty")
+    return [check_count("n", n, 1) for n in n_list]
+
+
 def degeneracy_report(n_list, alpha: float, partition_cdf: PLWarp, samples: int,
                       rng: np.random.Generator) -> list[tuple[int, float]]:
     """Median sup-distance of fixed-partition samples to their limit map.
@@ -282,9 +299,8 @@ def degeneracy_report(n_list, alpha: float, partition_cdf: PLWarp, samples: int,
     construction is the inverse of ``partition_cdf`` (the quantile map),
     which is the identity for an equispaced partition.
     """
-    if len(n_list) == 0:
-        raise ValueError("n_list must be nonempty")
-    n_list = [check_count("n", n, 1) for n in n_list]
+    n_list = check_sizes(n_list)
+    check_positive("alpha", alpha)
     check_count("samples", samples, 1)
     limit = partition_cdf.inverse()
     rows = []

@@ -86,6 +86,13 @@ def check_positive(name: str, *values) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
+def check_nonnegative(name: str, value) -> None:
+    """The one rule for a concentration that may be zero, such as the von
+    Mises kappa: the value must be finite and at least 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def uniform_grid(m: int) -> np.ndarray:
     """Equispaced grid of m points on [0,1]."""
     return np.linspace(0.0, 1.0, check_count("m", m, 2))

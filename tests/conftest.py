@@ -11,8 +11,8 @@ from warpalign.io import _fmt
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
-           "reference_draw", "reference_sir_posterior", "enumerate_path_costs",
-           "reference_dp_align_closed",
+           "reference_partitions", "reference_draw", "reference_sir_posterior",
+           "enumerate_path_costs", "reference_dp_align_closed",
            "reference_procrustes", "convex_blend", "write_srvf", "bean_curve_3d"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
@@ -83,33 +83,40 @@ def smooth_curves(draw, m=80, dim=1, amplitude=1.0, max_harmonics=3):
     return Curve(t, np.column_stack(cols))
 
 
+def reference_partitions(size, n, rng):
+    """``size`` rows of n - 1 sorted uniforms padded with 0 and 1, drawn as
+    one (size, n - 1) block; rows that are not strictly increasing are
+    redrawn together, in row order, until none is left."""
+    knots = np.empty((size, n + 1))
+    knots[:, 0], knots[:, -1] = 0.0, 1.0
+    u = knots[:, 1:-1]
+    u[...] = rng.random((size, n - 1))
+    u.sort(axis=1)
+    while not (knots[:, 1:] > knots[:, :-1]).all():
+        bad = ~(knots[:, 1:] > knots[:, :-1]).all(axis=1)
+        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+    return knots
+
+
 def reference_draw(prior, size, rng, partition=None):
-    """``sample_batch`` in plain numpy: sorted partition uniforms for every
-    row, with strictly increasing rows redrawn, then for each 1024-row
-    block in row order one ``standard_gamma`` call over ``a + (a < 1)`` in
-    array order, then one boosting uniform per shape below one, then the
-    1e-300 floor, the ``MIN_INCREMENT`` clamp and the cumulative sum.
+    """``sample_batch`` in plain numpy: ``reference_partitions`` for every
+    row, then for each 1024-row block in row order one ``standard_gamma``
+    call over ``a + 1`` in array order, then one boosting uniform per
+    shape, each gamma times U^(1/a), then the 1e-300 floor, the
+    ``MIN_INCREMENT`` clamp and the cumulative sum.
 
     Returns (knots, values)."""
     n = prior.partition_size
     if partition is None:
-        knots = np.empty((size, n + 1))
-        knots[:, 0], knots[:, -1] = 0.0, 1.0
-        u = knots[:, 1:-1]
-        u[...] = rng.random((size, n - 1))
-        u.sort(axis=1)
-        while not (knots[:, 1:] > knots[:, :-1]).all():
-            bad = ~(knots[:, 1:] > knots[:, :-1]).all(axis=1)
-            u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+        knots = reference_partitions(size, n, rng)
     else:
         knots = np.tile(np.asarray(partition, dtype=float), (size, 1))
     values = np.zeros_like(knots)
     for lo in range(0, size, 1024):
         h = np.interp(knots[lo:lo + 1024], prior.mean_warp.x, prior.mean_warp.y)
         a = np.maximum(prior.concentration * (h[:, 1:] - h[:, :-1]), 1e-12)
-        small = a < 1.0
-        p = rng.standard_gamma(a + small)
-        p[small] *= rng.random(int(small.sum())) ** (1.0 / a[small])
+        p = rng.standard_gamma(a + 1.0)
+        p = p * rng.random(a.shape) ** (1.0 / a)
         p = np.maximum(p, 1e-300)
         p /= p.sum(axis=1, keepdims=True)
         p = np.maximum(p, MIN_INCREMENT)

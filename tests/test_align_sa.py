@@ -4,11 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import bean_curve_3d, convex_blend, reference_procrustes
+from conftest import bean_curve_3d, convex_blend, reference_partitions, reference_procrustes
 from warpalign import (
     PLWarp,
     Rotation,
     SaConfig,
+    SeedDistribution,
     Srvf,
     WarpPrior,
     apply_seed,
@@ -251,7 +252,7 @@ class TestClosedAlignment:
         n_distinct = 100
         moved = 0
         for _ in range(1000):
-            prop = _propose_seed(42, 1e6, n_distinct, rng)
+            prop = _propose_seed(42, rng.vonmises(0.0, 1e6), n_distinct)
             if abs(prop - 42) > 1:
                 moved += 1
         assert moved <= 10  # seed stays within one grid step >= 99% of the time
@@ -301,31 +302,18 @@ class TestModeRule:
             aligner(q1, q2, SaConfig(mode=mode, max_iters=10), np.random.default_rng(0))
 
 
-def reference_partition(n, rng):
-    """Sorted interior uniforms, redrawn until strictly inside (0, 1) and
-    strictly increasing, padded with the endpoints."""
-    while True:
-        u = np.sort(rng.random(n - 1))
-        if np.all(np.diff(u) > 0) and u[0] > 0.0 and u[-1] < 1.0:
-            return np.concatenate(([0.0], u, [1.0]))
+def reference_gammas(a, rng, u):
+    """Gamma(a) draws: one gamma of shape a + 1 per shape in array order,
+    each boosted by its pre-drawn uniform as Gamma(a+1) * U^(1/a)."""
+    return rng.standard_gamma(a + 1.0) * u ** (1.0 / a)
 
 
-def reference_gammas(a, rng):
-    """Gamma(a) draws in the package's stream order: one gamma per shape in
-    array order, of shape a + 1 where a < 1, then one uniform per shape
-    below one, boosting its gamma as Gamma(a+1) * U^(1/a)."""
-    small = a < 1.0
-    g = rng.standard_gamma(a + small)
-    g[small] *= rng.random(int(small.sum())) ** (1.0 / a[small])
-    return g
-
-
-def reference_proposal(x, y, cfg, rng):
-    """Knots of a warp drawn centred at ``(x, y)`` and blended toward the
-    identity, written out in plain numpy."""
-    px = reference_partition(cfg.n, rng)
+def reference_proposal(x, y, cfg, rng, px, u):
+    """Knots of a warp drawn centred at ``(x, y)`` on the partition ``px``
+    with boosting uniforms ``u``, blended toward the identity, written out
+    in plain numpy."""
     a = np.maximum(cfg.theta * np.diff(np.interp(px, x, y)), 1e-12)
-    g = np.maximum(reference_gammas(a, rng), 1e-300)
+    g = np.maximum(reference_gammas(a, rng, u), 1e-300)
     p = np.maximum(g / g.sum(), 1e-10)  # clamp at MIN_INCREMENT and renormalise
     p = p / p.sum()
     values = np.concatenate(([0.0], np.cumsum(p)))
@@ -361,6 +349,12 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rota
     values, so the two agree up to rounding.  ``reference_rotation`` in
     place of ``optimal_rotation`` agrees up to rounding too.
 
+    The randomness that does not depend on the chain's state is drawn for
+    a block of B = min(1024, iterations left) iterations at a time: B
+    partitions, B rows of n boosting uniforms, in closed mode B von Mises
+    steps, then B accept uniforms.  Each iteration then draws only its
+    gammas.
+
     Returns (warp knots, seed, rotation, energy trace) in the shape of
     AlignmentResult; seed is None outside closed mode and rotation None
     in function mode.
@@ -386,17 +380,25 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rota
     best = (x, y, seed, rot, e)
     trace, stale = [e], 0
     for it in range(cfg.max_iters):
+        j = it % 1024
+        if j == 0:
+            size = min(1024, cfg.max_iters - it)
+            knots = reference_partitions(size, cfg.n, rng)
+            uniforms = rng.random((size, cfg.n))
+            if closed:
+                steps = rng.vonmises(0.0, cfg.von_mises_kappa, size)
+            accepts = rng.random(size)
         temp = cfg.t0 / cfg.cooling ** it
         seed_prop, q2v_prop = seed, q2v
         if closed:
-            raw = (seed + rng.vonmises(0.0, cfg.von_mises_kappa) / (2.0 * math.pi)) % 1.0
+            raw = (seed + steps[j] / (2.0 * math.pi)) % 1.0
             k = int(np.round(raw * n_distinct)) % n_distinct
             seed_prop = k / n_distinct
             if seed_prop != seed:
                 q2v_prop = reference_roll(q2.values, k)
-        px, py = reference_proposal(x, y, cfg, rng)
+        px, py = reference_proposal(x, y, cfg, rng, knots[j], uniforms[j])
         e_prop = energy(q2v_prop, rot, px, py)
-        if metropolis_accept(e, e_prop, temp, rng.random()):
+        if metropolis_accept(e, e_prop, temp, accepts[j]):
             x, y, seed, q2v, e = px, py, seed_prop, q2v_prop, e_prop
             if shape:
                 warped = reference_warp_values(grid, q2v, x, y)
@@ -424,11 +426,10 @@ class TestReferenceAnnealer:
 
     PAPER = {}
     COLD = {"blend": 1.0, "t0": 1.0, "cooling": 1.0005}
-    # Dirichlet shapes mostly >= 1: most draws use no boosting uniform,
-    # about one in twenty boosts a shape below 1 (a spacing under 1e-4),
-    # which pins the uniforms' place after the gammas
+    # Dirichlet shapes mostly far above 1, with one in twenty below 1 (a
+    # spacing under 1e-4): every shape is boosted, whatever its size
     STIFF = {"theta": 1e4}
-    # every Dirichlet shape < 1, so every gamma is boosted
+    # every Dirichlet shape below 1, where U^(1/a) spans many decades
     LOOSE = {"theta": 0.5}
 
     @staticmethod
@@ -462,6 +463,22 @@ class TestReferenceAnnealer:
         cfg = SaConfig(t0=1e-4, cooling=1.01, max_iters=5000)
         res = self.check(q1, q2, cfg, 3)
         assert res.energy_trace.size < cfg.max_iters + 2
+
+    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    def test_block_boundary_matches_reference(self, mode):
+        # a full 1024-iteration block of pre-drawn randomness, then a short one
+        q1, q2 = self.pair(mode)
+        res = self.check(q1, q2, SaConfig(mode=mode, max_iters=1100), 5)
+        assert res.energy_trace.size == 1100 + 2
+
+    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    def test_stop_mid_block_matches_reference(self, mode):
+        # the chain cools below 1e-3 within its first block and stops inside
+        # its second, leaving the rest of that block's draws unused
+        q1, q2 = self.pair(mode)
+        cfg = SaConfig(mode=mode, t0=0.1, cooling=1.006, max_iters=5000)
+        res = self.check(q1, q2, cfg, 5)
+        assert 1024 < res.energy_trace.size - 2 < 2048
 
     @staticmethod
     def check(q1, q2, cfg, seed):
@@ -507,7 +524,7 @@ class TestConfigValidation:
         ("n", 1, "n must be at least 2"),
         ("theta", 0.0, "theta, t0 must be positive"),
         ("t0", -1.0, "theta, t0 must be positive"),
-        ("von_mises_kappa", -1.0, "kappa nonnegative"),
+        ("von_mises_kappa", -1.0, "kappa must be finite and nonnegative"),
         ("max_iters", 0, "max_iters must be at least 1 and an integer, not 0"),
         ("n", 3.5, "n must be at least 2 and an integer, not 3.5"),
         ("n", True, "n must be at least 2 and an integer, not True"),
@@ -518,3 +535,12 @@ class TestConfigValidation:
     def test_out_of_range_field_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             SaConfig(**{field: value})
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+    def test_kappa_rule_is_the_seed_distributions(self, kappa):
+        # both feed rng.vonmises: one rule, with one message, rejects a bad kappa
+        message = "^kappa must be finite and nonnegative$"
+        with pytest.raises(ValueError, match=message):
+            SaConfig(mode="closed_shape", von_mises_kappa=kappa)
+        with pytest.raises(ValueError, match=message):
+            SeedDistribution.von_mises(0.5, kappa)

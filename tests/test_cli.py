@@ -299,6 +299,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["sample-warps", "--count", "-3"], ["sample-warps", "--count", "0"],
         ["degeneracy", "--samples", "0"], ["degeneracy", "--ns", "0,5"],
+        ["degeneracy", "--ns", "0"],
         ["degeneracy", "--ns", ","], ["degeneracy", "--alpha", "-1"],
         ["degeneracy", "--alpha", "0"], ["degeneracy", "--alpha", "nan"],
         ["degeneracy", "--alpha", "inf"], ["sample-warps", "--seed", "-1"],

@@ -142,19 +142,39 @@ class TestConstrainedAlign:
 
     def test_segment_independence(self):
         # two pairs that differ only inside segment 2, run from one seed:
-        # only segment 2's warp moves
+        # segment 1's result is shared, and each pair's segment 2 is exactly
+        # SA on its own segment-2 data with the second spawned stream
         c1, c2 = pqrst_pair(100)
         lm = LandmarkSet([(0.5, 0.55)])
         cfg = SaConfig(max_iters=200)
         changed = Curve(c2.grid, np.where(c2.grid[:, None] > 0.6, 2.0 * c2.points, c2.points))
         res_a, res_b = (constrained_align(c1, g2, lm, "sa", cfg, np.random.default_rng(1))
                         for g2 in (c2, changed))
-        left, right = (seg.result.warp for seg in res_a.segments)
+        left = res_a.segments[0].result.warp
         assert np.array_equal(left.x, res_b.segments[0].result.warp.x)
         assert np.array_equal(left.y, res_b.segments[0].result.warp.y)
-        assert sup_dist(right, res_b.segments[1].result.warp) > 0.0
         t = np.linspace(0.01, 0.49, 40)
         assert np.array_equal(res_a.warp(t), res_b.warp(t))
+
+        def segment_srvf(curve, lo, hi):
+            # the curve on [lo, hi] read at lo + (hi - lo) u, u uniform on as
+            # many points as c1's grid has inside (0.5, 1), plus the two ends
+            u = uniform_grid(np.count_nonzero((c1.grid > 0.5) & (c1.grid < 1.0)) + 2)
+            at = lo + (hi - lo) * u
+            at[-1] = hi
+            cols = [np.interp(at, curve.grid, col) for col in curve.points.T]
+            return to_srvf(Curve(u, np.column_stack(cols), "open"))
+
+        q1 = segment_srvf(c1, 0.5, 1.0)
+        q2s = [segment_srvf(g2, 0.55, 1.0) for g2 in (c2, changed)]
+        assert not np.array_equal(q2s[0].values, q2s[1].values)
+        for res, q2 in zip((res_a, res_b), q2s):
+            seg = res.segments[1]
+            direct = sa_align(q1, q2, seg.config, np.random.default_rng(1).spawn(2)[1])
+            assert np.array_equal(seg.result.warp.x, direct.warp.x)
+            assert np.array_equal(seg.result.warp.y, direct.warp.y)
+            assert np.array_equal(seg.result.energy_trace, direct.energy_trace)
+            assert seg.result.final_energy == direct.final_energy
 
     def test_bayes_band_zero_at_landmarks_positive_between(self):
         c1, c2 = pqrst_pair(100)

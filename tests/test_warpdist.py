@@ -21,7 +21,7 @@ from warpalign import (
     sample_fixed,
     sup_dist,
 )
-from warpalign.warpdist import _DRAW_ROWS, _random_partitions, gamma_variates
+from warpalign.warpdist import _DRAW_ROWS, _draw, _random_partitions, gamma_variates
 from warpalign.warpmap import batch_eval
 from conftest import pl_warps, reference_draw
 
@@ -84,19 +84,23 @@ class TestDirichlet:
 class TestGammaVariates:
     @pytest.mark.parametrize("shapes", [0.3, 2.5, [0.05, 3.0, 0.7, 1.0],
                                         [[0.2, 4.0, 0.9], [1.5, 0.01, 6.0]]],
-                             ids=["0d-boosted", "0d-plain", "1d", "2d"])
+                             ids=["0d-below-one", "0d-above-one", "1d", "2d"])
     def test_stream_is_one_gamma_call_then_the_uniforms(self, shapes):
-        # Gamma(a + (a < 1)) for every shape in array order, then one
-        # uniform per shape below one, in array order
+        # Gamma(a + 1) for every shape in array order, then one uniform per
+        # shape in array order, whatever the shape's size
         a = np.asarray(shapes, dtype=float)
         g = gamma_variates(shapes, np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        small = a < 1.0
-        expected = np.asarray(rng.standard_gamma(a + small))
-        u = rng.random(int(small.sum()))
-        expected[small] = expected[small] * u ** (1.0 / a[small])
+        expected = rng.standard_gamma(a + 1.0) * rng.random(a.shape) ** (1.0 / a)
         assert isinstance(g, np.ndarray) and g.shape == a.shape
         assert np.array_equal(g, expected)
+
+    @pytest.mark.parametrize("shape", [0.01, 0.5, 1.0, 5.0, 50.0])
+    def test_matches_scipy_gamma(self, shape):
+        # boosting holds for every shape, large ones included: 200,000
+        # draws pass a KS test against scipy's Gamma(shape) at level 0.01
+        g = gamma_variates(np.full(200_000, shape), np.random.default_rng(29))
+        assert stats.kstest(g, stats.gamma(shape).cdf).pvalue > 0.01
 
     def test_means(self):
         # E Gamma(a, 1) = a; the bound is five standard errors sqrt(a / N)
@@ -149,9 +153,8 @@ class TestSample:
     @pytest.mark.parametrize("theta", [1e4, 100.0, 10.0, 0.5])
     @pytest.mark.parametrize("partition", [None, [0.0, 0.1, 0.35, 0.4, 0.8, 1.0]])
     def test_matches_first_row_of_sample_batch(self, theta, partition):
-        # theta = 1e4 keeps every shape of the fixed partition at one or
-        # more: the plain path alone; theta = 0.5 puts every Dirichlet
-        # shape below one: the boosted path
+        # theta = 1e4 puts every shape of the fixed partition at one or
+        # more, theta = 0.5 every Dirichlet shape below one
         mean = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0])
         prior = WarpPrior(mean, 20, theta)
         for seed in range(3):
@@ -162,6 +165,27 @@ class TestSample:
                 assert np.array_equal(w.x, knots[0])
                 assert np.array_equal(w.y, values[0])
             assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("theta", [100.0, 0.5])
+    def test_predrawn_draw_matches_own_draw(self, theta):
+        # given the partition and the boosting uniforms its own draw would
+        # take, _draw makes one generator call, the gammas, and gives the
+        # same warp
+        mean, n = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0]), 20
+        for seed in range(5):
+            knots, values = _draw(mean.x, mean.y, n, theta, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            part = _random_partitions(None, n, rng)
+            state = rng.bit_generator.state
+            a = np.maximum(theta * np.diff(np.interp(part, mean.x, mean.y)), 1e-12)
+            rng.standard_gamma(a + 1.0)
+            u = rng.random(n)
+            rng.bit_generator.state = state
+            pre_knots, pre_values = _draw(mean.x, mean.y, n, theta, rng, part, u)
+            assert np.array_equal(pre_knots, knots)
+            assert np.array_equal(pre_values, values)
+            # the gammas alone were drawn: the uniforms come next
+            assert np.array_equal(rng.random(n), u)
 
     @pytest.mark.parametrize("size", [1, _DRAW_ROWS - 1, _DRAW_ROWS, _DRAW_ROWS + 1,
                                       2 * _DRAW_ROWS, 3 * _DRAW_ROWS + 7])
@@ -177,7 +201,7 @@ class TestSample:
         """A batch consumes the stream as the reference does: every
         partition, then one pass of the gamma recipe per 1024-row block (the
         last block full at 2048, short at 1025 and 3079).  At theta 0.5
-        every shape is boosted, at 1000 none is."""
+        every shape is below one, at 1000 none is."""
         prior = WarpPrior(mean, n, theta)
         part = partition.x if fixed else None
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -433,6 +457,13 @@ class TestDegeneracy:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             degeneracy_report(ns, 1.2, identity(), samples, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("alpha", [0.0, np.nan, np.inf])
+    def test_bad_alpha_rejected_before_sampling(self, alpha):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+            degeneracy_report([20], alpha, identity(), 3, rng)
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_numpy_integer_counts_accepted(self):
