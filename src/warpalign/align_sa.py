@@ -19,8 +19,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .shapeops import Rotation, _procrustes, _procrustes_target
-from .srvf import Srvf, _check_same_grid, _require_uniform, _sq_l2, _warp_values
+from .shapeops import Rotation, _procrustes
+from .srvf import (Srvf, _check_same_grid, _energy, _energy_target, _energy_terms,
+                   _require_uniform, _trace, _warp_values)
 from .warpdist import _DRAW_ROWS, _draw, _random_partitions
 from .warpmap import PLWarp, check_count, check_nonnegative, check_positive
 
@@ -149,12 +150,14 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
             rng: np.random.Generator | None) -> AlignmentResult:
     """The annealing loop shared by every mode, on inputs ``align`` checked.
 
-    Each proposal warps the seed-shifted q2 once.  The shape modes rotate
-    those warped values for the proposal's energy, and on accept refresh
-    the Procrustes rotation from them and recompute the energy with it
-    applied, so reported energies always pair the warp with its optimal
-    rotation.  Closed mode also proposes a seed, a cyclic shift of q2 by
-    k of its m-1 distinct grid points, jointly with each warp.
+    Each proposal warps the seed-shifted q2 once and is scored by
+    ``srvf._energy`` from its squared norm and its cross-covariance M with
+    q1, under the current rotation in the shape modes.  On accept those
+    modes refresh the Procrustes rotation from the same M and rescore
+    with it, so reported energies always pair the warp with its optimal
+    rotation, and no accept warps, multiplies or sums over the grid
+    again.  Closed mode also proposes a seed, a cyclic shift of q2 by k
+    of its m-1 distinct grid points, jointly with each warp.
 
     The randomness that does not depend on the chain's state comes from
     ``_chain_draws`` in blocks, so each iteration makes one generator
@@ -165,18 +168,18 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     if rng is None:
         rng = np.random.default_rng()
     grid, q1v, q2v = q1.grid, q1.values, q2.values
-    dt = grid[1:] - grid[:-1]
-    target = _procrustes_target(q1v, grid)
+    weights, target = _energy_target(q1v, grid)
+    a = _trace(target @ q1v)
     n_seeds = grid.size - 1
     # q2's distinct closed-curve values twice over: the window at k is q2
     # shifted by seed k, its duplicated endpoint included, without a copy
     twice = np.concatenate((q2v[:-1], q2v[:-1])) if closed else None
 
     x, y, k = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0
-    rot = _procrustes(target, q2v) if shape else None
     q2k = q2v  # q2 shifted to the current seed
-    warped = _warp_values(grid, q2k, x, y)
-    e = _sq_l2(q1v - (warped @ rot.T if shape else warped), dt)
+    b, cross = _energy_terms(target, weights, _warp_values(grid, q2k, x, y))
+    rot = _procrustes(cross) if shape else None
+    e = _energy(a, b, cross, rot, optimal=True)
     best = (x, y, k, rot, e)
     trace = [e]
     stale = 0
@@ -188,13 +191,13 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
             if k_prop != k:
                 q2k_prop = twice[k_prop:k_prop + grid.size]
         px, py = _propose_warp(x, y, cfg, rng, knots, u)
-        warped = _warp_values(grid, q2k_prop, px, py)
-        e_prop = _sq_l2(q1v - (warped @ rot.T if shape else warped), dt)
+        b, cross = _energy_terms(target, weights, _warp_values(grid, q2k_prop, px, py))
+        e_prop = _energy(a, b, cross, rot)
         if metropolis_accept(e, e_prop, temp, u_accept):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop
             if shape:
-                rot = _procrustes(target, warped)
-                e = _sq_l2(q1v - warped @ rot.T, dt)
+                rot = _procrustes(cross)
+                e = _energy(a, b, cross, rot, optimal=True)
             stale = 0
             if e < best[4]:
                 best = (x, y, k, rot, e)

@@ -127,10 +127,12 @@ _seed = click.option("--seed", default=0, show_default=True, type=click.IntRange
 
 
 def _parse_ints(text: str) -> list[int]:
+    """A comma-separated integer list; run it through ``_config`` so that a
+    malformed list is a usage error that names its flag."""
     try:
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise click.UsageError(f"expected a comma-separated integer list, got {text!r}")
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _parse_mean(text: str) -> PLWarp:
@@ -194,7 +196,7 @@ def sample_warps(n, theta, count, mean, circular, seed, outdir):
 def degeneracy(alpha, ns, samples, seed, outdir):
     """Median sup-distance of equispaced fixed-partition samples to the identity."""
     _config(check_positive, "alpha", alpha, flag="--alpha")
-    n_list = _config(check_sizes, _parse_ints(ns), flag="--ns")
+    n_list = _config(lambda: check_sizes(_parse_ints(ns)), flag="--ns")
     out = _outdir(outdir)
     rng = np.random.default_rng(seed)
     rows = degeneracy_report(n_list, alpha, identity(), samples, rng)
@@ -259,10 +261,10 @@ def geodesic(curve1, curve2, steps, points, shape, outdir):
 @_guard
 def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
     """Dynamic-programming alignment (exhaustive seed search when closed)."""
+    cfg = _config(DpConfig, grid_size=grid_size, seed_stride=seed_stride)
     out = _outdir(outdir)
     c1, c2 = _load_pair(curve1, curve2, points)
     q1, q2 = _srvfs(c1, c2, shape)
-    cfg = _config(DpConfig, grid_size=grid_size, seed_stride=seed_stride)
     if q1.topology == "closed" and q2.topology == "closed":
         seed_val, warp, energy = dp_align_closed(q1, q2, cfg)
         q2_aligned = warp_action(apply_seed(q2, seed_val), warp)
@@ -303,15 +305,15 @@ def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
 def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kappa,
                  points, landmarks, seed, outdir):
     """Simulated-annealing alignment."""
-    out = _outdir(outdir)
     cfg = _config(SaConfig, n=n, theta=theta, t0=t0, cooling=cooling,
                   max_iters=iters, blend=blend, mode=mode, von_mises_kappa=kappa)
+    if landmarks is not None and mode != "function":
+        raise click.UsageError("landmark constraints apply to function mode only")
+    out = _outdir(outdir)
     rng = np.random.default_rng(seed)
     c1, c2 = _load_pair(curve1, curve2, points)
 
     if landmarks is not None:
-        if mode != "function":
-            raise click.UsageError("landmark constraints apply to function mode only")
         lm = load_landmarks(landmarks)
         res = constrained_align(c1, c2, lm, "sa", cfg, rng)
         payload = {
@@ -378,11 +380,11 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
 def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample, points,
                     landmarks, seed, outdir):
     """Bayesian alignment: posterior mean warp and 95% credible band."""
-    out = _outdir(outdir)
     prior = _config(WarpPrior, mean_warp=identity(), partition_size=n,
                     concentration=theta)
     cfg = _config(BayesConfig, prior=prior, a0=a0, b0=b0, prior_draws=draws,
                   resample_size=resample)
+    out = _outdir(outdir)
     rng = np.random.default_rng(seed)
     c1, c2 = _load_pair(curve1, curve2, points)
     summary_grid = c1.grid

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .srvf import (Curve, Srvf, _check_same_grid, _nonzero_length, _require_uniform,
-                   _trapezoid_weights)
+from .srvf import (Curve, Srvf, _check_same_grid, _energy_target, _nonzero_length,
+                   _require_uniform)
 
 __all__ = [
     "Rotation",
@@ -73,18 +73,15 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:
     dimension one the identity is returned.
     """
     _check_same_grid(q1, q2)
-    return Rotation._unchecked(_procrustes(_procrustes_target(q1.values, q1.grid), q2.values))
+    target = _energy_target(q1.values, q1.grid)[1]
+    return Rotation._unchecked(_procrustes(target @ q2.values))
 
 
-def _procrustes_target(v1: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The (d, m) target of ``_procrustes``: (m, d) values v1 times their
-    trapezoid weights on ``grid``, transposed."""
-    return (v1 * _trapezoid_weights(grid)[:, None]).T
-
-
-def _procrustes(target: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """``optimal_rotation`` on raw (m, d) values ``v2`` and the
-    ``_procrustes_target`` of the values to rotate onto.
+def _procrustes(a: np.ndarray) -> np.ndarray:
+    """``optimal_rotation`` from the (d, d) weighted cross-covariance
+    A = target @ v2 of the (m, d) values v2 to rotate and the
+    ``srvf._energy_target`` of the values to rotate onto: the annealer
+    has A at hand as the M of its energy kernel, ``srvf._energy``.
 
     For d = 2, tr(O A^T) = c (a00 + a11) + s (a10 - a01) over rotations
     O = [[c, -s], [s, c]], so the maximiser is that vector normalised;
@@ -93,10 +90,9 @@ def _procrustes(target: np.ndarray, v2: np.ndarray) -> np.ndarray:
     orthogonal with determinant +-1, so the sign of a cofactor expansion
     makes the same flip decision as ``np.linalg.det``.
     """
-    d = v2.shape[1]
+    d = a.shape[0]
     if d == 1:
         return np.eye(1)
-    a = target @ v2
     if d == 2:
         (a00, a01), (a10, a11) = a.tolist()
         c, s = a00 + a11, a10 - a01

@@ -183,10 +183,13 @@ def from_srvf(q: Srvf, start=None) -> Curve:
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    w = np.zeros(grid.size)
-    half = np.diff(grid) / 2.0
-    w[:-1] += half
-    w[1:] += half
+    """Trapezoid weights of a grid: half its spacing at each end, and the
+    sum of the two half spacings beside each interior point."""
+    half = grid[1:] - grid[:-1]
+    half /= 2.0
+    w = np.empty(grid.size)
+    w[0], w[-1] = half[0], half[-1]
+    np.add(half[:-1], half[1:], out=w[1:-1])
     return w
 
 
@@ -204,10 +207,74 @@ def _sq_l2(v: np.ndarray, dt: np.ndarray) -> float:
     spacings ``dt``, squaring ``v`` in place: ``v`` must be an array the
     caller owns.  The result is ``np.trapezoid(np.sum(v ** 2, axis=1),
     grid)`` to the last bit; a sum over one column is that column, so
-    for d = 1 it is read directly.  The annealer's energy, warp_energy,
-    l2_dist and l2_norm all run this one kernel."""
+    for d = 1 it is read directly.  This is the kernel of l2_dist and
+    l2_norm; alignment energies run ``_energy`` instead."""
     v *= v
     return _trapezoid(v[:, 0] if v.shape[1] == 1 else np.add.reduce(v, axis=1), dt)
+
+
+def _energy_target(v1: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair terms of ``_energy`` for the (m, d) values ``v1`` to
+    align onto: the trapezoid weights of ``grid`` repeated over d columns,
+    so that a product with (m, d) values needs no broadcast, and the
+    (d, m) target ``(v1 * weights).T``.  ``target @ v2`` is also the
+    cross-covariance from which ``shapeops._procrustes`` finds the
+    rotation of v2 onto v1."""
+    weights = np.repeat(_trapezoid_weights(grid)[:, None], v1.shape[1], axis=1)
+    return weights, (v1 * weights).T
+
+
+def _energy_terms(target: np.ndarray, weights: np.ndarray,
+                  v: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(B, M)`` of the (m, d) values ``v``: the squared trapezoid norm
+    B = tr((v * weights)^T v) and the (d, d) cross-covariance M = target @ v.
+    B is M's own arithmetic with v in the target's place, so for ``v``
+    equal to the values v1 the target was built from, B and tr(M) agree
+    to the last bit, and so does A = tr(target @ v1), the A of
+    ``_energy``."""
+    return _trace((v * weights).T @ v), target @ v
+
+
+def _trace(a: np.ndarray) -> float:
+    """Trace of a small square matrix, its diagonal summed in index order."""
+    rows = a.tolist()
+    total = rows[0][0]
+    for j in range(1, len(rows)):
+        total += rows[j][j]
+    return total
+
+
+def _energy(a: float, b: float, cross: np.ndarray, rot: np.ndarray | None = None,
+            optimal: bool = False) -> float:
+    """The alignment energy ``|| v1 - R v ||^2 = A + B - 2 <R, M>_F`` from
+    the squared norms A of v1 and B of v, and their cross-covariance M
+    (see ``_energy_terms``); ``rot`` is R, or None for the identity.
+
+    <R, M> is the trace of M for the identity, and otherwise the sum of
+    the products R_ij M_ij in row-major order, which at R = I is the
+    trace in the same order.  So v = v1 scores exactly 0.0 under the
+    identity, and, since the rounding of A + B - 2 <R, M> is of the order
+    of A + B, a rounding-level negative is returned as 0.0.
+
+    ``optimal`` says that R is M's Procrustes rotation, the maximiser of
+    <R, M> over SO(d).  The identity is in SO(d), so <R, M> is then at
+    least tr(M), and is read as such: the computed R can fall short of
+    it by an ulp of its diagonal, which would leave v = v1 a
+    rounding-level positive energy.
+
+    Every alignment energy runs this kernel: the annealer's proposals and
+    accepts, and ``warp_energy``."""
+    if rot is None:
+        inner = _trace(cross)
+    else:
+        inner = 0.0
+        for r_row, m_row in zip(rot.tolist(), cross.tolist()):
+            for r, m in zip(r_row, m_row):
+                inner += r * m
+    if optimal:
+        inner = max(inner, _trace(cross))
+    e = a + b - 2.0 * inner
+    return e if e > 0.0 else 0.0
 
 
 def l2_norm(q: Srvf) -> float:
@@ -322,13 +389,14 @@ def l2_dist(q1: Srvf, q2: Srvf) -> float:
 def warp_energy(q1: Srvf, q2: Srvf, w: PLWarp) -> float:
     """Alignment energy ``|| q1 - (q2 o w) sqrt(w') ||^2``.
 
-    This is the annealer's own arithmetic, so it equals a function-mode
-    ``sa_align`` run's ``final_energy`` for the run's warp exactly, and
-    ``l2_dist(q1, warp_action(q2, w)) ** 2`` to rounding.
+    It runs ``_energy``, the annealer's own kernel, so it equals a
+    function-mode ``sa_align`` run's ``final_energy`` for the run's warp
+    exactly, and ``l2_dist(q1, warp_action(q2, w)) ** 2`` to rounding.
     """
     _check_same_grid(q1, q2)
-    g = q1.grid
-    return _sq_l2(q1.values - _warp_values(g, q2.values, w.x, w.y), g[1:] - g[:-1])
+    weights, target = _energy_target(q1.values, q1.grid)
+    warped = _warp_values(q1.grid, q2.values, w.x, w.y)
+    return _energy(_trace(target @ q1.values), *_energy_terms(target, weights, warped))
 
 
 def shape_dist(q1: Srvf, q2: Srvf) -> float:

@@ -30,9 +30,11 @@ from warpalign import (
     warp_action,
     warp_energy,
 )
+from warpalign import align_sa
 from warpalign.align_sa import align, _propose_seed, _propose_warp, _temperature
 from warpalign.fixtures import bean_curve, pqrst_pair, spiral_pair, two_bump_pair
-from warpalign.srvf import _sq_l2, _trapezoid_weights, _warp_values
+from warpalign.srvf import _energy, _energy_target, _energy_terms, _sq_l2, _trace
+from warpalign.srvf import _trapezoid_weights, _warp_values
 
 
 def shapeify(curve):
@@ -113,11 +115,18 @@ class TestProposals:
             assert y[0] == 0.0 and y[-1] == 1.0
 
     def test_energy_helper_matches_public_energy(self):
+        # the annealer's kernel on raw arrays, its plain-numpy reference and
+        # warp_energy agree bit for bit, and the direct residual to rounding
         q1, q2 = bump_srvfs()
         w = PLWarp([0.0, 0.3, 1.0], [0.0, 0.42, 1.0])
         g = q1.grid
-        fast = _sq_l2(q1.values - _warp_values(g, q2.values, w.x, w.y), g[1:] - g[:-1])
+        warped = _warp_values(g, q2.values, w.x, w.y)
+        weights, target = _energy_target(q1.values, g)
+        fast = _energy(_trace(target @ q1.values), *_energy_terms(target, weights, warped))
         assert fast == warp_energy(q1, q2, w)
+        assert fast == reference_energy(q1.values, warped, g)
+        direct = _sq_l2(q1.values - warped, g[1:] - g[:-1])
+        assert abs(fast - direct) <= 1e-14
 
 
 class TestFunctionAlignment:
@@ -286,6 +295,26 @@ class TestClosedAlignment:
         assert np.array_equal(a.warp.y, b.warp.y)
 
 
+class TestOnePassPerProposal:
+    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    def test_accept_reuses_the_proposals_terms(self, mode, monkeypatch):
+        # each proposal warps q2 once and passes over the grid once (B and
+        # M); an accept, which refreshes the rotation, adds neither
+        calls = {"_warp_values": 0, "_energy_terms": 0}
+        for name in calls:
+            kernel = getattr(align_sa, name)
+
+            def counted(*args, kernel=kernel, name=name):
+                calls[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(align_sa, name, counted)
+        q1, q2 = TestReferenceAnnealer.pair(mode)
+        res = align(q1, q2, SaConfig(mode=mode, max_iters=300), np.random.default_rng(0))
+        assert np.count_nonzero(np.diff(res.energy_trace[:-1])) > 10  # accepts happened
+        proposals = res.energy_trace.size - 2
+        assert calls == {"_warp_values": proposals + 1, "_energy_terms": proposals + 1}
+
+
 class TestModeRule:
     """Each mode-named aligner rejects a config of another mode."""
 
@@ -338,16 +367,43 @@ def reference_roll(values, k):
     return np.vstack((shifted, shifted[:1]))
 
 
-def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rotation):
-    """The annealer written in plain numpy, independent of the package's
-    sampler and warp-action kernels; only the Procrustes step goes through
-    ``rotation``, by default the public ``optimal_rotation``.
+def reference_energy(v1, v, grid, rot=None, optimal=False):
+    """``srvf._energy`` in plain numpy: ``|| v1 - R v ||^2`` as A + B - 2 <R, M>
+    from the squared norms A and B, each the trace of a weighted Gram
+    matrix, and the cross-covariance M.  <R, M> is the trace of M for the
+    identity (``rot`` None), else the running sum of R * M in row-major
+    order; ``optimal`` (R is M's Procrustes rotation) reads it as at least
+    tr(M).  A negative result is returned as 0.0."""
+    w = _trapezoid_weights(grid)[:, None]
+    target = (v1 * w).T
+    a = np.trace(target @ v1)
+    b = np.trace((v * w).T @ v)
+    cross = target @ v
+    if rot is None:
+        inner = np.trace(cross)
+    else:
+        inner = np.cumsum(rot * cross)[-1]
+    if optimal:
+        inner = max(inner, np.trace(cross))
+    e = float(a + b - 2.0 * inner)
+    return e if e > 0.0 else 0.0
 
-    Shape modes warp q2 first and rotate the warped values, as the package
-    does.  ``rotate_first`` instead rotates q2 and then warps it, the
-    arithmetic the package used before; warp action is linear in the
-    values, so the two agree up to rounding.  ``reference_rotation`` in
-    place of ``optimal_rotation`` agrees up to rounding too.
+
+def reference_anneal(q1, q2, cfg, rng, residual=False, rotate_first=False,
+                     rotation=optimal_rotation):
+    """The annealer written in plain numpy, independent of the package's
+    sampler, warp-action and energy kernels; only the Procrustes step goes
+    through ``rotation``, by default the public ``optimal_rotation``.
+
+    Each proposal is scored by ``reference_energy`` from the warped
+    values, as the package does; on accept the shape modes refresh the
+    rotation from the warped values and rescore with it.  ``residual``
+    instead sums the squared residual of q1 and the rotated warped values
+    on the grid, the arithmetic the package used before, and
+    ``rotate_first`` does the same with q2 rotated before it is warped;
+    warp action is linear in the values, and every form is the same
+    energy, so all agree up to rounding.  ``reference_rotation`` in place
+    of ``optimal_rotation`` agrees up to rounding too.
 
     The randomness that does not depend on the chain's state is drawn for
     a block of B = min(1024, iterations left) iterations at a time: B
@@ -364,7 +420,11 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rota
     closed = cfg.mode == "closed_shape"
     n_distinct = grid.size - 1
 
-    def energy(q2v, rot, x, y):
+    def energy(q2v, rot, x, y, optimal=False):
+        if not (residual or rotate_first):
+            warped = reference_warp_values(grid, q2v, x, y)
+            return reference_energy(q1.values, warped, grid,
+                                    None if rot is None else rot.matrix, optimal)
         if rot is None:
             warped = reference_warp_values(grid, q2v, x, y)
         elif rotate_first:
@@ -376,7 +436,7 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rota
 
     x, y, seed, q2v = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, q2.values
     rot = rotation(q1, q2) if shape else None
-    e = energy(q2v, rot, x, y)
+    e = energy(q2v, rot, x, y, optimal=True)
     best = (x, y, seed, rot, e)
     trace, stale = [e], 0
     for it in range(cfg.max_iters):
@@ -403,7 +463,7 @@ def reference_anneal(q1, q2, cfg, rng, rotate_first=False, rotation=optimal_rota
             if shape:
                 warped = reference_warp_values(grid, q2v, x, y)
                 rot = rotation(q1, Srvf(grid, warped, q2.topology))
-                e = energy(q2v, rot, x, y)
+                e = energy(q2v, rot, x, y, optimal=True)
             stale = 0
             if e < best[4]:
                 best = (x, y, seed, rot, e)
@@ -494,16 +554,25 @@ class TestReferenceAnnealer:
             assert res.rotation is None
         else:
             assert np.array_equal(res.rotation.matrix, rot.matrix)
-            # the rotate-then-warp arithmetic, and an SVD Procrustes step
-            # independent of the package's kernel, make the same moves
-            for variant in ({"rotate_first": True}, {"rotation": reference_rotation}):
-                x, y, ref_seed, _, trace = reference_anneal(
-                    q1, q2, cfg, np.random.default_rng(seed), **variant)
-                assert np.array_equal(res.warp.x, x)
-                assert np.array_equal(res.warp.y, y)
-                assert res.seed == ref_seed
-                assert res.energy_trace.size == trace.size
-                assert np.max(np.abs(res.energy_trace - trace)) <= 1e-12
+        # the squared residual on the grid (the arithmetic before the energy
+        # kernel) makes the same moves and finds the same rotations; so do
+        # the rotate-then-warp arithmetic and an SVD Procrustes step
+        # independent of the package's kernel, up to the SVD's rounding
+        variants = [{"residual": True}]
+        if rot is not None:
+            variants += [{"rotate_first": True}, {"rotation": reference_rotation}]
+        for variant in variants:
+            x, y, ref_seed, ref_rot, trace = reference_anneal(
+                q1, q2, cfg, np.random.default_rng(seed), **variant)
+            assert np.array_equal(res.warp.x, x)
+            assert np.array_equal(res.warp.y, y)
+            assert res.seed == ref_seed
+            if "rotation" in variant:
+                assert np.max(np.abs(res.rotation.matrix - ref_rot.matrix)) <= 1e-12
+            elif rot is not None:
+                assert np.array_equal(res.rotation.matrix, ref_rot.matrix)
+            assert res.energy_trace.size == trace.size
+            assert np.max(np.abs(res.energy_trace - trace)) <= 1e-12
         return res
 
 

@@ -300,7 +300,8 @@ class TestExitCodes:
         ["sample-warps", "--count", "-3"], ["sample-warps", "--count", "0"],
         ["degeneracy", "--samples", "0"], ["degeneracy", "--ns", "0,5"],
         ["degeneracy", "--ns", "0"],
-        ["degeneracy", "--ns", ","], ["degeneracy", "--alpha", "-1"],
+        ["degeneracy", "--ns", ","], ["degeneracy", "--ns", "2.5"],
+        ["degeneracy", "--ns", "20,x"], ["degeneracy", "--alpha", "-1"],
         ["degeneracy", "--alpha", "0"], ["degeneracy", "--alpha", "nan"],
         ["degeneracy", "--alpha", "inf"], ["sample-warps", "--seed", "-1"],
         ["degeneracy", "--seed", "-1"], ["sample-warps", "--mean", "beta:-1,2"],
@@ -329,6 +330,22 @@ class TestExitCodes:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and flag in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("align-sa", "--kappa", "nan"), ("align-sa", "--iters", "0"),
+        ("align-dp", "--grid-size", "2"), ("align-dp", "--seed-stride", "0"),
+        ("align-bayes", "--draws", "0"), ("align-bayes", "--n", "1"),
+    ])
+    def test_bad_config_flag_leaves_no_outdir(self, bump_files, tmp_path, capsys,
+                                              command, flag, value):
+        # every config is built before the output directory is made
+        out = tmp_path / "out"
+        code = main([command, *map(str, bump_files), flag, value, "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("Error:")]) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["align-dp", "distance"])
@@ -715,6 +732,7 @@ class TestAlignCommands:
         code = main(["align-sa", str(a), str(b), "--mode", "open_shape",
                      "--landmarks", str(lm), "--outdir", str(tmp_path / "x")])
         assert code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_align_bayes_outputs(self, bump_files, tmp_path):
         a, b = bump_files

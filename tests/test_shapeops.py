@@ -143,11 +143,10 @@ class TestProcrustesKernel:
     @given(procrustes_inputs(2))
     def test_planar_closed_form_matches_svd(self, inputs):
         v1, v2, w = inputs
-        target = (v1 * w[:, None]).T
-        rot, ref = _procrustes(target, v2), reference_procrustes(v1, v2, w)
+        a = (v1 * w[:, None]).T @ v2
+        rot, ref = _procrustes(a), reference_procrustes(v1, v2, w)
         assert rot[0, 0] == rot[1, 1] and rot[0, 1] == -rot[1, 0]
         assert abs(rot[0, 0] ** 2 + rot[1, 0] ** 2 - 1.0) <= 4e-16
-        a = target @ v2
         # tr(O A^T) is no lower than at the reference's O
         assert np.sum(rot * a) >= np.sum(ref * a) - 1e-14 * np.abs(a).sum()
         # when a00 + a11 and a10 - a01 nearly cancel, every rotation is
@@ -159,7 +158,7 @@ class TestProcrustesKernel:
     @given(procrustes_inputs(3))
     def test_spatial_matches_svd_bit_for_bit(self, inputs):
         v1, v2, w = inputs
-        assert np.array_equal(_procrustes((v1 * w[:, None]).T, v2),
+        assert np.array_equal(_procrustes((v1 * w[:, None]).T @ v2),
                               reference_procrustes(v1, v2, w))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -169,7 +168,7 @@ class TestProcrustesKernel:
         # optimal_rotation and the annealer wrap this output in a Rotation
         # without its constructor's orthogonality and determinant checks
         v1, v2, w = data.draw(procrustes_inputs(dim))
-        rot = _procrustes((v1 * w[:, None]).T, v2)
+        rot = _procrustes((v1 * w[:, None]).T @ v2)
         assert rot.shape == (dim, dim)
         assert np.allclose(rot.T @ rot, np.eye(dim), rtol=0.0, atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)

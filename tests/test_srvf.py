@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
@@ -26,7 +26,10 @@ from warpalign import (
     warp_curve,
     warp_energy,
 )
-from warpalign.srvf import _trapezoid, _warp_sse_batch, _warp_values
+from warpalign.align_sa import SaConfig, align
+from warpalign.shapeops import _procrustes
+from warpalign.srvf import (_energy, _energy_target, _energy_terms, _sq_l2, _trace,
+                            _trapezoid, _trapezoid_weights, _warp_sse_batch, _warp_values)
 
 
 def line_curve(m=100, dim=1):
@@ -332,6 +335,82 @@ class TestWarpSseBatch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * rows * m // 10
+
+
+def rotations(dim):
+    """Rotations in SO(dim): a planar angle, or a unit quaternion in 3-d."""
+    if dim == 1:
+        return st.just(np.eye(1))
+    if dim == 2:
+        return st.floats(-np.pi, np.pi).map(
+            lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]))
+    quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 0.1)
+
+    def matrix(q):
+        w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+        return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    return quats.map(matrix)
+
+
+# values clear of the underflow range, where no relative tolerance holds
+VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+class TestEnergyKernel:
+    """``_energy`` from (A, B, M) against the squared residual on the grid,
+    ``_sq_l2(q1 - R (q2 o w) sqrt(w'))``, which rounds relative to the
+    energy where the kernel rounds relative to A + B."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids(min_size=2))
+    def test_trapezoid_weights_are_half_spacings(self, grid):
+        expected = np.zeros(grid.size)
+        expected[:-1] += np.diff(grid) / 2.0
+        expected[1:] += np.diff(grid) / 2.0
+        assert np.array_equal(_trapezoid_weights(grid), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_direct_residual(self, data):
+        grid = data.draw(grids())
+        d = data.draw(st.integers(1, 3))
+        q1v, q2v = (data.draw(arrays(np.float64, (grid.size, d), elements=VALUES))
+                    for _ in range(2))
+        w = data.draw(pl_warps())
+        weights, target = _energy_target(q1v, grid)
+        a = _trace(target @ q1v)
+        warped = _warp_values(grid, q2v, w.x, w.y)
+        b, cross = _energy_terms(target, weights, warped)
+        dt = grid[1:] - grid[:-1]
+        rot = data.draw(rotations(d))
+        # R = I (rot None), a given rotation, and M's own Procrustes rotation
+        for r, optimal in ((None, False), (rot, False), (_procrustes(cross), True)):
+            e = _energy(a, b, cross, r, optimal)
+            direct = _sq_l2(q1v - (warped if r is None else warped @ r.T), dt)
+            assert e >= 0.0
+            assert abs(e - direct) <= 1e-12 * (a + b)
+
+    @pytest.mark.parametrize("mode,dims", [
+        ("function", (1, 2, 3)), ("open_shape", (2, 3)), ("closed_shape", (1, 2, 3)),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_self_alignment_is_exactly_zero(self, mode, dims, data):
+        # q2 = q1 at the identity warp, under the identity in function mode
+        # and under the Procrustes rotation in the shape modes
+        m = data.draw(st.integers(3, 40))
+        d = data.draw(st.sampled_from(dims))
+        vals = data.draw(arrays(np.float64, (m, d), elements=VALUES))
+        assume(np.any(vals != 0.0))
+        q = Srvf(uniform_grid(m), vals, "closed" if mode == "closed_shape" else "open")
+        if mode != "function":
+            q = unit_normalize(q)
+        res = align(q, q, SaConfig(mode=mode, max_iters=1), np.random.default_rng(0))
+        assert res.initial_energy == 0.0
+        assert res.final_energy == 0.0
 
 
 class TestDistances:
