@@ -78,31 +78,31 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     integrated by the trapezoid rule on the a+1 grid nodes the move
     spans, with q2 read off a refine-times finer precomputed grid.
     ``q2f`` may carry leading batch axes; the result has shape
-    ``q2f.shape[:-2] + (len(q1v) - a, ncols)``.  Each node adds
-    ``w_k * (|l|^2 + |r|^2 - 2 l.r)``, evaluated in that order in one
-    temporary.
+    ``q2f.shape[:-2] + (len(q1v) - a, ncols)``.
+
+    With l_k = q1(i+k), r_k = sqrt(b/a) q2f(j*refine + k*stride) and
+    trapezoid weights w_k, the cost sum_k w_k |l_k - r_k|^2 is
+    sum_k w_k |l_k|^2 + sum_k w_k |r_k|^2 - 2 sum_k w_k l_k.r_k: a row
+    vector, a column vector and one matmul of the a+1 slices of q1 set
+    side by side, each scaled by -2 w_k, against the a+1 slices of q2.
     """
     a, b = step
-    sq = math.sqrt(b / a)
     weights = np.full(a + 1, dt)
     weights[0] = weights[-1] = dt / 2.0
+    weights = np.repeat(weights, q1v.shape[1])  # one per (node, coordinate)
     stride = refine * b // a
     imax = q1v.shape[0] - a
-    acc = np.zeros(q2f.shape[:-2] + (imax, ncols))
-    term = np.empty_like(acc)
-    j_fine = np.arange(ncols) * refine
-    sq_q1 = np.add.reduce(np.square(q1v), axis=1)
-    for k in range(a + 1):
-        lhs = q1v[k:k + imax]
-        rhs = q2f[..., j_fine + k * stride, :]
-        rhs *= sq
-        sq_r = np.add.reduce(np.square(rhs), axis=-1)
-        cross = lhs @ np.swapaxes(rhs, -1, -2)
-        cross *= 2.0
-        np.add(sq_q1[k:k + imax, None], sq_r[..., None, :], out=term)
-        term -= cross
-        term *= weights[k]
-        acc += term
+    nodes = np.arange(a + 1)
+    lhs = q1v[np.arange(imax)[:, None] + nodes].reshape(imax, -1)
+    rhs = q2f[..., (np.arange(ncols) * refine)[:, None] + nodes * stride, :]
+    rhs = rhs.reshape(rhs.shape[:-3] + (ncols, -1))
+    rhs *= math.sqrt(b / a)
+    row = np.square(lhs) @ weights
+    col = np.square(rhs) @ weights
+    lhs *= -2.0 * weights
+    acc = lhs @ np.swapaxes(rhs, -1, -2)
+    acc += row[:, None]
+    acc += col[..., None, :]
     return acc
 
 

@@ -100,14 +100,15 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
 
 
 def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig, rng: np.random.Generator,
-                  knots=None, u=None) -> tuple[np.ndarray, np.ndarray]:
+                  knots=None, u=None, ident=None) -> tuple[np.ndarray, np.ndarray]:
     """Knots of a draw centred at the warp ``(x, y)``, blended toward the
     identity; ``knots`` and ``u`` are the draw's pre-drawn partition and
-    boosting uniforms (see ``_draw``)."""
+    boosting uniforms (see ``_draw``), and ``ident`` is the identity's
+    half of the blend, ``(1 - blend) * knots``."""
     px, py = _draw(x, y, cfg.n, cfg.theta, rng, knots, u)
     # blending against the identity needs no knot union: id(x) = x
     py *= cfg.blend
-    py += (1.0 - cfg.blend) * px
+    py += (1.0 - cfg.blend) * px if ident is None else ident
     py[0], py[-1] = 0.0, 1.0
     return px, py
 
@@ -122,21 +123,24 @@ def _propose_seed(k: int, step: float, n_distinct: int) -> int:
 def _chain_draws(cfg: SaConfig, closed: bool,
                  rng: np.random.Generator) -> Iterator[tuple]:
     """The chain's randomness that does not depend on its state, one
-    ``(partition, boosting uniforms, seed step, accept uniform)`` per
-    iteration; the seed step is None outside closed mode.
+    ``(partition, knot spacings, identity half of the blend, boosting
+    uniforms, seed step, accept uniform)`` per iteration; the seed step
+    is None outside closed mode.
 
     It is drawn for a block of B = min(``_DRAW_ROWS``, iterations left)
     iterations at a time, in this order: B partitions (bad rows redrawn),
     B rows of n boosting uniforms, in closed mode B von Mises steps, then
     B accept uniforms.  Each iteration's gammas, which depend on the
-    current warp, are drawn after its block.
+    current warp, are drawn after its block.  The spacings and the blend
+    term are computed for the whole block with its partitions.
     """
     for lo in range(0, cfg.max_iters, _DRAW_ROWS):
         size = min(_DRAW_ROWS, cfg.max_iters - lo)
         knots = _random_partitions(size, cfg.n, rng)
         u = rng.random((size, cfg.n))
         steps = rng.vonmises(0.0, cfg.von_mises_kappa, size).tolist() if closed else repeat(None)
-        yield from zip(knots, u, steps, rng.random(size).tolist())
+        yield from zip(knots, knots[:, 1:] - knots[:, :-1], (1.0 - cfg.blend) * knots, u,
+                       steps, rng.random(size).tolist())
 
 
 def _temperature(cfg: SaConfig, iteration: int) -> float:
@@ -156,8 +160,11 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     modes refresh the Procrustes rotation from the same M and rescore
     with it, so reported energies always pair the warp with its optimal
     rotation, and no accept warps, multiplies or sums over the grid
-    again.  Closed mode also proposes a seed, a cyclic shift of q2 by k
-    of its m-1 distinct grid points, jointly with each warp.
+    again.  M is turned into Python rows once per proposal, and the chain
+    carries the rotation as rows too (see ``shapeops._procrustes``); one
+    ``Rotation`` is built for the result.  Closed mode also proposes a
+    seed, a cyclic shift of q2 by k of its m-1 distinct grid points,
+    jointly with each warp.
 
     The randomness that does not depend on the chain's state comes from
     ``_chain_draws`` in blocks, so each iteration makes one generator
@@ -169,7 +176,7 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
         rng = np.random.default_rng()
     grid, q1v, q2v = q1.grid, q1.values, q2.values
     weights, target = _energy_target(q1v, grid)
-    a = _trace(target @ q1v)
+    a = _trace((target @ q1v).tolist())
     n_seeds = grid.size - 1
     # q2's distinct closed-curve values twice over: the window at k is q2
     # shifted by seed k, its duplicated endpoint included, without a copy
@@ -183,15 +190,16 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     best = (x, y, k, rot, e)
     trace = [e]
     stale = 0
-    for it, (knots, u, step, u_accept) in enumerate(_chain_draws(cfg, closed, rng)):
+    draws = _chain_draws(cfg, closed, rng)
+    for it, (knots, dx, ident, u, step, u_accept) in enumerate(draws):
         temp = _temperature(cfg, it)
         k_prop, q2k_prop = k, q2k
         if closed:
             k_prop = _propose_seed(k, step, n_seeds)
             if k_prop != k:
                 q2k_prop = twice[k_prop:k_prop + grid.size]
-        px, py = _propose_warp(x, y, cfg, rng, knots, u)
-        b, cross = _energy_terms(target, weights, _warp_values(grid, q2k_prop, px, py))
+        px, py = _propose_warp(x, y, cfg, rng, knots, u, ident)
+        b, cross = _energy_terms(target, weights, _warp_values(grid, q2k_prop, px, py, dx))
         e_prop = _energy(a, b, cross, rot)
         if metropolis_accept(e, e_prop, temp, u_accept):
             x, y, k, q2k, e = px, py, k_prop, q2k_prop, e_prop

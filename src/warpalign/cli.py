@@ -83,6 +83,9 @@ def _config(factory, *args, flag=None, **kwargs):
 
 
 def _outdir(path) -> Path:
+    """Make the output directory.  Commands call this only once their
+    inputs are read and checked and their results computed, so that a
+    usage or data error leaves no directory behind."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -242,9 +245,9 @@ def distance(curve1, curve2, points, shape, warp, outdir):
 @_guard
 def geodesic(curve1, curve2, steps, points, shape, outdir):
     """Write the geodesic between two curves, one curve CSV per step."""
-    out = _outdir(outdir)
     c1, c2 = _load_pair(curve1, curve2, points)
     path = geodesic_path(*_srvfs(c1, c2, shape), steps)
+    out = _outdir(outdir)
     outputs = [write_curve(from_srvf(q), out / f"geodesic_{k:03d}.csv")
                for k, q in enumerate(path)]
     _record(out, outputs)
@@ -262,7 +265,6 @@ def geodesic(curve1, curve2, steps, points, shape, outdir):
 def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
     """Dynamic-programming alignment (exhaustive seed search when closed)."""
     cfg = _config(DpConfig, grid_size=grid_size, seed_stride=seed_stride)
-    out = _outdir(outdir)
     c1, c2 = _load_pair(curve1, curve2, points)
     q1, q2 = _srvfs(c1, c2, shape)
     if q1.topology == "closed" and q2.topology == "closed":
@@ -279,6 +281,7 @@ def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
     ]
     if seed_val is not None:
         rows.append(("seed", seed_val))
+    out = _outdir(outdir)
     warp_path = write_warp(warp, out / "warp.json")
     energy_path = write_table(out / "energy.csv", "metric,value", rows)
     _record(out, [warp_path, energy_path])
@@ -309,12 +312,11 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
                   max_iters=iters, blend=blend, mode=mode, von_mises_kappa=kappa)
     if landmarks is not None and mode != "function":
         raise click.UsageError("landmark constraints apply to function mode only")
-    out = _outdir(outdir)
-    rng = np.random.default_rng(seed)
     c1, c2 = _load_pair(curve1, curve2, points)
+    lm = None if landmarks is None else load_landmarks(landmarks)
+    rng = np.random.default_rng(seed)
 
-    if landmarks is not None:
-        lm = load_landmarks(landmarks)
+    if lm is not None:
         res = constrained_align(c1, c2, lm, "sa", cfg, rng)
         payload = {
             "mode": mode,
@@ -330,8 +332,7 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
             ],
         }
         traces = [list(map(float, seg.result.energy_trace)) for seg in res.segments]
-        trace_path = write_trace(out / "trace.csv", traces,
-                                 segment=list(range(len(traces))))
+        segments = list(range(len(traces)))
         aligned = warp_curve(c2, res.warp)
     else:
         q1, q2 = _srvfs(c1, c2, mode != "function")
@@ -347,13 +348,15 @@ def align_sa_cmd(curve1, curve2, n, theta, t0, cooling, iters, blend, mode, kapp
             payload["rotation"] = res.rotation.to_rows()
         if res.seed is not None:
             payload["seed_point"] = float(res.seed)
-        trace_path = write_trace(out / "trace.csv", res.energy_trace)
+        traces, segments = res.energy_trace, None
         if mode == "function":
             aligned = warp_curve(c2, res.warp)
         else:
             q2w = apply_seed(q2, res.seed) if res.seed is not None else q2
             aligned = from_srvf(rotate(warp_action(q2w, res.warp), res.rotation))
 
+    out = _outdir(outdir)
+    trace_path = write_trace(out / "trace.csv", traces, segment=segments)
     result_path = write_json(out / "result.json", payload)
     warp_path = write_warp(res.warp, out / "warp.json")
     aligned_path = write_curve(aligned, out / "aligned.csv")
@@ -384,13 +387,12 @@ def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample, points,
                     concentration=theta)
     cfg = _config(BayesConfig, prior=prior, a0=a0, b0=b0, prior_draws=draws,
                   resample_size=resample)
-    out = _outdir(outdir)
-    rng = np.random.default_rng(seed)
     c1, c2 = _load_pair(curve1, curve2, points)
+    lm = None if landmarks is None else load_landmarks(landmarks)
+    rng = np.random.default_rng(seed)
     summary_grid = c1.grid
 
-    if landmarks is not None:
-        lm = load_landmarks(landmarks)
+    if lm is not None:
         res = constrained_align(c1, c2, lm, "bayes", cfg, rng)
         summary_grid = np.union1d(summary_grid, lm.a)
         count = len(res.posterior_warps)
@@ -406,6 +408,7 @@ def align_bayes_cmd(curve1, curve2, n, theta, a0, b0, draws, resample, points,
     mean_warp, lower, upper = posterior_summary(post, summary_grid)
     mean = mean_warp(summary_grid)
 
+    out = _outdir(outdir)
     warp_path = write_warp(mean_warp, out / "mean_warp.json")
     band_path = write_band(out / "band.csv", summary_grid, lower, mean, upper)
     aligned_path = write_curve(warp_curve(c2, mean_warp), out / "aligned.csv")

@@ -43,10 +43,11 @@ class Rotation:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _unchecked(cls, matrix: np.ndarray) -> "Rotation":
-        """Wrap a matrix ``_procrustes`` returned, which is in SO(d) by
+    def _unchecked(cls, rows: list[list[float]]) -> "Rotation":
+        """Wrap the rows ``_procrustes`` returned, which are in SO(d) by
         construction, without ``__post_init__``'s re-check."""
         rot = object.__new__(cls)
+        matrix = np.array(rows)
         matrix.setflags(write=False)
         object.__setattr__(rot, "matrix", matrix)
         return rot
@@ -74,14 +75,15 @@ def optimal_rotation(q1: Srvf, q2: Srvf) -> Rotation:
     """
     _check_same_grid(q1, q2)
     target = _energy_target(q1.values, q1.grid)[1]
-    return Rotation._unchecked(_procrustes(target @ q2.values))
+    return Rotation._unchecked(_procrustes((target @ q2.values).tolist()))
 
 
-def _procrustes(a: np.ndarray) -> np.ndarray:
+def _procrustes(a: list[list[float]]) -> list[list[float]]:
     """``optimal_rotation`` from the (d, d) weighted cross-covariance
     A = target @ v2 of the (m, d) values v2 to rotate and the
-    ``srvf._energy_target`` of the values to rotate onto: the annealer
-    has A at hand as the M of its energy kernel, ``srvf._energy``.
+    ``srvf._energy_target`` of the values to rotate onto, as Python rows,
+    and returned as rows: the annealer has A at hand as the M of its
+    energy kernel, ``srvf._energy``, which reads R and M as rows.
 
     For d = 2, tr(O A^T) = c (a00 + a11) + s (a10 - a01) over rotations
     O = [[c, -s], [s, c]], so the maximiser is that vector normalised;
@@ -90,25 +92,25 @@ def _procrustes(a: np.ndarray) -> np.ndarray:
     orthogonal with determinant +-1, so the sign of a cofactor expansion
     makes the same flip decision as ``np.linalg.det``.
     """
-    d = a.shape[0]
+    d = len(a)
     if d == 1:
-        return np.eye(1)
+        return [[1.0]]
     if d == 2:
-        (a00, a01), (a10, a11) = a.tolist()
+        (a00, a01), (a10, a11) = a
         c, s = a00 + a11, a10 - a01
         norm = math.hypot(c, s)
         if norm == 0.0:
-            return np.eye(2)
+            return [[1.0, 0.0], [0.0, 1.0]]
         c, s = c / norm, s / norm
-        return np.array([[c, -s], [s, c]])
+        return [[c, -s], [s, c]]
     u, _, vt = np.linalg.svd(a)
-    r = u @ vt
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    r = (u @ vt).tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
     det = (r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
            + r02 * (r10 * r21 - r11 * r20))
     if det < 0.0:
         u[:, -1] *= -1.0
-        r = u @ vt
+        r = (u @ vt).tolist()
     return r
 
 

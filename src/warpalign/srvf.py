@@ -225,30 +225,32 @@ def _energy_target(v1: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _energy_terms(target: np.ndarray, weights: np.ndarray,
-                  v: np.ndarray) -> tuple[float, np.ndarray]:
+                  v: np.ndarray) -> tuple[float, list[list[float]]]:
     """``(B, M)`` of the (m, d) values ``v``: the squared trapezoid norm
-    B = tr((v * weights)^T v) and the (d, d) cross-covariance M = target @ v.
-    B is M's own arithmetic with v in the target's place, so for ``v``
-    equal to the values v1 the target was built from, B and tr(M) agree
-    to the last bit, and so does A = tr(target @ v1), the A of
+    B = tr((v * weights)^T v) and the (d, d) cross-covariance M = target @ v
+    as Python rows, the form ``_energy`` and ``shapeops._procrustes``
+    read.  B is M's own arithmetic with v in the target's place, so for
+    ``v`` equal to the values v1 the target was built from, B and tr(M)
+    agree to the last bit, and so does A = tr(target @ v1), the A of
     ``_energy``."""
-    return _trace((v * weights).T @ v), target @ v
+    return _trace(((v * weights).T @ v).tolist()), (target @ v).tolist()
 
 
-def _trace(a: np.ndarray) -> float:
-    """Trace of a small square matrix, its diagonal summed in index order."""
-    rows = a.tolist()
+def _trace(rows: list[list[float]]) -> float:
+    """Trace of a small square matrix given as Python rows, its diagonal
+    summed in index order."""
     total = rows[0][0]
     for j in range(1, len(rows)):
         total += rows[j][j]
     return total
 
 
-def _energy(a: float, b: float, cross: np.ndarray, rot: np.ndarray | None = None,
-            optimal: bool = False) -> float:
+def _energy(a: float, b: float, cross: list[list[float]],
+            rot: list[list[float]] | None = None, optimal: bool = False) -> float:
     """The alignment energy ``|| v1 - R v ||^2 = A + B - 2 <R, M>_F`` from
     the squared norms A of v1 and B of v, and their cross-covariance M
-    (see ``_energy_terms``); ``rot`` is R, or None for the identity.
+    (see ``_energy_terms``); ``rot`` is R, or None for the identity.  M
+    and R are Python rows, so a call makes no numpy call.
 
     <R, M> is the trace of M for the identity, and otherwise the sum of
     the products R_ij M_ij in row-major order, which at R = I is the
@@ -268,7 +270,7 @@ def _energy(a: float, b: float, cross: np.ndarray, rot: np.ndarray | None = None
         inner = _trace(cross)
     else:
         inner = 0.0
-        for r_row, m_row in zip(rot.tolist(), cross.tolist()):
+        for r_row, m_row in zip(rot, cross):
             for r, m in zip(r_row, m_row):
                 inner += r * m
     if optimal:
@@ -296,22 +298,31 @@ def unit_normalize(q: Srvf) -> Srvf:
     return Srvf(q.grid, q.values / nrm, q.topology, is_shape=True)
 
 
-def _interp_columns(grid: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _interp_columns(grid: np.ndarray, values: np.ndarray, at: np.ndarray,
+                    scale: np.ndarray | None = None) -> np.ndarray:
     """Each column of (m, d) ``values`` on ``grid`` read at the points ``at``,
-    as a new (len(at), d) array; for d = 1 it is a view of the one column
-    interpolated."""
+    times ``scale`` (one factor per point) if given, as a new
+    (len(at), d) array; for d = 1 it is a view of the one column
+    interpolated.  Each column is scaled as it is written."""
     if values.shape[1] == 1:
-        return _interp(at, grid, values[:, 0])[:, None]
+        col = _interp(at, grid, values[:, 0])
+        if scale is not None:
+            col *= scale
+        return col[:, None]
     out = np.empty((at.size, values.shape[1]))
     for j in range(values.shape[1]):
-        out[:, j] = _interp(at, grid, values[:, j])
+        if scale is None:
+            out[:, j] = _interp(at, grid, values[:, j])
+        else:
+            np.multiply(_interp(at, grid, values[:, j]), scale, out=out[:, j])
     return out
 
 
 def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+                 y: np.ndarray, dx: np.ndarray | None = None) -> np.ndarray:
     """``(q o w) * sqrt(w')`` on raw arrays: SRVF values sampled on a grid
-    under the PL warp with knots ``(x, y)``, which must be a valid warp.
+    under the PL warp with knots ``(x, y)``, which must be a valid warp;
+    ``dx`` is the knot spacing ``x[1:] - x[:-1]`` if the caller has it.
 
     A grid point takes the slope of the segment that starts at or before
     it (right-continuous), and points at or past the last interior knot
@@ -319,12 +330,10 @@ def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     that segment's index directly.
     """
     root_slope = y[1:] - y[:-1]
-    root_slope /= x[1:] - x[:-1]
+    root_slope /= x[1:] - x[:-1] if dx is None else dx
     np.sqrt(root_slope, out=root_slope)
     seg = x[1:-1].searchsorted(grid, side="right")
-    warped = _interp_columns(grid, values, _interp(grid, x, y))
-    warped *= root_slope[seg][:, None]
-    return warped
+    return _interp_columns(grid, values, _interp(grid, x, y), root_slope[seg])
 
 
 def _warp_sse_batch(grid: np.ndarray, values: np.ndarray, target: np.ndarray,
@@ -396,7 +405,8 @@ def warp_energy(q1: Srvf, q2: Srvf, w: PLWarp) -> float:
     _check_same_grid(q1, q2)
     weights, target = _energy_target(q1.values, q1.grid)
     warped = _warp_values(q1.grid, q2.values, w.x, w.y)
-    return _energy(_trace(target @ q1.values), *_energy_terms(target, weights, warped))
+    return _energy(_trace((target @ q1.values).tolist()),
+                   *_energy_terms(target, weights, warped))
 
 
 def shape_dist(q1: Srvf, q2: Srvf) -> float:

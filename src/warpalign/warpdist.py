@@ -166,31 +166,25 @@ def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np
 _DRAW_ROWS = 1024
 
 
-def _shapes(knots: np.ndarray, mean_x: np.ndarray, mean_y: np.ndarray,
-            theta: float) -> np.ndarray:
-    """Dirichlet parameters ``theta * diff(H(knots))`` of each row (or of
-    one 1-d row), floored at 1e-12."""
+def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
+          rng: np.random.Generator, knots=None, u=None) -> tuple[np.ndarray, np.ndarray]:
+    """Warps on raw mean knots, without the checks of ``sample``: one
+    warp as 1-d knot and value arrays, or, given (R, n+1) partition rows
+    ``knots``, one warp per row.
+
+    The Dirichlet parameters are ``theta * diff(H(knots))``, floored at
+    1e-12.  Drawn from ``rng`` alone, one warp's random stream and values
+    are those of row 0 of a one-row batch (see ``_draw_blocks``): the
+    partition, the gammas, then the boosting uniforms.  A caller that
+    draws ahead passes the partition ``knots`` and the n boosting
+    uniforms ``u``; the draw then makes one generator call, the gammas.
+    """
+    if knots is None:
+        knots = _random_partitions(None, n, rng)
     h = _interp(knots, mean_x, mean_y)
     a = h[..., 1:] - h[..., :-1]
     a *= theta
     np.maximum(a, 1e-12, out=a)
-    return a
-
-
-def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
-          rng: np.random.Generator, knots=None, u=None) -> tuple[np.ndarray, np.ndarray]:
-    """One warp on raw mean knots, as 1-d knot and value arrays, without
-    the checks of ``sample``.
-
-    Drawn from ``rng`` alone, its random stream and values are those of
-    row 0 of a one-row batch (see ``_draw_blocks``): the partition, the
-    gammas, then the boosting uniforms.  A caller that draws ahead passes
-    the partition ``knots`` and the n boosting uniforms ``u``; the draw
-    then makes one generator call, the gammas.
-    """
-    if knots is None:
-        knots = _random_partitions(None, n, rng)
-    a = _shapes(knots, mean_x, mean_y, theta)
     return knots, _increment_values(_floor_normalize(_boosted_gammas(a, rng, u), 1e-300))
 
 
@@ -200,21 +194,21 @@ def _draw_blocks(prior: WarpPrior, size: int, rng: np.random.Generator,
 
     Draws every partition now, unless ``knots`` gives them, and returns
     ``(knots, values, blocks)``.  Iterating ``blocks`` fills ``values``
-    one ``_DRAW_ROWS``-row block at a time, in row order, and yields each
-    block's row slice once its values are final, so a caller can use a
-    block while the next one is drawn.  The working memory beyond the
-    returned arrays stays bounded by one block.
+    one ``_DRAW_ROWS``-row block at a time through ``_draw``, in row
+    order, and yields each block's row slice once its values are final,
+    so a caller can use a block while the next one is drawn.  The working
+    memory beyond the returned arrays stays bounded by one block.
     """
     x, y = prior.mean_warp.x, prior.mean_warp.y
+    n, theta = prior.partition_size, prior.concentration
     if knots is None:
-        knots = _random_partitions(size, prior.partition_size, rng)
+        knots = _random_partitions(size, n, rng)
     values = np.empty(knots.shape)
 
     def blocks():
         for lo in range(0, size, _DRAW_ROWS):
             rows = slice(lo, min(lo + _DRAW_ROWS, size))
-            a = _shapes(knots[rows], x, y, prior.concentration)
-            values[rows] = _increment_values(_floor_normalize(gamma_variates(a, rng), 1e-300))
+            values[rows] = _draw(x, y, n, theta, rng, knots[rows])[1]
             yield rows
 
     return knots, values, blocks()

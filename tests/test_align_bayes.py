@@ -354,15 +354,15 @@ class TestSirThreads:
         """A draw that fails mid-way still sends every pool thread its stop
         marker: the error comes out and no pool thread is left waiting."""
         started = self.force_workers(monkeypatch, 2)
-        real, calls = warpdist.gamma_variates, []
+        real, calls = warpdist._boosted_gammas, []
 
-        def failing(shapes, rng):
+        def failing(shapes, rng, u=None):
             calls.append(shapes.shape)
             if len(calls) == 3:
                 raise RuntimeError("third draw block")
-            return real(shapes, rng)
+            return real(shapes, rng, u)
 
-        monkeypatch.setattr(warpdist, "gamma_variates", failing)
+        monkeypatch.setattr(warpdist, "_boosted_gammas", failing)
         q1, q2 = bump_srvfs()
         cfg = BayesConfig(prior_draws=5000, resample_size=100)
         before = set(threading.enumerate())
@@ -373,7 +373,7 @@ class TestSirThreads:
 
     def test_pool_thread_error_comes_out(self, monkeypatch):
         self.force_workers(monkeypatch, 2)
-        real_sse, real_gamma = align_bayes._warp_sse_batch, warpdist.gamma_variates
+        real_sse, real_gamma = align_bayes._warp_sse_batch, warpdist._boosted_gammas
         caller, draws, raised = [], [], threading.Event()
 
         def failing(*args):
@@ -382,13 +382,13 @@ class TestSirThreads:
                 raise RuntimeError("pool thread")
             real_sse(*args)
 
-        def slow(shapes, rng):
+        def slow(shapes, rng, u=None):
             # the second draw block waits until a pool thread has failed on the first
             draws.append(raised.wait(timeout=60) if len(draws) == 1 else None)
-            return real_gamma(shapes, rng)
+            return real_gamma(shapes, rng, u)
 
         monkeypatch.setattr(align_bayes, "_warp_sse_batch", failing)
-        monkeypatch.setattr(warpdist, "gamma_variates", slow)
+        monkeypatch.setattr(warpdist, "_boosted_gammas", slow)
         q1, q2 = bump_srvfs()
         cfg = BayesConfig(prior_draws=3000, resample_size=100)
 

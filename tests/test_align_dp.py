@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from unittest import mock
 
@@ -25,8 +26,8 @@ from warpalign import (
     warp_action,
 )
 from warpalign import align_dp
-from warpalign.align_dp import _DEFAULT_STEPS, _band, _seed_bytes
-from warpalign.fixtures import _radial_curve, bean_curve, two_bump_pair
+from warpalign.align_dp import _DEFAULT_STEPS, _band, _refinement, _seed_bytes, _step_costs
+from warpalign.fixtures import _radial_curve, bean_curve, closed_shape_pair, spiral_pair, two_bump_pair
 
 
 def random_srvf(rng, m=6, dim=1) -> Srvf:
@@ -354,6 +355,107 @@ def neighborhoods():
                  unique=True).map(tuple),
         st.sampled_from([_DEFAULT_STEPS, ((1, 1), (1, 2)), ((1, 1), (2, 1)),
                          ((1, 1), (1, 3), (2, 3)), ((1, 1), (3, 2), (3, 1))]))
+
+
+class TestStepCostOracle:
+    """``_step_costs`` against the trapezoid sum it stands for, node by node
+    in plain numpy: sum_k w_k |q1(i+k) - sqrt(b/a) q2f(j*refine + k*stride)|^2."""
+
+    @staticmethod
+    def reference(q1v, q2f, refine, step, dt, ncols):
+        """The per-node sum, and its scale sum_k w_k (|l_k|^2 + |r_k|^2): a
+        cost is a small difference of terms of that size, so it rounds
+        relative to the scale."""
+        a, b = step
+        stride = refine * b // a
+        imax = len(q1v) - a
+        cost = np.zeros(q2f.shape[:-2] + (imax, ncols))
+        scale = np.zeros_like(cost)
+        for k in range(a + 1):
+            w = dt / 2.0 if k in (0, a) else dt
+            lhs = q1v[k:k + imax, None, :]
+            rhs = math.sqrt(b / a) * q2f[..., None, np.arange(ncols) * refine + k * stride, :]
+            cost += w * np.sum((lhs - rhs) ** 2, axis=-1)
+            scale += w * (np.sum(lhs ** 2, axis=-1) + np.sum(rhs ** 2, axis=-1))
+        return cost, scale
+
+    @pytest.mark.parametrize("step", _DEFAULT_STEPS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seeds", [(), (4,)], ids=["unbatched", "batched"])
+    def test_matches_per_node_sum(self, step, dim, seeds):
+        rng = np.random.default_rng(17)
+        m, refine = 23, _refinement(_DEFAULT_STEPS)
+        q1v = rng.normal(size=(m, dim))
+        q2f = rng.normal(size=seeds + (refine * (m - 1) + 1, dim))
+        args = (refine, step, 1.0 / (m - 1), m - step[1])
+        cost = _step_costs(q1v, q2f.copy(), *args)
+        ref, scale = self.reference(q1v, q2f, *args)
+        assert cost.shape == ref.shape == seeds + (m - step[0], m - step[1])
+        assert np.all(np.abs(cost - ref) <= 1e-13 * scale)
+
+
+def lattice_steps(warp: PLWarp, m: int) -> str:
+    """A lattice warp as its steps (a, b), written "ab" one after another."""
+    ix, iy = (np.rint(v * (m - 1)).astype(int) for v in (warp.x, warp.y))
+    assert np.array_equal(warp.x, uniform_grid(m)[ix])
+    assert np.array_equal(warp.y, uniform_grid(m)[iy])
+    return "".join(f"{a}{b}" for a, b in zip(np.diff(ix), np.diff(iy)))
+
+
+def fixture_shapes(pair):
+    return tuple(unit_normalize(to_srvf(normalize_length(c))) for c in pair)
+
+
+class TestPinnedFixtureOutputs:
+    """Seeds and warps of the DP on the bundled fixtures, on the lattice
+    (grid size = curve points) and off it, as computed before the step
+    costs became one matmul; the energies to 1e-13."""
+
+    OPEN = {
+        ("two_bump", 100): (0.009343598041213612,
+                            "1313131312231111111111111111111111111111111111111111111111111111"
+                            "1111111111111111111111113211113211111111111111111111111111111111"
+                            "111111111111111111111111111111113221313131"),
+        ("two_bump", 80): (0.025852900472566158,
+                           "1313131223111111111111111111111111111111111111111111111111111111"
+                           "1111321111111111111111111111111111321111111111111111111111111132"
+                           "213131"),
+        ("spiral", 100): (0.12205236559109249,
+                          "1323232323232323232323231123111111111111111111111111111111321111"
+                          "32111132113211323211321132321132323232323211111112"),
+        ("spiral", 80): (0.12167991809038037,
+                         "1212231223232323232311231111111111111111111111111111321111321132"
+                         "113211323211323232323232111112"),
+    }
+    CLOSED = {
+        101: (0.99, 0.1144316983371597,
+              "1111111111111123121213132311113232321111111111111111111132323232"
+              "3232111111111111111111111111111132212121213232111111231212121212"
+              "12231111"),
+        80: (0.99, 0.11339761065103372,
+             "1111111111112312121312111132321111111111111111323232323211111111"
+             "111111111111322121213232111123121213122311"),
+    }
+
+    @pytest.mark.parametrize("name,grid_size", sorted(OPEN))
+    def test_dp_align(self, name, grid_size):
+        if name == "two_bump":
+            q1, q2 = (to_srvf(c) for c in two_bump_pair(100))
+        else:
+            q1, q2 = fixture_shapes(spiral_pair(100))
+        energy, steps = self.OPEN[(name, grid_size)]
+        warp, got = dp_align(q1, q2, DpConfig(grid_size=grid_size))
+        assert lattice_steps(warp, grid_size) == steps
+        assert got == pytest.approx(energy, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("grid_size", sorted(CLOSED))
+    def test_dp_align_closed(self, grid_size):
+        q1, q2 = fixture_shapes(closed_shape_pair(101))
+        seed, energy, steps = self.CLOSED[grid_size]
+        got_seed, warp, got = dp_align_closed(q1, q2, DpConfig(grid_size=grid_size))
+        assert got_seed == seed
+        assert lattice_steps(warp, grid_size) == steps
+        assert got == pytest.approx(energy, rel=1e-13, abs=0.0)
 
 
 class TestBand:

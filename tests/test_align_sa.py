@@ -122,7 +122,8 @@ class TestProposals:
         g = q1.grid
         warped = _warp_values(g, q2.values, w.x, w.y)
         weights, target = _energy_target(q1.values, g)
-        fast = _energy(_trace(target @ q1.values), *_energy_terms(target, weights, warped))
+        fast = _energy(_trace((target @ q1.values).tolist()),
+                       *_energy_terms(target, weights, warped))
         assert fast == warp_energy(q1, q2, w)
         assert fast == reference_energy(q1.values, warped, g)
         direct = _sq_l2(q1.values - warped, g[1:] - g[:-1])
@@ -313,6 +314,17 @@ class TestOnePassPerProposal:
         assert np.count_nonzero(np.diff(res.energy_trace[:-1])) > 10  # accepts happened
         proposals = res.energy_trace.size - 2
         assert calls == {"_warp_values": proposals + 1, "_energy_terms": proposals + 1}
+
+    @pytest.mark.parametrize("mode", ["open_shape", "closed_shape"])
+    def test_result_rotation_is_read_only(self, mode):
+        # the chain carries the rotation as rows and builds one Rotation
+        q1, q2 = TestReferenceAnnealer.pair(mode)
+        res = align(q1, q2, SaConfig(mode=mode, max_iters=50), np.random.default_rng(0))
+        assert res.rotation.matrix.dtype == np.float64
+        assert res.rotation.matrix.shape == (q1.dim, q1.dim)
+        assert not res.rotation.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            res.rotation.matrix[0, 0] = 2.0
 
 
 class TestModeRule:

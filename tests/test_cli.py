@@ -361,6 +361,20 @@ class TestExitCodes:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["geodesic", "align-dp", "align-sa", "align-bayes"])
+    def test_nan_row_leaves_no_outdir(self, bump_files, tmp_path, capsys, command):
+        # the curve pair is read and checked before the output directory is made
+        a, b = bump_files
+        lines = Path(a).read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main([command, str(bad), str(b), "--points", "60", "--outdir", str(out)])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["distance", "align-sa", "align-bayes", "align-dp"])
     def test_dimension_mismatch_is_3(self, bump_files, tmp_path, capsys, command):
         t = np.linspace(0.0, 1.0, 60)
@@ -544,6 +558,7 @@ class TestMalformedLandmarkFuzz:
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [
             f"data error: {lm}: landmark positions must lie strictly inside (0,1)"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestDistance:

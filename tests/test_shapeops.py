@@ -121,7 +121,7 @@ def procrustes_inputs(draw, dim):
     """(v1, v2, trapezoid weights) at value scales from 1e-8 to 1e8.  Half
     the draws make v1 the mirror image of v2, so the cross-covariance has
     det < 0 and the SVD solution flips a column."""
-    m = draw(st.integers(dim, 8))
+    m = draw(st.integers(max(dim, 2), 8))
 
     def values():
         scale = 10.0 ** draw(st.integers(-8, 8))
@@ -144,7 +144,7 @@ class TestProcrustesKernel:
     def test_planar_closed_form_matches_svd(self, inputs):
         v1, v2, w = inputs
         a = (v1 * w[:, None]).T @ v2
-        rot, ref = _procrustes(a), reference_procrustes(v1, v2, w)
+        rot, ref = np.array(_procrustes(a.tolist())), reference_procrustes(v1, v2, w)
         assert rot[0, 0] == rot[1, 1] and rot[0, 1] == -rot[1, 0]
         assert abs(rot[0, 0] ** 2 + rot[1, 0] ** 2 - 1.0) <= 4e-16
         # tr(O A^T) is no lower than at the reference's O
@@ -158,7 +158,7 @@ class TestProcrustesKernel:
     @given(procrustes_inputs(3))
     def test_spatial_matches_svd_bit_for_bit(self, inputs):
         v1, v2, w = inputs
-        assert np.array_equal(_procrustes((v1 * w[:, None]).T @ v2),
+        assert np.array_equal(_procrustes(((v1 * w[:, None]).T @ v2).tolist()),
                               reference_procrustes(v1, v2, w))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -168,10 +168,88 @@ class TestProcrustesKernel:
         # optimal_rotation and the annealer wrap this output in a Rotation
         # without its constructor's orthogonality and determinant checks
         v1, v2, w = data.draw(procrustes_inputs(dim))
-        rot = _procrustes((v1 * w[:, None]).T @ v2)
+        rot = np.array(_procrustes(((v1 * w[:, None]).T @ v2).tolist()))
         assert rot.shape == (dim, dim)
         assert np.allclose(rot.T @ rot, np.eye(dim), rtol=0.0, atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+
+
+def array_procrustes(a: np.ndarray) -> np.ndarray:
+    """``_procrustes`` as an ndarray kernel: the same arithmetic on a
+    (d, d) array, returning an array, as the kernel was before it read
+    and returned Python rows."""
+    d = a.shape[0]
+    if d == 1:
+        return np.eye(1)
+    if d == 2:
+        (a00, a01), (a10, a11) = a.tolist()
+        c, s = a00 + a11, a10 - a01
+        norm = math.hypot(c, s)
+        if norm == 0.0:
+            return np.eye(2)
+        c, s = c / norm, s / norm
+        return np.array([[c, -s], [s, c]])
+    u, _, vt = np.linalg.svd(a)
+    r = u @ vt
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    det = (r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
+           + r02 * (r10 * r21 - r11 * r20))
+    if det < 0.0:
+        u[:, -1] *= -1.0
+        r = u @ vt
+    return r
+
+
+def same_bits(rows, array: np.ndarray) -> bool:
+    got = np.array(rows)
+    return (got.shape == array.shape and np.array_equal(got, array)
+            and np.array_equal(np.signbit(got), np.signbit(array)))
+
+
+class TestProcrustesRows:
+    """``_procrustes`` reads the cross-covariance as Python rows and returns
+    rows, with the bits of the ndarray kernel."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_array_kernel(self, dim, data):
+        v1, v2, w = data.draw(procrustes_inputs(dim))
+        a = (v1 * w[:, None]).T @ v2
+        rows = _procrustes(a.tolist())
+        assert type(rows) is list and all(type(r) is list for r in rows)
+        assert same_bits(rows, array_procrustes(a))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_cross_covariance_gives_identity(self, dim):
+        zero = np.zeros((dim, dim))
+        assert same_bits(_procrustes(zero.tolist()), np.eye(dim))
+        assert same_bits(_procrustes(zero.tolist()), array_procrustes(zero))
+
+    def test_spatial_reflection_flip(self):
+        # a mirror image: U V^T of the SVD has determinant -1, so the
+        # kernel must flip U's last column to stay in SO(3)
+        a = np.diag([3.0, 2.0, -1.0]) @ planar_rotation_3d(0.4)
+        u, _, vt = np.linalg.svd(a)
+        assert np.linalg.det(u @ vt) < 0.0
+        rot = _procrustes(a.tolist())
+        assert same_bits(rot, array_procrustes(a))
+        assert np.linalg.det(np.array(rot)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_optimal_rotation_matrix_is_read_only(self):
+        q1 = random_shape(np.random.default_rng(0), dim=3)
+        q2 = random_shape(np.random.default_rng(1), dim=3)
+        rot = optimal_rotation(q1, q2)
+        assert not rot.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rot.matrix[0, 0] = 2.0
+
+
+def planar_rotation_3d(angle: float) -> np.ndarray:
+    """Rotation by ``angle`` about the z axis."""
+    out = np.eye(3)
+    out[:2, :2] = planar_rotation(angle)
+    return out
 
 
 class TestApplySeed:

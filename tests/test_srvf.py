@@ -381,15 +381,15 @@ class TestEnergyKernel:
                     for _ in range(2))
         w = data.draw(pl_warps())
         weights, target = _energy_target(q1v, grid)
-        a = _trace(target @ q1v)
+        a = _trace((target @ q1v).tolist())
         warped = _warp_values(grid, q2v, w.x, w.y)
         b, cross = _energy_terms(target, weights, warped)
         dt = grid[1:] - grid[:-1]
-        rot = data.draw(rotations(d))
+        rot = data.draw(rotations(d)).tolist()
         # R = I (rot None), a given rotation, and M's own Procrustes rotation
         for r, optimal in ((None, False), (rot, False), (_procrustes(cross), True)):
             e = _energy(a, b, cross, r, optimal)
-            direct = _sq_l2(q1v - (warped if r is None else warped @ r.T), dt)
+            direct = _sq_l2(q1v - (warped if r is None else warped @ np.array(r).T), dt)
             assert e >= 0.0
             assert abs(e - direct) <= 1e-12 * (a + b)
 
