@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .srvf import Srvf, _check_same_grid, _warp_sse_batch
-from .warpdist import WarpPrior, _draw_blocks
+from .warpdist import _DRAW_ROWS, WarpPrior, _draw_blocks
 from .warpmap import PLWarp, check_count, check_grid, check_positive, identity
 
 __all__ = [
@@ -113,17 +113,18 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     and resample ``resample_size`` warps with replacement.  The prior is
     drawn in blocks of ``_DRAW_ROWS`` rows, and W threads weigh the
     draws: W is the smallest of the CPUs this process may use, the number
-    of full-budget weighing blocks and ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.
-    With W > 1, W - 1 pool threads weigh each finished draw block from a
-    queue while the calling thread draws the next; once the draw is done
-    the calling thread joins them until the queue is empty.  With W = 1
-    the draw comes first, then the weighing.  A thread weighs a block in
-    sub-blocks that share ``_BLOCK_BYTES`` of working arrays with the
-    other threads, ``_ROW_ARRAYS`` 8-byte grids per draw, so a sub-block
-    is 327 draws at m = 100 and W = 2; it allocates its workspace once
-    per call.  Each row's weight is computed alone, so the result does
-    not depend on W.  A draw resampled more than once appears as one
-    shared ``PLWarp``.
+    of draw blocks and ``_BLOCK_BYTES // _MIN_BLOCK_BYTES``.  With W > 1,
+    each finished draw block goes to a pool of W - 1 threads as its own
+    future while the calling thread draws the next; once the draw is done,
+    the calling thread goes through the blocks last first, weighs each one
+    whose future it can still cancel and waits for the others, which
+    re-raises a pool thread's error.  With W = 1 each block is weighed as
+    soon as it is drawn.  A thread weighs a block in sub-blocks that share
+    ``_BLOCK_BYTES`` of working arrays with the other threads,
+    ``_ROW_ARRAYS`` 8-byte grids per draw, so a sub-block is 327 draws at
+    m = 100 and W = 2; it allocates its workspace once per block.  Each
+    row's weight is computed alone, so the result does not depend on W.
+    A draw resampled more than once appears as one shared ``PLWarp``.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -133,46 +134,32 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
 
     knots, values, blocks = _draw_blocks(cfg.prior, n_draws, rng)
     q1v, q2v = q1.values, q2.values
-    row_bytes = _ROW_ARRAYS * 8 * grid.size
-    n_blocks = -(-n_draws // max(1, _BLOCK_BYTES // row_bytes))
-    workers = max(1, min(_cpu_count(), n_blocks, _BLOCK_BYTES // _MIN_BLOCK_BYTES))
-    block = max(1, min(n_draws, _BLOCK_BYTES // workers // row_bytes))
+    workers = min(_cpu_count(), -(-n_draws // _DRAW_ROWS), _BLOCK_BYTES // _MIN_BLOCK_BYTES)
+    block = max(1, min(n_draws, _BLOCK_BYTES // workers // (_ROW_ARRAYS * 8 * grid.size)))
     sse = np.empty(n_draws)
 
-    def weigh(ranges):
+    def weigh(rows):
         work = np.empty((2, block, grid.size))
         # numpy's error state is per thread
         with np.errstate(over="ignore"):
-            for rows in ranges:
-                for lo in range(rows.start, rows.stop, block):
-                    hi = min(lo + block, rows.stop)
-                    _warp_sse_batch(grid, q2v, q1v, knots[lo:hi], values[lo:hi],
-                                    sse[lo:hi], work)
+            for lo in range(rows.start, rows.stop, block):
+                hi = min(lo + block, rows.stop)
+                _warp_sse_batch(grid, q2v, q1v, knots[lo:hi], values[lo:hi], sse[lo:hi], work)
 
     if workers == 1:
-        for _ in blocks:
-            pass
-        weigh([slice(0, n_draws)])
+        for rows in blocks:
+            weigh(rows)
     else:
         # imported on first use: concurrent.futures loads logging, which every
         # import of the package would otherwise pay for
         from concurrent.futures import ThreadPoolExecutor
-        from queue import SimpleQueue
-        finished = SimpleQueue()
         with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(weigh, iter(finished.get, None))
-                       for _ in range(workers - 1)]
-            try:
-                for rows in blocks:
-                    finished.put(rows)
-            finally:
-                # one stop marker per thread, also if the draw fails: a pool
-                # thread left waiting would hang the pool's shutdown
-                for _ in range(workers):
-                    finished.put(None)
-            weigh(iter(finished.get, None))
-            for future in futures:
-                future.result()
+            futures = [(rows, pool.submit(weigh, rows)) for rows in blocks]
+            for rows, future in reversed(futures):
+                if future.cancel():
+                    weigh(rows)
+                else:
+                    future.result()
     loglik = _loglik(sse, q1v.size, cfg.a0, cfg.b0)
 
     finite = np.isfinite(loglik)

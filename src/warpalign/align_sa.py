@@ -100,7 +100,7 @@ def metropolis_accept(e_current: float, e_proposed: float, temperature: float,
 
 
 def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig, rng: np.random.Generator,
-                  knots=None, u=None, ident=None) -> tuple[np.ndarray, np.ndarray]:
+                  knots, u, ident) -> tuple[np.ndarray, np.ndarray]:
     """Knots of a draw centred at the warp ``(x, y)``, blended toward the
     identity; ``knots`` and ``u`` are the draw's pre-drawn partition and
     boosting uniforms (see ``_draw``), and ``ident`` is the identity's
@@ -108,7 +108,7 @@ def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig, rng: np.random.Ge
     px, py = _draw(x, y, cfg.n, cfg.theta, rng, knots, u)
     # blending against the identity needs no knot union: id(x) = x
     py *= cfg.blend
-    py += (1.0 - cfg.blend) * px if ident is None else ident
+    py += ident
     py[0], py[-1] = 0.0, 1.0
     return px, py
 

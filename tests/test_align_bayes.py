@@ -36,6 +36,15 @@ from warpalign import align_bayes, warpdist
 from warpalign.fixtures import closed_shape_pair, pqrst_pair, spiral_pair, two_bump_pair
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread alive that was not alive before it."""
+    before = set(threading.enumerate())
+    yield
+    left = set(threading.enumerate()) - before
+    assert not left, f"threads left alive: {sorted(t.name for t in left)}"
+
+
 def bump_srvfs(m=100):
     c1, c2 = two_bump_pair(m)
     return to_srvf(c1), to_srvf(c2)
@@ -315,9 +324,8 @@ class TestSirThreads:
         q1, q2 = to_srvf(c1), to_srvf(c2)
         cfg = BayesConfig(b0=5.0, prior_draws=draws, resample_size=500)
         post = sir_posterior(q1, q2, cfg, np.random.default_rng(5))
-        # fewer full-budget weighing blocks than CPUs cap the threads
-        full_block = align_bayes._BLOCK_BYTES // (align_bayes._ROW_ARRAYS * 8 * q1.grid.size)
-        threads = min(workers, -(-draws // full_block))
+        # fewer draw blocks than CPUs cap the threads
+        threads = min(workers, -(-draws // warpdist._DRAW_ROWS))
         assert started == ([] if threads == 1 else [threads - 1])
         ref = reference_sir_posterior(q1, q2, cfg, np.random.default_rng(5))
         assert np.array_equal(post.weights, ref.weights)
@@ -329,10 +337,8 @@ class TestSirThreads:
         q1, q2 = bump_srvfs()
         cores = os.cpu_count() or 1
         workers = 2 * cores + 1
-        # one draw a worker more than a full-budget block (655 draws at
-        # m = 100) leaves at least one full-budget block per worker
-        full_block = align_bayes._BLOCK_BYTES // (align_bayes._ROW_ARRAYS * 8 * q1.grid.size)
-        cfg = BayesConfig(prior_draws=(full_block + 1) * workers, resample_size=100)
+        # one draw block per worker
+        cfg = BayesConfig(prior_draws=warpdist._DRAW_ROWS * workers, resample_size=100)
         self.force_workers(monkeypatch, 1)
         alone = sir_posterior(q1, q2, cfg, np.random.default_rng(6))
         started = self.force_workers(monkeypatch, workers)
@@ -351,8 +357,8 @@ class TestSirThreads:
         assert result["post"].ess == alone.ess
 
     def test_draw_error_leaves_no_thread(self, monkeypatch):
-        """A draw that fails mid-way still sends every pool thread its stop
-        marker: the error comes out and no pool thread is left waiting."""
+        """A draw that fails mid-way: the error comes out and the pool's
+        shutdown ends its thread."""
         started = self.force_workers(monkeypatch, 2)
         real, calls = warpdist._boosted_gammas, []
 
@@ -399,6 +405,74 @@ class TestSirThreads:
         error = self.run_bounded(call)
         assert isinstance(error, RuntimeError) and str(error) == "pool thread"
         assert draws[1] is True
+
+    @staticmethod
+    def hold_first_pool_block(monkeypatch, draws, on_caller):
+        """Patch the draw and the weighing kernel of a two-thread call: the
+        pool thread waits on its first block until the calling thread (the
+        one that draws) has weighed the other ``draws - _DRAW_ROWS`` rows,
+        and the second draw block waits until that first block has started.
+        ``on_caller(release)`` runs before each of the calling thread's
+        kernel calls.  Returns the rows weighed by each of the two threads."""
+        real_sse, real_gamma = align_bayes._warp_sse_batch, warpdist._boosted_gammas
+        started, release = threading.Event(), threading.Event()
+        drawer, weighed = set(), {"caller": 0, "pool": 0}
+
+        def held(*args):
+            who = "caller" if threading.get_ident() in drawer else "pool"
+            if who == "caller":
+                on_caller(release)
+            elif weighed["pool"] == 0:
+                started.set()
+                release.wait(timeout=60)
+            real_sse(*args)
+            weighed[who] += len(args[5])
+            if weighed["caller"] == draws - warpdist._DRAW_ROWS:
+                release.set()
+
+        def after_first(shapes, rng, u=None):
+            if drawer:
+                started.wait(timeout=60)
+            drawer.add(threading.get_ident())
+            return real_gamma(shapes, rng, u)
+
+        monkeypatch.setattr(align_bayes, "_warp_sse_batch", held)
+        monkeypatch.setattr(warpdist, "_boosted_gammas", after_first)
+        return weighed
+
+    def test_caller_weighs_unstarted_blocks(self, monkeypatch):
+        """With the pool thread held on its first block, the calling thread
+        takes over every other block, and no output depends on who weighs."""
+        started = self.force_workers(monkeypatch, 2)
+        q1, q2 = bump_srvfs()
+        cfg = BayesConfig(prior_draws=5000, resample_size=500)
+        weighed = self.hold_first_pool_block(monkeypatch, cfg.prior_draws, lambda release: None)
+        result = {}
+        assert self.run_bounded(lambda: result.setdefault(
+            "post", sir_posterior(q1, q2, cfg, np.random.default_rng(8)))) is None
+        assert started == [1]
+        assert weighed == {"caller": cfg.prior_draws - warpdist._DRAW_ROWS,
+                           "pool": warpdist._DRAW_ROWS}
+        ref = reference_sir_posterior(q1, q2, cfg, np.random.default_rng(8))
+        assert np.array_equal(result["post"].weights, ref.weights)
+        assert result["post"].ess == ref.ess
+
+    def test_caller_weigh_error_comes_out(self, monkeypatch):
+        """A block that the calling thread weighs after the draw fails: that
+        error comes out, and the pool's shutdown ends its thread (checked by
+        ``no_thread_left``)."""
+        started = self.force_workers(monkeypatch, 2)
+        q1, q2 = bump_srvfs()
+        cfg = BayesConfig(prior_draws=5000, resample_size=100)
+
+        def failing(release):
+            release.set()
+            raise RuntimeError("calling thread")
+
+        weighed = self.hold_first_pool_block(monkeypatch, cfg.prior_draws, failing)
+        error = self.run_bounded(lambda: sir_posterior(q1, q2, cfg, np.random.default_rng(7)))
+        assert isinstance(error, RuntimeError) and str(error) == "calling thread"
+        assert started == [1] and weighed["caller"] == 0
 
     def test_overflow_warns_in_no_worker(self, monkeypatch):
         started = self.force_workers(monkeypatch, 2)

@@ -11,7 +11,6 @@ from warpalign import (
     SaConfig,
     SeedDistribution,
     Srvf,
-    WarpPrior,
     apply_seed,
     identity,
     metropolis_accept,
@@ -21,7 +20,6 @@ from warpalign import (
     sa_align,
     sa_align_closed,
     sa_align_open_shape,
-    sample,
     shape_dist,
     sup_dist,
     to_srvf,
@@ -31,10 +29,11 @@ from warpalign import (
     warp_energy,
 )
 from warpalign import align_sa
-from warpalign.align_sa import align, _propose_seed, _propose_warp, _temperature
+from warpalign.align_sa import align, _chain_draws, _propose_seed, _propose_warp, _temperature
 from warpalign.fixtures import bean_curve, pqrst_pair, spiral_pair, two_bump_pair
 from warpalign.srvf import _energy, _energy_target, _energy_terms, _sq_l2, _trace
 from warpalign.srvf import _trapezoid_weights, _warp_values
+from warpalign.warpdist import _draw
 
 
 def shapeify(curve):
@@ -94,13 +93,14 @@ class TestSchedule:
 
 class TestProposals:
     def test_blend_matches_convex_combination(self):
-        rng = np.random.default_rng(0)
         cfg = SaConfig(blend=0.9)
         current = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0])
-        prop = PLWarp(*_propose_warp(current.x, current.y, cfg, rng))
+        knots, _, ident, u, _, _ = next(_chain_draws(cfg, False, np.random.default_rng(0)))
+        prop = PLWarp(*_propose_warp(current.x, current.y, cfg, np.random.default_rng(1),
+                                     knots, u, ident))
         # reproduce the draw to compare against the reference blend
-        rng2 = np.random.default_rng(0)
-        drawn = sample(WarpPrior(current, cfg.n, cfg.theta), rng2)
+        drawn = PLWarp(*_draw(current.x, current.y, cfg.n, cfg.theta, np.random.default_rng(1),
+                              knots, u))
         ref = convex_blend(drawn, identity(), 0.9)
         assert sup_dist(prop, ref) < 1e-12
 
@@ -108,8 +108,8 @@ class TestProposals:
         rng = np.random.default_rng(1)
         cfg = SaConfig()
         x, y = identity().x, identity().y
-        for _ in range(100):
-            x, y = _propose_warp(x, y, cfg, rng)
+        for _, (knots, _, ident, u, _, _) in zip(range(100), _chain_draws(cfg, False, rng)):
+            x, y = _propose_warp(x, y, cfg, rng, knots, u, ident)
             assert x[0] == 0.0 and x[-1] == 1.0
             assert np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)
             assert y[0] == 0.0 and y[-1] == 1.0

@@ -7,11 +7,13 @@ from warpalign.io import load_curve, load_landmarks
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+# as tier-1 runs itself: a warning inside a script fails its test
+PYTHON = [sys.executable, "-X", "dev", "-W", "error"]
 
 
 def test_make_fixtures_outputs_parse(tmp_path):
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "make_fixtures.py"), str(tmp_path)],
+        [*PYTHON, str(SCRIPTS / "make_fixtures.py"), str(tmp_path)],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     for name in ("two_bump_1", "two_bump_2", "pqrst_1", "spiral_1",
@@ -25,7 +27,7 @@ def test_make_fixtures_outputs_parse(tmp_path):
 
 def test_alignment_demo_script_runs(tmp_path):
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_alignment_demo.py"), "--outdir", str(tmp_path)],
+        [*PYTHON, str(SCRIPTS / "run_alignment_demo.py"), "--outdir", str(tmp_path)],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert [line.split(":")[0] for line in out.stdout.splitlines()[:5]] == [
@@ -39,7 +41,7 @@ def test_alignment_demo_script_runs(tmp_path):
 
 def test_sa_iter_timing_script_runs():
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "sa_iter_timing.py"), "--iters", "5", "--runs", "1"],
+        [*PYTHON, str(SCRIPTS / "sa_iter_timing.py"), "--iters", "5", "--runs", "1"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
@@ -56,7 +58,7 @@ def test_sa_iter_timing_script_runs():
 
 def test_cli_timing_script_runs():
     out = subprocess.run(
-        [sys.executable, str(SCRIPTS / "cli_timing.py"), "--commands", "import,distance",
+        [*PYTHON, str(SCRIPTS / "cli_timing.py"), "--commands", "import,distance",
          "--runs", "1"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -73,6 +75,6 @@ def test_cli_timing_script_runs():
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     [example] = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
-    out = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True)
+    out = subprocess.run([*PYTHON, "-c", example], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "True"

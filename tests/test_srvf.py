@@ -29,7 +29,8 @@ from warpalign import (
 from warpalign.align_sa import SaConfig, align
 from warpalign.shapeops import _procrustes
 from warpalign.srvf import (_energy, _energy_target, _energy_terms, _sq_l2, _trace,
-                            _trapezoid, _trapezoid_weights, _warp_sse_batch, _warp_values)
+                            _trapezoid, _trapezoid_weights, _warp_sse_batch, _warp_values,
+                            inner_product)
 
 
 def line_curve(m=100, dim=1):
@@ -443,6 +444,22 @@ class TestDistances:
             l2_dist(q1, q2)
         with pytest.raises(ValueError, match="different dimensions"):
             warp_energy(q1, q2, identity())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inner_product_is_trapezoid(self, dim):
+        rng = np.random.default_rng(dim)
+        g = np.concatenate([[0.0], np.sort(rng.random(48)), [1.0]])
+        q1, q2 = (Srvf(g, rng.normal(size=(50, dim))) for _ in range(2))
+        expected = np.trapezoid((q1.values * q2.values).sum(axis=1), g)
+        assert inner_product(q1, q2) == expected
+        assert inner_product(q2, q1) == inner_product(q1, q2)
+
+    def test_inner_product_mismatch(self):
+        g = uniform_grid(30)
+        with pytest.raises(ValueError, match="different grids"):
+            inner_product(Srvf(g, np.ones((30, 1))), Srvf(uniform_grid(40), np.ones((40, 1))))
+        with pytest.raises(ValueError, match="different dimensions"):
+            inner_product(Srvf(g, np.ones((30, 1))), Srvf(g, np.ones((30, 2))))
 
     def test_shape_dist_zero(self):
         # arccos amplifies float rounding near 1, hence the tiny tolerance
