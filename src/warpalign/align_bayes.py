@@ -153,13 +153,17 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
         # imported on first use: concurrent.futures loads logging, which every
         # import of the package would otherwise pay for
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
+        pool = ThreadPoolExecutor(workers - 1)
+        try:
             futures = [(rows, pool.submit(weigh, rows)) for rows in blocks]
             for rows, future in reversed(futures):
                 if future.cancel():
                     weigh(rows)
                 else:
                     future.result()
+        finally:
+            # on an error, the blocks not yet started are dropped, not weighed
+            pool.shutdown(cancel_futures=True)
     loglik = _loglik(sse, q1v.size, cfg.a0, cfg.b0)
 
     finite = np.isfinite(loglik)

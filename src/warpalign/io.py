@@ -23,7 +23,6 @@ import platform
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .landmarks import LandmarkSet
@@ -205,7 +204,6 @@ def write_manifest(outdir, command: str, config: dict, outputs) -> Path:
             "warpalign": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                     for p in outputs},

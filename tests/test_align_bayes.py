@@ -283,15 +283,22 @@ class TestSirThreads:
     block is drawn; no output depends on W."""
 
     @staticmethod
-    def force_workers(monkeypatch, workers):
+    def force_workers(monkeypatch, workers, on_shutdown=lambda: None):
         """Make ``sir_posterior`` see ``workers`` CPUs; returns the list of
-        thread-pool sizes it then starts."""
+        thread-pool sizes it then starts.  The pool's ``shutdown`` drops its
+        queued blocks if asked to, then calls ``on_shutdown()``, then waits
+        if asked to."""
         started = []
 
         class Recording(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                on_shutdown()
+                super().shutdown(wait=wait)
 
         monkeypatch.setattr(align_bayes, "_cpu_count", lambda: workers)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
@@ -459,20 +466,24 @@ class TestSirThreads:
 
     def test_caller_weigh_error_comes_out(self, monkeypatch):
         """A block that the calling thread weighs after the draw fails: that
-        error comes out, and the pool's shutdown ends its thread (checked by
-        ``no_thread_left``)."""
-        started = self.force_workers(monkeypatch, 2)
+        error comes out, the pool's shutdown drops the blocks that no thread
+        has started, and it ends its thread (checked by ``no_thread_left``).
+        The pool thread's first block is held until the shutdown has been
+        asked for, so exactly that block is weighed, whatever the timing."""
+        held = []
+        started = self.force_workers(monkeypatch, 2, on_shutdown=lambda: held[0].set())
         q1, q2 = bump_srvfs()
         cfg = BayesConfig(prior_draws=5000, resample_size=100)
 
         def failing(release):
-            release.set()
+            held.append(release)
             raise RuntimeError("calling thread")
 
         weighed = self.hold_first_pool_block(monkeypatch, cfg.prior_draws, failing)
         error = self.run_bounded(lambda: sir_posterior(q1, q2, cfg, np.random.default_rng(7)))
         assert isinstance(error, RuntimeError) and str(error) == "calling thread"
-        assert started == [1] and weighed["caller"] == 0
+        assert started == [1]
+        assert weighed == {"caller": 0, "pool": warpdist._DRAW_ROWS}
 
     def test_overflow_warns_in_no_worker(self, monkeypatch):
         started = self.force_workers(monkeypatch, 2)

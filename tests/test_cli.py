@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,7 +50,8 @@ from warpalign.io import (
 )
 
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "schemas"
 
 
 def load_schema(name: str) -> dict:
@@ -411,20 +413,59 @@ class TestExitCodes:
 
 
 class TestStartup:
-    def test_import_leaves_heavy_scipy_submodules_unloaded(self):
-        """Importing the package and its CLI loads no scipy.stats,
-        scipy.special or scipy.integrate: they take most of a cold start,
-        and only ``log_density`` and ``beta_cdf_warp`` need them.  Nor
-        does it load ``concurrent.futures``, which only a multi-threaded
-        SIR weighting pass needs."""
+    def test_import_loads_no_scipy(self):
+        """Importing the package and its CLI loads no scipy module: the
+        runtime needs numpy and click alone.  Nor does it load
+        ``concurrent.futures``, which only a multi-threaded SIR weighting
+        pass needs."""
         code = "import sys, warpalign, warpalign.cli; print(*sorted(sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        heavy = ("scipy.stats", "scipy.special", "scipy.integrate", "concurrent.futures")
+        heavy = ("scipy", "concurrent.futures")
         loaded = [m for m in out.stdout.split()
                   if m in heavy or m.startswith(tuple(h + "." for h in heavy))]
         assert "warpalign.cli" in out.stdout.split()
         assert loaded == []
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        """With every scipy import made to fail, README's example and a short
+        call of each command run, and each manifest validates."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        [example] = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        a, b = (write_curve(c, tmp_path / f"{k}.csv") for k, c in zip("ab", two_bump_pair(60)))
+        pa, pb = (write_curve(c, tmp_path / f"p{k}.csv") for k, c in zip("ab", pqrst_pair(100)))
+        lm = tmp_path / "lm.csv"
+        pairs = pqrst_landmarks().pairs.tolist()
+        lm.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in pairs))
+        runs = {
+            "beta": ["sample-warps", "--count", "2", "--mean", "beta:2,3"],
+            "circular": ["sample-warps", "--count", "2", "--circular"],
+            "degeneracy": ["degeneracy", "--ns", "5", "--samples", "3"],
+            "distance": ["distance", a, b, "--points", "60"],
+            "geodesic": ["geodesic", a, b, "--steps", "2", "--points", "60"],
+            "dp": ["align-dp", a, b, "--points", "60", "--grid-size", "30"],
+            "sa": ["align-sa", a, b, "--points", "60", "--iters", "50"],
+            "sa-lm": ["align-sa", pa, pb, "--iters", "50", "--landmarks", lm],
+            "bayes": ["align-bayes", a, b, "--points", "60", "--draws", "200",
+                      "--resample", "50"],
+            "bayes-lm": ["align-bayes", pa, pb, "--draws", "200", "--resample", "50",
+                         "--landmarks", lm],
+        }
+        argvs = [[*map(str, argv), "--outdir", str(tmp_path / name)]
+                 for name, argv in runs.items()]
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            f"exec({example!r})\n"
+            "from warpalign.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if (code := main(argv)) != 0:\n"
+            "        sys.exit(f'{argv[0]} exited {code}')\n")
+        out = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script,
+                              json.dumps(argvs)], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        for name in runs:
+            validate_json(tmp_path / name / "manifest.json", "manifest.schema.json")
 
 
 # each command with settings that keep a run short, were a bad file to load

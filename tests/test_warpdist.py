@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import dblquad
+from scipy.special import gammaln
 
 from warpalign import (
     PLWarp,
@@ -399,6 +402,21 @@ class TestLogDensity:
         total, err = dblquad(dens, 0.0, 1.0, lambda x1: x1, lambda x1: 1.0)
         assert abs(total - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_gammaln_formula(self, seed):
+        """The ``math.lgamma`` normaliser is scipy's ``gammaln`` one."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        prior = WarpPrior(beta_cdf_warp(*rng.uniform(0.5, 5.0, 2)), n,
+                          float(rng.uniform(0.5, 50.0)))
+        part = np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0]))
+        values = np.sort(rng.random(n - 1))
+        a = prior.concentration * np.diff(prior.mean_warp(part))
+        p = np.diff(np.concatenate(([0.0], values, [1.0])))
+        expected = (gammaln(prior.concentration) - gammaln(a).sum()
+                    + np.sum((a - 1.0) * np.log(p)))
+        assert log_density(prior, part, values) == pytest.approx(expected, rel=1e-12)
+
 
 class TestPriorMoments:
     def test_formula(self):
@@ -518,3 +536,26 @@ class TestBetaCdfWarp:
     def test_rejects_bad_arguments(self, a, b, knots, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             beta_cdf_warp(a, b, knots=knots)
+
+    # shapes from near-zero to large on both sides of the fast-converging split
+    SHAPES = [1e-3, 0.02, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 50.0, 200.0, 1e3, 1e4]
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_matches_scipy_beta_cdf(self, a):
+        """The numpy incomplete beta builds scipy's warp to 1e-11 in every
+        knot value, and raises no warning."""
+        t = np.linspace(0.0, 1.0, 1001)
+        for b in self.SHAPES:
+            y = stats.beta.cdf(t, a, b)
+            y[0], y[-1] = 0.0, 1.0
+            expected = PLWarp.from_increments(t, np.diff(y))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = beta_cdf_warp(a, b)
+            assert np.array_equal(got.x, t)
+            assert np.max(np.abs(got.y - expected.y)) <= 1e-11, (a, b)
+
+    @pytest.mark.parametrize("knots", [2, 3, 1001])
+    def test_uniform_is_identity(self, knots):
+        w = beta_cdf_warp(1.0, 1.0, knots=knots)
+        assert np.max(np.abs(w.y - np.linspace(0.0, 1.0, knots))) <= 1e-15
