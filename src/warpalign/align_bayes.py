@@ -28,13 +28,10 @@ __all__ = [
 ]
 
 
-# memory budget for the weighting threads' working arrays: per draw in a
-# block, a thread holds at most three grids of 8-byte values, its workspace
-# (the warped points and a gather buffer) and either the segment index or
-# one dimension's residuals; no thread's block is below the floor
+# memory budget for the weighting threads' working arrays, shared evenly
+# between them; no thread's share is below the floor
 _BLOCK_BYTES = 3 << 19
 _MIN_BLOCK_BYTES = _BLOCK_BYTES // 4
-_ROW_ARRAYS = 3
 
 
 class LikelihoodCollapseError(RuntimeError):
@@ -91,9 +88,8 @@ def marginal_loglik(q1: Srvf, q2: Srvf, warp: PLWarp, a0: float = 0.01,
     """
     check_positive("Gamma hyperparameters a0 and b0", a0, b0)
     _check_same_grid(q1, q2)
-    grid, sse = q1.grid, np.empty(1)
-    _warp_sse_batch(grid, q2.values, q1.values, warp.x[None], warp.y[None], sse,
-                    np.empty((2, 1, grid.size)))
+    sse = np.empty(1)
+    _warp_sse_batch(q1.grid, q2.values, q1.values, warp.x[None], warp.y[None], sse)
     return float(_loglik(sse, q1.values.size, a0, b0)[0])
 
 
@@ -119,32 +115,26 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     the calling thread goes through the blocks last first, weighs each one
     whose future it can still cancel and waits for the others, which
     re-raises a pool thread's error.  With W = 1 each block is weighed as
-    soon as it is drawn.  A thread weighs a block in sub-blocks that share
-    ``_BLOCK_BYTES`` of working arrays with the other threads,
-    ``_ROW_ARRAYS`` 8-byte grids per draw, so a sub-block is 327 draws at
-    m = 100 and W = 2; it allocates its workspace once per block.  Each
-    row's weight is computed alone, so the result does not depend on W.
+    soon as it is drawn.  Each thread weighs a block within its share of
+    ``_BLOCK_BYTES`` of working arrays, which the kernel
+    ``srvf._warp_sse_batch`` turns into row chunks.  Each row's weight is
+    computed alone, so the result does not depend on W.
     A draw resampled more than once appears as one shared ``PLWarp``.
     """
     if rng is None:
         rng = np.random.default_rng()
     _check_same_grid(q1, q2)
-    grid = q1.grid
     n_draws = cfg.prior_draws
 
     knots, values, blocks = _draw_blocks(cfg.prior, n_draws, rng)
-    q1v, q2v = q1.values, q2.values
     workers = min(_cpu_count(), -(-n_draws // _DRAW_ROWS), _BLOCK_BYTES // _MIN_BLOCK_BYTES)
-    block = max(1, min(n_draws, _BLOCK_BYTES // workers // (_ROW_ARRAYS * 8 * grid.size)))
     sse = np.empty(n_draws)
 
     def weigh(rows):
-        work = np.empty((2, block, grid.size))
         # numpy's error state is per thread
         with np.errstate(over="ignore"):
-            for lo in range(rows.start, rows.stop, block):
-                hi = min(lo + block, rows.stop)
-                _warp_sse_batch(grid, q2v, q1v, knots[lo:hi], values[lo:hi], sse[lo:hi], work)
+            _warp_sse_batch(q1.grid, q2.values, q1.values, knots[rows], values[rows],
+                            sse[rows], _BLOCK_BYTES // workers)
 
     if workers == 1:
         for rows in blocks:
@@ -164,7 +154,7 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
         finally:
             # on an error, the blocks not yet started are dropped, not weighed
             pool.shutdown(cancel_futures=True)
-    loglik = _loglik(sse, q1v.size, cfg.a0, cfg.b0)
+    loglik = _loglik(sse, q1.values.size, cfg.a0, cfg.b0)
 
     finite = np.isfinite(loglik)
     if not finite.any():
@@ -181,6 +171,15 @@ def sir_posterior(q1: Srvf, q2: Srvf, cfg: BayesConfig = BayesConfig(),
     return PosteriorSample(warps=[built[i] for i in which], weights=weights, ess=ess)
 
 
+def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, which)`` for a sequence of hashable keys: the position of
+    each distinct key's first occurrence, in order, and for each key the
+    index of its distinct key in ``first``."""
+    slot: dict = {}
+    which = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
+    return np.unique(which, return_index=True)[1], which
+
+
 def posterior_summary(post: PosteriorSample, grid) -> tuple[PLWarp, np.ndarray, np.ndarray]:
     """Cross-sectional mean warp and pointwise 95% credible band.
 
@@ -190,11 +189,8 @@ def posterior_summary(post: PosteriorSample, grid) -> tuple[PLWarp, np.ndarray, 
     if not post.warps:
         raise ValueError("posterior sample is empty")
     g = check_grid(grid)
-    evaluated: dict[int, np.ndarray] = {}
-    for w in post.warps:
-        if id(w) not in evaluated:
-            evaluated[id(w)] = w(g)
-    vals = np.stack([evaluated[id(w)] for w in post.warps])
+    first, which = _distinct(map(id, post.warps))
+    vals = np.stack([post.warps[i](g) for i in first]).take(which, axis=0)
     mean = np.maximum.accumulate(vals.mean(axis=0))
     mean[0], mean[-1] = 0.0, 1.0
     mean_warp = PLWarp.from_increments(g, np.diff(mean))

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .align_bayes import BayesConfig, PosteriorSample, posterior_summary, sir_posterior
+from .align_bayes import (BayesConfig, PosteriorSample, _distinct, posterior_summary,
+                          sir_posterior)
 from .align_sa import AlignmentResult, SaConfig, sa_align
 from .srvf import Curve, _interp_columns, to_srvf
 from .warpdist import WarpPrior
@@ -122,10 +123,7 @@ def _glue(cuts1: np.ndarray, cuts2: np.ndarray, draws: list[list[PLWarp]]) -> li
     [cuts2[k], cuts2[k+1]].  The knots of all distinct glued warps are
     computed at once as stacked rows, and a glued warp whose segment warps
     are all shared objects is built once and shared."""
-    slot: dict[tuple[int, ...], int] = {}
-    which = [slot.setdefault(key, len(slot))
-             for key in zip(*([id(w) for w in d] for d in draws))]
-    first = np.unique(which, return_index=True)[1]
+    first, which = _distinct(zip(*([id(w) for w in d] for d in draws)))
     start = np.zeros((first.size, 1))
     xs, ys = [start], [start]
     for k, d in enumerate(draws):

@@ -336,36 +336,45 @@ def _warp_values(grid: np.ndarray, values: np.ndarray, x: np.ndarray,
     return _interp_columns(grid, values, _interp(grid, x, y), root_slope[seg])
 
 
+# grids of 8-byte values per row of a ``_warp_sse_batch`` chunk: the warped
+# points, a gather buffer, and the segment index or one dimension's residuals
+_ROW_ARRAYS = 3
+
+
 def _warp_sse_batch(grid: np.ndarray, values: np.ndarray, target: np.ndarray,
                     x: np.ndarray, y: np.ndarray, sse: np.ndarray,
-                    work: np.ndarray) -> None:
+                    budget: int = 0) -> None:
     """Write into ``sse`` each row's sum of squared residuals ``target -
     _warp_values(grid, values, x[r], y[r])`` for R warps with (R, K) knot
-    rows ``(x, y)``.  ``work`` is a (2, >= R, len(grid)) float workspace
-    that the call overwrites.
+    rows ``(x, y)``, in chunks of as many rows as ``budget`` bytes hold at
+    ``_ROW_ARRAYS`` grids a row, and at least one, through one workspace.
 
     Per dimension j, in order, the row sums of the squared residuals of
     column j are added up, and each row sum is that of a C-contiguous
-    (R, m) array, so every row rounds as a single warp's would.  The root
-    slope is gathered from the square root of each row's segment-slope
-    table.  Beyond the workspace, a call holds one (R, m) array at a
-    time: the segment index, then each dimension's residuals, formed in
-    the interpolation's output."""
+    (rows, m) array, so every row rounds as a single warp's would, in any
+    chunk.  The root slope is gathered from the square root of each row's
+    segment-slope table.  Beyond the workspace, a chunk holds one
+    (rows, m) array at a time: the segment index, then each dimension's
+    residuals, formed in the interpolation's output."""
     rows = x.shape[0]
-    at, root_slope = work[0, :rows], work[1, :rows]
-    table, idx = _lookup(x, y, grid, at, root_slope)
-    np.take(np.sqrt(table, out=table), idx, out=root_slope, mode="clip")
-    del table, idx  # each dimension's residuals take the index's place
-    for j in range(values.shape[1]):
-        resid = _interp(at, grid, values[:, j])
-        resid *= root_slope
-        np.subtract(target[:, j], resid, out=resid)
-        np.square(resid, out=resid)
-        if j == 0:
-            np.add.reduce(resid, axis=1, out=sse)
-        else:
-            sse += np.add.reduce(resid, axis=1)
-        del resid  # before the next dimension's interp allocates
+    chunk = max(1, min(rows, budget // (_ROW_ARRAYS * 8 * grid.size)))
+    work = np.empty((2, chunk, grid.size))
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        at, root_slope = work[0, :hi - lo], work[1, :hi - lo]
+        table, idx = _lookup(x[lo:hi], y[lo:hi], grid, at, root_slope)
+        np.take(np.sqrt(table, out=table), idx, out=root_slope, mode="clip")
+        del table, idx  # each dimension's residuals take the index's place
+        for j in range(values.shape[1]):
+            resid = _interp(at, grid, values[:, j])
+            resid *= root_slope
+            np.subtract(target[:, j], resid, out=resid)
+            np.square(resid, out=resid)
+            if j == 0:
+                np.add.reduce(resid, axis=1, out=sse[lo:hi])
+            else:
+                sse[lo:hi] += np.add.reduce(resid, axis=1)
+            del resid  # before the next dimension's interp allocates
 
 
 def warp_action(q: Srvf, w: PLWarp) -> Srvf:

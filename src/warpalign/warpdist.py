@@ -142,29 +142,30 @@ def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
     return PLWarp.from_increments(t, p)
 
 
+# Rows per ``gamma_variates`` call of a batch draw (see ``_draw_blocks``)
+# and per uniform fill of ``_random_partitions``, and iterations per block
+# of an annealing chain's pre-drawn randomness (see ``align_sa._chain_draws``):
+# it bounds their working memory and fixes the streams of the last two.
+_DRAW_ROWS = 1024
+
+
 def _random_partitions(size: int | None, n: int, rng: np.random.Generator) -> np.ndarray:
     """Rows of sorted interior uniforms padded with the endpoints, or one
     such row as a 1-d array for ``size=None``; a row that is not strictly
-    increasing (a repeated uniform, or a zero) is redrawn."""
-    knots = np.empty((n + 1,) if size is None else (size, n + 1))
-    knots[..., 0], knots[..., -1] = 0.0, 1.0
-    u = knots[..., 1:-1]
-    if size is None:
-        rng.random(out=u)  # a contiguous row: the same draws, no copy
-    else:
-        u[...] = rng.random(u.shape)
-    u.sort(axis=-1)
-    while np.count_nonzero(knots[..., 1:] <= knots[..., :-1]):
-        bad = ~(knots[..., 1:] > knots[..., :-1]).all(axis=-1)
-        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=-1)
-    return knots
-
-
-# Rows per ``gamma_variates`` call of a batch draw (see ``_draw_blocks``),
-# and iterations per block of an annealing chain's pre-drawn randomness
-# (see ``align_sa._chain_draws``): it bounds the working memory of both,
-# and it fixes their random streams.
-_DRAW_ROWS = 1024
+    increasing (a repeated uniform, or a zero) is redrawn.  The uniforms
+    go into the knot rows ``_DRAW_ROWS`` rows at a time, in the C order of
+    one (size, n - 1) draw, which is never held."""
+    knots = np.empty((1 if size is None else size, n + 1))
+    knots[:, 0], knots[:, -1] = 0.0, 1.0
+    u = knots[:, 1:-1]
+    for lo in range(0, len(knots), _DRAW_ROWS):
+        rows = u[lo:lo + _DRAW_ROWS]
+        rows[...] = rng.random(rows.shape)
+    u.sort(axis=1)
+    while np.count_nonzero(knots[:, 1:] <= knots[:, :-1]):
+        bad = ~(knots[:, 1:] > knots[:, :-1]).all(axis=1)
+        u[bad] = np.sort(rng.random((int(bad.sum()), n - 1)), axis=1)
+    return knots if size is not None else knots[0]
 
 
 def _draw(mean_x: np.ndarray, mean_y: np.ndarray, n: int, theta: float,
@@ -333,9 +334,39 @@ def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
         g[at] *= step
         live = np.abs(step - 1.0) > 2.0 * np.finfo(float).eps
         p, q, z, d, c, at = p[live], q[live], z[live], 1.0 / d[live], c[live], at[live]
-    lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    i = np.exp(a * np.log(x) + b * np.log1p(-x) - lbeta) / g
+    i = np.exp(_log_prefactor(a, b, x)) / g
     return np.where(flip, 1.0 - i / b, i / a)
+
+
+def _lgammacor(x: float) -> float:
+    """The Stirling remainder lgamma(x) - (x - 1/2) log x + x - log sqrt(2 pi)
+    for x >= 10 (the role of R's ``lgammacor``), by its asymptotic series
+    in 1/x to the 1/x^13 term: the first term left out is below 3e-17."""
+    z = 1.0 / (x * x)
+    return (1 / 12 - z * (1 / 360 - z * (1 / 1260 - z * (1 / 1680 - z * (
+        1 / 1188 - z * (691 / 360360 - z / 156)))))) / x
+
+
+def _log_prefactor(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """log(x^a (1 - x)^b / B(a, b)) for x in (0, 1).  Once a shape is 10
+    or more, log B comes from Stirling's series as in R's ``lbeta``, so
+    its terms of size a log a cancel by hand; with both shapes at least 10
+    so does the exponent, as in TOMS 708's ``brcomp``: its value at the
+    mode x0 = a/(a+b), plus a log1p(-lam/a) + b log1p(lam/b) for
+    lam = a (1-x) - b x, whose linear terms cancel."""
+    p, q = min(a, b), max(a, b)
+    if p >= 10.0:
+        at_mode = (0.5 * (math.log(p) + math.log1p(-p / (p + q)) - math.log(_TWO_PI))
+                   - _lgammacor(p) - _lgammacor(q) + _lgammacor(p + q))
+        lam = a * (1.0 - x) - b * x
+        u, v = -lam / a, lam / b
+        return at_mode - a * (u - np.log1p(u)) - b * (v - np.log1p(v))
+    if q >= 10.0:
+        lbeta = (math.lgamma(p) + _lgammacor(q) - _lgammacor(p + q) + p - p * math.log(p + q)
+                 + (q - 0.5) * math.log1p(-p / (p + q)))
+    else:
+        lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return a * np.log(x) + b * np.log1p(-x) - lbeta
 
 
 def beta_cdf_warp(a: float, b: float, knots: int = 1001) -> PLWarp:

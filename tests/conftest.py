@@ -4,15 +4,16 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from warpalign import Curve, PLWarp, PosteriorSample, sample_batch, uniform_grid
+from warpalign import (Curve, PLWarp, PosteriorSample, log_density, marginal_loglik, sample_batch,
+                       uniform_grid)
 from warpalign.align_dp import _closed_costs, _fine_values, _lattice, _refinement, _step_costs
 from warpalign.fixtures import bean_curve
 from warpalign.io import _fmt
-from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots
+from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots, batch_eval
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
            "reference_partitions", "reference_draw", "reference_sir_posterior",
-           "enumerate_path_costs", "reference_dp_align_closed",
+           "quadrature_posterior", "enumerate_path_costs", "reference_dp_align_closed",
            "reference_procrustes", "convex_blend", "write_srvf", "bean_curve_3d"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
@@ -149,6 +150,41 @@ def reference_sir_posterior(q1, q2, cfg, rng):
     picks = rng.choice(cfg.prior_draws, size=cfg.resample_size, replace=True, p=weights)
     return PosteriorSample([PLWarp(knots[i], values[i]) for i in picks], weights,
                            1.0 / float(np.sum(weights ** 2)))
+
+
+def quadrature_posterior(q1, q2, cfg, t, nodes):
+    """Posterior mean and standard deviation of the warp at the points
+    ``t`` at partition size 2, by a Gauss-Legendre product rule.
+
+    A warp of ``cfg.prior`` is then one interior knot (s, v): s ~ U(0, 1),
+    and v | s has the Dirichlet density of ``log_density``; the likelihood
+    is ``marginal_loglik``.  Where s crosses a grid node, that node moves
+    to the other segment and takes its slope, so the likelihood jumps: the
+    s-integral is split at the grid nodes, with ``nodes`` points in each
+    interval.  The v-integral takes ``10 * nodes`` equal panels of 4
+    points.  Reading q2 between its grid values leaves kinks in both
+    variables, so the rule converges at about second order in ``1/nodes``,
+    and a caller compares two values of ``nodes``."""
+    assert cfg.prior.partition_size == 2
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = q1.grid[:-1, None], q1.grid[1:, None]
+    s, ws = ((lo + hi + (hi - lo) * gx) / 2).ravel(), ((hi - lo) * gw / 2).ravel()
+    vx, vw = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(0.0, 1.0, 10 * nodes + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    v, wv = ((lo + hi + (hi - lo) * vx) / 2).ravel(), ((hi - lo) * vw / 2).ravel()
+    log_post = np.array([[marginal_loglik(q1, q2, PLWarp([0.0, si, 1.0], [0.0, vj, 1.0]),
+                                          cfg.a0, cfg.b0)
+                          + log_density(cfg.prior, [0.0, si, 1.0], [vj]) for vj in v]
+                         for si in s])
+    weights = np.exp(log_post - log_post.max()) * np.outer(ws, wv)
+    weights /= weights.sum()
+    n = s.size * v.size
+    knots = np.column_stack([np.zeros(n), np.repeat(s, v.size), np.ones(n)])
+    values = np.column_stack([np.zeros(n), np.tile(v, s.size), np.ones(n)])
+    at_t = batch_eval(knots, values, t)
+    mean = weights.ravel() @ at_t
+    return mean, np.sqrt(weights.ravel() @ (at_t - mean) ** 2)
 
 
 def enumerate_path_costs(q1, q2, cfg) -> float:

@@ -31,7 +31,7 @@ from warpalign import (
     uniform_grid,
     warp_action,
 )
-from conftest import pl_warps, reference_sir_posterior
+from conftest import pl_warps, quadrature_posterior, reference_sir_posterior
 from warpalign import align_bayes, warpdist
 from warpalign.fixtures import closed_shape_pair, pqrst_pair, spiral_pair, two_bump_pair
 
@@ -255,6 +255,34 @@ class TestSirPosterior:
             medians.append(float(np.median(sups)))
         assert medians[1] <= medians[0] + 0.01
         assert medians[2] <= medians[1] + 0.01
+
+
+class TestQuadratureOracle:
+    """At partition size 2 the posterior is a 2-d integral, which a
+    product rule computes without sampling; SIR must match it."""
+
+    def test_sir_mean_matches_quadrature(self):
+        # model-generated: q1 is q2 warped by a one-knot warp plus noise at
+        # sigma = 1, where SIR's ESS is a few dozen at 2e4 draws
+        _, c2 = two_bump_pair(50)
+        q2 = to_srvf(c2)
+        truth = PLWarp([0.0, 0.4, 1.0], [0.0, 0.55, 1.0])
+        noise = np.random.default_rng(0).standard_normal((q2.grid.size, 1))
+        q1 = Srvf(q2.grid, warp_action(q2, truth).values + noise)
+        cfg = BayesConfig(prior=WarpPrior(identity(), 2, 10.0))
+        t = np.array([0.25, 0.5, 0.75])
+        coarse, _ = quadrature_posterior(q1, q2, cfg, t, nodes=2)
+        mean, sd = quadrature_posterior(q1, q2, cfg, t, nodes=4)
+        post = sir_posterior(q1, q2, cfg, np.random.default_rng(1))
+        sir_mean = np.mean([w(t) for w in post.warps], axis=0)
+        # four Monte Carlo errors of a resampled mean: the weighted mean's
+        # variance sd^2 / ESS plus the resampling's sd^2 / resample_size
+        tol = 4.0 * sd * np.sqrt(1.0 / post.ess + 1.0 / cfg.resample_size)
+        # halving every node spacing moves the mean by 2.5e-4 here, so at
+        # second order the finer rule is off by at most a third of that
+        # (by 8e-6 against 16 points per interval and 400 panels)
+        assert np.max(np.abs(mean - coarse)) <= 5e-4 <= np.min(tol) / 4
+        assert np.all(np.abs(sir_mean - mean) <= tol), (sir_mean, mean, tol)
 
 
 class TestSirMemory:

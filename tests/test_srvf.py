@@ -28,9 +28,9 @@ from warpalign import (
 )
 from warpalign.align_sa import SaConfig, align
 from warpalign.shapeops import _procrustes
-from warpalign.srvf import (_energy, _energy_target, _energy_terms, _sq_l2, _trace,
-                            _trapezoid, _trapezoid_weights, _warp_sse_batch, _warp_values,
-                            inner_product)
+from warpalign.srvf import (_ROW_ARRAYS, _energy, _energy_target, _energy_terms, _sq_l2,
+                            _trace, _trapezoid, _trapezoid_weights, _warp_sse_batch,
+                            _warp_values, inner_product)
 
 
 def line_curve(m=100, dim=1):
@@ -287,7 +287,7 @@ class TestWarpSseBatch:
                         for _ in range(2))
         x, y = data.draw(knot_rows(grid))
         sse = np.empty(x.shape[0])
-        _warp_sse_batch(grid, vals, target, x, y, sse, np.empty((2, x.shape[0], grid.size)))
+        _warp_sse_batch(grid, vals, target, x, y, sse)
         for r in range(x.shape[0]):
             warped = _warp_values(grid, vals, x[r], y[r])
             expected = 0.0
@@ -298,25 +298,24 @@ class TestWarpSseBatch:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_reused_workspace_matches_fresh_buffers(self, data):
-        """One workspace carried through the row blocks of several knot
-        sets, each ending in a short block whenever the block size does
-        not divide its row count, gives every row a fresh call's SSE."""
+        """The kernel carries one chunk's workspace through the chunks its
+        budget gives, ending in a short chunk whenever the chunk size does
+        not divide the row count: budgets of 1-row, 2-row and (R-1)-row
+        chunks give every row the one-chunk SSE, bit for bit."""
         grid = data.draw(grids())
         d = data.draw(st.integers(1, 3))
         vals, target = (data.draw(arrays(np.float64, (grid.size, d),
                                          elements=st.floats(-10.0, 10.0)))
                         for _ in range(2))
-        block = data.draw(st.integers(1, 4))
-        work = np.full((2, block, grid.size), np.nan)
-        for _ in range(data.draw(st.integers(1, 3))):
-            x, y = data.draw(knot_rows(grid, max_rows=9))
-            reused, fresh = np.empty(x.shape[0]), np.empty(x.shape[0])
-            for lo in range(0, x.shape[0], block):
-                rows = slice(lo, lo + block)
-                _warp_sse_batch(grid, vals, target, x[rows], y[rows], reused[rows], work)
-            _warp_sse_batch(grid, vals, target, x, y, fresh,
-                            np.empty((2, x.shape[0], grid.size)))
-            assert np.array_equal(reused, fresh)
+        x, y = data.draw(knot_rows(grid, max_rows=9))
+        rows, row_bytes = x.shape[0], _ROW_ARRAYS * 8 * grid.size
+        whole = np.empty(rows)
+        _warp_sse_batch(grid, vals, target, x, y, whole, rows * row_bytes)
+        for chunk in (1, 2, rows - 1):
+            # a budget a byte short of one more row
+            chunked = np.full(rows, np.nan)
+            _warp_sse_batch(grid, vals, target, x, y, chunked, (chunk + 1) * row_bytes - 1)
+            assert np.array_equal(chunked, whole)
 
     def test_memory_does_not_grow_with_dimension(self):
         """A call holds one dimension's residuals at a time, so its traced
@@ -325,13 +324,14 @@ class TestWarpSseBatch:
         grid = uniform_grid(m)
         x = np.tile(np.linspace(0.0, 1.0, 21), (rows, 1))
         y = x ** 1.5
-        sse, work = np.empty(rows), np.empty((2, rows, m))
+        sse = np.empty(rows)
         peaks = []
         for d in (1, 3):
             vals, target = np.random.default_rng(d).standard_normal((2, m, d))
             tracemalloc.start()
             try:
-                _warp_sse_batch(grid, vals, target, x, y, sse, work)
+                # one chunk of all rows
+                _warp_sse_batch(grid, vals, target, x, y, sse, rows * _ROW_ARRAYS * 8 * m)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
