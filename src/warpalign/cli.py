@@ -145,10 +145,10 @@ def _parse_mean(text: str) -> PLWarp:
     if text.startswith("beta:"):
         try:
             a, b = (float(v) for v in text[len("beta:"):].split(","))
-            return beta_cdf_warp(a, b)
         except ValueError:
-            raise click.BadParameter(f"expected beta:A,B with positive finite A and B, "
-                                     f"got {text!r}", param_hint="'--mean'") from None
+            raise click.BadParameter(f"expected beta:A,B with numbers A and B, got {text!r}",
+                                     param_hint="'--mean'") from None
+        return _config(beta_cdf_warp, a, b, flag="--mean")
     raise click.BadParameter(f"unknown mean warp {text!r}; use 'uniform' or 'beta:A,B'",
                              param_hint="'--mean'")
 

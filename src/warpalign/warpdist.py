@@ -374,5 +374,14 @@ def beta_cdf_warp(a: float, b: float, knots: int = 1001) -> PLWarp:
     check_positive("Beta parameters a and b", a, b)
     check_count("knots", knots, 2)
     t = np.linspace(0.0, 1.0, knots)
-    y = np.concatenate(([0.0], _betainc(a, b, t[1:-1]), [1.0]))
+    # the continued fraction's terms multiply two shapes, so a shape of
+    # about 1.3e154 or more overflows them
+    with np.errstate(over="raise"):
+        try:
+            inner = _betainc(a, b, t[1:-1])
+        except FloatingPointError:
+            raise ValueError("Beta parameters a and b overflow the incomplete beta "
+                             "function's continued fraction (a shape of about 1.3e154 "
+                             "or more)") from None
+    y = np.concatenate(([0.0], inner, [1.0]))
     return PLWarp.from_increments(t, np.diff(y))

@@ -259,7 +259,8 @@ class TestSirPosterior:
 
 class TestQuadratureOracle:
     """At partition size 2 the posterior is a 2-d integral, which a
-    product rule computes without sampling; SIR must match it."""
+    product rule computes without sampling; SIR must match its mean and
+    its spread."""
 
     def test_sir_mean_matches_quadrature(self):
         # model-generated: q1 is q2 warped by a one-knot warp plus noise at
@@ -271,8 +272,20 @@ class TestQuadratureOracle:
         q1 = Srvf(q2.grid, warp_action(q2, truth).values + noise)
         cfg = BayesConfig(prior=WarpPrior(identity(), 2, 10.0))
         t = np.array([0.25, 0.5, 0.75])
-        coarse, _ = quadrature_posterior(q1, q2, cfg, t, nodes=2)
+        coarse, coarse_sd = quadrature_posterior(q1, q2, cfg, t, nodes=2)
         mean, sd = quadrature_posterior(q1, q2, cfg, t, nodes=4)
+        # The spread, from ten times the draws (ESS about 430, against 37 for
+        # the mean below): doubling the log likelihood shrinks the sd by about
+        # a quarter and halving it widens the sd by about half, which the mean
+        # does not see.  The sd of n near-Gaussian draws errs by sd / sqrt(2 n);
+        # allow four such errors.  Halving the node spacing moves the sd by
+        # 2.6e-5.
+        wide = sir_posterior(q1, q2, BayesConfig(prior=cfg.prior, prior_draws=200_000),
+                             np.random.default_rng(1))
+        sir_sd = np.std([w(t) for w in wide.warps], axis=0, ddof=1)
+        sd_tol = 4.0 * sd * np.sqrt((1.0 / wide.ess + 1.0 / cfg.resample_size) / 2.0)
+        assert np.max(np.abs(sd - coarse_sd)) <= 5e-5 <= np.min(sd_tol) / 4
+        assert np.all(np.abs(sir_sd - sd) <= sd_tol), (sir_sd, sd, sd_tol)
         post = sir_posterior(q1, q2, cfg, np.random.default_rng(1))
         sir_mean = np.mean([w(t) for w in post.warps], axis=0)
         # four Monte Carlo errors of a resampled mean: the weighted mean's

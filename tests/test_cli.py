@@ -308,6 +308,9 @@ class TestExitCodes:
         ["degeneracy", "--alpha", "inf"], ["sample-warps", "--seed", "-1"],
         ["degeneracy", "--seed", "-1"], ["sample-warps", "--mean", "beta:-1,2"],
         ["sample-warps", "--mean", "beta:0,1"], ["sample-warps", "--mean", "beta:nan,1"],
+        # positive and finite, but their product overflows the incomplete beta
+        ["sample-warps", "--mean", "beta:1e155,20"], ["sample-warps", "--mean", "beta:20,1e155"],
+        ["sample-warps", "--mean", "beta:1e-300,1e300"],
     ])
     def test_bad_sampling_flag_is_2(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -417,15 +420,23 @@ class TestStartup:
         """Importing the package and its CLI loads no scipy module: the
         runtime needs numpy and click alone.  Nor does it load
         ``concurrent.futures``, which only a multi-threaded SIR weighting
-        pass needs."""
-        code = "import sys, warpalign, warpalign.cli; print(*sorted(sys.modules))"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
+        pass needs.  The package alone loads neither click nor the CLI and
+        file modules."""
+        def modules(imports):
+            code = f"import sys, {imports}; print(*sorted(sys.modules))"
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            return out.stdout.split()
+
+        with_cli = modules("warpalign, warpalign.cli")
         heavy = ("scipy", "concurrent.futures")
-        loaded = [m for m in out.stdout.split()
+        loaded = [m for m in with_cli
                   if m in heavy or m.startswith(tuple(h + "." for h in heavy))]
-        assert "warpalign.cli" in out.stdout.split()
+        assert "warpalign.cli" in with_cli
         assert loaded == []
+        alone = modules("warpalign")
+        assert "warpalign" in alone
+        assert {"click", "warpalign.io", "warpalign.cli"} & set(alone) == set()
 
     def test_every_command_runs_without_scipy(self, tmp_path):
         """With every scipy import made to fail, README's example and a short

@@ -1,3 +1,4 @@
+import ast
 import re
 import subprocess
 import sys
@@ -78,3 +79,29 @@ def test_readme_library_example_runs():
     out = subprocess.run([*PYTHON, "-c", example], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "True"
+
+
+def test_readme_guarantees_name_defined_tests():
+    """Each line of README's "Guarantees" ends with the tests, classes or
+    fixtures that hold it, in backticks (``Class::method`` for a method),
+    and each of them is defined under ``tests/``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Guarantees\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("- ")]
+    members = {}  # every function or class under tests/, with its own members
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                members.setdefault(node.name, set()).update(
+                    child.name for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)))
+    assert lines
+    undefined = []
+    for line in lines:
+        _, dash, holders = line.rpartition(" — ")
+        assert dash and re.fullmatch(r"`[\w:]+`(, `[\w:]+`)*\.", holders), line
+        for name in re.findall(r"`([\w:]+)`", holders):
+            owner, _, member = name.partition("::")
+            if owner not in members or member and member not in members[owner]:
+                undefined.append(name)
+    assert undefined == []

@@ -549,6 +549,9 @@ class TestBetaCdfWarp:
         (2.0, 3.0, 101.0, "knots must be at least 2 and an integer, not 101.0"),
         (0.0, 3.0, 1001, "Beta parameters a and b must be positive and finite"),
         (2.0, np.inf, 1001, "Beta parameters a and b must be positive and finite"),
+        (1e155, 20.0, 1001, r"Beta parameters a and b overflow the incomplete beta "
+                            r"function's continued fraction \(a shape of about 1\.3e154 "
+                            r"or more\)"),
     ])
     def test_rejects_bad_arguments(self, a, b, knots, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
