@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .srvf import Srvf, _check_same_grid, _interp_columns, _require_uniform
-from .shapeops import _roll_seed
+from .shapeops import _roll_seed, _two_periods
 from .warpmap import PLWarp, check_count, uniform_grid
 
 __all__ = ["DpConfig", "dp_align", "dp_align_closed", "dp_warp_energy"]
@@ -52,17 +52,22 @@ def _refinement(steps) -> int:
     return math.lcm(*(a for a, _ in steps))
 
 
-def _lattice(q1: Srvf, q2: Srvf, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lattice(q1: Srvf, q2: Srvf, m: int,
+             circle: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The DP's one lattice rule: q1 and q2 share one uniform grid, and the
     lattice is that grid when it has m nodes, else the uniform grid of m
-    nodes that both SRVFs are interpolated onto.  Returns the lattice grid
-    and q1's and q2's values on it."""
+    nodes that both SRVFs are interpolated onto.  With ``circle`` both
+    are first read on the circle at seed 0 (``shapeops._two_periods``).
+    Returns the lattice grid and q1's and q2's values on it."""
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
+    values = [q.values for q in (q1, q2)]
+    if circle:
+        values = [_roll_seed(_two_periods(v), 0) for v in values]
     if q1.grid.size == m:
-        return q1.grid, q1.values, q2.values
+        return q1.grid, *values
     grid = uniform_grid(m)
-    return grid, *(_interp_columns(q.grid, q.values, grid) for q in (q1, q2))
+    return grid, *(_interp_columns(q1.grid, v, grid) for v in values)
 
 
 def _fine_values(grid: np.ndarray, values: np.ndarray, refine: int) -> np.ndarray:
@@ -261,24 +266,25 @@ def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf, cfg: DpConfig,
     """Yield (first seed position, per-step cost views) in seed blocks.
 
     ``grid`` and ``q1v`` are the lattice and q1's values on it, as
-    ``_lattice`` gives them for the checked pair.  On the DP lattice a
-    seed shift by k nodes is a column offset, so each step's costs are
-    computed once against two periods of q2 and every seed reads a
-    zero-copy window of them.  Off the lattice each seed rolls q2's raw
-    values on the input grid, and the rolled values are regridded onto
-    the lattice.  Blocks are sized so that the per-seed arrays of the
-    seed pass stay within ``_BLOCK_BYTES``.
+    ``_lattice`` reads them on the circle for the checked pair.  q2 is
+    read on the circle through ``shapeops._two_periods``.  On the DP
+    lattice a seed shift by k nodes is a column offset, so each step's
+    costs are computed once against two periods of q2's fine values and
+    every seed reads a zero-copy window of them.  Off the lattice each
+    seed's window of q2 on the input grid is regridded onto the lattice.
+    Blocks are sized so that the per-seed arrays of the seed pass stay
+    within ``_BLOCK_BYTES``.
     """
     m = cfg.grid_size
     steps = cfg.neighborhood
     refine = _refinement(steps)
     dt = 1.0 / (m - 1)
     n = q2.grid.size - 1
+    twice = _two_periods(q2.values)
     if n + 1 == m:
-        fine = _fine_values(grid, _roll_seed(q2.values, 0), refine)
-        unrolled = np.concatenate((fine[:-1], fine))
+        fine = _two_periods(_fine_values(grid, _roll_seed(twice, 0), refine))
         windows = [sliding_window_view(
-            _step_costs(q1v, unrolled, refine, (a, b), dt, n + m - b - 1),
+            _step_costs(q1v, fine, refine, (a, b), dt, n + m - b - 1),
             m - b, axis=1)[:, :n:cfg.seed_stride] for a, b in steps]
         block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, False))
         for first in range(0, len(seeds), block):
@@ -287,8 +293,7 @@ def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf, cfg: DpConfig,
     block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, True))
     for first in range(0, len(seeds), block):
         fine = np.stack([
-            _fine_values(grid, _interp_columns(q2.grid, _roll_seed(q2.values, k), grid),
-                         refine)
+            _fine_values(grid, _interp_columns(q2.grid, _roll_seed(twice, k), grid), refine)
             for k in seeds[first:first + block]])
         yield first, [np.moveaxis(_step_costs(q1v, fine, refine, s, dt, m - s[1]), 0, 1)
                       for s in steps]
@@ -298,14 +303,17 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
                     cfg: DpConfig = DpConfig()) -> tuple[float, PLWarp, float]:
     """Best (seed, warp, energy) over cyclic seed shifts of q2.
 
-    Seeds run over every ``seed_stride``-th grid point; the reported seed
-    is the shift applied to q2 before the interval alignment.  All seeds
+    Both curves are read on the circle (``shapeops._two_periods``), q1 at
+    seed 0.  Seeds run over every ``seed_stride``-th grid point; the
+    reported seed is the shift applied to q2 before the interval
+    alignment, so the energy is ``dp_warp_energy(apply_seed(q1, 0.0),
+    apply_seed(q2, seed), warp, cfg)``.  All seeds
     share one energy-only row recurrence; ties go to the first seed.  The
     winner's path comes from one more solve over its own cost slices.
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
-    grid, q1v, _ = _lattice(q1, q2, cfg.grid_size)
+    grid, q1v, _ = _lattice(q1, q2, cfg.grid_size, circle=True)
     n = q1.grid.size - 1
     on_lattice = n + 1 == cfg.grid_size
     seeds = range(0, n, cfg.seed_stride)

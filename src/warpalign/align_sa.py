@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .shapeops import Rotation, _procrustes
+from .shapeops import Rotation, _procrustes, _roll_seed, _seed_offset, _two_periods
 from .srvf import (Srvf, _check_same_grid, _energy, _energy_target, _energy_terms,
                    _require_uniform, _trace, _warp_values)
 from .warpdist import _DRAW_ROWS, _draw, _random_partitions
@@ -115,9 +115,8 @@ def _propose_warp(x: np.ndarray, y: np.ndarray, cfg: SaConfig, rng: np.random.Ge
 
 def _propose_seed(k: int, step: float, n_distinct: int) -> int:
     """The seed at grid offset k moved by the von Mises angle ``step``,
-    snapped to the grid."""
-    raw = (k / n_distinct + step / _TWO_PI) % 1.0
-    return round(raw * n_distinct) % n_distinct
+    snapped to the grid by ``apply_seed``'s rule."""
+    return _seed_offset((k / n_distinct + step / _TWO_PI) % 1.0, n_distinct)
 
 
 def _chain_draws(cfg: SaConfig, closed: bool,
@@ -162,9 +161,10 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     rotation, and no accept warps, multiplies or sums over the grid
     again.  M is turned into Python rows once per proposal, and the chain
     carries the rotation as rows too (see ``shapeops._procrustes``); one
-    ``Rotation`` is built for the result.  Closed mode also proposes a
-    seed, a cyclic shift of q2 by k of its m-1 distinct grid points,
-    jointly with each warp.
+    ``Rotation`` is built for the result.  Closed mode reads both curves
+    on the circle (``shapeops._two_periods``) from the first iteration,
+    and proposes a seed, a cyclic shift of q2 by k of its m-1 distinct
+    grid points, jointly with each warp.
 
     The randomness that does not depend on the chain's state comes from
     ``_chain_draws`` in blocks, so each iteration makes one generator
@@ -174,16 +174,15 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
     closed = cfg.mode == "closed_shape"
     if rng is None:
         rng = np.random.default_rng()
-    grid, q1v, q2v = q1.grid, q1.values, q2.values
+    grid, q1v, q2k = q1.grid, q1.values, q2.values  # q2k: q2 at the current seed
+    n_seeds = grid.size - 1
+    if closed:
+        twice = _two_periods(q2k)
+        q1v, q2k = _roll_seed(_two_periods(q1v), 0), _roll_seed(twice, 0)
     weights, target = _energy_target(q1v, grid)
     a = _trace((target @ q1v).tolist())
-    n_seeds = grid.size - 1
-    # q2's distinct closed-curve values twice over: the window at k is q2
-    # shifted by seed k, its duplicated endpoint included, without a copy
-    twice = np.concatenate((q2v[:-1], q2v[:-1])) if closed else None
 
     x, y, k = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0
-    q2k = q2v  # q2 shifted to the current seed
     b, cross = _energy_terms(target, weights, _warp_values(grid, q2k, x, y))
     rot = _procrustes(cross) if shape else None
     e = _energy(a, b, cross, rot, optimal=True)
@@ -197,7 +196,7 @@ def _anneal(q1: Srvf, q2: Srvf, cfg: SaConfig,
         if closed:
             k_prop = _propose_seed(k, step, n_seeds)
             if k_prop != k:
-                q2k_prop = twice[k_prop:k_prop + grid.size]
+                q2k_prop = _roll_seed(twice, k_prop)
         px, py = _propose_warp(x, y, cfg, rng, knots, u, ident)
         b, cross = _energy_terms(target, weights, _warp_values(grid, q2k_prop, px, py, dx))
         e_prop = _energy(a, b, cross, rot)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .srvf import (Curve, Srvf, _check_same_grid, _energy_target, _nonzero_length,
-                   _require_uniform)
+from .srvf import (Curve, Srvf, _check_same_grid, _energy_target, _has_unit_norm,
+                   _nonzero_length, _require_uniform)
 
 __all__ = [
     "Rotation",
@@ -122,21 +122,42 @@ def rotate(q: Srvf, rot: Rotation) -> Srvf:
 def apply_seed(q: Srvf, s: float) -> Srvf:
     """Cyclically shift a closed-curve SRVF by the grid offset nearest s.
 
-    The shifted SRVF is ``t -> q((t + s) mod 1)``.  Values are rolled over
-    the m-1 distinct grid points (the duplicated endpoint is rebuilt), so
-    the L2 norm is preserved exactly and ``apply_seed(., (1 - s) % 1)``
-    undoes the shift.
+    The shifted SRVF is ``t -> q((t + s) mod 1)``, read on the circle by
+    ``_two_periods``: its last sample is rebuilt from its first, whatever
+    the input's last sample holds.  On an SRVF whose last sample repeats
+    its first, the shift permutes the sampled values, so the L2 norm is
+    kept up to summation order and ``apply_seed(., (1 - s) % 1)`` undoes
+    the shift.  The result is marked as a shape only when q is one and
+    the rebuilt seam kept the unit norm.
     """
     if q.topology != "closed":
         raise ValueError("seed shifts apply to closed-curve SRVFs only")
     _require_uniform(q.grid)
     if not 0.0 <= s < 1.0:
         raise ValueError("seed must lie in [0, 1)")
-    n_distinct = q.grid.size - 1
-    k = int(np.round(s * n_distinct)) % n_distinct
-    return Srvf(q.grid, _roll_seed(q.values, k), "closed", q.is_shape)
+    values = _roll_seed(_two_periods(q.values), _seed_offset(s, q.grid.size - 1))
+    return Srvf(q.grid, values, "closed", q.is_shape and _has_unit_norm(q.grid, values))
 
 
-def _roll_seed(values: np.ndarray, k: int) -> np.ndarray:
-    """``apply_seed`` on raw closed-curve values, by a whole grid offset k."""
-    return np.concatenate((values[k:-1], values[:k + 1]))
+def _two_periods(values: np.ndarray) -> np.ndarray:
+    """The one reading of closed-curve values on the circle.
+
+    Of the m values, sample m-1 is sample 0: the n = m-1 distinct samples
+    are taken twice, in one (2n, d) array, so that ``_roll_seed`` reads
+    every seed's m values as one window of it without a copy.
+    """
+    distinct = values[:-1]
+    return np.concatenate((distinct, distinct))
+
+
+def _roll_seed(twice: np.ndarray, k: int) -> np.ndarray:
+    """The m values of the seed at grid offset k, 0 <= k < n, as a view of
+    the ``_two_periods`` array ``twice``: ``values[(i + k) % n]`` for
+    i = 0..m-1, so the last repeats the first."""
+    return twice[k:k + twice.shape[0] // 2 + 1]
+
+
+def _seed_offset(s: float, n: int) -> int:
+    """The grid offset of the seed fraction s on n distinct samples: the
+    nearest one, ties to even, taken mod n so that s near 1 is offset 0."""
+    return int(round(s * n)) % n

@@ -95,10 +95,8 @@ class Srvf:
 
     def __post_init__(self):
         _check_samples(self, "values")
-        if self.is_shape:
-            nrm = l2_norm(self)
-            if abs(nrm - 1.0) > 1e-6:
-                raise ValueError("is_shape requires unit L2 norm")
+        if self.is_shape and not _has_unit_norm(self.grid, self.values):
+            raise ValueError("is_shape requires unit L2 norm")
 
     @property
     def dim(self) -> int:
@@ -280,8 +278,16 @@ def _energy(a: float, b: float, cross: list[list[float]],
 
 
 def l2_norm(q: Srvf) -> float:
-    g = q.grid
-    return float(np.sqrt(_sq_l2(np.array(q.values), g[1:] - g[:-1])))
+    return _l2_norm(q.grid, q.values)
+
+
+def _l2_norm(grid: np.ndarray, values: np.ndarray) -> float:
+    return float(np.sqrt(_sq_l2(np.array(values), grid[1:] - grid[:-1])))
+
+
+def _has_unit_norm(grid: np.ndarray, values: np.ndarray) -> bool:
+    """The ``is_shape`` rule: the L2 norm of ``values`` on ``grid`` is 1 to 1e-6."""
+    return abs(_l2_norm(grid, values) - 1.0) <= 1e-6
 
 
 def inner_product(q1: Srvf, q2: Srvf) -> float:
@@ -383,7 +389,10 @@ def warp_action(q: Srvf, w: PLWarp) -> Srvf:
     q is evaluated by linear interpolation of its sampled values; the
     warp derivative uses the right-continuous convention.  The L2 norm
     is preserved up to discretization error, so the result is not
-    flagged as an exact unit-norm shape.
+    flagged as an exact unit-norm shape.  A closed q is read on the
+    interval too, so the warped SRVF's last sample is in general not its
+    first; the closed-mode aligners read both curves on the circle
+    (``shapeops.apply_seed``), which rebuilds it from the first.
     """
     vals = _warp_values(q.grid, q.values, w.x, w.y)
     return Srvf(q.grid, vals, q.topology, is_shape=False)
@@ -410,6 +419,10 @@ def warp_energy(q1: Srvf, q2: Srvf, w: PLWarp) -> float:
     It runs ``_energy``, the annealer's own kernel, so it equals a
     function-mode ``sa_align`` run's ``final_energy`` for the run's warp
     exactly, and ``l2_dist(q1, warp_action(q2, w)) ** 2`` to rounding.
+    Closed SRVFs are read on the interval, as ``warp_action`` reads them,
+    seam included.  The closed-mode aligners read both curves on the
+    circle, so a closed-mode result scores as ``warp_energy(apply_seed(q1,
+    0.0), rotate(apply_seed(q2, seed), rotation), warp)``.
     """
     _check_same_grid(q1, q2)
     weights, target = _energy_target(q1.values, q1.grid)

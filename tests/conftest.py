@@ -4,17 +4,18 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from warpalign import (Curve, PLWarp, PosteriorSample, log_density, marginal_loglik, sample_batch,
-                       uniform_grid)
+from warpalign import (Curve, PLWarp, PosteriorSample, apply_seed, log_density, marginal_loglik,
+                       normalize_length, sample_batch, to_srvf, uniform_grid, unit_normalize,
+                       warp_action)
 from warpalign.align_dp import _closed_costs, _fine_values, _lattice, _refinement, _step_costs
-from warpalign.fixtures import bean_curve
+from warpalign.fixtures import bean_curve, closed_shape_pair
 from warpalign.io import _fmt
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots, batch_eval
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
            "reference_partitions", "reference_draw", "reference_sir_posterior",
            "quadrature_posterior", "enumerate_path_costs", "reference_dp_align_closed",
-           "reference_procrustes", "convex_blend", "write_srvf", "bean_curve_3d"]
+           "reference_procrustes", "convex_blend", "write_srvf", "bean_curve_3d", "seam_pair"]
 
 # deterministic exploration: the suite doubles as an acceptance gate
 settings.register_profile("ci", derandomize=True)
@@ -154,7 +155,8 @@ def reference_sir_posterior(q1, q2, cfg, rng):
 
 def quadrature_posterior(q1, q2, cfg, t, nodes):
     """Posterior mean and standard deviation of the warp at the points
-    ``t`` at partition size 2, by a Gauss-Legendre product rule.
+    ``t`` at partition size 2, and the posterior CDF of the knot position
+    s at the grid nodes, by a Gauss-Legendre product rule.
 
     A warp of ``cfg.prior`` is then one interior knot (s, v): s ~ U(0, 1),
     and v | s has the Dirichlet density of ``log_density``; the likelihood
@@ -164,7 +166,8 @@ def quadrature_posterior(q1, q2, cfg, t, nodes):
     interval.  The v-integral takes ``10 * nodes`` equal panels of 4
     points.  Reading q2 between its grid values leaves kinks in both
     variables, so the rule converges at about second order in ``1/nodes``,
-    and a caller compares two values of ``nodes``."""
+    and a caller compares two values of ``nodes``.  The CDF of s at a grid
+    node sums the weights of every s-interval below it, over all v."""
     assert cfg.prior.partition_size == 2
     gx, gw = np.polynomial.legendre.leggauss(nodes)
     lo, hi = q1.grid[:-1, None], q1.grid[1:, None]
@@ -184,7 +187,9 @@ def quadrature_posterior(q1, q2, cfg, t, nodes):
     values = np.column_stack([np.zeros(n), np.tile(v, s.size), np.ones(n)])
     at_t = batch_eval(knots, values, t)
     mean = weights.ravel() @ at_t
-    return mean, np.sqrt(weights.ravel() @ (at_t - mean) ** 2)
+    per_interval = weights.sum(axis=1).reshape(-1, nodes).sum(axis=1)
+    cdf = np.concatenate(([0.0], np.cumsum(per_interval)))
+    return mean, np.sqrt(weights.ravel() @ (at_t - mean) ** 2), cdf
 
 
 def enumerate_path_costs(q1, q2, cfg) -> float:
@@ -221,7 +226,8 @@ def reference_dp_align_closed(q1, q2, cfg):
     strict-``<`` row recurrence with a full distance and step-choice table
     per seed (ties go to the earlier step), the first seed of least
     energy, and a backtrack of its path.  Step costs come from the
-    package's ``_closed_costs``, so energies compare bit for bit.
+    package's ``_closed_costs`` against q1's seed-0 window, so energies
+    compare bit for bit.
 
     Returns (seed, knot x, knot y, energy).
     """
@@ -229,7 +235,7 @@ def reference_dp_align_closed(q1, q2, cfg):
     n = q1.grid.size - 1
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
-    lattice, q1v, _ = _lattice(q1, q2, m)
+    lattice, q1v, _ = _lattice(apply_seed(q1, 0.0), q2, m)
     for first, costs in _closed_costs(lattice, q1v, q2, cfg, seeds):
         for s in range(costs[0].shape[1]):
             dist = np.full((m, m), np.inf)
@@ -302,3 +308,13 @@ def bean_curve_3d(m: int = 41) -> Curve:
     z = 0.2 * np.sin(2.0 * np.pi * bean.grid)
     z[-1] = z[0]
     return Curve(bean.grid, np.column_stack((bean.points, z)), "closed")
+
+
+def seam_pair() -> tuple:
+    """The bundled closed blobs (m = 101) as unit-norm SRVFs, warped by
+    ``PLWarp([0, 0.3, 1], [0, 0.5, 1])`` and unit-normalised again: the
+    warp action reads each on the interval, so neither SRVF's last sample
+    is its first."""
+    warp = PLWarp([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
+    return tuple(unit_normalize(warp_action(unit_normalize(to_srvf(normalize_length(c))), warp))
+                 for c in closed_shape_pair(101))

@@ -259,8 +259,8 @@ class TestSirPosterior:
 
 class TestQuadratureOracle:
     """At partition size 2 the posterior is a 2-d integral, which a
-    product rule computes without sampling; SIR must match its mean and
-    its spread."""
+    product rule computes without sampling; SIR must match its mean, its
+    spread and the marginal of the knot position s."""
 
     def test_sir_mean_matches_quadrature(self):
         # model-generated: q1 is q2 warped by a one-knot warp plus noise at
@@ -272,8 +272,8 @@ class TestQuadratureOracle:
         q1 = Srvf(q2.grid, warp_action(q2, truth).values + noise)
         cfg = BayesConfig(prior=WarpPrior(identity(), 2, 10.0))
         t = np.array([0.25, 0.5, 0.75])
-        coarse, coarse_sd = quadrature_posterior(q1, q2, cfg, t, nodes=2)
-        mean, sd = quadrature_posterior(q1, q2, cfg, t, nodes=4)
+        coarse, coarse_sd, coarse_cdf = quadrature_posterior(q1, q2, cfg, t, nodes=2)
+        mean, sd, cdf = quadrature_posterior(q1, q2, cfg, t, nodes=4)
         # The spread, from ten times the draws (ESS about 430, against 37 for
         # the mean below): doubling the log likelihood shrinks the sd by about
         # a quarter and halving it widens the sd by about half, which the mean
@@ -286,6 +286,16 @@ class TestQuadratureOracle:
         sd_tol = 4.0 * sd * np.sqrt((1.0 / wide.ess + 1.0 / cfg.resample_size) / 2.0)
         assert np.max(np.abs(sd - coarse_sd)) <= 5e-5 <= np.min(sd_tol) / 4
         assert np.all(np.abs(sir_sd - sd) <= sd_tol), (sir_sd, sd, sd_tol)
+        # The s-marginal of the same draws, at the grid nodes, inside a
+        # Kolmogorov band at the 1% level (critical value 1.628) over an
+        # effective count that adds the resampling's noise to the weights'.
+        # Halving the node spacing moves the CDF by 0.014, and once more by
+        # 1.8e-3.
+        s = np.sort([w.x[1] for w in wide.warps])
+        sir_cdf = s.searchsorted(q1.grid, side="right") / s.size
+        band = 1.628 * np.sqrt(1.0 / wide.ess + 1.0 / cfg.resample_size)
+        assert np.max(np.abs(cdf - coarse_cdf)) <= 0.02 <= band / 4
+        assert np.max(np.abs(sir_cdf - cdf)) <= band, (sir_cdf, cdf, band)
         post = sir_posterior(q1, q2, cfg, np.random.default_rng(1))
         sir_mean = np.mean([w(t) for w in post.warps], axis=0)
         # four Monte Carlo errors of a resampled mean: the weighted mean's

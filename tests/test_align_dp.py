@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bean_curve_3d, enumerate_path_costs, reference_dp_align_closed
+from conftest import bean_curve_3d, enumerate_path_costs, reference_dp_align_closed, seam_pair
 from warpalign import (
     Curve,
     DpConfig,
@@ -264,6 +264,16 @@ class TestDpAlignClosed:
         with pytest.raises(ValueError):
             dp_align_closed(q, q, DpConfig(grid_size=10))
 
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    def test_energy_reads_both_curves_on_the_circle(self, grid_size):
+        # neither curve's last sample is its first: the seed search scores
+        # q1 at seed 0 and q2 at the result's seed, both read as apply_seed does
+        q1, q2 = seam_pair()
+        cfg = DpConfig(grid_size=grid_size)
+        seed, warp, energy = dp_align_closed(q1, q2, cfg)
+        expected = dp_warp_energy(apply_seed(q1, 0.0), apply_seed(q2, seed), warp, cfg)
+        assert abs(energy - expected) <= 1e-9
+
     def test_seed_stride_thins_candidates(self):
         q1 = self.closed_shape(21)
         q2 = apply_seed(q1, 0.25)
@@ -279,6 +289,7 @@ class TestBatchedSeedSearch:
     def per_seed_reference(q1, q2, cfg):
         n = q1.grid.size - 1
         seeds = [k / n for k in range(0, n, cfg.seed_stride)]
+        q1 = apply_seed(q1, 0.0)  # both curves are read on the circle
         results = [dp_align(q1, apply_seed(q2, s), cfg) for s in seeds]
         best = int(np.argmin([e for _, e in results]))
         return seeds[best], results[best][0], results[best][1]
@@ -327,6 +338,11 @@ class TestBatchedSeedSearch:
         q2 = Srvf(uniform_grid(41), vals, "closed")
         self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=41))
         self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=25, seed_stride=3))
+
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    def test_open_seam(self, grid_size):
+        # neither curve's last sample is its first
+        self.assert_matches_loop(*seam_pair(), DpConfig(grid_size=grid_size))
 
 
 @st.composite
@@ -534,6 +550,11 @@ class TestSeedPassOracle:
         q1 = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
         cfg = DpConfig(grid_size=grid_size)
         assert self.assert_matches_oracle(q1, q2, cfg, per_block) < 10 / 40
+
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    def test_open_seam(self, grid_size):
+        # neither curve's last sample is its first
+        self.assert_matches_oracle(*seam_pair(), DpConfig(grid_size=grid_size))
 
     @pytest.mark.parametrize("grid_size", [41, 30])
     @pytest.mark.parametrize("per_block", [None, 1, 3])

@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import bean_curve_3d, convex_blend, reference_partitions, reference_procrustes
+from conftest import (bean_curve_3d, convex_blend, reference_partitions, reference_procrustes,
+                      seam_pair)
 from warpalign import (
     PLWarp,
     Rotation,
@@ -286,6 +287,16 @@ class TestClosedAlignment:
         aligned = rotate(apply_seed(q2, res.seed), res.rotation)
         assert abs(res.final_energy - warp_energy(q1, aligned, res.warp)) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_energy_reads_both_curves_on_the_circle(self, seed):
+        # neither curve's last sample is its first: the chain scores q1 at
+        # seed 0 and q2 at the result's seed, both read as apply_seed does
+        q1, q2 = seam_pair()
+        res = sa_align_closed(q1, q2, rng=np.random.default_rng(seed))
+        aligned = rotate(apply_seed(q2, res.seed), res.rotation)
+        energy = warp_energy(apply_seed(q1, 0.0), aligned, res.warp)
+        assert abs(res.final_energy - energy) <= 1e-9
+
     def test_deterministic(self):
         q1 = shapeify(bean_curve(41))
         q2 = apply_seed(q1, 0.2)
@@ -423,6 +434,9 @@ def reference_anneal(q1, q2, cfg, rng, residual=False, rotate_first=False,
     steps, then B accept uniforms.  Each iteration then draws only its
     gammas.
 
+    In closed mode both curves are read on the circle from the start, as
+    their seed-0 rolls, which rebuild the last sample from the first.
+
     Returns (warp knots, seed, rotation, energy trace) in the shape of
     AlignmentResult; seed is None outside closed mode and rotation None
     in function mode.
@@ -447,7 +461,10 @@ def reference_anneal(q1, q2, cfg, rng, residual=False, rotate_first=False,
         return float(np.trapezoid(np.sum(resid ** 2, axis=1), grid))
 
     x, y, seed, q2v = np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, q2.values
-    rot = rotation(q1, q2) if shape else None
+    if closed:
+        q1 = Srvf(grid, reference_roll(q1.values, 0), "closed")
+        q2v = reference_roll(q2.values, 0)
+    rot = rotation(q1, Srvf(grid, q2v, q2.topology)) if shape else None
     e = energy(q2v, rot, x, y, optimal=True)
     best = (x, y, seed, rot, e)
     trace, stale = [e], 0
@@ -503,6 +520,9 @@ class TestReferenceAnnealer:
     STIFF = {"theta": 1e4}
     # every Dirichlet shape below 1, where U^(1/a) spans many decades
     LOOSE = {"theta": 0.5}
+    # "closed_seam" runs closed_shape mode on ``seam_pair``, whose last
+    # samples are not their first
+    MODES = ["function", "open_shape", "closed_shape", "closed_seam"]
 
     @staticmethod
     def pair(mode):
@@ -511,23 +531,27 @@ class TestReferenceAnnealer:
         if mode == "open_shape":
             c1, c2 = spiral_pair(50)
             return shapeify(c1), shapeify(c2)
+        if mode == "closed_seam":
+            return seam_pair()
         q1 = shapeify(bean_curve(41))
         return q1, apply_seed(q1, 0.3)
 
+    @staticmethod
+    def config(mode, **settings):
+        return SaConfig(mode="closed_shape" if mode == "closed_seam" else mode, **settings)
+
     @pytest.mark.parametrize("settings", [PAPER, COLD], ids=["paper", "cold"])
-    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference(self, mode, settings, seed):
         q1, q2 = self.pair(mode)
-        cfg = SaConfig(mode=mode, max_iters=250, **settings)
-        self.check(q1, q2, cfg, seed)
+        self.check(q1, q2, self.config(mode, max_iters=250, **settings), seed)
 
     @pytest.mark.parametrize("settings", [STIFF, LOOSE], ids=["stiff", "loose"])
-    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_gamma_branches_match_reference(self, mode, settings):
         q1, q2 = self.pair(mode)
-        cfg = SaConfig(mode=mode, max_iters=250, **settings)
-        self.check(q1, q2, cfg, 4)
+        self.check(q1, q2, self.config(mode, max_iters=250, **settings), 4)
 
     def test_stop_rule_matches_reference(self):
         # cold from the start: the chain stops after 500 rejections in a row
@@ -536,19 +560,19 @@ class TestReferenceAnnealer:
         res = self.check(q1, q2, cfg, 3)
         assert res.energy_trace.size < cfg.max_iters + 2
 
-    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_block_boundary_matches_reference(self, mode):
         # a full 1024-iteration block of pre-drawn randomness, then a short one
         q1, q2 = self.pair(mode)
-        res = self.check(q1, q2, SaConfig(mode=mode, max_iters=1100), 5)
+        res = self.check(q1, q2, self.config(mode, max_iters=1100), 5)
         assert res.energy_trace.size == 1100 + 2
 
-    @pytest.mark.parametrize("mode", ["function", "open_shape", "closed_shape"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_stop_mid_block_matches_reference(self, mode):
         # the chain cools below 1e-3 within its first block and stops inside
         # its second, leaving the rest of that block's draws unused
         q1, q2 = self.pair(mode)
-        cfg = SaConfig(mode=mode, t0=0.1, cooling=1.006, max_iters=5000)
+        cfg = self.config(mode, t0=0.1, cooling=1.006, max_iters=5000)
         res = self.check(q1, q2, cfg, 5)
         assert 1024 < res.energy_trace.size - 2 < 2048
 

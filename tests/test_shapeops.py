@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_procrustes
+from conftest import reference_procrustes, seam_pair
 from warpalign import (
     Curve,
     Rotation,
@@ -22,7 +22,7 @@ from warpalign import (
 )
 from warpalign.fixtures import bean_curve
 from warpalign.shapeops import _procrustes
-from warpalign.srvf import _trapezoid_weights
+from warpalign.srvf import _trapezoid_weights, l2_norm
 
 
 def planar_rotation(angle: float) -> np.ndarray:
@@ -282,6 +282,23 @@ class TestApplySeed:
             before = np.trapezoid(np.sum(q.values ** 2, axis=1), q.grid)
             after = np.trapezoid(np.sum(out.values ** 2, axis=1), q.grid)
             assert abs(before - after) < 1e-14
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_open_seam_returns_for_every_seed(self, which):
+        # a warped closed SRVF's last sample is not its first: every seed
+        # reads it on the circle, its last sample rebuilt from its first, and
+        # the result is a shape only if that kept the unit norm
+        q = seam_pair()[which]
+        n = q.grid.size - 1
+        assert not np.array_equal(q.values[0], q.values[-1])
+        circle = np.vstack((q.values[:-1], q.values[:-1]))
+        for k in range(n):
+            out = apply_seed(q, k / n)
+            assert np.array_equal(out.values, circle[k:k + n + 1])
+            assert out.is_shape == (abs(l2_norm(out) - 1.0) <= 1e-6)
+            # once on the circle, shifts compose
+            back = apply_seed(out, (n - k) % n / n)
+            assert np.array_equal(back.values, apply_seed(q, 0.0).values)
 
     def test_inverse_shift(self):
         q = self.closed_shape()
