@@ -1,16 +1,16 @@
 """Dynamic-programming baseline for elastic alignment.
 
 Minimizes the discretized energy ||q1 - (q2 o w) sqrt(w')||^2 over PL
-warps whose knots sit on grid nodes and whose segment slopes come from a
-fixed neighborhood of integer steps.  Closed curves add an exhaustive
-search over seed shifts.
+warps whose knots sit on grid nodes and whose segments are steps of
+``_STEPS``: seven (a, b) moves, a nodes along q1 and b along q2, diagonal
+first.  Closed curves add an exhaustive search over seed shifts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,35 +21,31 @@ from .warpmap import PLWarp, check_count, uniform_grid
 
 __all__ = ["DpConfig", "dp_align", "dp_align_closed", "dp_warp_energy"]
 
-_DEFAULT_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+# The one step set (a, b): a nodes along q1, b along q2.  The diagonal comes
+# first, so ties break toward identity-like warps, and it reaches the far
+# corner of every lattice.  Derived once: q2's fine grid, which holds every
+# step's q2 positions j + k*b/a; the distance ring's rows; the choice
+# dtype; and the least and greatest slopes b/a, which bound the row band.
+_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+_REFINE = math.lcm(*(a for a, _ in _STEPS))
+_SPAN = max(a for a, _ in _STEPS) + 1
+_CHOICE_DTYPE = np.min_scalar_type(len(_STEPS) - 1)
+_SLOPE_LO = min(_STEPS, key=lambda s: s[1] / s[0])
+_SLOPE_HI = max(_STEPS, key=lambda s: s[1] / s[0])
 # memory budget for the per-seed arrays of one block of the seed search
 _BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
 class DpConfig:
-    """Lattice size, slope-step neighborhood and closed-curve seed stride."""
+    """Lattice size and closed-curve seed stride; the steps are ``_STEPS``."""
 
     grid_size: int = 100
-    neighborhood: tuple[tuple[int, int], ...] = _DEFAULT_STEPS
     seed_stride: int = 1
 
     def __post_init__(self):
         check_count("grid_size", self.grid_size, 3)
         check_count("seed_stride", self.seed_stride, 1)
-        part = "each part of a neighborhood step"
-        steps = tuple((check_count(part, a, 1), check_count(part, b, 1))
-                      for a, b in self.neighborhood)
-        if not steps:
-            raise ValueError("neighborhood must be nonempty")
-        # diagonal step first so that ties break toward identity-like warps
-        if (1, 1) in steps:
-            steps = ((1, 1),) + tuple(s for s in steps if s != (1, 1))
-        object.__setattr__(self, "neighborhood", steps)
-
-
-def _refinement(steps) -> int:
-    return math.lcm(*(a for a, _ in steps))
 
 
 def _lattice(q1: Srvf, q2: Srvf, m: int,
@@ -98,9 +94,10 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     stride = refine * b // a
     imax = q1v.shape[0] - a
     nodes = np.arange(a + 1)
-    lhs = q1v[np.arange(imax)[:, None] + nodes].reshape(imax, -1)
+    width = (a + 1) * q1v.shape[1]  # explicit, as a table may be empty
+    lhs = q1v[np.arange(imax)[:, None] + nodes].reshape(imax, width)
     rhs = q2f[..., (np.arange(ncols) * refine)[:, None] + nodes * stride, :]
-    rhs = rhs.reshape(rhs.shape[:-3] + (ncols, -1))
+    rhs = rhs.reshape(rhs.shape[:-3] + (ncols, width))
     rhs *= math.sqrt(b / a)
     row = np.square(lhs) @ weights
     col = np.square(rhs) @ weights
@@ -112,9 +109,9 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
 
 
 @lru_cache(maxsize=16)
-def _band(steps, m: int) -> tuple[tuple[int, int], ...]:
+def _band(m: int) -> tuple[tuple[int, int], ...]:
     """For each row i, a column range [lo_i, hi_i) that holds every node
-    of row i on a path of ``steps`` from (0,0) to (m-1,m-1).
+    of row i on a lattice path from (0,0) to (m-1,m-1).
 
     Every step's slope b/a lies in [s_min, s_max], so a node (i, j) on a
     path has s_min*i <= j <= s_max*i from the start and
@@ -122,9 +119,7 @@ def _band(steps, m: int) -> tuple[tuple[int, int], ...]:
     window of slope-constrained DTW, in exact integer arithmetic.  Both
     bounds never decrease with i; an empty row has lo_i == hi_i.
     """
-    by_slope = cmp_to_key(lambda s, t: s[1] * t[0] - t[1] * s[0])
-    a_lo, b_lo = min(steps, key=by_slope)
-    a_hi, b_hi = max(steps, key=by_slope)
+    (a_lo, b_lo), (a_hi, b_hi) = _SLOPE_LO, _SLOPE_HI
     last = m - 1
     i = np.arange(m)
     rest = last - i
@@ -134,12 +129,12 @@ def _band(steps, m: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(lo.tolist(), np.maximum(hi, lo).tolist()))
 
 
-def _solve(costs, steps, m: int,
+def _solve(costs, m: int,
            track: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Cheapest monotone paths from (0,0) to (m-1,m-1), one per seed.
 
     ``costs[si][i]`` is an (S, m-b) array, usually a strided view, holding
-    the cost of step ``steps[si] = (a, b)`` from node (i, j) for every seed
+    the cost of step ``_STEPS[si] = (a, b)`` from node (i, j) for every seed
     and every j < m-b; it is read through a transposed view.  The seed
     axis is innermost, so a run of columns of one row is one contiguous
     block.  Row i computes only its ``_band`` columns: it writes every
@@ -150,46 +145,44 @@ def _solve(costs, steps, m: int,
     max(a)+1 rows of the distance table are kept.  Returns the end-node
     energies (S,) and, with ``track``, the step choices (m, m, S): the
     first step whose candidate equals the row minimum, so ties go to the
-    earlier step.  Only nodes of finite energy have a meaningful choice,
-    and those are all a backtrack from a finite end node visits.  Without
-    ``track`` the choices are None.
+    earlier step.  The diagonal path reaches every node (i, i), so the
+    end energies are finite for finite costs, and a backtrack from the end
+    visits only nodes of finite energy, whose choices are meaningful.
+    Without ``track`` the choices are None.
     """
     n_seeds = costs[0].shape[1]
-    span = max(a for a, _ in steps) + 1
-    ring = np.full((span, m, n_seeds), np.inf)
+    ring = np.full((_SPAN, m, n_seeds), np.inf)
     ring[0, 0] = 0.0
     # a step's slot stays inf in the columns it cannot reach and in the
     # rows before its first use, which come first since rows only increase
-    cand = np.full((len(steps), m, n_seeds), np.inf)
+    cand = np.full((len(_STEPS), m, n_seeds), np.inf)
     costs = [np.swapaxes(c, 1, 2) for c in costs]  # costs[si][i] is (m-b, S)
     choice = None
     if track:
-        choice = np.zeros((m, m, n_seeds), dtype=np.min_scalar_type(len(steps) - 1))
+        choice = np.zeros((m, m, n_seeds), dtype=_CHOICE_DTYPE)
     ring_rows, cand_rows = list(ring), list(cand)
-    for i, (lo, hi) in enumerate(_band(steps, m)[1:], start=1):
-        dist = ring_rows[i % span]
+    for i, (lo, hi) in enumerate(_band(m)[1:], start=1):
+        dist = ring_rows[i % _SPAN]
         # the band only moves right, so a reused row is stale below lo only
         dist[:lo] = np.inf
-        for si, (a, b) in enumerate(steps):
+        for si, (a, b) in enumerate(_STEPS):
             start = max(lo, b)
             if i >= a and start < hi:
-                np.add(ring_rows[(i - a) % span][start - b:hi - b],
+                np.add(ring_rows[(i - a) % _SPAN][start - b:hi - b],
                        costs[si][i - a, start - b:hi - b], out=cand_rows[si][start:hi])
         np.minimum.reduce(cand[:, lo:hi], axis=0, out=dist[lo:hi])
         if track:
             choice[i, lo:hi] = cand[:, lo:hi].argmin(axis=0)
-    return ring[(m - 1) % span, m - 1].copy(), choice
+    return ring[(m - 1) % _SPAN, m - 1].copy(), choice
 
 
-def _backtrack(choice: np.ndarray, energy: float, steps, grid: np.ndarray) -> PLWarp:
+def _backtrack(choice: np.ndarray, grid: np.ndarray) -> PLWarp:
     """Warp through the lattice nodes visited by one seed's best path."""
-    if not np.isfinite(energy):
-        raise ValueError("end node unreachable with the configured neighborhood")
     m = grid.size
     nodes = [(m - 1, m - 1)]
     i, j = m - 1, m - 1
     while (i, j) != (0, 0):
-        a, b = steps[choice[i, j]]
+        a, b = _STEPS[choice[i, j]]
         i, j = i - a, j - b
         nodes.append((i, j))
     nodes.reverse()
@@ -203,18 +196,16 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
 
     The SRVFs must share one uniform grid and are interpolated onto a
     uniform lattice of ``cfg.grid_size`` nodes if needed; the DP then
-    finds the cheapest monotone path from (0,0) to the far corner using
-    the configured steps.
+    finds the cheapest monotone path of ``_STEPS`` from (0,0) to the far
+    corner.
     """
     m = cfg.grid_size
     grid, q1v, q2v = _lattice(q1, q2, m)
-    steps = cfg.neighborhood
-    refine = _refinement(steps)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(grid, q2v, refine)
-    costs = [_step_costs(q1v, q2f, refine, s, dt, m - s[1])[:, None] for s in steps]
-    energies, choice = _solve(costs, steps, m, track=True)
-    return _backtrack(choice[:, :, 0], energies[0], steps, grid), float(energies[0])
+    q2f = _fine_values(grid, q2v, _REFINE)
+    costs = [_step_costs(q1v, q2f, _REFINE, s, dt, m - s[1])[:, None] for s in _STEPS]
+    energies, choice = _solve(costs, m, track=True)
+    return _backtrack(choice[:, :, 0], grid), float(energies[0])
 
 
 def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig()) -> float:
@@ -222,14 +213,14 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     on the lattice ``dp_align`` would use.
 
     A segment that moves a nodes along q1 and b along q2 reads q2 at
-    j + k*b/a, k = 0..a, so its costs use a fine grid lcm(refine, a) times
-    finer than the lattice; for the neighborhood's own steps that is the
-    DP's fine grid.  Each knot indexes its step's (m-a, m-b) cost table
-    directly, since a lattice warp's knots never leave the lattice.
+    j + k*b/a, k = 0..a, so its costs use a fine grid lcm(_REFINE, a)
+    times finer than the lattice; for a step of ``_STEPS`` that is the
+    DP's fine grid.  Any step is scored, the identity's single step
+    (m-1, m-1) included.  Each knot indexes its step's (m-a, m-b) cost
+    table directly, since a lattice warp's knots never leave the lattice.
     """
     m = cfg.grid_size
     grid, q1v, q2v = _lattice(q1, q2, m)
-    refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
     idx_x = np.rint(warp.x * (m - 1)).astype(int)
     idx_y = np.rint(warp.y * (m - 1)).astype(int)
@@ -243,7 +234,7 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
         a = int(idx_x[k + 1] - idx_x[k])
         b = int(idx_y[k + 1] - idx_y[k])
         if (a, b) not in cache:
-            r = math.lcm(refine, a)
+            r = math.lcm(_REFINE, a)
             if r not in fine:
                 fine[r] = _fine_values(grid, q2v, r)
             cache[(a, b)] = _step_costs(q1v, fine[r], r, (a, b), dt, m - b)
@@ -251,18 +242,16 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     return float(total)
 
 
-def _seed_bytes(m: int, steps, regridded: bool) -> int:
+def _seed_bytes(m: int, regridded: bool) -> int:
     """Bytes of one seed's arrays in the seed pass: its distance ring and
     stacked candidates, plus its regridded step costs off the lattice."""
-    span = max(a for a, _ in steps) + 1
-    floats = (span + len(steps)) * m
+    floats = (_SPAN + len(_STEPS)) * m
     if regridded:
-        floats += len(steps) * m * m
+        floats += len(_STEPS) * m * m
     return 8 * floats
 
 
-def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf, cfg: DpConfig,
-                  seeds: range):
+def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf, seeds: range):
     """Yield (first seed position, per-step cost views) in seed blocks.
 
     ``grid`` and ``q1v`` are the lattice and q1's values on it, as
@@ -272,31 +261,30 @@ def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf, cfg: DpConfig,
     costs are computed once against two periods of q2's fine values and
     every seed reads a zero-copy window of them.  Off the lattice each
     seed's window of q2 on the input grid is regridded onto the lattice.
+    ``seeds`` is ``range(0, n, seed_stride)``, the candidate offsets.
     Blocks are sized so that the per-seed arrays of the seed pass stay
     within ``_BLOCK_BYTES``.
     """
-    m = cfg.grid_size
-    steps = cfg.neighborhood
-    refine = _refinement(steps)
+    m = grid.size
     dt = 1.0 / (m - 1)
     n = q2.grid.size - 1
     twice = _two_periods(q2.values)
     if n + 1 == m:
-        fine = _two_periods(_fine_values(grid, _roll_seed(twice, 0), refine))
+        fine = _two_periods(_fine_values(grid, _roll_seed(twice, 0), _REFINE))
         windows = [sliding_window_view(
-            _step_costs(q1v, fine, refine, (a, b), dt, n + m - b - 1),
-            m - b, axis=1)[:, :n:cfg.seed_stride] for a, b in steps]
-        block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, False))
+            _step_costs(q1v, fine, _REFINE, (a, b), dt, n + m - b - 1),
+            m - b, axis=1)[:, :n:seeds.step] for a, b in _STEPS]
+        block = max(1, _BLOCK_BYTES // _seed_bytes(m, False))
         for first in range(0, len(seeds), block):
             yield first, [w[:, first:first + block] for w in windows]
         return
-    block = max(1, _BLOCK_BYTES // _seed_bytes(m, steps, True))
+    block = max(1, _BLOCK_BYTES // _seed_bytes(m, True))
     for first in range(0, len(seeds), block):
         fine = np.stack([
-            _fine_values(grid, _interp_columns(q2.grid, _roll_seed(twice, k), grid), refine)
+            _fine_values(grid, _interp_columns(q2.grid, _roll_seed(twice, k), grid), _REFINE)
             for k in seeds[first:first + block]])
-        yield first, [np.moveaxis(_step_costs(q1v, fine, refine, s, dt, m - s[1]), 0, 1)
-                      for s in steps]
+        yield first, [np.moveaxis(_step_costs(q1v, fine, _REFINE, s, dt, m - s[1]), 0, 1)
+                      for s in _STEPS]
 
 
 def dp_align_closed(q1: Srvf, q2: Srvf,
@@ -318,14 +306,13 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     on_lattice = n + 1 == cfg.grid_size
     seeds = range(0, n, cfg.seed_stride)
     best = None
-    for first, costs in _closed_costs(grid, q1v, q2, cfg, seeds):
-        energies, _ = _solve(costs, cfg.neighborhood, cfg.grid_size)
+    for first, costs in _closed_costs(grid, q1v, q2, seeds):
+        energies, _ = _solve(costs, cfg.grid_size)
         k = int(np.argmin(energies))
         if best is None or energies[k] < best[1]:
             # off the lattice the slices are copied so the block can be freed
             winner = [c[:, k:k + 1] if on_lattice else c[:, k:k + 1].copy() for c in costs]
             best = (first + k, energies[k], winner)
     pos, energy, winner = best
-    _, choice = _solve(winner, cfg.neighborhood, cfg.grid_size, track=True)
-    warp = _backtrack(choice[:, :, 0], energy, cfg.neighborhood, grid)
-    return seeds[pos] / n, warp, float(energy)
+    _, choice = _solve(winner, cfg.grid_size, track=True)
+    return seeds[pos] / n, _backtrack(choice[:, :, 0], grid), float(energy)

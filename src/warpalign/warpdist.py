@@ -370,7 +370,13 @@ def _log_prefactor(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def beta_cdf_warp(a: float, b: float, knots: int = 1001) -> PLWarp:
-    """Beta(a,b) distribution function sampled as a fine PL warp."""
+    """Beta(a,b) distribution function sampled as a fine PL warp.
+
+    The incomplete beta function's continued fraction limits the accuracy:
+    within 1e-11 of the exact CDF at shapes up to 1e4, and up to about
+    3e-11 at shapes near 1e6, next to the fraction's split at
+    (a+1)/(a+b+2).  A shape of about 1.3e154 or more overflows the
+    fraction and is rejected."""
     check_positive("Beta parameters a and b", a, b)
     check_count("knots", knots, 2)
     t = np.linspace(0.0, 1.0, knots)

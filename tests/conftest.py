@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from warpalign import (Curve, PLWarp, PosteriorSample, apply_seed, log_density, marginal_loglik,
                        normalize_length, sample_batch, to_srvf, uniform_grid, unit_normalize,
                        warp_action)
-from warpalign.align_dp import _closed_costs, _fine_values, _lattice, _refinement, _step_costs
+from warpalign.align_dp import _REFINE, _STEPS, _closed_costs, _fine_values, _lattice, _step_costs
 from warpalign.fixtures import bean_curve, closed_shape_pair
 from warpalign.io import _fmt
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots, batch_eval
@@ -154,9 +154,10 @@ def reference_sir_posterior(q1, q2, cfg, rng):
 
 
 def quadrature_posterior(q1, q2, cfg, t, nodes):
-    """Posterior mean and standard deviation of the warp at the points
-    ``t`` at partition size 2, and the posterior CDF of the knot position
-    s at the grid nodes, by a Gauss-Legendre product rule.
+    """Posterior mean, standard deviation and 2.5% and 97.5% quantiles of
+    the warp at the points ``t`` at partition size 2, the posterior CDF of
+    the knot position s at the grid nodes, and the posterior CDF of the
+    warp at ``t`` as a function, by a Gauss-Legendre product rule.
 
     A warp of ``cfg.prior`` is then one interior knot (s, v): s ~ U(0, 1),
     and v | s has the Dirichlet density of ``log_density``; the likelihood
@@ -167,7 +168,12 @@ def quadrature_posterior(q1, q2, cfg, t, nodes):
     points.  Reading q2 between its grid values leaves kinks in both
     variables, so the rule converges at about second order in ``1/nodes``,
     and a caller compares two values of ``nodes``.  The CDF of s at a grid
-    node sums the weights of every s-interval below it, over all v."""
+    node sums the weights of every s-interval below it, over all v.  The
+    warp's CDF at x sums the weights of the nodes whose warp at t is at
+    most x, and its p-quantile is the least node value where that sum
+    reaches p.
+
+    Returns (mean, sd, quantiles (2, len(t)), s CDF, warp CDF)."""
     assert cfg.prior.partition_size == 2
     gx, gw = np.polynomial.legendre.leggauss(nodes)
     lo, hi = q1.grid[:-1, None], q1.grid[1:, None]
@@ -186,10 +192,16 @@ def quadrature_posterior(q1, q2, cfg, t, nodes):
     knots = np.column_stack([np.zeros(n), np.repeat(s, v.size), np.ones(n)])
     values = np.column_stack([np.zeros(n), np.tile(v, s.size), np.ones(n)])
     at_t = batch_eval(knots, values, t)
-    mean = weights.ravel() @ at_t
+    flat = weights.ravel()
+    mean = flat @ at_t
+    order = np.argsort(at_t, axis=0)
+    reached = np.cumsum(flat[order], axis=0)
+    quantiles = np.take_along_axis(at_t, order, 0)[
+        [(reached >= p).argmax(axis=0) for p in (0.025, 0.975)], np.arange(t.size)]
     per_interval = weights.sum(axis=1).reshape(-1, nodes).sum(axis=1)
-    cdf = np.concatenate(([0.0], np.cumsum(per_interval)))
-    return mean, np.sqrt(weights.ravel() @ (at_t - mean) ** 2), cdf
+    s_cdf = np.concatenate(([0.0], np.cumsum(per_interval)))
+    return (mean, np.sqrt(flat @ (at_t - mean) ** 2), quantiles, s_cdf,
+            lambda x: flat @ (at_t <= x))
 
 
 def enumerate_path_costs(q1, q2, cfg) -> float:
@@ -202,18 +214,16 @@ def enumerate_path_costs(q1, q2, cfg) -> float:
     when it stays on the lattice, so every index is inside its table.
     """
     m = cfg.grid_size
-    refine = _refinement(cfg.neighborhood)
     dt = 1.0 / (m - 1)
-    q2f = _fine_values(q2.grid, q2.values, refine)
-    cost = {(a, b): _step_costs(q1.values, q2f, refine, (a, b), dt, m - b)
-            for a, b in cfg.neighborhood}
+    q2f = _fine_values(q2.grid, q2.values, _REFINE)
+    cost = {(a, b): _step_costs(q1.values, q2f, _REFINE, (a, b), dt, m - b) for a, b in _STEPS}
     best = [np.inf]
 
     def walk(i, j, acc):
         if (i, j) == (m - 1, m - 1):
             best[0] = min(best[0], acc)
             return
-        for a, b in cfg.neighborhood:
+        for a, b in _STEPS:
             if i + a <= m - 1 and j + b <= m - 1:
                 walk(i + a, j + b, acc + cost[(a, b)][i, j])
 
@@ -231,18 +241,18 @@ def reference_dp_align_closed(q1, q2, cfg):
 
     Returns (seed, knot x, knot y, energy).
     """
-    m, steps = cfg.grid_size, cfg.neighborhood
+    m = cfg.grid_size
     n = q1.grid.size - 1
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
     lattice, q1v, _ = _lattice(apply_seed(q1, 0.0), q2, m)
-    for first, costs in _closed_costs(lattice, q1v, q2, cfg, seeds):
+    for first, costs in _closed_costs(lattice, q1v, q2, seeds):
         for s in range(costs[0].shape[1]):
             dist = np.full((m, m), np.inf)
             dist[0, 0] = 0.0
             choice = np.full((m, m), -1)
             for i in range(1, m):
-                for si, (a, b) in enumerate(steps):
+                for si, (a, b) in enumerate(_STEPS):
                     if i < a:
                         continue
                     cand = dist[i - a, :m - b] + costs[si][i - a][s]
@@ -254,7 +264,7 @@ def reference_dp_align_closed(q1, q2, cfg):
     nodes = [(m - 1, m - 1)]
     while nodes[-1] != (0, 0):
         i, j = nodes[-1]
-        a, b = steps[best_choice[i, j]]
+        a, b = _STEPS[best_choice[i, j]]
         nodes.append((i - a, j - b))
     grid = q1.grid if n + 1 == m else uniform_grid(m)
     xs = np.array([grid[i] for i, _ in reversed(nodes)])

@@ -260,7 +260,7 @@ class TestSirPosterior:
 class TestQuadratureOracle:
     """At partition size 2 the posterior is a 2-d integral, which a
     product rule computes without sampling; SIR must match its mean, its
-    spread and the marginal of the knot position s."""
+    spread, its tail quantiles and the marginal of the knot position s."""
 
     def test_sir_mean_matches_quadrature(self):
         # model-generated: q1 is q2 warped by a one-knot warp plus noise at
@@ -272,8 +272,9 @@ class TestQuadratureOracle:
         q1 = Srvf(q2.grid, warp_action(q2, truth).values + noise)
         cfg = BayesConfig(prior=WarpPrior(identity(), 2, 10.0))
         t = np.array([0.25, 0.5, 0.75])
-        coarse, coarse_sd, coarse_cdf = quadrature_posterior(q1, q2, cfg, t, nodes=2)
-        mean, sd, cdf = quadrature_posterior(q1, q2, cfg, t, nodes=4)
+        coarse, coarse_sd, _, coarse_cdf, coarse_warp_cdf = quadrature_posterior(
+            q1, q2, cfg, t, nodes=2)
+        mean, sd, quantiles, cdf, warp_cdf = quadrature_posterior(q1, q2, cfg, t, nodes=4)
         # The spread, from ten times the draws (ESS about 430, against 37 for
         # the mean below): doubling the log likelihood shrinks the sd by about
         # a quarter and halving it widens the sd by about half, which the mean
@@ -282,7 +283,8 @@ class TestQuadratureOracle:
         # 2.6e-5.
         wide = sir_posterior(q1, q2, BayesConfig(prior=cfg.prior, prior_draws=200_000),
                              np.random.default_rng(1))
-        sir_sd = np.std([w(t) for w in wide.warps], axis=0, ddof=1)
+        wide_at_t = np.array([w(t) for w in wide.warps])
+        sir_sd = np.std(wide_at_t, axis=0, ddof=1)
         sd_tol = 4.0 * sd * np.sqrt((1.0 / wide.ess + 1.0 / cfg.resample_size) / 2.0)
         assert np.max(np.abs(sd - coarse_sd)) <= 5e-5 <= np.min(sd_tol) / 4
         assert np.all(np.abs(sir_sd - sd) <= sd_tol), (sir_sd, sd, sd_tol)
@@ -296,6 +298,18 @@ class TestQuadratureOracle:
         band = 1.628 * np.sqrt(1.0 / wide.ess + 1.0 / cfg.resample_size)
         assert np.max(np.abs(cdf - coarse_cdf)) <= 0.02 <= band / 4
         assert np.max(np.abs(sir_cdf - cdf)) <= band, (sir_cdf, cdf, band)
+        # The 2.5% and 97.5% quantiles of the warp at t: the fraction of the
+        # same draws at or below a quadrature quantile is a proportion whose
+        # variance is p(1-p) over the effective count; allow four errors.
+        # At the quantiles the 2- and 4-point rules' CDFs differ by 0.014,
+        # above a quarter of the tolerance (8.3e-3 at p = 0.025) but under
+        # half of it; the 4- and 8-point rules' differ by 6.7e-3.
+        for p, quantile in zip((0.025, 0.975), quantiles):
+            q_tol = 4.0 * np.sqrt(p * (1.0 - p) * (1.0 / wide.ess + 1.0 / cfg.resample_size))
+            rules = np.max(np.abs(coarse_warp_cdf(quantile) - warp_cdf(quantile)))
+            assert rules <= 0.015 <= q_tol / 2
+            below = np.mean(wide_at_t <= quantile, axis=0)
+            assert np.all(np.abs(below - p) <= q_tol), (p, below, q_tol)
         post = sir_posterior(q1, q2, cfg, np.random.default_rng(1))
         sir_mean = np.mean([w(t) for w in post.warps], axis=0)
         # four Monte Carlo errors of a resampled mean: the weighted mean's

@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from warpalign import (
     warp_action,
 )
 from warpalign import align_dp
-from warpalign.align_dp import _DEFAULT_STEPS, _band, _refinement, _seed_bytes, _step_costs
+from warpalign.align_dp import _REFINE, _STEPS, _band, _seed_bytes, _step_costs
 from warpalign.fixtures import _radial_curve, bean_curve, closed_shape_pair, spiral_pair, two_bump_pair
 
 
@@ -39,17 +40,17 @@ def smooth_pair(m=60):
     return to_srvf(c1), to_srvf(c2)
 
 
-def on_some_path(steps, m: int) -> np.ndarray:
-    """(m, m) mask of the nodes on some lattice path from (0,0) to
-    (m-1,m-1): a BFS forward from (0,0) intersected with a BFS backward
-    from (m-1,m-1)."""
+def on_some_path(m: int) -> np.ndarray:
+    """(m, m) mask of the nodes on some lattice path of the DP's steps from
+    (0,0) to (m-1,m-1): a BFS forward from (0,0) intersected with a BFS
+    backward from (m-1,m-1)."""
     def bfs(start, sign):
         seen = np.zeros((m, m), dtype=bool)
         seen[start] = True
         queue = deque([start])
         while queue:
             i, j = queue.popleft()
-            for a, b in steps:
+            for a, b in _STEPS:
                 node = (i + sign * a, j + sign * b)
                 if 0 <= node[0] < m and 0 <= node[1] < m and not seen[node]:
                     seen[node] = True
@@ -100,9 +101,8 @@ class TestDpAlign:
                 assert dp_warp_energy(q1, q2, warp, cfg) == energy
 
     def test_energy_of_steps_outside_the_neighborhood(self):
-        # steps (3,1), (2,3) and (7,8): 3 and 7 do not divide the default
-        # neighborhood's refinement times b, so q2 is read between its
-        # refined nodes
+        # steps (3,1), (2,3) and (7,8): 3 and 7 do not divide the DP's
+        # refinement times b, so q2 is read between its refined nodes
         t = uniform_grid(13)
         q1 = to_srvf(Curve(t, np.sin(3 * t)))
         q2 = to_srvf(Curve(t, np.cos(2 * t) + t ** 2))
@@ -140,7 +140,7 @@ class TestDpAlign:
             assert energy <= dp_warp_energy(q1, q2, identity(), cfg) + 1e-12
 
     def test_known_warp_recovery(self):
-        # q2 = q1 warped by a lattice warp whose inverse the neighborhood can
+        # q2 = q1 warped by a lattice warp whose inverse the DP's steps can
         # represent; the curve has informative derivative everywhere so the
         # warp is identifiable
         m = 101
@@ -152,21 +152,16 @@ class TestDpAlign:
         warp, _ = dp_align(q1, q2, cfg)
         assert sup_dist(warp, w0.inverse()) <= 2.0 / cfg.grid_size
 
-    def test_matches_bruteforce_small_neighborhood(self):
-        rng = np.random.default_rng(1)
-        cfg = DpConfig(grid_size=6, neighborhood=((1, 1), (1, 2), (2, 1)))
-        for _ in range(20):
-            q1, q2 = random_srvf(rng), random_srvf(rng)
-            _, energy = dp_align(q1, q2, cfg)
-            assert energy == enumerate_path_costs(q1, q2, cfg)
-
     def test_matches_bruteforce_default_neighborhood(self):
+        # on 3 nodes every step with a part of 3 has an empty table, so the
+        # diagonal, (1,2) and (2,1) remain
         rng = np.random.default_rng(2)
-        cfg = DpConfig(grid_size=6)
-        for _ in range(20):
-            q1, q2 = random_srvf(rng, dim=2), random_srvf(rng, dim=2)
-            _, energy = dp_align(q1, q2, cfg)
-            assert energy == enumerate_path_costs(q1, q2, cfg)
+        for m in (6, 3):
+            cfg = DpConfig(grid_size=m)
+            for _ in range(20):
+                q1, q2 = random_srvf(rng, m=m, dim=2), random_srvf(rng, m=m, dim=2)
+                _, energy = dp_align(q1, q2, cfg)
+                assert energy == enumerate_path_costs(q1, q2, cfg)
 
     def test_joint_rotation_invariance(self):
         rng = np.random.default_rng(3)
@@ -217,11 +212,28 @@ class TestDpAlign:
         with pytest.raises(ValueError, match="do not sit on the DP lattice"):
             dp_warp_energy(q, q, warp, DpConfig(grid_size=10))
 
-    def test_unreachable_neighborhood_rejected(self):
-        q = Srvf(uniform_grid(6), np.ones((6, 1)))
-        cfg = DpConfig(grid_size=6, neighborhood=((2, 2),))
-        with pytest.raises(ValueError):
-            dp_align(q, q, cfg)
+
+class TestReachability:
+    """The diagonal step reaches the far corner of every lattice, so every
+    DP call ends at a finite energy and every backtrack ends at (0,0)."""
+
+    @pytest.mark.parametrize("on_lattice", [True, False], ids=["on_lattice", "off_lattice"])
+    def test_finite_energy_at_every_grid_size(self, on_lattice):
+        rng = np.random.default_rng(8)
+        for grid_size in range(3, 31):
+            m = grid_size if on_lattice else 41
+            cfg = DpConfig(grid_size=grid_size)
+            assert on_some_path(grid_size)[-1, -1]
+            q1, q2 = random_srvf(rng, m=m, dim=2), random_srvf(rng, m=m, dim=2)
+            warp, energy = dp_align(q1, q2, cfg)
+            assert np.isfinite(energy) and dp_warp_energy(q1, q2, warp, cfg) == energy
+            vals = rng.normal(size=(m, 2))
+            vals[-1] = vals[0]
+            c1 = Srvf(uniform_grid(m), vals, "closed")
+            c2 = apply_seed(c1, 0.5)
+            seed, warp, energy = dp_align_closed(c1, c2, cfg)
+            path = dp_warp_energy(apply_seed(c1, 0.0), apply_seed(c2, seed), warp, cfg)
+            assert np.isfinite(energy) and abs(path - energy) <= 1e-9
 
 
 class TestDpAlignClosed:
@@ -363,16 +375,6 @@ def closed_srvfs(draw, m):
     return Srvf(uniform_grid(m), np.vstack((vals, vals[:1])), "closed")
 
 
-def neighborhoods():
-    """Nonempty subsets of the default steps, with or without the diagonal,
-    the default steps themselves, and sets with slopes on one side of 1."""
-    return st.one_of(
-        st.lists(st.sampled_from(_DEFAULT_STEPS), min_size=1, max_size=len(_DEFAULT_STEPS),
-                 unique=True).map(tuple),
-        st.sampled_from([_DEFAULT_STEPS, ((1, 1), (1, 2)), ((1, 1), (2, 1)),
-                         ((1, 1), (1, 3), (2, 3)), ((1, 1), (3, 2), (3, 1))]))
-
-
 class TestStepCostOracle:
     """``_step_costs`` against the trapezoid sum it stands for, node by node
     in plain numpy: sum_k w_k |q1(i+k) - sqrt(b/a) q2f(j*refine + k*stride)|^2."""
@@ -395,12 +397,12 @@ class TestStepCostOracle:
             scale += w * (np.sum(lhs ** 2, axis=-1) + np.sum(rhs ** 2, axis=-1))
         return cost, scale
 
-    @pytest.mark.parametrize("step", _DEFAULT_STEPS)
+    @pytest.mark.parametrize("step", _STEPS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seeds", [(), (4,)], ids=["unbatched", "batched"])
     def test_matches_per_node_sum(self, step, dim, seeds):
         rng = np.random.default_rng(17)
-        m, refine = 23, _refinement(_DEFAULT_STEPS)
+        m, refine = 23, _REFINE
         q1v = rng.normal(size=(m, dim))
         q2f = rng.normal(size=seeds + (refine * (m - 1) + 1, dim))
         args = (refine, step, 1.0 / (m - 1), m - step[1])
@@ -477,15 +479,11 @@ class TestPinnedFixtureOutputs:
 class TestBand:
     """``_band`` holds every node that lies on some lattice path."""
 
-    @pytest.mark.parametrize("steps", [
-        _DEFAULT_STEPS, ((1, 1),), ((1, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 1)),
-        ((2, 1), (1, 3)), ((1, 1), (1, 3), (2, 3)), ((3, 2), (2, 3)), ((2, 2),), ((1, 2),),
-        ((3, 1), (1, 1), (2, 5))])
-    def test_paths_lie_in_the_band(self, steps):
+    def test_paths_lie_in_the_band(self):
         for m in range(2, 26):
-            bands = _band(steps, m)
+            bands = _band(m)
             assert len(bands) == m
-            on_path = on_some_path(steps, m)
+            on_path = on_some_path(m)
             for i, (lo, hi) in enumerate(bands):
                 assert 0 <= lo <= hi <= m
                 cols = np.flatnonzero(on_path[i])
@@ -495,7 +493,7 @@ class TestBand:
     def test_default_band_is_the_slope_window(self):
         # slopes 1/3 .. 3 on a 100-node lattice: row 3 keeps columns 1 .. 9,
         # row 50 columns 17 .. 82 and row 96 columns 90 .. 98
-        bands = _band(_DEFAULT_STEPS, 100)
+        bands = _band(100)
         assert bands[0] == (0, 1) and bands[99] == (99, 100)
         assert bands[3] == (1, 10) and bands[50] == (17, 83) and bands[96] == (90, 99)
 
@@ -509,8 +507,7 @@ class TestSeedPassOracle:
     def assert_matches_oracle(q1, q2, cfg, per_block=None):
         block_bytes = align_dp._BLOCK_BYTES
         if per_block is not None:
-            block_bytes = per_block * _seed_bytes(cfg.grid_size, cfg.neighborhood,
-                                                  q1.grid.size != cfg.grid_size)
+            block_bytes = per_block * _seed_bytes(cfg.grid_size, q1.grid.size != cfg.grid_size)
         with mock.patch.object(align_dp, "_BLOCK_BYTES", block_bytes):
             seed, warp, energy = dp_align_closed(q1, q2, cfg)
             ref_seed, ref_x, ref_y, ref_energy = reference_dp_align_closed(q1, q2, cfg)
@@ -528,15 +525,10 @@ class TestSeedPassOracle:
         q2 = q1 if data.draw(st.booleans(), label="same") else data.draw(closed_srvfs(m))
         on_lattice = data.draw(st.booleans(), label="on_lattice")
         grid_size = m if on_lattice else data.draw(
-            st.integers(5, 26).filter(lambda g: g != m), label="grid_size")
+            st.integers(3, 26).filter(lambda g: g != m), label="grid_size")
         stride = data.draw(st.sampled_from([1, 3]), label="seed_stride")
         per_block = data.draw(st.sampled_from([None, 1, 2, 5]), label="seeds_per_block")
-        steps = data.draw(neighborhoods(), label="neighborhood")
-        cfg = DpConfig(grid_size=grid_size, neighborhood=steps, seed_stride=stride)
-        if not on_some_path(cfg.neighborhood, grid_size)[-1, -1]:
-            with pytest.raises(ValueError, match="end node unreachable"):
-                dp_align_closed(q1, q2, cfg)
-            return
+        cfg = DpConfig(grid_size=grid_size, seed_stride=stride)
         self.assert_matches_oracle(q1, q2, cfg, per_block)
 
     @pytest.mark.parametrize("grid_size", [41, 30])
@@ -565,33 +557,22 @@ class TestSeedPassOracle:
 
 
 class TestDpConfig:
-    def test_diagonal_step_promoted_first(self):
-        cfg = DpConfig(neighborhood=((2, 1), (1, 1), (1, 2)))
-        assert cfg.neighborhood[0] == (1, 1)
+    def test_fields(self):
+        # the steps are the module's one set, not a setting
+        assert [f.name for f in fields(DpConfig)] == ["grid_size", "seed_stride"]
+        with pytest.raises(TypeError):
+            DpConfig(neighborhood=_STEPS)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DpConfig(grid_size=2)
-        with pytest.raises(ValueError):
-            DpConfig(neighborhood=())
-        with pytest.raises(ValueError):
-            DpConfig(neighborhood=((0, 1),))
         with pytest.raises(ValueError, match="seed_stride must be at least 1"):
             DpConfig(seed_stride=0)
 
     @pytest.mark.parametrize("field,value,message", [
         ("grid_size", 50.0, "grid_size must be at least 3 and an integer, not 50.0"),
         ("seed_stride", 1.5, "seed_stride must be at least 1 and an integer, not 1.5"),
-        ("neighborhood", ((1.9, 2.7),),
-         "each part of a neighborhood step must be at least 1 and an integer, not 1.9"),
-        ("neighborhood", ((1, 1), (2, 0)),
-         "each part of a neighborhood step must be at least 1 and an integer, not 0"),
     ])
     def test_count_rejected_not_truncated(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             DpConfig(**{field: value})
-
-    def test_numpy_integer_steps_become_ints(self):
-        cfg = DpConfig(grid_size=np.int64(50), neighborhood=((np.int64(2), np.int32(1)),))
-        assert cfg.neighborhood == ((2, 1),)
-        assert all(type(v) is int for v in cfg.neighborhood[0])

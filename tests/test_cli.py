@@ -726,6 +726,21 @@ class TestAlignCommands:
         assert code == 0
         assert "seed" in (out / "energy.csv").read_text()
 
+    @pytest.mark.parametrize("closed", [False, True], ids=["two_bump", "closed_blobs"])
+    def test_align_dp_grid_size_three(self, bump_files, closed, tmp_path):
+        # the least lattice: the steps with a part of 3 have no start node
+        a, b = bump_files
+        extra = []
+        if closed:
+            a, b = (write_curve(c, tmp_path / f"{k}.csv")
+                    for k, c in zip("ab", closed_shape_pair(101)))
+            extra = ["--shape"]
+        out = tmp_path / "dp"
+        code = main(["align-dp", str(a), str(b), "--grid-size", "3", *extra,
+                     "--outdir", str(out)])
+        assert code == 0
+        assert (out / "warp.json").exists()
+
     def test_align_sa_outputs_and_determinism(self, bump_files, tmp_path):
         a, b = bump_files
         outs = []

@@ -575,7 +575,8 @@ class TestBetaCdfWarp:
             assert np.array_equal(got.x, t)
             assert np.max(np.abs(got.y - expected.y)) <= 1e-11, (a, b)
 
-    @pytest.mark.parametrize("a,b", [(1e4, 10.0), (1e5, 3.0), (9.2e4, 6.4e4), (1e6, 1e6)])
+    @pytest.mark.parametrize("a,b", [(1e4, 10.0), (1e5, 3.0), (9.2e4, 6.4e4), (1e6, 1e6),
+                                     (8.4e5, 19.6)])
     def test_large_shapes_match_scipy_where_the_mass_is(self, a, b):
         """At large shapes the mass sits in a band far narrower than the
         knot spacing, so the incomplete beta is checked at 1999 quantiles
@@ -588,13 +589,16 @@ class TestBetaCdfWarp:
         continued fraction's, at points next to its split, where a flipped
         x is rounded in 1 - x.  With log B alone
         the exponent still cancels: 1.1e-11 at (9.2e4, 6.4e4) and 1.4e-10
-        at (1e6, 1e6)."""
+        at (1e6, 1e6).  (8.4e5, 19.6) is the worst pair known, where the
+        continued fraction itself errs by 1.6e-11 (2.4e-11 at other
+        points): it holds its own bound of 3e-11."""
+        bound = 3e-11 if (a, b) == (8.4e5, 19.6) else 1e-11
         for p, q in ((a, b), (b, a)):
             x = stats.beta.ppf(np.linspace(0.0005, 0.9995, 1999), p, q)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _betainc(p, q, x)
-            assert np.max(np.abs(got - special.betainc(p, q, x))) <= 1e-11, (p, q)
+            assert np.max(np.abs(got - special.betainc(p, q, x))) <= bound, (p, q)
 
     @pytest.mark.parametrize("knots", [2, 3, 1001])
     def test_uniform_is_identity(self, knots):
