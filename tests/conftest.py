@@ -246,7 +246,7 @@ def reference_dp_align_closed(q1, q2, cfg):
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
     lattice, q1v, _ = _lattice(apply_seed(q1, 0.0), q2, m)
-    for first, costs in _closed_costs(lattice, q1v, q2, seeds):
+    for first, costs in _closed_costs(lattice, q1v, q2)(seeds):
         for s in range(costs[0].shape[1]):
             dist = np.full((m, m), np.inf)
             dist[0, 0] = 0.0

@@ -27,7 +27,7 @@ from warpalign import (
     warp_action,
 )
 from warpalign import align_dp
-from warpalign.align_dp import _REFINE, _STEPS, _band, _seed_bytes, _step_costs
+from warpalign.align_dp import _REFINE, _SPAN, _STEPS, _band, _plan, _seed_bytes, _step_costs
 from warpalign.fixtures import _radial_curve, bean_curve, closed_shape_pair, spiral_pair, two_bump_pair
 
 
@@ -411,6 +411,20 @@ class TestStepCostOracle:
         assert cost.shape == ref.shape == seeds + (m - step[0], m - step[1])
         assert np.all(np.abs(cost - ref) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("step", _STEPS)
+    @pytest.mark.parametrize("seeds", [(), (4,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 0.25, 2.0 ** 70])
+    def test_screen_table_is_the_table_scaled_and_rounded_once(self, step, seeds, scale):
+        # the seed screen's slack assumes each float32 cost is fl32(scale * cost)
+        rng = np.random.default_rng(18)
+        m = 23
+        q1v = rng.normal(size=(m, 2))
+        q2f = rng.normal(size=seeds + (_REFINE * (m - 1) + 1, 2))
+        args = (_REFINE, step, 1.0 / (m - 1), m - step[1])
+        screen = _step_costs(q1v, q2f.copy(), *args, scale=scale)
+        assert screen.dtype == np.float32
+        assert np.array_equal(screen, (scale * _step_costs(q1v, q2f.copy(), *args)).astype(np.float32))
+
 
 def lattice_steps(warp: PLWarp, m: int) -> str:
     """A lattice warp as its steps (a, b), written "ab" one after another."""
@@ -490,6 +504,22 @@ class TestBand:
                 assert np.all((lo <= cols) & (cols < hi)), (m, i, lo, hi, cols)
             assert all(b1[0] <= b2[0] and b1[1] <= b2[1] for b1, b2 in zip(bands, bands[1:]))
 
+    def test_plan_follows_the_band(self):
+        for m in range(3, 31):
+            bands = _band(m)
+            plan = _plan(m)
+            assert [row[0] for row in plan] == list(range(1, m))
+            for i, ring_row, band, steps in plan:
+                lo, hi = bands[i]
+                assert ring_row == i % _SPAN and band == slice(lo, hi)
+                taken = [si for si, (a, b) in enumerate(_STEPS) if i >= a and max(lo, b) < hi]
+                assert [step[0] for step in steps] == taken
+                for si, prev, cost_row, src, dst in steps:
+                    a, b = _STEPS[si]
+                    assert (prev, cost_row) == ((i - a) % _SPAN, i - a)
+                    assert dst == slice(max(lo, b), hi)
+                    assert src == slice(dst.start - b, dst.stop - b)
+
     def test_default_band_is_the_slope_window(self):
         # slopes 1/3 .. 3 on a 100-node lattice: row 3 keeps columns 1 .. 9,
         # row 50 columns 17 .. 82 and row 96 columns 90 .. 98
@@ -554,6 +584,78 @@ class TestSeedPassOracle:
         q = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
         cfg = DpConfig(grid_size=grid_size)
         assert self.assert_matches_oracle(q, q, cfg, per_block) == 0.0
+
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    def test_exact_ties_go_to_the_first_tied_seed(self, grid_size):
+        # cos(10 pi t) sampled so that it repeats every 20 of its 100 distinct
+        # samples exactly; q2 is q1 shifted by 7 nodes, so seeds 7, 27, ..., 87
+        # tie exactly, and the screen must keep all five
+        vals = np.tile(np.cos(2 * np.pi * np.arange(20) / 20), 5)
+        q1 = Srvf(uniform_grid(101), np.append(vals, vals[0])[:, None], "closed")
+        q2 = apply_seed(q1, 0.93)
+        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 0.07
+
+    @pytest.mark.parametrize("grid_size,noise_seed", [(101, 1), (80, 4)])
+    def test_float32_order_flips_keep_the_float64_winner(self, grid_size, noise_seed):
+        # q2 repeats every 20 of its 100 samples up to noise of 1e-7, so five
+        # seeds lie within float32's rounding of each other.  With these noise
+        # draws the float32 screen ranks another seed first, and only the
+        # slack keeps the float64 winner.
+        t = np.arange(100) / 100
+        v1 = np.cos(2 * np.pi * t) + 0.5 * np.sin(6 * np.pi * t)
+        v2 = np.tile(np.cos(2 * np.pi * np.arange(20) / 20), 5)
+        v2 += 1e-7 * np.random.default_rng(noise_seed).normal(size=100)
+        q1, q2 = (Srvf(uniform_grid(101), np.append(v, v[0])[:, None], "closed") for v in (v1, v2))
+        seed = self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size))
+        grid, q1v, _ = align_dp._lattice(q1, q2, grid_size, circle=True)
+        blocks = align_dp._closed_costs(grid, q1v, q2)(range(100), screen=True)
+        screen = np.concatenate([align_dp._solve(costs, grid_size)[0] for _, costs in blocks])
+        assert screen[round(seed * 100)] > screen.min()
+
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    def test_constant_srvf_ties_every_seed(self, grid_size):
+        q1, _ = fixture_shapes(closed_shape_pair(101))
+        q2 = Srvf(uniform_grid(101), np.ones((101, 2)), "closed")
+        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 0.0
+
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    @pytest.mark.parametrize("factor", [1e-25, 1e19, 1e20])
+    def test_scaled_blobs(self, grid_size, factor):
+        # unscaled, the screen's float32 costs would underflow to zero at
+        # 1e-25 (and keep every seed) and overflow at 1e20
+        q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
+                  for q in fixture_shapes(closed_shape_pair(101)))
+        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 0.99
+
+    @pytest.mark.parametrize("grid_size", [41, 30])
+    def test_one_seed_per_block_with_stride(self, grid_size, monkeypatch):
+        monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
+        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        self.assert_matches_oracle(q1, apply_seed(q1, 0.3), DpConfig(grid_size=grid_size, seed_stride=3))
+
+
+class TestSeedScreen:
+    """The closed seed search takes its fast path: one float32 screen of
+    every seed, then one float64 solve, of the one seed that can win."""
+
+    @pytest.mark.parametrize("grid_size", [101, 80])
+    @pytest.mark.parametrize("factor", [1.0, 1e-25, 1e20])
+    def test_one_float64_solve_of_one_seed(self, grid_size, factor, monkeypatch):
+        calls = []
+        solve = align_dp._solve
+
+        def spy(costs, m, track=False):
+            calls.append((costs[0].dtype, costs[0].shape[1], track))
+            return solve(costs, m, track)
+
+        monkeypatch.setattr(align_dp, "_solve", spy)
+        q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
+                  for q in fixture_shapes(closed_shape_pair(101)))
+        dp_align_closed(q1, q2, DpConfig(grid_size=grid_size))
+        screen = [n for dtype, n, _ in calls if dtype == np.float32]
+        assert calls == [(np.float32, n, False) for n in screen] + [(np.float64, 1, True)]
+        # on the lattice every seed reads one cast of the tables, in one block
+        assert screen == [100] if grid_size == 101 else sum(screen) == 100
 
 
 class TestDpConfig:
