@@ -10,8 +10,7 @@ spirals at m=100 (open_shape) and planar closed blobs at m=101
 the median wall time per iteration is printed in microseconds.  The
 ``closed_dp`` line is the median wall time of ``--runs`` calls of
 ``dp_align_closed`` on the same closed blobs at ``grid_size=101``, in
-milliseconds, and the ``closed_dp_off`` line the same off the lattice,
-at ``grid_size=80``.  The ``dp_align`` line is the median wall time of
+milliseconds.  The ``dp_align`` line is the median wall time of
 ``--runs`` calls of ``dp_align`` on the two-bump functions at
 ``grid_size=100``, in milliseconds.  The ``sir_posterior`` line is the
 median wall time of ``--runs`` calls of ``sir_posterior`` at default
@@ -74,11 +73,10 @@ def main() -> int:
         print(f"{mode:13s} {1e6 * seconds:8.1f} us/iter "
               f"(median of {args.runs} runs x {args.iters} iterations)")
     q1, q2 = pairs["closed_shape"]
-    for name, grid_size in (("closed_dp", q1.grid.size), ("closed_dp_off", 80)):
-        cfg = DpConfig(grid_size=grid_size)
-        seconds = _median_time(lambda _: dp_align_closed(q1, q2, cfg), args.runs)
-        print(f"{name:13s} {1e3 * seconds:8.1f} ms/search (median of {args.runs} runs, "
-              f"{q1.grid.size - 1} seeds at grid_size={grid_size})")
+    cfg = DpConfig(grid_size=q1.grid.size)
+    seconds = _median_time(lambda _: dp_align_closed(q1, q2, cfg), args.runs)
+    print(f"{'closed_dp':13s} {1e3 * seconds:8.1f} ms/search (median of {args.runs} runs, "
+          f"{q1.grid.size - 1} seeds at grid_size={cfg.grid_size})")
     q1, q2 = pairs["function"]
     cfg = DpConfig(grid_size=q1.grid.size)
     seconds = _median_time(lambda _: dp_align(q1, q2, cfg), args.runs)

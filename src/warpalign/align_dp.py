@@ -1,7 +1,8 @@
 """Dynamic-programming baseline for elastic alignment.
 
 Minimizes the discretized energy ||q1 - (q2 o w) sqrt(w')||^2 over PL
-warps whose knots sit on grid nodes and whose segments are steps of
+warps whose knots sit on the curves' own grid nodes (the lattice is the
+data grid, ``_check_lattice``) and whose segments are steps of
 ``_STEPS``: seven (a, b) moves, a nodes along q1 and b along q2, diagonal
 first.  Closed curves add an exhaustive search over seed shifts: every
 seed is screened in float32, and only the seeds whose float64 energy can
@@ -21,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .srvf import Srvf, _check_same_grid, _interp_columns, _require_uniform
 from .shapeops import _roll_seed, _two_periods
-from .warpmap import PLWarp, check_count, uniform_grid
+from .warpmap import PLWarp, check_count
 
 __all__ = ["DpConfig", "dp_align", "dp_align_closed", "dp_warp_energy"]
 
@@ -42,7 +43,9 @@ _BLOCK_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class DpConfig:
-    """Lattice size and closed-curve seed stride; the steps are ``_STEPS``."""
+    """Lattice size and closed-curve seed stride; the steps are ``_STEPS``.
+    The lattice is the curves' own grid, so ``grid_size`` must equal their
+    point count (``_check_lattice``)."""
 
     grid_size: int = 100
     seed_stride: int = 1
@@ -52,22 +55,29 @@ class DpConfig:
         check_count("seed_stride", self.seed_stride, 1)
 
 
+def _check_lattice(grid_size: int, points: int) -> None:
+    """The one lattice rule: the DP's lattice is the data grid, so its
+    ``grid_size`` must equal the curves' point count.  A coarser DP is a
+    coarser resampling of the curves (``--points``)."""
+    if grid_size != points:
+        raise ValueError(f"grid_size {grid_size} differs from the curves' {points} points: the "
+                         f"DP lattice is the data grid; resample them with --points {grid_size}")
+
+
 def _lattice(q1: Srvf, q2: Srvf, m: int,
              circle: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The DP's one lattice rule: q1 and q2 share one uniform grid, and the
-    lattice is that grid when it has m nodes, else the uniform grid of m
-    nodes that both SRVFs are interpolated onto.  With ``circle`` both
-    are first read on the circle at seed 0 (``shapeops._two_periods``).
-    Returns the lattice grid and q1's and q2's values on it."""
+    """The lattice of every DP entry point: q1 and q2 share one uniform
+    grid of m nodes (``_check_lattice``), and the lattice is that grid.
+    With ``circle`` both are read on the circle at seed 0
+    (``shapeops._two_periods``).  Returns the lattice grid and q1's and
+    q2's values on it."""
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
+    _check_lattice(m, q1.grid.size)
     values = [q.values for q in (q1, q2)]
     if circle:
         values = [_roll_seed(_two_periods(v), 0) for v in values]
-    if q1.grid.size == m:
-        return q1.grid, *values
-    grid = uniform_grid(m)
-    return grid, *(_interp_columns(q1.grid, v, grid) for v in values)
+    return q1.grid, *values
 
 
 def _fine_values(grid: np.ndarray, values: np.ndarray, refine: int) -> np.ndarray:
@@ -76,8 +86,7 @@ def _fine_values(grid: np.ndarray, values: np.ndarray, refine: int) -> np.ndarra
 
 
 def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
-                step: tuple[int, int], dt: float, ncols: int,
-                scale: float | None = None) -> np.ndarray:
+                step: tuple[int, int], dt: float, ncols: int) -> np.ndarray:
     """Cost of one (a,b) move from every start node (i,j), j < ncols.
 
     The segment integrand |q1(t) - q2(j + (b/a)(t - i)) sqrt(b/a)|^2 is
@@ -91,17 +100,10 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     sum_k w_k |l_k|^2 + sum_k w_k |r_k|^2 - 2 sum_k w_k l_k.r_k: a row
     vector, a column vector and one matmul of the a+1 slices of q1 set
     side by side, each scaled by -2 w_k, against the a+1 slices of q2.
-
-    With ``scale``, a power of two, the table is the seed screen's: every
-    cost times ``scale``, rounded once to float32.  The scale rides on the
-    weights, so each float64 product and sum is exactly ``scale`` times
-    the unscaled one (while both stay in float64's normal range), and the
-    last add writes float32 directly.
     """
     a, b = step
-    w = dt if scale is None else dt * scale
-    weights = np.full(a + 1, w)
-    weights[0] = weights[-1] = w / 2.0
+    weights = np.full(a + 1, dt)
+    weights[0] = weights[-1] = dt / 2.0
     weights = np.repeat(weights, q1v.shape[1])  # one per (node, coordinate)
     stride = refine * b // a
     imax = q1v.shape[0] - a
@@ -116,8 +118,8 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     lhs *= -2.0 * weights
     acc = lhs @ np.swapaxes(rhs, -1, -2)
     acc += row[:, None]
-    out = acc if scale is None else np.empty(acc.shape, np.float32)
-    return np.add(acc, col[..., None, :], out=out)
+    acc += col[..., None, :]
+    return acc
 
 
 @lru_cache(maxsize=16)
@@ -225,10 +227,9 @@ def _backtrack(choice: np.ndarray, grid: np.ndarray) -> PLWarp:
 def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, float]:
     """Optimal lattice warp and its energy.
 
-    The SRVFs must share one uniform grid and are interpolated onto a
-    uniform lattice of ``cfg.grid_size`` nodes if needed; the DP then
-    finds the cheapest monotone path of ``_STEPS`` from (0,0) to the far
-    corner.
+    The SRVFs must share one uniform grid of ``cfg.grid_size`` nodes,
+    which is the lattice (``_lattice``); the DP finds the cheapest
+    monotone path of ``_STEPS`` from (0,0) to the far corner.
     """
     m = cfg.grid_size
     grid, q1v, q2v = _lattice(q1, q2, m)
@@ -241,7 +242,7 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
 
 def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig()) -> float:
     """Recompute the DP energy of a lattice warp from its segment costs,
-    on the lattice ``dp_align`` would use.
+    on the lattice ``dp_align`` uses.
 
     A segment that moves a nodes along q1 and b along q2 reads q2 at
     j + k*b/a, k = 0..a, so its costs use a fine grid lcm(_REFINE, a)
@@ -273,80 +274,61 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     return float(total)
 
 
-def _seed_bytes(m: int, regridded: bool, itemsize: int = 8) -> int:
-    """Bytes of one seed's arrays in a seed pass whose tables and distances
-    take ``itemsize`` bytes a value: its distance ring and stacked
-    candidates, plus, off the lattice, its step-cost tables and the
-    float64 table that one of them is being summed in."""
-    size = itemsize * (_SPAN + len(_STEPS)) * m
-    if regridded:
-        size += (itemsize * len(_STEPS) + 8) * m * m
-    return size
+def _seed_bytes(m: int, itemsize: int = 8) -> int:
+    """Bytes of one seed's arrays in a seed pass whose distances take
+    ``itemsize`` bytes a value: its distance ring and stacked candidates.
+    Its step costs are views of tables shared by every seed."""
+    return itemsize * (_SPAN + len(_STEPS)) * m
 
 
-def _screen_scale(q1v: np.ndarray, q2: Srvf, dt: float) -> float:
-    """The power of two that scales the screen's tables to at most 1.
+def _screen_scale(q1v: np.ndarray, q2v: np.ndarray, dt: float) -> float:
+    """The power of two that scales the screen's tables below 3/2.
 
-    A cost of step (a, b) is sum_k w_k |l_k - r_k|^2 <= sum_k w_k (|l_k|^2 +
-    |r_k|^2) <= a dt L + b dt R <= 3 dt (L + R), where L and R are the
-    largest squared norms of q1's lattice values and of q2's values: every
-    fine value of q2 is a convex combination of q2's values, and r_k is
-    one times sqrt(b/a).  So no entry exceeds B = 4 dt (L + R), which
-    leaves room for rounding, and the scale is the power of two that puts
-    B in [1/2, 1).
+    A cost of step (a, b) is sum_k w_k |l_k - r_k|^2, computed as row +
+    col - 2 cross, where row + col = sum_k w_k (|l_k|^2 + |r_k|^2) <= a dt L
+    + b dt R <= 3 dt (L + R), L and R being the largest squared norms of
+    q1's and q2's lattice values: every fine value of q2 is a convex
+    combination of its lattice values, and r_k is one times sqrt(b/a).
+    The scale is the power of two that puts B = 4 dt (L + R) in [1/2, 1),
+    so row + col <= 3/4, which leaves room for rounding, and a cost, at
+    most 2 (row + col), stays below 3/2.
     """
     bound = 4.0 * dt * sum(float(np.max(np.sum(np.square(v), axis=1)))
-                           for v in (q1v, q2.values))
+                           for v in (q1v, q2v))
     return math.ldexp(1.0, -math.frexp(bound)[1])
 
 
-def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2: Srvf):
+def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2v: np.ndarray):
     """The seed search's one producer of step costs.  Returns
     ``blocks(seeds, screen=False)``, which yields (first seed position,
     per-step cost views) in seed blocks, seeds being a range of grid
     offsets 0 <= k < n: float64 costs, or with ``screen`` the screen's
     float32 tables, each cost times ``_screen_scale`` and rounded once.
 
-    ``grid`` and ``q1v`` are the lattice and q1's values on it, as
-    ``_lattice`` reads them on the circle for the checked pair.  q2 is
-    read on the circle through ``shapeops._two_periods``.  On the DP
-    lattice a seed shift by k nodes is a column offset, so each step's
-    float64 costs are computed once against two periods of q2's fine
-    values, and cast once for the screen, and every seed reads a zero-copy
-    window of them.  Off the lattice each seed's window of q2 on the input
-    grid is regridded onto the lattice, and ``_step_costs`` writes a
-    block's tables at the pass's own dtype.  Blocks are sized so that the
+    ``grid``, ``q1v`` and ``q2v`` are the lattice and the curves' values on
+    it, as ``_lattice`` reads them on the circle at seed 0.  A seed shift
+    by k nodes is a column offset, so each step's float64 costs are
+    computed once against two periods of q2's fine values
+    (``shapeops._two_periods``), and cast once for the screen, and every
+    seed reads a zero-copy window of them.  Blocks are sized so that the
     per-seed arrays of a pass stay within ``_BLOCK_BYTES`` at its itemsize.
     """
     m = grid.size
-    dt = 1.0 / (m - 1)
-    n = q2.grid.size - 1
-    twice = _two_periods(q2.values)
-    scale = _screen_scale(q1v, q2, dt)
-    if n + 1 == m:
-        fine = _two_periods(_fine_values(grid, _roll_seed(twice, 0), _REFINE))
-        tables = [_step_costs(q1v, fine, _REFINE, s, dt, n + m - s[1] - 1) for s in _STEPS]
-
-        def blocks(seeds: range, screen: bool = False):
-            src = tables
-            if screen:
-                src = [np.multiply(t, scale, out=np.empty(t.shape, np.float32)) for t in tables]
-            windows = [sliding_window_view(t, m - b, axis=1)[:, seeds.start:seeds.stop:seeds.step]
-                       for t, (_, b) in zip(src, _STEPS)]
-            block = max(1, _BLOCK_BYTES // _seed_bytes(m, False, windows[0].itemsize))
-            for first in range(0, len(seeds), block):
-                yield first, [w[:, first:first + block] for w in windows]
-        return blocks
+    n = m - 1
+    dt = 1.0 / n
+    fine = _two_periods(_fine_values(grid, q2v, _REFINE))
+    tables = [_step_costs(q1v, fine, _REFINE, s, dt, n + m - s[1] - 1) for s in _STEPS]
+    scale = _screen_scale(q1v, q2v, dt)
 
     def blocks(seeds: range, screen: bool = False):
-        block = max(1, _BLOCK_BYTES // _seed_bytes(m, True, 4 if screen else 8))
+        src = tables
+        if screen:
+            src = [np.multiply(t, scale, out=np.empty(t.shape, np.float32)) for t in tables]
+        windows = [sliding_window_view(t, m - b, axis=1)[:, seeds.start:seeds.stop:seeds.step]
+                   for t, (_, b) in zip(src, _STEPS)]
+        block = max(1, _BLOCK_BYTES // _seed_bytes(m, windows[0].itemsize))
         for first in range(0, len(seeds), block):
-            fine = np.stack([
-                _fine_values(grid, _interp_columns(q2.grid, _roll_seed(twice, k), grid), _REFINE)
-                for k in seeds[first:first + block]])
-            yield first, [np.moveaxis(_step_costs(q1v, fine, _REFINE, s, dt, m - s[1],
-                                                  scale if screen else None), 0, 1)
-                          for s in _STEPS]
+            yield first, [w[:, first:first + block] for w in windows]
     return blocks
 
 
@@ -398,7 +380,8 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     """Best (seed, warp, energy) over cyclic seed shifts of q2.
 
     Both curves are read on the circle (``shapeops._two_periods``), q1 at
-    seed 0.  Seeds run over every ``seed_stride``-th grid point; the
+    seed 0, on the lattice of their own grid (``_lattice``).  Seeds run
+    over every ``seed_stride``-th grid point; the
     reported seed is the shift applied to q2 before the interval
     alignment, so the energy is ``dp_warp_energy(apply_seed(q1, 0.0),
     apply_seed(q2, seed), warp, cfg)``.
@@ -417,10 +400,10 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
     m = cfg.grid_size
-    grid, q1v, _ = _lattice(q1, q2, m, circle=True)
-    n = q1.grid.size - 1
+    grid, q1v, q2v = _lattice(q1, q2, m, circle=True)
+    n = m - 1
     seeds = range(0, n, cfg.seed_stride)
-    blocks = _closed_costs(grid, q1v, q2)
+    blocks = _closed_costs(grid, q1v, q2v)
     screen = np.empty(len(seeds))
     for first, costs in blocks(seeds, screen=True):
         screen[first:first + costs[0].shape[1]] = _solve(costs, m)[0]
@@ -435,8 +418,7 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
             energies, _ = _solve(costs, m)
             k = int(np.argmin(energies))
             if best is None or energies[k] < best[1]:
-                # off the lattice the slices are copied so the block can be freed
-                winner = [c[:, k:k + 1] if n + 1 == m else c[:, k:k + 1].copy() for c in costs]
+                winner = [c[:, k:k + 1] for c in costs]
                 best = (first + k, energies[k])
         pos = best[0]
     energies, choice = _solve(winner, m, track=True)

@@ -236,8 +236,8 @@ def reference_dp_align_closed(q1, q2, cfg):
     strict-``<`` row recurrence with a full distance and step-choice table
     per seed (ties go to the earlier step), the first seed of least
     energy, and a backtrack of its path.  Step costs come from the
-    package's ``_closed_costs`` against q1's seed-0 window, so energies
-    compare bit for bit.
+    package's ``_closed_costs`` against both curves' seed-0 windows, so
+    energies compare bit for bit.
 
     Returns (seed, knot x, knot y, energy).
     """
@@ -245,8 +245,8 @@ def reference_dp_align_closed(q1, q2, cfg):
     n = q1.grid.size - 1
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
-    lattice, q1v, _ = _lattice(apply_seed(q1, 0.0), q2, m)
-    for first, costs in _closed_costs(lattice, q1v, q2)(seeds):
+    blocks = _closed_costs(*_lattice(apply_seed(q1, 0.0), apply_seed(q2, 0.0), m))
+    for first, costs in blocks(seeds):
         for s in range(costs[0].shape[1]):
             dist = np.full((m, m), np.inf)
             dist[0, 0] = 0.0
@@ -266,9 +266,8 @@ def reference_dp_align_closed(q1, q2, cfg):
         i, j = nodes[-1]
         a, b = _STEPS[best_choice[i, j]]
         nodes.append((i - a, j - b))
-    grid = q1.grid if n + 1 == m else uniform_grid(m)
-    xs = np.array([grid[i] for i, _ in reversed(nodes)])
-    ys = np.array([grid[j] for _, j in reversed(nodes)])
+    xs = np.array([q1.grid[i] for i, _ in reversed(nodes)])
+    ys = np.array([q1.grid[j] for _, j in reversed(nodes)])
     return seeds[best_pos] / n, xs, ys, float(best_energy)
 
 
@@ -320,11 +319,11 @@ def bean_curve_3d(m: int = 41) -> Curve:
     return Curve(bean.grid, np.column_stack((bean.points, z)), "closed")
 
 
-def seam_pair() -> tuple:
-    """The bundled closed blobs (m = 101) as unit-norm SRVFs, warped by
+def seam_pair(m: int = 101) -> tuple:
+    """The bundled closed blobs at m points as unit-norm SRVFs, warped by
     ``PLWarp([0, 0.3, 1], [0, 0.5, 1])`` and unit-normalised again: the
     warp action reads each on the interval, so neither SRVF's last sample
     is its first."""
     warp = PLWarp([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
     return tuple(unit_normalize(warp_action(unit_normalize(to_srvf(normalize_length(c))), warp))
-                 for c in closed_shape_pair(101))
+                 for c in closed_shape_pair(m))

@@ -91,14 +91,12 @@ class TestDpAlign:
         assert abs(dp_warp_energy(q1, q2, warp, cfg) - energy) < 1e-9
 
     def test_energy_recompute_is_exact(self):
-        # the recomputation sums the same step costs in the same order, on
-        # the input grid and on a regridded lattice alike
+        # the recomputation sums the same step costs in the same order
         for m in (40, 100):
             q1, q2 = smooth_pair(m)
-            for grid_size in (m, 37, 80, 120):
-                cfg = DpConfig(grid_size=grid_size)
-                warp, energy = dp_align(q1, q2, cfg)
-                assert dp_warp_energy(q1, q2, warp, cfg) == energy
+            cfg = DpConfig(grid_size=m)
+            warp, energy = dp_align(q1, q2, cfg)
+            assert dp_warp_energy(q1, q2, warp, cfg) == energy
 
     def test_energy_of_steps_outside_the_neighborhood(self):
         # steps (3,1), (2,3) and (7,8): 3 and 7 do not divide the DP's
@@ -205,6 +203,19 @@ class TestDpAlign:
         with pytest.raises(ValueError, match="uniform grid"):
             call()
 
+    @pytest.mark.parametrize("grid_size", [30, 42])
+    @pytest.mark.parametrize("entry", ["dp_align", "dp_warp_energy", "dp_align_closed"])
+    def test_input_grid_differs_from_lattice_rejected(self, entry, grid_size):
+        # the lattice is the data grid: another grid size is refused, never regridded
+        q = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        cfg = DpConfig(grid_size=grid_size)
+        call = {"dp_align": lambda: dp_align(q, q, cfg),
+                "dp_warp_energy": lambda: dp_warp_energy(q, q, identity(), cfg),
+                "dp_align_closed": lambda: dp_align_closed(q, q, cfg)}[entry]
+        with pytest.raises(ValueError, match=f"grid_size {grid_size} differs from the "
+                                             "curves' 41 points: .* --points"):
+            call()
+
     def test_off_lattice_warp_rejected(self):
         # 0.3 is not a multiple of the lattice step 1/9
         q = Srvf(uniform_grid(10), np.ones((10, 1)))
@@ -217,13 +228,11 @@ class TestReachability:
     """The diagonal step reaches the far corner of every lattice, so every
     DP call ends at a finite energy and every backtrack ends at (0,0)."""
 
-    @pytest.mark.parametrize("on_lattice", [True, False], ids=["on_lattice", "off_lattice"])
-    def test_finite_energy_at_every_grid_size(self, on_lattice):
+    def test_finite_energy_at_every_grid_size(self):
         rng = np.random.default_rng(8)
-        for grid_size in range(3, 31):
-            m = grid_size if on_lattice else 41
-            cfg = DpConfig(grid_size=grid_size)
-            assert on_some_path(grid_size)[-1, -1]
+        for m in range(3, 31):
+            cfg = DpConfig(grid_size=m)
+            assert on_some_path(m)[-1, -1]
             q1, q2 = random_srvf(rng, m=m, dim=2), random_srvf(rng, m=m, dim=2)
             warp, energy = dp_align(q1, q2, cfg)
             assert np.isfinite(energy) and dp_warp_energy(q1, q2, warp, cfg) == energy
@@ -280,7 +289,7 @@ class TestDpAlignClosed:
     def test_energy_reads_both_curves_on_the_circle(self, grid_size):
         # neither curve's last sample is its first: the seed search scores
         # q1 at seed 0 and q2 at the result's seed, both read as apply_seed does
-        q1, q2 = seam_pair()
+        q1, q2 = seam_pair(grid_size)
         cfg = DpConfig(grid_size=grid_size)
         seed, warp, energy = dp_align_closed(q1, q2, cfg)
         expected = dp_warp_energy(apply_seed(q1, 0.0), apply_seed(q2, seed), warp, cfg)
@@ -327,10 +336,6 @@ class TestBatchedSeedSearch:
         self.assert_matches_loop(q1, apply_seed(q1, 0.3),
                                  DpConfig(grid_size=41, seed_stride=4))
 
-    def test_input_grid_differs_from_lattice(self):
-        q1 = self.bean()
-        self.assert_matches_loop(q1, apply_seed(q1, 0.3), DpConfig(grid_size=30))
-
     def test_identical_curves_pick_seed_zero(self):
         q = self.bean()
         assert self.assert_matches_loop(q, q, DpConfig(grid_size=41)) == 0.0
@@ -340,8 +345,10 @@ class TestBatchedSeedSearch:
         q1 = self.bean()
         q2 = apply_seed(q1, 0.3)
         self.assert_matches_loop(q1, q2, DpConfig(grid_size=41, seed_stride=3))
-        self.assert_matches_loop(q1, q2, DpConfig(grid_size=30, seed_stride=3))
-        assert self.assert_matches_loop(q1, q1, DpConfig(grid_size=30)) == 0.0
+        # 29 seeds, which a stride of 3 does not divide
+        q30 = self.bean(30)
+        self.assert_matches_loop(q30, apply_seed(q30, 0.3), DpConfig(grid_size=30, seed_stride=3))
+        assert self.assert_matches_loop(q30, q30, DpConfig(grid_size=30)) == 0.0
 
     def test_unrelated_curves(self):
         rng = np.random.default_rng(5)
@@ -349,12 +356,12 @@ class TestBatchedSeedSearch:
         vals[-1] = vals[0]
         q2 = Srvf(uniform_grid(41), vals, "closed")
         self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=41))
-        self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=25, seed_stride=3))
+        self.assert_matches_loop(self.bean(), q2, DpConfig(grid_size=41, seed_stride=3))
 
     @pytest.mark.parametrize("grid_size", [101, 80])
     def test_open_seam(self, grid_size):
         # neither curve's last sample is its first
-        self.assert_matches_loop(*seam_pair(), DpConfig(grid_size=grid_size))
+        self.assert_matches_loop(*seam_pair(grid_size), DpConfig(grid_size=grid_size))
 
 
 @st.composite
@@ -411,19 +418,31 @@ class TestStepCostOracle:
         assert cost.shape == ref.shape == seeds + (m - step[0], m - step[1])
         assert np.all(np.abs(cost - ref) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("step", _STEPS)
-    @pytest.mark.parametrize("seeds", [(), (4,)], ids=["unbatched", "batched"])
-    @pytest.mark.parametrize("scale", [2.0 ** -40, 0.25, 2.0 ** 70])
-    def test_screen_table_is_the_table_scaled_and_rounded_once(self, step, seeds, scale):
-        # the seed screen's slack assumes each float32 cost is fl32(scale * cost)
-        rng = np.random.default_rng(18)
-        m = 23
-        q1v = rng.normal(size=(m, 2))
-        q2f = rng.normal(size=seeds + (_REFINE * (m - 1) + 1, 2))
-        args = (_REFINE, step, 1.0 / (m - 1), m - step[1])
-        screen = _step_costs(q1v, q2f.copy(), *args, scale=scale)
-        assert screen.dtype == np.float32
-        assert np.array_equal(screen, (scale * _step_costs(q1v, q2f.copy(), *args)).astype(np.float32))
+    @pytest.mark.parametrize("step", range(len(_STEPS)), ids=lambda k: f"step{k}")
+    @pytest.mark.parametrize("per_seed", [False, True], ids=["one_block", "per_seed_blocks"])
+    @pytest.mark.parametrize("factor", [1e-25, 1.0, 1e20])
+    def test_screen_table_is_the_table_scaled_and_rounded_once(self, factor, per_seed, step,
+                                                               monkeypatch):
+        # the seed screen's slack assumes each float32 cost is fl32(scale * cost);
+        # unscaled, these blobs' costs would leave float32's range.  Every
+        # block's window of the cast table is the cast of the float64 window,
+        # in one block of every seed or, strided, in blocks of one seed each.
+        seeds = range(100)
+        if per_seed:
+            monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
+            seeds = range(2, 100, 3)
+        q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
+                  for q in fixture_shapes(closed_shape_pair(101)))
+        grid, q1v, q2v = align_dp._lattice(q1, q2, 101, circle=True)
+        scale = align_dp._screen_scale(q1v, q2v, 1.0 / 100)
+        blocks = align_dp._closed_costs(grid, q1v, q2v)
+        screen, costs = list(blocks(seeds, screen=True)), list(blocks(seeds))
+        assert len(screen) == len(costs) == (len(seeds) if per_seed else 1)
+        for (first, screen_costs), (first64, step_costs) in zip(screen, costs):
+            assert first == first64
+            screen_costs, step_costs = screen_costs[step], step_costs[step]
+            assert screen_costs.dtype == np.float32 and np.max(screen_costs) < 1.5
+            assert np.array_equal(screen_costs, (scale * step_costs).astype(np.float32))
 
 
 def lattice_steps(warp: PLWarp, m: int) -> str:
@@ -440,33 +459,23 @@ def fixture_shapes(pair):
 
 class TestPinnedFixtureOutputs:
     """Seeds and warps of the DP on the bundled fixtures, on the lattice
-    (grid size = curve points) and off it, as computed before the step
-    costs became one matmul; the energies to 1e-13."""
+    (grid size = curve points), as computed before the step costs became
+    one matmul; the energies to 1e-13."""
 
     OPEN = {
         ("two_bump", 100): (0.009343598041213612,
                             "1313131312231111111111111111111111111111111111111111111111111111"
                             "1111111111111111111111113211113211111111111111111111111111111111"
                             "111111111111111111111111111111113221313131"),
-        ("two_bump", 80): (0.025852900472566158,
-                           "1313131223111111111111111111111111111111111111111111111111111111"
-                           "1111321111111111111111111111111111321111111111111111111111111132"
-                           "213131"),
         ("spiral", 100): (0.12205236559109249,
                           "1323232323232323232323231123111111111111111111111111111111321111"
                           "32111132113211323211321132321132323232323211111112"),
-        ("spiral", 80): (0.12167991809038037,
-                         "1212231223232323232311231111111111111111111111111111321111321132"
-                         "113211323211323232323232111112"),
     }
     CLOSED = {
         101: (0.99, 0.1144316983371597,
               "1111111111111123121213132311113232321111111111111111111132323232"
               "3232111111111111111111111111111132212121213232111111231212121212"
               "12231111"),
-        80: (0.99, 0.11339761065103372,
-             "1111111111112312121312111132321111111111111111323232323211111111"
-             "111111111111322121213232111123121213122311"),
     }
 
     @pytest.mark.parametrize("name,grid_size", sorted(OPEN))
@@ -537,7 +546,7 @@ class TestSeedPassOracle:
     def assert_matches_oracle(q1, q2, cfg, per_block=None):
         block_bytes = align_dp._BLOCK_BYTES
         if per_block is not None:
-            block_bytes = per_block * _seed_bytes(cfg.grid_size, q1.grid.size != cfg.grid_size)
+            block_bytes = per_block * _seed_bytes(cfg.grid_size)
         with mock.patch.object(align_dp, "_BLOCK_BYTES", block_bytes):
             seed, warp, energy = dp_align_closed(q1, q2, cfg)
             ref_seed, ref_x, ref_y, ref_energy = reference_dp_align_closed(q1, q2, cfg)
@@ -553,84 +562,87 @@ class TestSeedPassOracle:
         m = data.draw(st.integers(6, 24), label="m")
         q1 = data.draw(closed_srvfs(m), label="q1")
         q2 = q1 if data.draw(st.booleans(), label="same") else data.draw(closed_srvfs(m))
-        on_lattice = data.draw(st.booleans(), label="on_lattice")
-        grid_size = m if on_lattice else data.draw(
-            st.integers(3, 26).filter(lambda g: g != m), label="grid_size")
         stride = data.draw(st.sampled_from([1, 3]), label="seed_stride")
         per_block = data.draw(st.sampled_from([None, 1, 2, 5]), label="seeds_per_block")
-        cfg = DpConfig(grid_size=grid_size, seed_stride=stride)
+        cfg = DpConfig(grid_size=m, seed_stride=stride)
         self.assert_matches_oracle(q1, q2, cfg, per_block)
 
-    @pytest.mark.parametrize("grid_size", [41, 30])
+    @pytest.mark.parametrize("grid_size", [41, 31])
     @pytest.mark.parametrize("per_block", [None, 1, 3])
     def test_tied_seeds_go_to_the_first(self, grid_size, per_block):
-        # q2 repeats every 10 of its 40 distinct points, so seeds 10 apart
-        # have identical costs and energies
+        # q2 repeats every 10 of its 40 (or 30) distinct points, so seeds 10
+        # apart have identical costs and energies
+        n = grid_size - 1
         base = np.random.default_rng(6).normal(size=(10, 2))
-        vals = np.tile(base, (4, 1))
-        q2 = Srvf(uniform_grid(41), np.vstack((vals, vals[:1])), "closed")
-        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        vals = np.tile(base, (n // 10, 1))
+        q2 = Srvf(uniform_grid(grid_size), np.vstack((vals, vals[:1])), "closed")
+        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(grid_size))))
         cfg = DpConfig(grid_size=grid_size)
-        assert self.assert_matches_oracle(q1, q2, cfg, per_block) < 10 / 40
+        assert self.assert_matches_oracle(q1, q2, cfg, per_block) < 10 / n
 
     @pytest.mark.parametrize("grid_size", [101, 80])
     def test_open_seam(self, grid_size):
         # neither curve's last sample is its first
-        self.assert_matches_oracle(*seam_pair(), DpConfig(grid_size=grid_size))
+        self.assert_matches_oracle(*seam_pair(grid_size), DpConfig(grid_size=grid_size))
 
     @pytest.mark.parametrize("grid_size", [41, 30])
     @pytest.mark.parametrize("per_block", [None, 1, 3])
     def test_identical_curves_pick_seed_zero(self, grid_size, per_block):
-        q = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        q = unit_normalize(to_srvf(normalize_length(bean_curve(grid_size))))
         cfg = DpConfig(grid_size=grid_size)
         assert self.assert_matches_oracle(q, q, cfg, per_block) == 0.0
 
-    @pytest.mark.parametrize("grid_size", [101, 80])
+    @pytest.mark.parametrize("grid_size", [101, 81])
     def test_exact_ties_go_to_the_first_tied_seed(self, grid_size):
-        # cos(10 pi t) sampled so that it repeats every 20 of its 100 distinct
-        # samples exactly; q2 is q1 shifted by 7 nodes, so seeds 7, 27, ..., 87
-        # tie exactly, and the screen must keep all five
-        vals = np.tile(np.cos(2 * np.pi * np.arange(20) / 20), 5)
-        q1 = Srvf(uniform_grid(101), np.append(vals, vals[0])[:, None], "closed")
-        q2 = apply_seed(q1, 0.93)
-        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 0.07
+        # cos(10 pi t) sampled so that it repeats every fifth of its n distinct
+        # samples exactly; q2 is q1 shifted by 7 nodes, so seeds 7, 7 + n/5,
+        # ... tie exactly, and the screen must keep all five
+        n = grid_size - 1
+        vals = np.tile(np.cos(2 * np.pi * np.arange(n // 5) / (n // 5)), 5)
+        q1 = Srvf(uniform_grid(grid_size), np.append(vals, vals[0])[:, None], "closed")
+        q2 = apply_seed(q1, (n - 7) / n)
+        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 7 / n
 
-    @pytest.mark.parametrize("grid_size,noise_seed", [(101, 1), (80, 4)])
+    @pytest.mark.parametrize("grid_size,noise_seed", [(101, 1), (81, 2)])
     def test_float32_order_flips_keep_the_float64_winner(self, grid_size, noise_seed):
-        # q2 repeats every 20 of its 100 samples up to noise of 1e-7, so five
-        # seeds lie within float32's rounding of each other.  With these noise
-        # draws the float32 screen ranks another seed first, and only the
-        # slack keeps the float64 winner.
-        t = np.arange(100) / 100
+        # q2 repeats every fifth of its n samples up to noise of 1e-7, so
+        # five seeds lie within float32's rounding of each other.  With these
+        # noise draws the float32 screen ranks another seed first, and only
+        # the slack keeps the float64 winner.
+        n = grid_size - 1
+        t = np.arange(n) / n
         v1 = np.cos(2 * np.pi * t) + 0.5 * np.sin(6 * np.pi * t)
-        v2 = np.tile(np.cos(2 * np.pi * np.arange(20) / 20), 5)
-        v2 += 1e-7 * np.random.default_rng(noise_seed).normal(size=100)
-        q1, q2 = (Srvf(uniform_grid(101), np.append(v, v[0])[:, None], "closed") for v in (v1, v2))
+        v2 = np.tile(np.cos(2 * np.pi * np.arange(n // 5) / (n // 5)), 5)
+        v2 += 1e-7 * np.random.default_rng(noise_seed).normal(size=n)
+        q1, q2 = (Srvf(uniform_grid(grid_size), np.append(v, v[0])[:, None], "closed")
+                  for v in (v1, v2))
         seed = self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size))
-        grid, q1v, _ = align_dp._lattice(q1, q2, grid_size, circle=True)
-        blocks = align_dp._closed_costs(grid, q1v, q2)(range(100), screen=True)
+        grid, q1v, q2v = align_dp._lattice(q1, q2, grid_size, circle=True)
+        blocks = align_dp._closed_costs(grid, q1v, q2v)(range(n), screen=True)
         screen = np.concatenate([align_dp._solve(costs, grid_size)[0] for _, costs in blocks])
-        assert screen[round(seed * 100)] > screen.min()
+        assert screen[round(seed * n)] > screen.min()
 
     @pytest.mark.parametrize("grid_size", [101, 80])
     def test_constant_srvf_ties_every_seed(self, grid_size):
-        q1, _ = fixture_shapes(closed_shape_pair(101))
-        q2 = Srvf(uniform_grid(101), np.ones((101, 2)), "closed")
+        q1, _ = fixture_shapes(closed_shape_pair(grid_size))
+        q2 = Srvf(uniform_grid(grid_size), np.ones((grid_size, 2)), "closed")
         assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 0.0
 
     @pytest.mark.parametrize("grid_size", [101, 80])
     @pytest.mark.parametrize("factor", [1e-25, 1e19, 1e20])
     def test_scaled_blobs(self, grid_size, factor):
         # unscaled, the screen's float32 costs would underflow to zero at
-        # 1e-25 (and keep every seed) and overflow at 1e20
+        # 1e-25 (and keep every seed) and overflow at 1e20; the blobs' seed
+        # is the last node before seed 0 at every scale
+        n = grid_size - 1
         q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
-                  for q in fixture_shapes(closed_shape_pair(101)))
-        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 0.99
+                  for q in fixture_shapes(closed_shape_pair(grid_size)))
+        assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == (n - 1) / n
 
     @pytest.mark.parametrize("grid_size", [41, 30])
     def test_one_seed_per_block_with_stride(self, grid_size, monkeypatch):
         monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
-        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(41))))
+        q1 = unit_normalize(to_srvf(normalize_length(bean_curve(grid_size))))
         self.assert_matches_oracle(q1, apply_seed(q1, 0.3), DpConfig(grid_size=grid_size, seed_stride=3))
 
 
@@ -650,12 +662,12 @@ class TestSeedScreen:
 
         monkeypatch.setattr(align_dp, "_solve", spy)
         q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
-                  for q in fixture_shapes(closed_shape_pair(101)))
+                  for q in fixture_shapes(closed_shape_pair(grid_size)))
         dp_align_closed(q1, q2, DpConfig(grid_size=grid_size))
         screen = [n for dtype, n, _ in calls if dtype == np.float32]
         assert calls == [(np.float32, n, False) for n in screen] + [(np.float64, 1, True)]
-        # on the lattice every seed reads one cast of the tables, in one block
-        assert screen == [100] if grid_size == 101 else sum(screen) == 100
+        # every seed reads one cast of the tables, in one block
+        assert screen == [grid_size - 1]
 
 
 class TestDpConfig:

@@ -87,7 +87,7 @@ MANIFEST_RUN_ARGS = {
     "degeneracy": ["--ns", "5", "--samples", "3"],
     "distance": ["--points", "60"],
     "geodesic": ["--steps", "2", "--points", "60"],
-    "align-dp": ["--points", "60", "--grid-size", "30"],
+    "align-dp": ["--points", "30", "--grid-size", "30"],
     "align-sa": ["--points", "60", "--iters", "50"],
     "align-bayes": ["--points", "60", "--draws", "200", "--resample", "50"],
 }
@@ -340,6 +340,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag,value", [
         ("align-sa", "--kappa", "nan"), ("align-sa", "--iters", "0"),
         ("align-dp", "--grid-size", "2"), ("align-dp", "--seed-stride", "0"),
+        ("align-dp", "--grid-size", "80"),
         ("align-bayes", "--draws", "0"), ("align-bayes", "--n", "1"),
     ])
     def test_bad_config_flag_leaves_no_outdir(self, bump_files, tmp_path, capsys,
@@ -361,8 +362,7 @@ class TestExitCodes:
         lines[10] = f"{t},nan"
         bad = tmp_path / "nan.csv"
         bad.write_text("\n".join(lines) + "\n")
-        code = main([command, str(bad), str(b), "--points", "60",
-                     "--outdir", str(tmp_path / "out")])
+        code = main([command, str(bad), str(b), "--outdir", str(tmp_path / "out")])
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
@@ -375,7 +375,7 @@ class TestExitCodes:
         bad = tmp_path / "nan.csv"
         bad.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
-        code = main([command, str(bad), str(b), "--points", "60", "--outdir", str(out)])
+        code = main([command, str(bad), str(b), "--outdir", str(out)])
         assert code == 3
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
@@ -384,8 +384,7 @@ class TestExitCodes:
     def test_dimension_mismatch_is_3(self, bump_files, tmp_path, capsys, command):
         t = np.linspace(0.0, 1.0, 60)
         planar = write_curve(Curve(t, np.column_stack((t, t ** 2))), tmp_path / "p.csv")
-        code = main([command, str(bump_files[0]), str(planar), "--points", "60",
-                     "--outdir", str(tmp_path / "out")])
+        code = main([command, str(bump_files[0]), str(planar), "--outdir", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -395,8 +394,7 @@ class TestExitCodes:
     def test_zero_length_curve_is_3(self, bump_files, tmp_path, capsys, command):
         flat = tmp_path / "flat.csv"
         flat.write_text("t,x\n" + "".join(f"{k / 49!r},2.5\n" for k in range(50)))
-        code = main([command, str(flat), str(bump_files[1]), "--points", "60",
-                     "--outdir", str(tmp_path / "out")])
+        code = main([command, str(flat), str(bump_files[1]), "--outdir", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert err == [f"data error: {flat}: degenerate (zero-length) curve"]
@@ -454,7 +452,7 @@ class TestStartup:
             "degeneracy": ["degeneracy", "--ns", "5", "--samples", "3"],
             "distance": ["distance", a, b, "--points", "60"],
             "geodesic": ["geodesic", a, b, "--steps", "2", "--points", "60"],
-            "dp": ["align-dp", a, b, "--points", "60", "--grid-size", "30"],
+            "dp": ["align-dp", a, b, "--points", "30", "--grid-size", "30"],
             "sa": ["align-sa", a, b, "--points", "60", "--iters", "50"],
             "sa-lm": ["align-sa", pa, pb, "--iters", "50", "--landmarks", lm],
             "bayes": ["align-bayes", a, b, "--points", "60", "--draws", "200",
@@ -483,7 +481,7 @@ class TestStartup:
 FUZZ_COMMANDS = {
     "distance": [],
     "geodesic": ["--steps", "2"],
-    "align-dp": ["--grid-size", "10"],
+    "align-dp": ["--points", "10", "--grid-size", "10"],
     "align-sa": ["--iters", "5"],
     "align-bayes": ["--draws", "20", "--resample", "5"],
 }
@@ -730,14 +728,15 @@ class TestAlignCommands:
     def test_align_dp_grid_size_three(self, bump_files, closed, tmp_path):
         # the least lattice: the steps with a part of 3 have no start node
         a, b = bump_files
-        extra = []
+        extra = ["--points", "3", "--grid-size", "3"]
         if closed:
             a, b = (write_curve(c, tmp_path / f"{k}.csv")
                     for k, c in zip("ab", closed_shape_pair(101)))
-            extra = ["--shape"]
+            # at 3 points the blobs' SRVF is zero and cannot be normalized,
+            # so the closed lattice is the least the blobs load at
+            extra = ["--points", "4", "--grid-size", "4", "--shape"]
         out = tmp_path / "dp"
-        code = main(["align-dp", str(a), str(b), "--grid-size", "3", *extra,
-                     "--outdir", str(out)])
+        code = main(["align-dp", str(a), str(b), *extra, "--outdir", str(out)])
         assert code == 0
         assert (out / "warp.json").exists()
 

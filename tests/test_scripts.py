@@ -47,14 +47,12 @@ def test_sa_iter_timing_script_runs():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["function", "open_shape", "closed_shape",
-                                                   "closed_dp", "closed_dp_off", "dp_align",
-                                                   "sir_posterior"]
+                                                   "closed_dp", "dp_align", "sir_posterior"]
     assert all(float(line.split()[1]) > 0.0 for line in lines)
     assert all("us/iter" in line for line in lines[:3])
     assert "ms/search" in lines[3] and "100 seeds at grid_size=101" in lines[3]
-    assert "ms/search" in lines[4] and "100 seeds at grid_size=80" in lines[4]
-    assert "ms/call" in lines[5] and "grid_size=100" in lines[5]
-    assert "ms/call" in lines[6] and "20000 draws at m=100" in lines[6]
+    assert "ms/call" in lines[4] and "grid_size=100" in lines[4]
+    assert "ms/call" in lines[5] and "20000 draws at m=100" in lines[5]
 
 
 def test_cli_timing_script_runs():
