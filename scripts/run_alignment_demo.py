@@ -15,7 +15,6 @@ import numpy as np
 
 from warpalign import (
     BayesConfig,
-    DpConfig,
     PosteriorSample,
     SaConfig,
     apply_seed,
@@ -64,7 +63,7 @@ def main() -> int:
     c1, c2 = two_bump_pair(100)
     q1, q2 = to_srvf(c1), to_srvf(c2)
     before = l2_dist(q1, q2)
-    w_dp, _ = dp_align(q1, q2, DpConfig(grid_size=100))
+    w_dp, _ = dp_align(q1, q2)
     d_dp = l2_dist(q1, warp_action(q2, w_dp))
     sa = sa_align(q1, q2, SaConfig(blend=1.0, theta=1000.0, t0=1.0,
                                    cooling=1.0005), rng)
@@ -113,7 +112,7 @@ def main() -> int:
     # closed planar shapes: annealing vs DP with seed search
     b1, b2 = closed_shape_pair(61)
     qb1, qb2 = shapeify(b1), shapeify(b2)
-    s_dp, w_dpc, _ = dp_align_closed(qb1, qb2, DpConfig(grid_size=61))
+    s_dp, w_dpc, _ = dp_align_closed(qb1, qb2)
     d_dpc = l2_dist(qb1, warp_action(apply_seed(qb2, s_dp), w_dpc))
     res_c = sa_align_closed(qb1, qb2, SaConfig(mode="closed_shape", blend=1.0,
                                                theta=500.0, t0=1.0,

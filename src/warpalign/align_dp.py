@@ -44,36 +44,38 @@ _BLOCK_BYTES = 4 << 20
 @dataclass(frozen=True)
 class DpConfig:
     """Lattice size and closed-curve seed stride; the steps are ``_STEPS``.
-    The lattice is the curves' own grid, so ``grid_size`` must equal their
-    point count (``_check_lattice``)."""
+    The lattice is the curves' own grid: ``grid_size`` None reads its size
+    from them, and a given size must equal it (``_check_lattice``)."""
 
-    grid_size: int = 100
+    grid_size: int | None = None
     seed_stride: int = 1
 
     def __post_init__(self):
-        check_count("grid_size", self.grid_size, 3)
+        if self.grid_size is not None:
+            check_count("grid_size", self.grid_size, 3)
         check_count("seed_stride", self.seed_stride, 1)
 
 
-def _check_lattice(grid_size: int, points: int) -> None:
-    """The one lattice rule: the DP's lattice is the data grid, so its
-    ``grid_size`` must equal the curves' point count.  A coarser DP is a
-    coarser resampling of the curves (``--points``)."""
-    if grid_size != points:
+def _check_lattice(grid_size: int | None, points: int) -> None:
+    """The one lattice rule: the DP's lattice is the data grid, of at least
+    3 nodes, so a given ``grid_size`` must equal the curves' point count."""
+    check_count("the DP lattice's point count", points, 3)
+    if grid_size is not None and grid_size != points:
         raise ValueError(f"grid_size {grid_size} differs from the curves' {points} points: the "
-                         f"DP lattice is the data grid; resample them with --points {grid_size}")
+                         f"DP lattice is the data grid; use resample(curve, {grid_size}) or "
+                         f"--points {grid_size}, or leave grid_size unset")
 
 
-def _lattice(q1: Srvf, q2: Srvf, m: int,
+def _lattice(q1: Srvf, q2: Srvf, grid_size: int | None,
              circle: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lattice of every DP entry point: q1 and q2 share one uniform
-    grid of m nodes (``_check_lattice``), and the lattice is that grid.
-    With ``circle`` both are read on the circle at seed 0
+    grid (``_check_lattice``), and the lattice is that grid.  With
+    ``circle`` both are read on the circle at seed 0
     (``shapeops._two_periods``).  Returns the lattice grid and q1's and
     q2's values on it."""
     _check_same_grid(q1, q2)
     _require_uniform(q1.grid)
-    _check_lattice(m, q1.grid.size)
+    _check_lattice(grid_size, q1.grid.size)
     values = [q.values for q in (q1, q2)]
     if circle:
         values = [_roll_seed(_two_periods(v), 0) for v in values]
@@ -86,14 +88,15 @@ def _fine_values(grid: np.ndarray, values: np.ndarray, refine: int) -> np.ndarra
 
 
 def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
-                step: tuple[int, int], dt: float, ncols: int) -> np.ndarray:
-    """Cost of one (a,b) move from every start node (i,j), j < ncols.
+                step: tuple[int, int]) -> np.ndarray:
+    """Cost of one (a,b) move from every start node (i,j).
 
     The segment integrand |q1(t) - q2(j + (b/a)(t - i)) sqrt(b/a)|^2 is
     integrated by the trapezoid rule on the a+1 grid nodes the move
-    spans, with q2 read off a refine-times finer precomputed grid.
-    ``q2f`` may carry leading batch axes; the result has shape
-    ``q2f.shape[:-2] + (len(q1v) - a, ncols)``.
+    spans, with q2 read off ``q2f``, a refine-times finer grid.  The
+    lattice step is dt = 1/(len(q1v) - 1); the (len(q1v) - a, ncols)
+    table has a column for each start j whose move ends on ``q2f``,
+    ncols = (len(q2f) - 1)//refine - b + 1.
 
     With l_k = q1(i+k), r_k = sqrt(b/a) q2f(j*refine + k*stride) and
     trapezoid weights w_k, the cost sum_k w_k |l_k - r_k|^2 is
@@ -102,6 +105,8 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     side by side, each scaled by -2 w_k, against the a+1 slices of q2.
     """
     a, b = step
+    dt = 1.0 / (len(q1v) - 1)
+    ncols = (len(q2f) - 1) // refine - b + 1
     weights = np.full(a + 1, dt)
     weights[0] = weights[-1] = dt / 2.0
     weights = np.repeat(weights, q1v.shape[1])  # one per (node, coordinate)
@@ -110,15 +115,14 @@ def _step_costs(q1v: np.ndarray, q2f: np.ndarray, refine: int,
     nodes = np.arange(a + 1)
     width = (a + 1) * q1v.shape[1]  # explicit, as a table may be empty
     lhs = q1v[np.arange(imax)[:, None] + nodes].reshape(imax, width)
-    rhs = q2f[..., (np.arange(ncols) * refine)[:, None] + nodes * stride, :]
-    rhs = rhs.reshape(rhs.shape[:-3] + (ncols, width))
+    rhs = q2f[(np.arange(ncols) * refine)[:, None] + nodes * stride].reshape(ncols, width)
     rhs *= math.sqrt(b / a)
     row = np.square(lhs) @ weights
     col = np.square(rhs) @ weights
     lhs *= -2.0 * weights
-    acc = lhs @ np.swapaxes(rhs, -1, -2)
+    acc = lhs @ rhs.T
     acc += row[:, None]
-    acc += col[..., None, :]
+    acc += col
     return acc
 
 
@@ -227,16 +231,14 @@ def _backtrack(choice: np.ndarray, grid: np.ndarray) -> PLWarp:
 def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, float]:
     """Optimal lattice warp and its energy.
 
-    The SRVFs must share one uniform grid of ``cfg.grid_size`` nodes,
-    which is the lattice (``_lattice``); the DP finds the cheapest
-    monotone path of ``_STEPS`` from (0,0) to the far corner.
+    The SRVFs must share one uniform grid, which is the lattice
+    (``_lattice``); the DP finds the cheapest monotone path of ``_STEPS``
+    from (0,0) to the far corner.
     """
-    m = cfg.grid_size
-    grid, q1v, q2v = _lattice(q1, q2, m)
-    dt = 1.0 / (m - 1)
+    grid, q1v, q2v = _lattice(q1, q2, cfg.grid_size)
     q2f = _fine_values(grid, q2v, _REFINE)
-    costs = [_step_costs(q1v, q2f, _REFINE, s, dt, m - s[1])[:, None] for s in _STEPS]
-    energies, choice = _solve(costs, m, track=True)
+    costs = [_step_costs(q1v, q2f, _REFINE, s)[:, None] for s in _STEPS]
+    energies, choice = _solve(costs, grid.size, track=True)
     return _backtrack(choice[:, :, 0], grid), float(energies[0])
 
 
@@ -249,28 +251,25 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     times finer than the lattice; for a step of ``_STEPS`` that is the
     DP's fine grid.  Any step is scored, the identity's single step
     (m-1, m-1) included.  Each knot indexes its step's (m-a, m-b) cost
-    table directly, since a lattice warp's knots never leave the lattice.
+    table directly, since a lattice warp's knots sit on distinct lattice
+    nodes, each step advancing both indices.
     """
-    m = cfg.grid_size
-    grid, q1v, q2v = _lattice(q1, q2, m)
-    dt = 1.0 / (m - 1)
-    idx_x = np.rint(warp.x * (m - 1)).astype(int)
-    idx_y = np.rint(warp.y * (m - 1)).astype(int)
-    if not (np.allclose(warp.x, idx_x * dt, atol=1e-9)
-            and np.allclose(warp.y, idx_y * dt, atol=1e-9)):
-        raise ValueError("warp knots do not sit on the DP lattice")
+    grid, q1v, q2v = _lattice(q1, q2, cfg.grid_size)
+    m = grid.size
+    knots = np.stack((warp.x, warp.y))
+    idx = np.rint(knots * (m - 1)).astype(int)
+    if not (np.allclose(knots, idx / (m - 1), atol=1e-9) and np.all(np.diff(idx) > 0)):
+        raise ValueError("warp knots do not sit on the DP lattice, both indices rising")
     total = 0.0
     fine: dict[int, np.ndarray] = {}
     cache: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(idx_x.size - 1):
-        a = int(idx_x[k + 1] - idx_x[k])
-        b = int(idx_y[k + 1] - idx_y[k])
+    for (i, j), (a, b) in zip(idx.T.tolist(), np.diff(idx).T.tolist()):
         if (a, b) not in cache:
             r = math.lcm(_REFINE, a)
             if r not in fine:
                 fine[r] = _fine_values(grid, q2v, r)
-            cache[(a, b)] = _step_costs(q1v, fine[r], r, (a, b), dt, m - b)
-        total = total + cache[(a, b)][idx_x[k], idx_y[k]]
+            cache[(a, b)] = _step_costs(q1v, fine[r], r, (a, b))
+        total = total + cache[(a, b)][i, j]
     return float(total)
 
 
@@ -314,11 +313,9 @@ def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2v: np.ndarray):
     per-seed arrays of a pass stay within ``_BLOCK_BYTES`` at its itemsize.
     """
     m = grid.size
-    n = m - 1
-    dt = 1.0 / n
     fine = _two_periods(_fine_values(grid, q2v, _REFINE))
-    tables = [_step_costs(q1v, fine, _REFINE, s, dt, n + m - s[1] - 1) for s in _STEPS]
-    scale = _screen_scale(q1v, q2v, dt)
+    tables = [_step_costs(q1v, fine, _REFINE, s) for s in _STEPS]
+    scale = _screen_scale(q1v, q2v, 1.0 / (m - 1))
 
     def blocks(seeds: range, screen: bool = False):
         src = tables
@@ -399,8 +396,8 @@ def dp_align_closed(q1: Srvf, q2: Srvf,
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
-    m = cfg.grid_size
-    grid, q1v, q2v = _lattice(q1, q2, m, circle=True)
+    grid, q1v, q2v = _lattice(q1, q2, cfg.grid_size, circle=True)
+    m = grid.size
     n = m - 1
     seeds = range(0, n, cfg.seed_stride)
     blocks = _closed_costs(grid, q1v, q2v)

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .align_bayes import BayesConfig, PosteriorSample, posterior_summary, sir_posterior
-from .align_dp import DpConfig, _check_lattice, dp_align, dp_align_closed
+from .align_dp import DpConfig, dp_align, dp_align_closed
 from .align_sa import SaConfig, align as sa_dispatch
 from .io import (
     DataError,
@@ -256,16 +256,14 @@ def geodesic(curve1, curve2, steps, points, shape, outdir):
 
 @cli.command("align-dp")
 @_curve_pair
-@click.option("--grid-size", default=100, show_default=True)
 @click.option("--seed-stride", default=1, show_default=True,
               help="Closed curves: try every k-th grid point as the seed.")
 @click.option("--shape", is_flag=True, help="Normalize to unit-length shapes first.")
 @click.option("--outdir", default="out", show_default=True)
 @_guard
-def align_dp_cmd(curve1, curve2, points, grid_size, seed_stride, shape, outdir):
-    """Dynamic-programming alignment (exhaustive seed search when closed)."""
-    cfg = _config(DpConfig, grid_size=grid_size, seed_stride=seed_stride)
-    _config(_check_lattice, grid_size, points, flag="--grid-size")
+def align_dp_cmd(curve1, curve2, points, seed_stride, shape, outdir):
+    """Dynamic-programming alignment on the --points grid (seed search when closed)."""
+    cfg = _config(DpConfig, seed_stride=seed_stride)
     c1, c2 = _load_pair(curve1, curve2, points)
     q1, q2 = _srvfs(c1, c2, shape)
     if q1.topology == "closed" and q2.topology == "closed":

@@ -204,19 +204,18 @@ def quadrature_posterior(q1, q2, cfg, t, nodes):
             lambda x: flat @ (at_t <= x))
 
 
-def enumerate_path_costs(q1, q2, cfg) -> float:
+def enumerate_path_costs(q1, q2) -> float:
     """Brute-force oracle: minimum DP energy over all monotone lattice
-    paths, for SRVFs already on the ``cfg.grid_size`` lattice.
+    paths, for SRVFs on one uniform grid, the lattice.
 
     Paths are enumerated independently of the DP recursion; segment costs
     are the package's ``_step_costs`` tables and the summation order is
     the DP's, so the minima are comparable exactly.  A step is taken only
     when it stays on the lattice, so every index is inside its table.
     """
-    m = cfg.grid_size
-    dt = 1.0 / (m - 1)
+    m = q1.grid.size
     q2f = _fine_values(q2.grid, q2.values, _REFINE)
-    cost = {(a, b): _step_costs(q1.values, q2f, _REFINE, (a, b), dt, m - b) for a, b in _STEPS}
+    cost = {(a, b): _step_costs(q1.values, q2f, _REFINE, (a, b)) for a, b in _STEPS}
     best = [np.inf]
 
     def walk(i, j, acc):
@@ -241,11 +240,11 @@ def reference_dp_align_closed(q1, q2, cfg):
 
     Returns (seed, knot x, knot y, energy).
     """
-    m = cfg.grid_size
-    n = q1.grid.size - 1
+    m = q1.grid.size
+    n = m - 1
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
-    blocks = _closed_costs(*_lattice(apply_seed(q1, 0.0), apply_seed(q2, 0.0), m))
+    blocks = _closed_costs(*_lattice(apply_seed(q1, 0.0), apply_seed(q2, 0.0), cfg.grid_size))
     for first, costs in blocks(seeds):
         for s in range(costs[0].shape[1]):
             dist = np.full((m, m), np.inf)

@@ -194,7 +194,7 @@ def test_criterion_06_dp_oracle_equivalence():
         q1 = Srvf(uniform_grid(6), rng.normal(size=(6, 1)))
         q2 = Srvf(uniform_grid(6), rng.normal(size=(6, 1)))
         _, energy = dp_align(q1, q2, cfg)
-        oracle = enumerate_path_costs(q1, q2, cfg)
+        oracle = enumerate_path_costs(q1, q2)
         if energy != oracle:
             mismatches += 1
     report(6, "DP equals exhaustive path enumeration on 6x6 grids",
@@ -375,8 +375,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         "distance": ["distance", str(a), str(b), "--points", "60"],
         "geodesic": ["geodesic", str(a), str(b), "--steps", "3",
                      "--points", "60"],
-        "align-dp": ["align-dp", str(ca), str(cb), "--points", "41",
-                     "--grid-size", "41", "--shape"],
+        "align-dp": ["align-dp", str(ca), str(cb), "--points", "41", "--shape"],
         "align-sa": ["align-sa", str(a), str(b), "--points", "60",
                      "--iters", "150", "--seed", "9"],
         "align-sa-lm": ["align-sa", str(pa), str(pb), "--iters", "100",

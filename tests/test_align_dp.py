@@ -159,7 +159,7 @@ class TestDpAlign:
             for _ in range(20):
                 q1, q2 = random_srvf(rng, m=m, dim=2), random_srvf(rng, m=m, dim=2)
                 _, energy = dp_align(q1, q2, cfg)
-                assert energy == enumerate_path_costs(q1, q2, cfg)
+                assert energy == enumerate_path_costs(q1, q2)
 
     def test_joint_rotation_invariance(self):
         rng = np.random.default_rng(3)
@@ -213,7 +213,8 @@ class TestDpAlign:
                 "dp_warp_energy": lambda: dp_warp_energy(q, q, identity(), cfg),
                 "dp_align_closed": lambda: dp_align_closed(q, q, cfg)}[entry]
         with pytest.raises(ValueError, match=f"grid_size {grid_size} differs from the "
-                                             "curves' 41 points: .* --points"):
+                                             "curves' 41 points: .* resample\\(curve, "
+                                             f"{grid_size}\\) or --points {grid_size}"):
             call()
 
     def test_off_lattice_warp_rejected(self):
@@ -222,6 +223,17 @@ class TestDpAlign:
         warp = PLWarp([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="do not sit on the DP lattice"):
             dp_warp_energy(q, q, warp, DpConfig(grid_size=10))
+
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    def test_knots_on_one_lattice_node_rejected(self, coordinate):
+        # 1e-10 rounds to node 0 within the lattice tolerance, so the first
+        # step would not advance that index: a = 0 divided by zero, and
+        # b = 0 scored a step no DP path can take
+        q1, q2 = smooth_pair(100)
+        knots = ([0.0, 1e-10, 1.0], [0.0, 10 / 99, 1.0])
+        warp = PLWarp(*(knots if coordinate == "x" else knots[::-1]))
+        with pytest.raises(ValueError, match="do not sit on the DP lattice"):
+            dp_warp_energy(q1, q2, warp)
 
 
 class TestReachability:
@@ -243,6 +255,48 @@ class TestReachability:
             seed, warp, energy = dp_align_closed(c1, c2, cfg)
             path = dp_warp_energy(apply_seed(c1, 0.0), apply_seed(c2, seed), warp, cfg)
             assert np.isfinite(energy) and abs(path - energy) <= 1e-9
+
+
+class TestDerivedLatticeSize:
+    """The default config reads the lattice size from the curves: seed,
+    knots and energy equal those of ``DpConfig(grid_size=m)`` bit for bit,
+    and a given size other than the curves' point count is refused."""
+
+    @staticmethod
+    def assert_same_warp(warp, ref):
+        assert np.array_equal(warp.x, ref.x) and np.array_equal(warp.y, ref.y)
+
+    @pytest.mark.parametrize("m", [4, 41, 80, 101])
+    def test_open_pair(self, m):
+        q1, q2 = (to_srvf(c) for c in two_bump_pair(m))
+        cfg = DpConfig(grid_size=m)
+        warp, energy = dp_align(q1, q2)
+        ref_warp, ref_energy = dp_align(q1, q2, cfg)
+        self.assert_same_warp(warp, ref_warp)
+        assert energy == ref_energy
+        assert dp_warp_energy(q1, q2, warp) == dp_warp_energy(q1, q2, warp, cfg)
+        with pytest.raises(ValueError, match=f"grid_size {m + 1} differs"):
+            dp_align(q1, q2, DpConfig(grid_size=m + 1))
+
+    @pytest.mark.parametrize("m", [4, 41, 80, 101])
+    def test_closed_pair(self, m):
+        q1, q2 = fixture_shapes(closed_shape_pair(m))
+        cfg = DpConfig(grid_size=m)
+        seed, warp, energy = dp_align_closed(q1, q2)
+        ref_seed, ref_warp, ref_energy = dp_align_closed(q1, q2, cfg)
+        assert seed == ref_seed and energy == ref_energy
+        self.assert_same_warp(warp, ref_warp)
+        pair = (apply_seed(q1, 0.0), apply_seed(q2, seed), warp)
+        assert dp_warp_energy(*pair) == dp_warp_energy(*pair, cfg)
+        with pytest.raises(ValueError, match=f"grid_size {m - 1} differs"):
+            dp_align_closed(q1, q2, DpConfig(grid_size=m - 1))
+
+    def test_fewer_than_three_points_rejected(self):
+        # the least lattice holds for a size read from the curves, too
+        q = Srvf(uniform_grid(2), np.ones((2, 2)), "closed")
+        for call in (dp_align, dp_align_closed):
+            with pytest.raises(ValueError, match="point count must be at least 3"):
+                call(q, q)
 
 
 class TestDpAlignClosed:
@@ -394,28 +448,46 @@ class TestStepCostOracle:
         a, b = step
         stride = refine * b // a
         imax = len(q1v) - a
-        cost = np.zeros(q2f.shape[:-2] + (imax, ncols))
+        cost = np.zeros((imax, ncols))
         scale = np.zeros_like(cost)
         for k in range(a + 1):
             w = dt / 2.0 if k in (0, a) else dt
             lhs = q1v[k:k + imax, None, :]
-            rhs = math.sqrt(b / a) * q2f[..., None, np.arange(ncols) * refine + k * stride, :]
+            rhs = math.sqrt(b / a) * q2f[None, np.arange(ncols) * refine + k * stride, :]
             cost += w * np.sum((lhs - rhs) ** 2, axis=-1)
             scale += w * (np.sum(lhs ** 2, axis=-1) + np.sum(rhs ** 2, axis=-1))
         return cost, scale
 
     @pytest.mark.parametrize("step", _STEPS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("seeds", [(), (4,)], ids=["unbatched", "batched"])
-    def test_matches_per_node_sum(self, step, dim, seeds):
+    @pytest.mark.parametrize("periods", [1, 2], ids=["one_period", "two_periods"])
+    def test_matches_per_node_sum(self, step, dim, periods):
+        # the kernel reads dt and its column count off its inputs: one
+        # period of fine values (dp_align) has a column per start j whose
+        # move ends by node m-1, two periods (the closed seed search's
+        # tables) one per start whose move ends by node 2(m-1)-1
         rng = np.random.default_rng(17)
         m, refine = 23, _REFINE
         q1v = rng.normal(size=(m, dim))
-        q2f = rng.normal(size=seeds + (refine * (m - 1) + 1, dim))
-        args = (refine, step, 1.0 / (m - 1), m - step[1])
-        cost = _step_costs(q1v, q2f.copy(), *args)
-        ref, scale = self.reference(q1v, q2f, *args)
-        assert cost.shape == ref.shape == seeds + (m - step[0], m - step[1])
+        q2f = rng.normal(size=(periods * refine * (m - 1) + 2 - periods, dim))
+        ncols = periods * (m - 1) + 2 - periods - step[1]
+        cost = _step_costs(q1v, q2f.copy(), refine, step)
+        ref, scale = self.reference(q1v, q2f, refine, step, 1.0 / (m - 1), ncols)
+        assert cost.shape == ref.shape == (m - step[0], ncols)
+        assert np.all(np.abs(cost - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("step", [(4, 1), (5, 7), (6, 2), (22, 22)],
+                             ids=lambda s: f"{s[0]}_{s[1]}")
+    def test_matches_per_node_sum_off_the_step_set(self, step):
+        # dp_warp_energy scores any lattice step, each on a fine grid
+        # lcm(_REFINE, a) times finer than the lattice
+        rng = np.random.default_rng(5)
+        m, refine = 23, math.lcm(_REFINE, step[0])
+        q1v = rng.normal(size=(m, 2))
+        q2f = rng.normal(size=(refine * (m - 1) + 1, 2))
+        cost = _step_costs(q1v, q2f.copy(), refine, step)
+        ref, scale = self.reference(q1v, q2f, refine, step, 1.0 / (m - 1), m - step[1])
+        assert cost.shape == ref.shape == (m - step[0], m - step[1])
         assert np.all(np.abs(cost - ref) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("step", range(len(_STEPS)), ids=lambda k: f"step{k}")
@@ -671,6 +743,9 @@ class TestSeedScreen:
 
 
 class TestDpConfig:
+    def test_grid_size_defaults_to_the_curves(self):
+        assert DpConfig().grid_size is None
+
     def test_fields(self):
         # the steps are the module's one set, not a setting
         assert [f.name for f in fields(DpConfig)] == ["grid_size", "seed_stride"]

@@ -28,6 +28,7 @@ from warpalign import (
     resample,
     rotate,
     to_srvf,
+    uniform_grid,
     unit_normalize,
     warp_action,
 )
@@ -87,7 +88,7 @@ MANIFEST_RUN_ARGS = {
     "degeneracy": ["--ns", "5", "--samples", "3"],
     "distance": ["--points", "60"],
     "geodesic": ["--steps", "2", "--points", "60"],
-    "align-dp": ["--points", "30", "--grid-size", "30"],
+    "align-dp": ["--points", "30"],
     "align-sa": ["--points", "60", "--iters", "50"],
     "align-bayes": ["--points", "60", "--draws", "200", "--resample", "50"],
 }
@@ -339,8 +340,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,flag,value", [
         ("align-sa", "--kappa", "nan"), ("align-sa", "--iters", "0"),
-        ("align-dp", "--grid-size", "2"), ("align-dp", "--seed-stride", "0"),
-        ("align-dp", "--grid-size", "80"),
+        ("align-dp", "--seed-stride", "0"),
         ("align-bayes", "--draws", "0"), ("align-bayes", "--n", "1"),
     ])
     def test_bad_config_flag_leaves_no_outdir(self, bump_files, tmp_path, capsys,
@@ -452,7 +452,7 @@ class TestStartup:
             "degeneracy": ["degeneracy", "--ns", "5", "--samples", "3"],
             "distance": ["distance", a, b, "--points", "60"],
             "geodesic": ["geodesic", a, b, "--steps", "2", "--points", "60"],
-            "dp": ["align-dp", a, b, "--points", "30", "--grid-size", "30"],
+            "dp": ["align-dp", a, b, "--points", "30"],
             "sa": ["align-sa", a, b, "--points", "60", "--iters", "50"],
             "sa-lm": ["align-sa", pa, pb, "--iters", "50", "--landmarks", lm],
             "bayes": ["align-bayes", a, b, "--points", "60", "--draws", "200",
@@ -481,7 +481,7 @@ class TestStartup:
 FUZZ_COMMANDS = {
     "distance": [],
     "geodesic": ["--steps", "2"],
-    "align-dp": ["--points", "10", "--grid-size", "10"],
+    "align-dp": ["--points", "10"],
     "align-sa": ["--iters", "5"],
     "align-bayes": ["--draws", "20", "--resample", "5"],
 }
@@ -705,8 +705,7 @@ class TestAlignCommands:
     def test_align_dp_outputs(self, bump_files, tmp_path):
         a, b = bump_files
         out = tmp_path / "dp"
-        code = main(["align-dp", str(a), str(b), "--points", "60",
-                     "--grid-size", "60", "--outdir", str(out)])
+        code = main(["align-dp", str(a), str(b), "--points", "60", "--outdir", str(out)])
         assert code == 0
         assert (out / "warp.json").exists()
         table = (out / "energy.csv").read_text().splitlines()
@@ -714,13 +713,25 @@ class TestAlignCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"warp.json", "energy.csv"}
 
+    def test_align_dp_lattice_is_points(self, bump_files, tmp_path, capsys):
+        # the DP lattice is the --points grid; no flag restates its size
+        a, b = bump_files
+        out = tmp_path / "dp"
+        assert main(["align-dp", str(a), str(b), "--points", "41", "--outdir", str(out)]) == 0
+        warp = load_warp(out / "warp.json")
+        for knots in (warp.x, warp.y):
+            assert np.array_equal(knots, uniform_grid(41)[np.rint(knots * 40).astype(int)])
+        assert "grid_size" not in json.loads((out / "manifest.json").read_text())["config"]
+        assert main(["align-dp", "--help"]) == 0
+        assert "--grid-size" not in capsys.readouterr().out
+
     def test_align_dp_closed_reports_seed(self, tmp_path):
         a, b = closed_shape_pair(41)
         pa = write_curve(a, tmp_path / "a.csv")
         pb = write_curve(b, tmp_path / "b.csv")
         out = tmp_path / "dp"
-        code = main(["align-dp", str(pa), str(pb), "--points", "41",
-                     "--grid-size", "41", "--shape", "--outdir", str(out)])
+        code = main(["align-dp", str(pa), str(pb), "--points", "41", "--shape",
+                     "--outdir", str(out)])
         assert code == 0
         assert "seed" in (out / "energy.csv").read_text()
 
@@ -728,13 +739,13 @@ class TestAlignCommands:
     def test_align_dp_grid_size_three(self, bump_files, closed, tmp_path):
         # the least lattice: the steps with a part of 3 have no start node
         a, b = bump_files
-        extra = ["--points", "3", "--grid-size", "3"]
+        extra = ["--points", "3"]
         if closed:
             a, b = (write_curve(c, tmp_path / f"{k}.csv")
                     for k, c in zip("ab", closed_shape_pair(101)))
             # at 3 points the blobs' SRVF is zero and cannot be normalized,
             # so the closed lattice is the least the blobs load at
-            extra = ["--points", "4", "--grid-size", "4", "--shape"]
+            extra = ["--points", "4", "--shape"]
         out = tmp_path / "dp"
         code = main(["align-dp", str(a), str(b), *extra, "--outdir", str(out)])
         assert code == 0
@@ -914,8 +925,7 @@ class TestSchemasAndManifests:
     def test_manifest_checksums_match_files(self, bump_files, tmp_path):
         a, b = bump_files
         out = tmp_path / "dp"
-        main(["align-dp", str(a), str(b), "--points", "60", "--grid-size", "60",
-              "--outdir", str(out)])
+        main(["align-dp", str(a), str(b), "--points", "60", "--outdir", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
