@@ -4,11 +4,13 @@ Minimizes the discretized energy ||q1 - (q2 o w) sqrt(w')||^2 over PL
 warps whose knots sit on the curves' own grid nodes (the lattice is the
 data grid, ``_check_lattice``) and whose segments are steps of
 ``_STEPS``: seven (a, b) moves, a nodes along q1 and b along q2, diagonal
-first.  Closed curves add an exhaustive search over seed shifts: every
-seed is screened in float32, and only the seeds whose float64 energy can
-be the least are solved again in float64, so the result is that of a
-float64 search over every seed.  Every solve reads one cached per-row
-plan (``_plan``).
+first.  A warp of the circle is a seed plus a warp of [0,1], so both
+entry points share one search over seeds (``_search``): ``dp_align`` is
+its one seed 0, and ``dp_align_closed`` searches every
+``seed_stride``-th seed.  Several seeds are screened in float32, and only
+the seeds whose float64 energy can be the least are solved again in
+float64, so the result is that of a float64 search over every seed.
+Every solve reads one cached per-row plan (``_plan``).
 """
 
 from __future__ import annotations
@@ -233,13 +235,11 @@ def dp_align(q1: Srvf, q2: Srvf, cfg: DpConfig = DpConfig()) -> tuple[PLWarp, fl
 
     The SRVFs must share one uniform grid, which is the lattice
     (``_lattice``); the DP finds the cheapest monotone path of ``_STEPS``
-    from (0,0) to the far corner.
+    from (0,0) to the far corner: ``_search`` at the one seed 0.
     """
     grid, q1v, q2v = _lattice(q1, q2, cfg.grid_size)
-    q2f = _fine_values(grid, q2v, _REFINE)
-    costs = [_step_costs(q1v, q2f, _REFINE, s)[:, None] for s in _STEPS]
-    energies, choice = _solve(costs, grid.size, track=True)
-    return _backtrack(choice[:, :, 0], grid), float(energies[0])
+    _, warp, energy = _search(grid, q1v, q2v, _fine_values(grid, q2v, _REFINE), range(1))
+    return warp, energy
 
 
 def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig()) -> float:
@@ -273,60 +273,23 @@ def dp_warp_energy(q1: Srvf, q2: Srvf, warp: PLWarp, cfg: DpConfig = DpConfig())
     return float(total)
 
 
-def _seed_bytes(m: int, itemsize: int = 8) -> int:
-    """Bytes of one seed's arrays in a seed pass whose distances take
-    ``itemsize`` bytes a value: its distance ring and stacked candidates.
-    Its step costs are views of tables shared by every seed."""
-    return itemsize * (_SPAN + len(_STEPS)) * m
-
-
-def _screen_scale(q1v: np.ndarray, q2v: np.ndarray, dt: float) -> float:
+def _screen_scale(q1v: np.ndarray, q2v: np.ndarray) -> float:
     """The power of two that scales the screen's tables below 3/2.
 
     A cost of step (a, b) is sum_k w_k |l_k - r_k|^2, computed as row +
     col - 2 cross, where row + col = sum_k w_k (|l_k|^2 + |r_k|^2) <= a dt L
     + b dt R <= 3 dt (L + R), L and R being the largest squared norms of
-    q1's and q2's lattice values: every fine value of q2 is a convex
-    combination of its lattice values, and r_k is one times sqrt(b/a).
-    The scale is the power of two that puts B = 4 dt (L + R) in [1/2, 1),
-    so row + col <= 3/4, which leaves room for rounding, and a cost, at
-    most 2 (row + col), stays below 3/2.
+    q1's and q2's lattice values and dt = 1/(len(q1v) - 1) the lattice
+    step: every fine value of q2 is a convex combination of its lattice
+    values, and r_k is one times sqrt(b/a).  The scale is the power of two
+    that puts B = 4 dt (L + R) in [1/2, 1), so row + col <= 3/4, which
+    leaves room for rounding, and a cost, at most 2 (row + col), stays
+    below 3/2.
     """
+    dt = 1.0 / (len(q1v) - 1)
     bound = 4.0 * dt * sum(float(np.max(np.sum(np.square(v), axis=1)))
                            for v in (q1v, q2v))
     return math.ldexp(1.0, -math.frexp(bound)[1])
-
-
-def _closed_costs(grid: np.ndarray, q1v: np.ndarray, q2v: np.ndarray):
-    """The seed search's one producer of step costs.  Returns
-    ``blocks(seeds, screen=False)``, which yields (first seed position,
-    per-step cost views) in seed blocks, seeds being a range of grid
-    offsets 0 <= k < n: float64 costs, or with ``screen`` the screen's
-    float32 tables, each cost times ``_screen_scale`` and rounded once.
-
-    ``grid``, ``q1v`` and ``q2v`` are the lattice and the curves' values on
-    it, as ``_lattice`` reads them on the circle at seed 0.  A seed shift
-    by k nodes is a column offset, so each step's float64 costs are
-    computed once against two periods of q2's fine values
-    (``shapeops._two_periods``), and cast once for the screen, and every
-    seed reads a zero-copy window of them.  Blocks are sized so that the
-    per-seed arrays of a pass stay within ``_BLOCK_BYTES`` at its itemsize.
-    """
-    m = grid.size
-    fine = _two_periods(_fine_values(grid, q2v, _REFINE))
-    tables = [_step_costs(q1v, fine, _REFINE, s) for s in _STEPS]
-    scale = _screen_scale(q1v, q2v, 1.0 / (m - 1))
-
-    def blocks(seeds: range, screen: bool = False):
-        src = tables
-        if screen:
-            src = [np.multiply(t, scale, out=np.empty(t.shape, np.float32)) for t in tables]
-        windows = [sliding_window_view(t, m - b, axis=1)[:, seeds.start:seeds.stop:seeds.step]
-                   for t, (_, b) in zip(src, _STEPS)]
-        block = max(1, _BLOCK_BYTES // _seed_bytes(m, windows[0].itemsize))
-        for first in range(0, len(seeds), block):
-            yield first, [w[:, first:first + block] for w in windows]
-    return blocks
 
 
 def _survivors(screen: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -372,51 +335,66 @@ def _survivors(screen: np.ndarray, m: int, d: int) -> np.ndarray:
     return np.flatnonzero(screen - delta <= np.min(screen + delta))
 
 
+def _search(grid: np.ndarray, q1v: np.ndarray, q2v: np.ndarray, fine: np.ndarray,
+            seeds: range) -> tuple[int, PLWarp, float]:
+    """The one DP search: the best (seed, warp, energy) over ``seeds``, a
+    range of grid offsets, ties to the first.
+
+    ``grid``, ``q1v`` and ``q2v`` are the lattice and the curves' values on
+    it (``_lattice``); ``fine`` holds q2's fine values, one period for
+    ``dp_align``'s seed 0 or two (``shapeops._two_periods``) for the
+    circle's seeds.  Each step's float64 costs are computed once against
+    ``fine``, and seed k reads columns [k, k + m - b) of step (a, b)'s
+    table.  Several seeds are screened in float32 on the tables times
+    ``_screen_scale``, and ``_survivors`` keeps every seed whose float64
+    energy can be the least; they lie on the progression from the first
+    to the last with step the gcd of their spacings.  If it holds more
+    than one seed, a float64 energy-only pass picks the first of least
+    energy.  That seed's float64 solve records its steps.  Each seed's
+    recurrence is elementwise, so the result is that of a float64 search
+    over every seed.
+    """
+    m = grid.size
+    tables = [_step_costs(q1v, fine, _REFINE, s) for s in _STEPS]
+
+    def windows(src, seeds):
+        if len(seeds) == 1:  # a plain slice costs less than a window view
+            k = seeds[0]
+            return [t[:, None, k:k + m - b] for t, (_, b) in zip(src, _STEPS)]
+        return [sliding_window_view(t, m - b, axis=1)[:, seeds.start:seeds.stop:seeds.step]
+                for t, (_, b) in zip(src, _STEPS)]
+
+    if len(seeds) > 1:
+        scale = _screen_scale(q1v, q2v)
+        screen = [np.multiply(t, scale, out=np.empty(t.shape, np.float32)) for t in tables]
+        # widened, so that the slack is float64 arithmetic
+        energies = _solve(windows(screen, seeds), m)[0].astype(np.float64)
+        del screen  # held through the float64 passes, they would raise the peak
+        keep = _survivors(energies, m, q1v.shape[1])
+        step = int(np.gcd.reduce(np.diff(keep))) or 1
+        seeds = seeds[keep[0]:keep[-1] + 1:step]
+    if len(seeds) > 1:
+        k = int(np.argmin(_solve(windows(tables, seeds), m)[0]))
+        seeds = seeds[k:k + 1]
+    energies, choice = _solve(windows(tables, seeds), m, track=True)
+    return seeds[0], _backtrack(choice[:, :, 0], grid), float(energies[0])
+
+
 def dp_align_closed(q1: Srvf, q2: Srvf,
                     cfg: DpConfig = DpConfig()) -> tuple[float, PLWarp, float]:
     """Best (seed, warp, energy) over cyclic seed shifts of q2.
 
     Both curves are read on the circle (``shapeops._two_periods``), q1 at
     seed 0, on the lattice of their own grid (``_lattice``).  Seeds run
-    over every ``seed_stride``-th grid point; the
+    over every ``seed_stride``-th grid point, through ``_search``; the
     reported seed is the shift applied to q2 before the interval
     alignment, so the energy is ``dp_warp_energy(apply_seed(q1, 0.0),
     apply_seed(q2, seed), warp, cfg)``.
-
-    The search takes two passes through ``_solve``.  The screen solves
-    every seed's energy in float32 on its scaled, rounded costs, and
-    ``_survivors`` keeps every seed whose float64 energy can be the least.
-    The survivors lie on the progression from the first to the last with
-    step the gcd of their spacings, which blocks read as views; if it
-    holds more than one seed, a float64 energy-only pass picks the first
-    seed of least energy.  That seed's float64 solve records its steps.
-    Each seed's recurrence is elementwise, so the seed, the warp and the
-    energy are those of a float64 search over every seed, ties to the
-    first seed.
     """
     if q1.topology != "closed" or q2.topology != "closed":
         raise ValueError("closed-curve alignment needs closed SRVFs")
     grid, q1v, q2v = _lattice(q1, q2, cfg.grid_size, circle=True)
-    m = grid.size
-    n = m - 1
-    seeds = range(0, n, cfg.seed_stride)
-    blocks = _closed_costs(grid, q1v, q2v)
-    screen = np.empty(len(seeds))
-    for first, costs in blocks(seeds, screen=True):
-        screen[first:first + costs[0].shape[1]] = _solve(costs, m)[0]
-    keep = _survivors(screen, m, q1v.shape[1])
-    step = int(np.gcd.reduce(np.diff(keep))) or 1
-    survivors = seeds[keep[0]:keep[-1] + 1:step]
-    if len(survivors) == 1:
-        [(pos, winner)] = blocks(survivors)
-    else:
-        best = None
-        for first, costs in blocks(survivors):
-            energies, _ = _solve(costs, m)
-            k = int(np.argmin(energies))
-            if best is None or energies[k] < best[1]:
-                winner = [c[:, k:k + 1] for c in costs]
-                best = (first + k, energies[k])
-        pos = best[0]
-    energies, choice = _solve(winner, m, track=True)
-    return survivors[pos] / n, _backtrack(choice[:, :, 0], grid), float(energies[0])
+    n = grid.size - 1
+    fine = _two_periods(_fine_values(grid, q2v, _REFINE))
+    seed, warp, energy = _search(grid, q1v, q2v, fine, range(0, n, cfg.seed_stride))
+    return seed / n, warp, energy

@@ -109,11 +109,14 @@ def arc_length(curve: Curve) -> float:
 
 
 def _nonzero_length(curve: Curve) -> float:
-    """``arc_length``, rejecting a curve whose length is (numerically) zero:
-    its SRVF vanishes, so every distance and alignment of it is void."""
-    length = arc_length(curve)
+    """``arc_length``, rejecting a curve whose length is (numerically) zero
+    or overflows: every distance and alignment of it would be void."""
+    with np.errstate(over="ignore"):
+        length = arc_length(curve)
     if length <= 1e-12:
         raise ValueError("degenerate (zero-length) curve")
+    if not np.isfinite(length):
+        raise ValueError("curve length overflows float64; rescale the curve")
     return length
 
 
@@ -144,19 +147,23 @@ def to_srvf(curve: Curve) -> Srvf:
     """SRVF of a curve: q = g'/sqrt(|g'|), with q = 0 where |g'| vanishes.
 
     Derivatives use central differences, one-sided at the endpoints of
-    open curves and cyclic for closed curves.
+    open curves and cyclic for closed curves.  A speed |g'| that overflows
+    to inf, which would make q = 0 there, is refused.
     """
     if curve.grid.size < 3:
         raise ValueError("need at least three sample points")
-    if curve.topology == "closed":
-        _require_uniform(curve.grid)
-        step = curve.grid[1] - curve.grid[0]
-        pts = curve.points[:-1]
-        deriv = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2.0 * step)
-        deriv = np.vstack((deriv, deriv[:1]))
-    else:
-        deriv = np.gradient(curve.points, curve.grid, axis=0)
-    speed = np.linalg.norm(deriv, axis=1)
+    with np.errstate(over="ignore"):
+        if curve.topology == "closed":
+            _require_uniform(curve.grid)
+            step = curve.grid[1] - curve.grid[0]
+            pts = curve.points[:-1]
+            deriv = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2.0 * step)
+            deriv = np.vstack((deriv, deriv[:1]))
+        else:
+            deriv = np.gradient(curve.points, curve.grid, axis=0)
+        speed = np.linalg.norm(deriv, axis=1)
+    if not np.isfinite(speed).all():
+        raise ValueError("curve speed |g'| overflows float64; rescale the curve")
     q = np.zeros_like(deriv)
     moving = speed >= _ZERO_SPEED
     q[moving] = deriv[moving] / np.sqrt(speed[moving])[:, None]

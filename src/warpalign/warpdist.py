@@ -125,7 +125,13 @@ def dirichlet_sample(params, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("params must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
         raise ValueError("Dirichlet parameters must be positive")
-    p = _floor_normalize(gamma_variates(params, rng), 1e-300)
+    return _dirichlet(params, rng)
+
+
+def _dirichlet(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``dirichlet_sample`` of float parameters its caller has checked: the
+    one draw of every fixed-partition warp's increments."""
+    p = _floor_normalize(_boosted_gammas(params, rng), 1e-300)
     return _floor_normalize(p, MIN_INCREMENT)
 
 
@@ -138,8 +144,7 @@ def sample_fixed(n: int, alpha: float, rng: np.random.Generator) -> PLWarp:
     check_count("n", n, 2)
     check_positive("alpha", alpha)
     t = np.linspace(0.0, 1.0, n + 1)
-    p = dirichlet_sample(np.full(n, alpha), rng)
-    return PLWarp.from_increments(t, p)
+    return PLWarp.from_increments(t, _dirichlet(np.full(n, float(alpha)), rng))
 
 
 # Rows per ``gamma_variates`` call of a batch draw (see ``_draw_blocks``)
@@ -303,10 +308,9 @@ def degeneracy_report(n_list, alpha: float, partition_cdf: PLWarp, samples: int,
         t = partition_cdf(np.linspace(0.0, 1.0, n + 1))
         t[0], t[-1] = 0.0, 1.0
         dists = np.empty(samples)
-        flat = np.full(n, alpha)
+        flat = np.full(n, float(alpha))
         for k in range(samples):
-            w = PLWarp.from_increments(t, dirichlet_sample(flat, rng))
-            dists[k] = sup_dist(w, limit)
+            dists[k] = sup_dist(PLWarp.from_increments(t, _dirichlet(flat, rng)), limit)
         rows.append((n, float(np.median(dists))))
     return rows
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from warpalign import (Curve, PLWarp, PosteriorSample, apply_seed, log_density, marginal_loglik,
                        normalize_length, sample_batch, to_srvf, uniform_grid, unit_normalize,
                        warp_action)
-from warpalign.align_dp import _REFINE, _STEPS, _closed_costs, _fine_values, _lattice, _step_costs
+from warpalign.align_dp import _REFINE, _STEPS, _fine_values, _lattice, _step_costs
 from warpalign.fixtures import bean_curve, closed_shape_pair
 from warpalign.io import _fmt
+from warpalign.shapeops import _two_periods
 from warpalign.warpmap import MIN_INCREMENT, _dedupe_knots, batch_eval
 
 __all__ = ["pl_warps", "knot_rows", "smooth_curves", "fourier_values",
@@ -234,9 +235,10 @@ def reference_dp_align_closed(q1, q2, cfg):
     """The closed-curve seed search one seed at a time, in plain numpy: the
     strict-``<`` row recurrence with a full distance and step-choice table
     per seed (ties go to the earlier step), the first seed of least
-    energy, and a backtrack of its path.  Step costs come from the
-    package's ``_closed_costs`` against both curves' seed-0 windows, so
-    energies compare bit for bit.
+    energy, and a backtrack of its path.  Step costs are the package's
+    ``_step_costs`` tables against two periods of q2's fine values, both
+    curves read at seed 0, and seed k reads columns [k, k + m - b) of step
+    (a, b)'s table, so energies compare bit for bit.
 
     Returns (seed, knot x, knot y, energy).
     """
@@ -244,22 +246,23 @@ def reference_dp_align_closed(q1, q2, cfg):
     n = m - 1
     seeds = range(0, n, cfg.seed_stride)
     best_pos, best_energy, best_choice = None, np.inf, None
-    blocks = _closed_costs(*_lattice(apply_seed(q1, 0.0), apply_seed(q2, 0.0), cfg.grid_size))
-    for first, costs in blocks(seeds):
-        for s in range(costs[0].shape[1]):
-            dist = np.full((m, m), np.inf)
-            dist[0, 0] = 0.0
-            choice = np.full((m, m), -1)
-            for i in range(1, m):
-                for si, (a, b) in enumerate(_STEPS):
-                    if i < a:
-                        continue
-                    cand = dist[i - a, :m - b] + costs[si][i - a][s]
-                    better = cand < dist[i, b:]
-                    dist[i, b:][better] = cand[better]
-                    choice[i, b:][better] = si
-            if best_pos is None or dist[m - 1, m - 1] < best_energy:
-                best_pos, best_energy, best_choice = first + s, dist[m - 1, m - 1], choice
+    grid, q1v, q2v = _lattice(apply_seed(q1, 0.0), apply_seed(q2, 0.0), cfg.grid_size)
+    fine = _two_periods(_fine_values(grid, q2v, _REFINE))
+    tables = [_step_costs(q1v, fine, _REFINE, step) for step in _STEPS]
+    for pos, k in enumerate(seeds):
+        dist = np.full((m, m), np.inf)
+        dist[0, 0] = 0.0
+        choice = np.full((m, m), -1)
+        for i in range(1, m):
+            for si, (a, b) in enumerate(_STEPS):
+                if i < a:
+                    continue
+                cand = dist[i - a, :m - b] + tables[si][i - a, k:k + m - b]
+                better = cand < dist[i, b:]
+                dist[i, b:][better] = cand[better]
+                choice[i, b:][better] = si
+        if best_pos is None or dist[m - 1, m - 1] < best_energy:
+            best_pos, best_energy, best_choice = pos, dist[m - 1, m - 1], choice
     nodes = [(m - 1, m - 1)]
     while nodes[-1] != (0, 0):
         i, j = nodes[-1]

@@ -1,7 +1,6 @@
 import math
 from collections import deque
 from dataclasses import fields
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +25,8 @@ from warpalign import (
     uniform_grid,
     warp_action,
 )
-from warpalign import align_dp
-from warpalign.align_dp import _REFINE, _SPAN, _STEPS, _band, _plan, _seed_bytes, _step_costs
+from warpalign import align_dp, shapeops
+from warpalign.align_dp import _REFINE, _SPAN, _STEPS, _band, _plan, _step_costs
 from warpalign.fixtures import _radial_curve, bean_curve, closed_shape_pair, spiral_pair, two_bump_pair
 
 
@@ -58,6 +57,22 @@ def on_some_path(m: int) -> np.ndarray:
         return seen
 
     return bfs((0, 0), 1) & bfs((m - 1, m - 1), -1)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Every ``align_dp._solve`` call of the test, as (dtype, seeds, track,
+    costs, energies)."""
+    calls = []
+    solve = align_dp._solve
+
+    def spy(costs, m, track=False):
+        energies, choice = solve(costs, m, track)
+        calls.append((costs[0].dtype, costs[0].shape[1], track, costs, energies))
+        return energies, choice
+
+    monkeypatch.setattr(align_dp, "_solve", spy)
+    return calls
 
 
 def interp_path_energy(q1: Srvf, q2: Srvf, nodes) -> float:
@@ -394,8 +409,7 @@ class TestBatchedSeedSearch:
         q = self.bean()
         assert self.assert_matches_loop(q, q, DpConfig(grid_size=41)) == 0.0
 
-    def test_one_seed_per_block(self, monkeypatch):
-        monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
+    def test_stride_that_does_not_divide_the_seeds(self):
         q1 = self.bean()
         q2 = apply_seed(q1, 0.3)
         self.assert_matches_loop(q1, q2, DpConfig(grid_size=41, seed_stride=3))
@@ -491,30 +505,27 @@ class TestStepCostOracle:
         assert np.all(np.abs(cost - ref) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("step", range(len(_STEPS)), ids=lambda k: f"step{k}")
-    @pytest.mark.parametrize("per_seed", [False, True], ids=["one_block", "per_seed_blocks"])
+    @pytest.mark.parametrize("seeds", [range(100), range(2, 100, 3)], ids=["every", "strided"])
     @pytest.mark.parametrize("factor", [1e-25, 1.0, 1e20])
-    def test_screen_table_is_the_table_scaled_and_rounded_once(self, factor, per_seed, step,
-                                                               monkeypatch):
+    def test_screen_table_is_the_table_scaled_and_rounded_once(self, factor, seeds, step,
+                                                               solve_calls):
         # the seed screen's slack assumes each float32 cost is fl32(scale * cost);
-        # unscaled, these blobs' costs would leave float32's range.  Every
-        # block's window of the cast table is the cast of the float64 window,
-        # in one block of every seed or, strided, in blocks of one seed each.
-        seeds = range(100)
-        if per_seed:
-            monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
-            seeds = range(2, 100, 3)
+        # unscaled, these blobs' costs would leave float32's range.  Each
+        # seed's window of the screen's costs, as the search hands them to
+        # _solve, is the cast of that seed's window of the float64 table.
         q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
                   for q in fixture_shapes(closed_shape_pair(101)))
         grid, q1v, q2v = align_dp._lattice(q1, q2, 101, circle=True)
-        scale = align_dp._screen_scale(q1v, q2v, 1.0 / 100)
-        blocks = align_dp._closed_costs(grid, q1v, q2v)
-        screen, costs = list(blocks(seeds, screen=True)), list(blocks(seeds))
-        assert len(screen) == len(costs) == (len(seeds) if per_seed else 1)
-        for (first, screen_costs), (first64, step_costs) in zip(screen, costs):
-            assert first == first64
-            screen_costs, step_costs = screen_costs[step], step_costs[step]
-            assert screen_costs.dtype == np.float32 and np.max(screen_costs) < 1.5
-            assert np.array_equal(screen_costs, (scale * step_costs).astype(np.float32))
+        fine = shapeops._two_periods(align_dp._fine_values(grid, q2v, _REFINE))
+        align_dp._search(grid, q1v, q2v, fine, seeds)
+        scale = align_dp._screen_scale(q1v, q2v)
+        screen_costs, (a, b) = solve_calls[0][3][step], _STEPS[step]
+        table = _step_costs(q1v, fine, _REFINE, (a, b))
+        assert screen_costs.dtype == np.float32 and np.max(screen_costs) < 1.5
+        assert screen_costs.shape == (101 - a, len(seeds), 101 - b)
+        for pos, k in enumerate(seeds):
+            window = table[:, k:k + 101 - b]
+            assert np.array_equal(screen_costs[:, pos], (scale * window).astype(np.float32))
 
 
 def lattice_steps(warp: PLWarp, m: int) -> str:
@@ -615,13 +626,9 @@ class TestSeedPassOracle:
     seed, the knots and the energy bit for bit."""
 
     @staticmethod
-    def assert_matches_oracle(q1, q2, cfg, per_block=None):
-        block_bytes = align_dp._BLOCK_BYTES
-        if per_block is not None:
-            block_bytes = per_block * _seed_bytes(cfg.grid_size)
-        with mock.patch.object(align_dp, "_BLOCK_BYTES", block_bytes):
-            seed, warp, energy = dp_align_closed(q1, q2, cfg)
-            ref_seed, ref_x, ref_y, ref_energy = reference_dp_align_closed(q1, q2, cfg)
+    def assert_matches_oracle(q1, q2, cfg):
+        seed, warp, energy = dp_align_closed(q1, q2, cfg)
+        ref_seed, ref_x, ref_y, ref_energy = reference_dp_align_closed(q1, q2, cfg)
         assert seed == ref_seed
         assert np.array_equal(warp.x, ref_x)
         assert np.array_equal(warp.y, ref_y)
@@ -635,13 +642,11 @@ class TestSeedPassOracle:
         q1 = data.draw(closed_srvfs(m), label="q1")
         q2 = q1 if data.draw(st.booleans(), label="same") else data.draw(closed_srvfs(m))
         stride = data.draw(st.sampled_from([1, 3]), label="seed_stride")
-        per_block = data.draw(st.sampled_from([None, 1, 2, 5]), label="seeds_per_block")
         cfg = DpConfig(grid_size=m, seed_stride=stride)
-        self.assert_matches_oracle(q1, q2, cfg, per_block)
+        self.assert_matches_oracle(q1, q2, cfg)
 
     @pytest.mark.parametrize("grid_size", [41, 31])
-    @pytest.mark.parametrize("per_block", [None, 1, 3])
-    def test_tied_seeds_go_to_the_first(self, grid_size, per_block):
+    def test_tied_seeds_go_to_the_first(self, grid_size):
         # q2 repeats every 10 of its 40 (or 30) distinct points, so seeds 10
         # apart have identical costs and energies
         n = grid_size - 1
@@ -650,7 +655,7 @@ class TestSeedPassOracle:
         q2 = Srvf(uniform_grid(grid_size), np.vstack((vals, vals[:1])), "closed")
         q1 = unit_normalize(to_srvf(normalize_length(bean_curve(grid_size))))
         cfg = DpConfig(grid_size=grid_size)
-        assert self.assert_matches_oracle(q1, q2, cfg, per_block) < 10 / n
+        assert self.assert_matches_oracle(q1, q2, cfg) < 10 / n
 
     @pytest.mark.parametrize("grid_size", [101, 80])
     def test_open_seam(self, grid_size):
@@ -658,11 +663,10 @@ class TestSeedPassOracle:
         self.assert_matches_oracle(*seam_pair(grid_size), DpConfig(grid_size=grid_size))
 
     @pytest.mark.parametrize("grid_size", [41, 30])
-    @pytest.mark.parametrize("per_block", [None, 1, 3])
-    def test_identical_curves_pick_seed_zero(self, grid_size, per_block):
+    def test_identical_curves_pick_seed_zero(self, grid_size):
         q = unit_normalize(to_srvf(normalize_length(bean_curve(grid_size))))
         cfg = DpConfig(grid_size=grid_size)
-        assert self.assert_matches_oracle(q, q, cfg, per_block) == 0.0
+        assert self.assert_matches_oracle(q, q, cfg) == 0.0
 
     @pytest.mark.parametrize("grid_size", [101, 81])
     def test_exact_ties_go_to_the_first_tied_seed(self, grid_size):
@@ -676,7 +680,8 @@ class TestSeedPassOracle:
         assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == 7 / n
 
     @pytest.mark.parametrize("grid_size,noise_seed", [(101, 1), (81, 2)])
-    def test_float32_order_flips_keep_the_float64_winner(self, grid_size, noise_seed):
+    def test_float32_order_flips_keep_the_float64_winner(self, grid_size, noise_seed,
+                                                          solve_calls):
         # q2 repeats every fifth of its n samples up to noise of 1e-7, so
         # five seeds lie within float32's rounding of each other.  With these
         # noise draws the float32 screen ranks another seed first, and only
@@ -689,9 +694,8 @@ class TestSeedPassOracle:
         q1, q2 = (Srvf(uniform_grid(grid_size), np.append(v, v[0])[:, None], "closed")
                   for v in (v1, v2))
         seed = self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size))
-        grid, q1v, q2v = align_dp._lattice(q1, q2, grid_size, circle=True)
-        blocks = align_dp._closed_costs(grid, q1v, q2v)(range(n), screen=True)
-        screen = np.concatenate([align_dp._solve(costs, grid_size)[0] for _, costs in blocks])
+        [screen] = [energies for dtype, *_, energies in solve_calls if dtype == np.float32]
+        assert screen.shape == (n,)
         assert screen[round(seed * n)] > screen.min()
 
     @pytest.mark.parametrize("grid_size", [101, 80])
@@ -712,8 +716,7 @@ class TestSeedPassOracle:
         assert self.assert_matches_oracle(q1, q2, DpConfig(grid_size=grid_size)) == (n - 1) / n
 
     @pytest.mark.parametrize("grid_size", [41, 30])
-    def test_one_seed_per_block_with_stride(self, grid_size, monkeypatch):
-        monkeypatch.setattr(align_dp, "_BLOCK_BYTES", 1)
+    def test_seed_stride(self, grid_size):
         q1 = unit_normalize(to_srvf(normalize_length(bean_curve(grid_size))))
         self.assert_matches_oracle(q1, apply_seed(q1, 0.3), DpConfig(grid_size=grid_size, seed_stride=3))
 
@@ -724,22 +727,30 @@ class TestSeedScreen:
 
     @pytest.mark.parametrize("grid_size", [101, 80])
     @pytest.mark.parametrize("factor", [1.0, 1e-25, 1e20])
-    def test_one_float64_solve_of_one_seed(self, grid_size, factor, monkeypatch):
-        calls = []
-        solve = align_dp._solve
-
-        def spy(costs, m, track=False):
-            calls.append((costs[0].dtype, costs[0].shape[1], track))
-            return solve(costs, m, track)
-
-        monkeypatch.setattr(align_dp, "_solve", spy)
+    def test_one_float64_solve_of_one_seed(self, grid_size, factor, solve_calls):
         q1, q2 = (Srvf(q.grid, q.values * factor, "closed")
                   for q in fixture_shapes(closed_shape_pair(grid_size)))
         dp_align_closed(q1, q2, DpConfig(grid_size=grid_size))
+        calls = [call[:3] for call in solve_calls]
         screen = [n for dtype, n, _ in calls if dtype == np.float32]
         assert calls == [(np.float32, n, False) for n in screen] + [(np.float64, 1, True)]
-        # every seed reads one cast of the tables, in one block
+        # every seed reads one cast of the tables, in one pass
         assert screen == [grid_size - 1]
+
+    @pytest.mark.parametrize("grid_size", [101, 80, 4])
+    def test_one_seed_is_one_tracked_float64_solve(self, grid_size, solve_calls):
+        # dp_align is the search at seed 0 alone, and a stride of at least n
+        # leaves dp_align_closed one seed too: neither screens
+        b1, b2 = fixture_shapes(closed_shape_pair(grid_size))
+        c1, c2 = two_bump_pair(grid_size)
+        n = grid_size - 1
+        runs = [lambda: dp_align(to_srvf(c1), to_srvf(c2)),
+                lambda: dp_align_closed(b1, b2, DpConfig(seed_stride=n)),
+                lambda: dp_align_closed(b1, b2, DpConfig(seed_stride=n + 5))]
+        for run in runs:
+            solve_calls.clear()
+            run()
+            assert [call[:3] for call in solve_calls] == [(np.float64, 1, True)]
 
 
 class TestDpConfig:

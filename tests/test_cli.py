@@ -280,6 +280,22 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", ["distance", "align-dp"])
+    def test_overflowing_curve_is_3(self, tmp_path, capsys, command):
+        # the curves' length overflows float64: loaded, each would have a zero
+        # SRVF and align at distance and energy 0.0; under the suite's
+        # warnings-as-errors an escaping RuntimeWarning would fail the run
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,x\n0,0\n0.5,1e300\n1,0\n")
+        b.write_text("t,x\n0,0\n0.3,1e300\n1,0\n")
+        out = tmp_path / "out"
+        assert main([command, str(a), str(b), "--outdir", str(out)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"data error: {a}: ") and "overflows float64" in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag,value", [
         ("align-sa", "--cooling", "inf"), ("align-sa", "--cooling", "nan"),
         ("align-sa", "--t0", "nan"), ("align-sa", "--t0", "inf"),

@@ -61,6 +61,12 @@ class TestNormalizeLength:
         with pytest.raises(ValueError):
             normalize_length(c)
 
+    def test_overflowing_length_rejected(self):
+        # arc_length is inf here; accepted, the curve would scale to zero
+        c = Curve(uniform_grid(3), np.array([[0.0], [1e300], [0.0]]))
+        with pytest.raises(ValueError, match="length overflows float64"):
+            normalize_length(c)
+
 
 class TestOptimalRotation:
     def test_same_input_gives_identity(self):

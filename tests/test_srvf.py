@@ -27,6 +27,7 @@ from warpalign import (
     warp_energy,
 )
 from warpalign.align_sa import SaConfig, align
+from warpalign.fixtures import closed_shape_pair, two_bump_pair
 from warpalign.shapeops import _procrustes
 from warpalign.srvf import (_ROW_ARRAYS, _energy, _energy_target, _energy_terms, _sq_l2,
                             _trace, _trapezoid, _trapezoid_weights, _warp_sse_batch,
@@ -135,6 +136,22 @@ class TestToSrvf:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             to_srvf(line_curve(2))
+
+    @pytest.mark.parametrize("factor", [1e154, 1e200])
+    def test_overflowing_speed_rejected(self, factor):
+        # |g'|^2 overflows inside the norm, so q = g'/sqrt(inf) would be 0 on
+        # those rows: 65 of the two-bump pair's 100 at 1e154, all at 1e200,
+        # and every distance and DP energy of the pair would read 0
+        for c in (*two_bump_pair(100), *closed_shape_pair(101)):
+            with pytest.raises(ValueError, match="overflows float64"):
+                to_srvf(Curve(c.grid, c.points * factor, c.topology))
+
+    @pytest.mark.parametrize("pair", [two_bump_pair, closed_shape_pair])
+    def test_large_finite_speed_kept(self, pair):
+        # a power-of-two scale 2^500 scales g' exactly, so q scales by 2^250
+        for c in pair():
+            q = to_srvf(Curve(c.grid, c.points * 2.0 ** 500, c.topology))
+            assert np.array_equal(q.values, to_srvf(c).values * 2.0 ** 250)
 
 
 class TestFromSrvf:
